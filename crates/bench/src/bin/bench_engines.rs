@@ -16,8 +16,8 @@ use logit_core::parallel::{coloring_for_game, coloring_for_graph};
 use logit_core::rules::{Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 use logit_core::schedules::UniformSingle;
 use logit_core::{
-    ChannelBackendKind, DynamicsEngine, LocalityLayout, PipelineConfig, ReducerMode, RuntimeConfig,
-    Scratch, Simulator, TemperingEnsemble, WorkerPool,
+    DynamicsEngine, LocalityLayout, RuntimeConfig, Scratch, Simulator, TemperingEnsemble,
+    WorkerPool,
 };
 use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame};
 use logit_graphs::{Coloring, Graph, GraphBuilder, VertexOrdering};
@@ -940,168 +940,6 @@ fn pipelined_row<U: UpdateRule>(
     )
 }
 
-/// One pipelined ensemble run under an explicit channel backend and reducer
-/// mode, for the `channel_backends` row-set. Same workload shape as
-/// [`ensemble_steps_per_sec`] so the rows are comparable to the `pipelined`
-/// row-set.
-fn backend_ensemble_steps_per_sec(
-    n: usize,
-    replicas: usize,
-    steps_per_replica: u64,
-    backend: ChannelBackendKind,
-    reducer: ReducerMode,
-) -> (f64, logit_core::ProfileEnsembleResult) {
-    let dynamics = ring_dynamics(n, Logit);
-    let sim = Simulator::new(0xB1BE, replicas);
-    let observable = StrategyFraction::new(1, "adopters");
-    let start = vec![0usize; n];
-    let sample_every = (steps_per_replica / 8).max(1);
-    let config = PipelineConfig {
-        backend,
-        reducer,
-        ..PipelineConfig::default()
-    };
-    let clock = std::time::Instant::now();
-    let result = sim.run_profiles_pipelined_with(
-        &dynamics,
-        &start,
-        steps_per_replica,
-        sample_every,
-        &observable,
-        &config,
-    );
-    let total = steps_per_replica * replicas as u64;
-    let rate = total as f64 / clock.elapsed().as_secs_f64();
-    std::hint::black_box(&result.final_values);
-    (rate, result)
-}
-
-/// The unordered-reducer gate: counts, min/max, finals and the empirical
-/// law must match the ordered result exactly; the Welford moments only to
-/// floating-point rounding of the arrival-order fold.
-fn assert_unordered_matches_ordered(
-    ordered: &logit_core::ProfileEnsembleResult,
-    unordered: &logit_core::ProfileEnsembleResult,
-    context: &str,
-) {
-    assert_eq!(
-        ordered.final_values, unordered.final_values,
-        "unordered finals diverged ({context})"
-    );
-    assert_eq!(
-        ordered.times, unordered.times,
-        "time grids diverged ({context})"
-    );
-    assert_eq!(
-        ordered.law().ks_distance(&unordered.law()),
-        0.0,
-        "final-time empirical laws diverged ({context})"
-    );
-    for (k, (o, u)) in ordered.series.iter().zip(&unordered.series).enumerate() {
-        assert!(
-            o.count() == u.count() && o.min() == u.min() && o.max() == u.max(),
-            "unordered counts/min/max diverged at sample {k} ({context})"
-        );
-        assert!(
-            (o.mean() - u.mean()).abs() <= 1e-9 * (1.0 + o.mean().abs())
-                && (o.variance() - u.variance()).abs() <= 1e-9 * (1.0 + o.variance().abs()),
-            "unordered moments drifted beyond fp rounding at sample {k} ({context})"
-        );
-    }
-}
-
-/// The `channel_backends` row-set: the three channel backends race on the
-/// same pipelined ensemble, interleaved within each round so host drift
-/// cancels out of the ratios. Gates asserted in-process before any row is
-/// emitted:
-/// * ordered mode is bit-identical to `run_profiles` on **every** backend;
-/// * the best backend's median ratio vs the same-round `sync_channel` rate
-///   is >= 1.0 (sync itself scores exactly 1.0, so the gate pins "no
-///   backend regression" rather than a host-dependent speedup);
-/// * unordered mode matches the ordered result per the merge contract.
-fn channel_backend_rows(n: usize, steps: u64) -> String {
-    let replicas = 8usize;
-    let steps_per_replica = (steps / replicas as u64).max(1);
-    let backends = ChannelBackendKind::ALL;
-    let mut rates: Vec<Vec<f64>> = vec![Vec::new(); backends.len()];
-    for _round in 0..3 {
-        let (_, seq_result) = ensemble_steps_per_sec(n, Logit, replicas, steps_per_replica, false);
-        for (b, &backend) in backends.iter().enumerate() {
-            let (rate, result) = backend_ensemble_steps_per_sec(
-                n,
-                replicas,
-                steps_per_replica,
-                backend,
-                ReducerMode::Ordered,
-            );
-            assert_bit_identical(
-                &seq_result,
-                &result,
-                &format!("{} backend at n = {n}", backend.name()),
-            );
-            rates[b].push(rate);
-        }
-    }
-    // Correctness leg (untimed): the unordered reducer on every backend.
-    let (_, ordered_ref) = backend_ensemble_steps_per_sec(
-        n,
-        replicas,
-        steps_per_replica,
-        ChannelBackendKind::Sync,
-        ReducerMode::Ordered,
-    );
-    for &backend in &backends {
-        let (_, unordered) = backend_ensemble_steps_per_sec(
-            n,
-            replicas,
-            steps_per_replica,
-            backend,
-            ReducerMode::Unordered,
-        );
-        assert_unordered_matches_ordered(
-            &ordered_ref,
-            &unordered,
-            &format!("{} backend at n = {n}", backend.name()),
-        );
-    }
-    // Per-round ratios vs the same round's sync rate, then the median.
-    let ratios: Vec<f64> = (0..backends.len())
-        .map(|b| {
-            median(
-                (0..rates[b].len())
-                    .map(|round| rates[b][round] / rates[0][round])
-                    .collect(),
-            )
-        })
-        .collect();
-    let best = ratios.iter().cloned().fold(f64::MIN, f64::max);
-    assert!(
-        best >= 1.0,
-        "no channel backend reached the sync_channel baseline (best ratio {best:.3})"
-    );
-    let rows: Vec<String> = backends
-        .iter()
-        .enumerate()
-        .map(|(b, backend)| {
-            let rate = median(rates[b].clone());
-            eprintln!(
-                "  channel_backends {:>6} n = {n:>6}: ordered = {rate:.3e} steps/s, ratio vs sync = {:.3}",
-                backend.name(),
-                ratios[b]
-            );
-            format!(
-                "        {{\"backend\": \"{}\", \"n\": {n}, \"replicas\": {replicas}, \"ordered_steps_per_sec\": {rate:.0}, \"ratio_vs_sync\": {:.3}, \"unordered_equivalence_checked\": true}}",
-                backend.name(),
-                ratios[b]
-            )
-        })
-        .collect();
-    format!(
-        "  \"channel_backends\": {{\n    \"what\": \"run_profiles_pipelined_with racing the three ChannelBackendKind transports (sync_channel, lock-free SPSC rings, lock-free MPMC) on the same Logit ensemble, {replicas} replicas, 3 interleaved rounds; in-process gates before emission: ordered mode bit-identical to run_profiles on every backend, best median ratio vs the same-round sync rate >= 1.0, and the unordered merge-on-arrival reducer matching ordered exactly on counts/min/max/finals/law and to fp rounding on moments\",\n    \"rows\": [\n{}\n    ]\n  }}",
-        rows.join(",\n")
-    )
-}
-
 fn pipelined_rows(n: usize, steps: u64) -> String {
     let replicas = 8usize;
     let steps_per_replica = (steps / replicas as u64).max(1);
@@ -1333,11 +1171,6 @@ fn main() {
     // can never emit a baseline.
     let pipelined = pipelined_rows(10_000, steps);
 
-    // Channel-backend rows: the three farm transports raced on the same
-    // ensemble, with the ordered bit-identity and unordered-equivalence
-    // gates asserted before any row is emitted.
-    let channel_backends = channel_backend_rows(10_000, steps);
-
     // Coloured independent-set rows: the parallel-revision engine paths on
     // a dense-degree circulant, gated on the in-process bit-identity check.
     let coloured = coloured_rows(steps);
@@ -1359,7 +1192,7 @@ fn main() {
     let telemetry = json_escape(&logit_telemetry::global().render());
 
     println!(
-        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{tempered},\n{pipelined},\n{channel_backends},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
+        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{tempered},\n{pipelined},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
         rule_sets.join(",\n")
     );
 }

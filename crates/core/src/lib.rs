@@ -39,7 +39,8 @@
 //! * [`simulate`] — trajectory simulation, parallel replica ensembles and
 //!   empirical-distribution estimation (rayon-based),
 //! * [`pipeline`] — the PPL-style pipelined ensemble runner: a farm of step
-//!   workers feeding streamed observable reducers through bounded channels
+//!   workers feeding one streamed, order-restoring observable reducer
+//!   through a bounded channel
 //!   ([`simulate::Simulator::run_profiles_pipelined`]), bit-identical to the
 //!   sequential path under fixed seeds,
 //! * [`runtime`] — the persistent parallel runtime: a spawn-once
@@ -97,8 +98,7 @@ pub use parallel::{
     coloring_for_game, coloring_for_graph, player_tick_seed, ColouredBlocks, RandomBlock,
 };
 pub use pipeline::{
-    CancelToken, ChannelBackendKind, OrderedSeriesReducer, PipelineConfig, PipelineConfigError,
-    ReducerMode, SnapshotBatch,
+    CancelToken, OrderedSeriesReducer, PipelineConfig, PipelineConfigError, SnapshotBatch,
 };
 pub use rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 pub use runtime::{RuntimeConfig, ThreadRegistry, WaitPolicy, WorkerEntry, WorkerPool};

@@ -189,25 +189,18 @@ impl ProfileObservable for StrategyFraction {
     }
 }
 
-/// A mergeable reduction target for streamed ensemble observables: one
+/// The reduction target for streamed ensemble observables: one
 /// [`RunningStats`] per recorded time plus the final-time value of every
-/// replica (keyed by replica index, so the final-value law is exact no
-/// matter how the stream was partitioned).
+/// replica (keyed by replica index, so the final values come out in
+/// replica order whatever order the replicas report in).
 ///
 /// This is the accumulator the pipelined ensemble runner
-/// ([`crate::pipeline`]) folds observable sample batches into, off the hot
-/// stepping threads. Two ways to fill it:
-///
-/// * [`record`](Self::record) sample-by-sample — the order of `record` calls
-///   *within one time index* determines the floating-point association of the
-///   Welford moments, which is why the bit-identical pipelined path feeds it
-///   through an order-restoring frontier
-///   ([`OrderedSeriesReducer`](crate::pipeline::OrderedSeriesReducer));
-/// * [`merge`](Self::merge) whole partial accumulators (disjoint replica
-///   sets) — partition-invariant up to floating-point rounding in the
-///   moments: counts, min/max, final values and hence the sorted
-///   [`EmpiricalLaw`] are *exact* under any partition, while mean/variance
-///   agree to rounding (the proptest harness pins both claims).
+/// ([`crate::pipeline`]) folds observable samples into, off the hot
+/// stepping threads. The order of [`record`](Self::record) calls *within
+/// one time index* determines the floating-point association of the
+/// Welford moments, which is why the bit-identical pipelined path feeds it
+/// through an order-restoring frontier
+/// ([`OrderedSeriesReducer`](crate::pipeline::OrderedSeriesReducer)).
 #[derive(Debug, Clone)]
 pub struct SeriesAccumulator {
     series: Vec<RunningStats>,
@@ -248,30 +241,6 @@ impl SeriesAccumulator {
             assert!(
                 prev.is_none(),
                 "replica {replica} already recorded a final value"
-            );
-        }
-    }
-
-    /// Folds another accumulator (built from a *disjoint* replica set) into
-    /// this one: per-time [`RunningStats::merge`] plus a union of the final
-    /// values.
-    ///
-    /// # Panics
-    /// Panics when the time grids differ or the replica sets overlap.
-    pub fn merge(&mut self, other: SeriesAccumulator) {
-        assert_eq!(
-            self.series.len(),
-            other.series.len(),
-            "accumulators cover different time grids"
-        );
-        for (mine, theirs) in self.series.iter_mut().zip(&other.series) {
-            mine.merge(theirs);
-        }
-        for (replica, value) in other.finals {
-            let prev = self.finals.insert(replica, value);
-            assert!(
-                prev.is_none(),
-                "replica {replica} recorded a final value in both accumulators"
             );
         }
     }
@@ -494,40 +463,23 @@ mod tests {
     }
 
     #[test]
-    fn series_accumulator_records_and_merges() {
-        // Two disjoint replica sets folded separately, merged, compared with
-        // the one-shot fold: counts/min/max/finals exact, moments to rounding.
+    fn series_accumulator_records_series_and_finals() {
+        // Replicas report in reverse order: the per-time stats cover all of
+        // them and the finals still come out in replica order.
         let values = [[1.0, -2.0], [4.0, 0.5], [2.5, 3.0], [-1.0, 7.0]];
-        let mut one_shot = SeriesAccumulator::new(2);
-        for (replica, row) in values.iter().enumerate() {
+        let mut acc = SeriesAccumulator::new(2);
+        for (replica, row) in values.iter().enumerate().rev() {
             for (sample, &v) in row.iter().enumerate() {
-                one_shot.record(sample, replica, v);
+                acc.record(sample, replica, v);
             }
         }
-        let mut left = SeriesAccumulator::new(2);
-        let mut right = SeriesAccumulator::new(2);
-        for (replica, row) in values.iter().enumerate() {
-            let target = if replica < 2 { &mut left } else { &mut right };
-            for (sample, &v) in row.iter().enumerate() {
-                target.record(sample, replica, v);
-            }
-        }
-        left.merge(right);
-        assert_eq!(left.num_times(), 2);
-        assert_eq!(left.final_values(), one_shot.final_values());
-        assert_eq!(
-            left.law().ks_distance(&one_shot.law()),
-            0.0,
-            "the sorted law is exact under any partition"
-        );
-        for (a, b) in left.series().iter().zip(one_shot.series()) {
-            assert_eq!(a.count(), b.count());
-            assert_eq!(a.min(), b.min());
-            assert_eq!(a.max(), b.max());
-            assert!((a.mean() - b.mean()).abs() < 1e-12);
-            assert!((a.variance() - b.variance()).abs() < 1e-12);
-        }
-        let (series, finals) = one_shot.into_series_and_finals();
+        assert_eq!(acc.num_times(), 2);
+        assert_eq!(acc.final_values(), vec![-2.0, 0.5, 3.0, 7.0]);
+        let first = &acc.series()[0];
+        assert_eq!(first.count(), 4);
+        assert_eq!(first.min(), -1.0);
+        assert_eq!(first.max(), 4.0);
+        let (series, finals) = acc.into_series_and_finals();
         assert_eq!(series.len(), 2);
         assert_eq!(finals, vec![-2.0, 0.5, 3.0, 7.0]);
     }
@@ -538,23 +490,6 @@ mod tests {
         let mut acc = SeriesAccumulator::new(1);
         acc.record(0, 3, 1.0);
         acc.record(0, 3, 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "in both accumulators")]
-    fn series_accumulator_rejects_overlapping_merges() {
-        let mut a = SeriesAccumulator::new(1);
-        a.record(0, 0, 1.0);
-        let mut b = SeriesAccumulator::new(1);
-        b.record(0, 0, 2.0);
-        a.merge(b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different time grids")]
-    fn series_accumulator_rejects_mismatched_grids() {
-        let mut a = SeriesAccumulator::new(1);
-        a.merge(SeriesAccumulator::new(2));
     }
 
     #[test]

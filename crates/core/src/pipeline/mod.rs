@@ -61,29 +61,18 @@
 //! Pooling is non-blocking on both sides and invisible in the results — the
 //! bit-identity contract is asserted through this path.
 //!
-//! **Channel backends.** The worker→reducer boundary is pluggable: the
-//! [`channel`] module abstracts it behind the
-//! [`ChannelBackend`](channel::ChannelBackend) trait with three racing
-//! implementations (`sync_channel`, lock-free SPSC rings, lock-free MPMC),
-//! selected per run via [`PipelineConfig::backend`]. All of them preserve
-//! the bit-identity contract in the default ordered-reducer mode; the
-//! opt-in [`ReducerMode::Unordered`] trades that pin for merge-on-arrival
-//! folding with zero reordering stalls, and [`PipelineConfig::adaptive`]
-//! lets the farm retune its chunking from observed reducer lag (see
-//! [`backpressure`](self)).
+//! **One path.** The farm has one transport (a bounded
+//! `std::sync::mpsc::sync_channel`), one chunking policy (fixed
+//! [`PipelineConfig::chunk_ticks`]) and one reducer (the
+//! [`OrderedSeriesReducer`]); [`PipelineConfig`] sizes the chunks and the
+//! channel and nothing else.
 
-pub mod channel;
-
-mod backpressure;
-
-use self::channel::{AnyChannelReceiver, AnyChannelSender, ChannelReceiver, ChannelSender};
 use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::observables::{ProfileObservable, SeriesAccumulator};
 use crate::rules::UpdateRule;
 use crate::runtime::WorkerPool;
 use crate::schedules::{SelectionSchedule, UniformSingle};
 use crate::simulate::{replica_seed, sample_times, ProfileEnsembleResult, Simulator};
-use backpressure::LagController;
 use logit_games::Game;
 use logit_linalg::stats::RunningStats;
 use rand::SeedableRng;
@@ -91,13 +80,11 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Mutex;
 
-pub use self::channel::ChannelBackendKind;
-
 /// Tuning knobs of the pipelined runner. The defaults are safe everywhere;
-/// none of them affect the result (the bit-identity contract), only
+/// neither affects the result (the bit-identity contract), only
 /// throughput and memory.
 ///
 /// * `chunk_ticks` — engine ticks a worker advances a replica between
@@ -116,46 +103,10 @@ pub use self::channel::ChannelBackendKind;
 /// calling thread in addition.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Ticks per worker chunk (≥ 1). With [`adaptive`](Self::adaptive) set
-    /// this is the *base* the controller returns to when the reducer keeps
-    /// up.
+    /// Ticks per worker chunk (≥ 1).
     pub chunk_ticks: u64,
-    /// Bounded-channel capacity in batches (≥ 1). Per-lane backends split
-    /// this total across the lanes (floor division, at least one slot per
-    /// lane — see
-    /// [`ChannelBackendKind::effective_capacity`](channel::ChannelBackendKind::effective_capacity)
-    /// for the honest bound).
+    /// Bounded-channel capacity in batches (≥ 1).
     pub channel_capacity: usize,
-    /// Which channel implementation carries worker→reducer batches.
-    /// Defaults to [`ChannelBackendKind::from_env`] (`sync_channel` unless
-    /// `LOGIT_CHANNEL_BACKEND` says otherwise); never affects results in
-    /// [`ReducerMode::Ordered`].
-    pub backend: ChannelBackendKind,
-    /// How the reducer folds arriving batches; see [`ReducerMode`].
-    pub reducer: ReducerMode,
-    /// Adaptive backpressure: let the farm retune its effective chunk size
-    /// from observed reducer lag (bigger chunks while the reducer is the
-    /// bottleneck, back to `chunk_ticks` when it keeps up). Chunk
-    /// boundaries are result-invariant, so this keeps the bit-identity
-    /// pin.
-    pub adaptive: bool,
-}
-
-/// How the farm's reducer folds arriving snapshot batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReducerMode {
-    /// Restore strict replica order per recorded time before folding (the
-    /// [`OrderedSeriesReducer`]): the pipelined result is **bit-identical**
-    /// to the sequential path, at the cost of buffering early arrivals.
-    #[default]
-    Ordered,
-    /// Fold every batch the moment it lands via the partition-invariant
-    /// [`SeriesAccumulator::merge`]: no reordering stalls and O(1) pending
-    /// state, but the Welford fold order follows arrival order — counts,
-    /// min/max, finals and the empirical law stay *exactly* equal to the
-    /// ordered result, while means/variances agree only to floating-point
-    /// rounding. Opt-in for throughput-first runs.
-    Unordered,
 }
 
 impl Default for PipelineConfig {
@@ -163,9 +114,6 @@ impl Default for PipelineConfig {
         Self {
             chunk_ticks: 4096,
             channel_capacity: 64,
-            backend: ChannelBackendKind::from_env(),
-            reducer: ReducerMode::Ordered,
-            adaptive: false,
         }
     }
 }
@@ -276,12 +224,9 @@ pub(crate) enum FarmMsg<M> {
 }
 
 /// The sending half handed to farm workers: wraps the payload in
-/// [`FarmMsg::Payload`] so workers cannot forge completion markers, and
-/// carries the producer lane the backend may need (the SPSC rings key a
-/// lane per pool-worker thread; single-queue backends ignore it).
+/// [`FarmMsg::Payload`] so workers cannot forge completion markers.
 pub(crate) struct FarmSender<M: Send> {
-    tx: AnyChannelSender<FarmMsg<M>>,
-    lane: usize,
+    tx: SyncSender<FarmMsg<M>>,
     telemetry: FarmTelemetry,
 }
 
@@ -289,16 +234,13 @@ impl<M: Send> FarmSender<M> {
     /// Sends one payload to the reducer; `Err` means the reducer hung up
     /// (the worker should stop producing).
     pub(crate) fn send(&self, message: M) -> Result<(), M> {
-        let sent = self
-            .tx
-            .send(self.lane, FarmMsg::Payload(message))
-            .map_err(|e| {
-                match e {
-                    FarmMsg::Payload(m) => m,
-                    // We only ever send Payload here.
-                    FarmMsg::JobDone => unreachable!("payload send returned a marker"),
-                }
-            });
+        let sent = self.tx.send(FarmMsg::Payload(message)).map_err(|e| {
+            match e.0 {
+                FarmMsg::Payload(m) => m,
+                // We only ever send Payload here.
+                FarmMsg::JobDone => unreachable!("payload send returned a marker"),
+            }
+        });
         if sent.is_ok() {
             self.telemetry.batches_sent.inc();
             self.telemetry.in_flight.add(1.0);
@@ -312,8 +254,8 @@ impl<M: Send> FarmSender<M> {
 /// without the `telemetry` feature.
 #[derive(Clone)]
 struct FarmTelemetry {
-    /// `pipeline.batches_sent{backend="..."}` — payloads accepted by the
-    /// channel, per backend (completion markers are not payloads).
+    /// `pipeline.batches_sent` — payloads accepted by the channel
+    /// (completion markers are not payloads).
     batches_sent: logit_telemetry::Counter,
     /// `pipeline.channel_in_flight` — payloads sent but not yet consumed
     /// by the reducer: the live channel occupancy.
@@ -324,34 +266,20 @@ struct FarmTelemetry {
 }
 
 impl FarmTelemetry {
-    fn register(backend: ChannelBackendKind) -> Self {
+    fn register() -> Self {
         let registry = logit_telemetry::global();
         FarmTelemetry {
-            batches_sent: registry
-                .counter_labelled("pipeline.batches_sent", ("backend", backend.name())),
+            batches_sent: registry.counter("pipeline.batches_sent"),
             in_flight: registry.gauge("pipeline.channel_in_flight"),
             reducer_lag: registry.histogram("pipeline.reducer_lag"),
         }
     }
 }
 
-/// The producer lane of the current thread for `tx`'s backend: the
-/// pool-worker index on per-lane backends (every farm job runs on a pool
-/// worker — `execute_with` never hands chunks to the caller), lane 0 on
-/// single-queue backends.
-fn farm_lane<M: Send>(tx: &AnyChannelSender<FarmMsg<M>>) -> usize {
-    if tx.is_per_lane() {
-        crate::runtime::current_worker_index()
-            .expect("farm jobs must run on pool-worker threads for per-lane channel backends")
-    } else {
-        0
-    }
-}
-
 /// The receiving half handed to the reducer: iterates worker payloads and
 /// ends (returns `None`) once every job has reported done.
 pub(crate) struct FarmReceiver<M: Send> {
-    rx: AnyChannelReceiver<FarmMsg<M>>,
+    rx: Receiver<FarmMsg<M>>,
     jobs_remaining: usize,
     telemetry: FarmTelemetry,
 }
@@ -362,7 +290,7 @@ impl<M: Send> Iterator for FarmReceiver<M> {
     fn next(&mut self) -> Option<M> {
         while self.jobs_remaining > 0 {
             match self.rx.recv() {
-                Some(FarmMsg::Payload(message)) => {
+                Ok(FarmMsg::Payload(message)) => {
                     // The occupancy *before* this consume is the backlog
                     // the reducer was behind by. Guarded so the disabled
                     // path never even loads the gauge cell.
@@ -374,11 +302,11 @@ impl<M: Send> Iterator for FarmReceiver<M> {
                     }
                     return Some(message);
                 }
-                Some(FarmMsg::JobDone) => self.jobs_remaining -= 1,
+                Ok(FarmMsg::JobDone) => self.jobs_remaining -= 1,
                 // Defensive: the farm keeps a sender alive for the whole
                 // reduction, so disconnection before the last JobDone
                 // cannot happen.
-                None => return None,
+                Err(_) => return None,
             }
         }
         None
@@ -402,7 +330,6 @@ impl<M: Send> Iterator for FarmReceiver<M> {
 /// lets workers drain out and is then re-raised itself.
 pub(crate) fn farm<M, W, F, R>(
     pool: &WorkerPool,
-    backend: ChannelBackendKind,
     jobs: usize,
     workers: usize,
     capacity: usize,
@@ -416,17 +343,15 @@ where
 {
     assert!(jobs >= 1, "farm needs at least one job");
     assert!(capacity >= 1, "channel capacity must be at least 1");
-    let (tx, rx) = backend.open::<FarmMsg<M>>(capacity, pool.workers().max(1), pool.wait_policy());
-    let telemetry = FarmTelemetry::register(backend);
+    let (tx, rx) = sync_channel::<FarmMsg<M>>(capacity);
+    let telemetry = FarmTelemetry::register();
     let stop = AtomicBool::new(false);
     let worker_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
     let job_fn = |job: usize| {
-        let lane = farm_lane(&tx);
         if !stop.load(Ordering::Relaxed) {
             let sender = FarmSender {
                 tx: tx.clone(),
-                lane,
                 telemetry: telemetry.clone(),
             };
             match catch_unwind(AssertUnwindSafe(|| worker(job, &sender))) {
@@ -446,7 +371,7 @@ where
         // Exactly one completion marker per job, whatever happened above:
         // the reducer's exit counts these. A failed send means the reducer
         // is gone, and with it the need for the marker.
-        let _ = tx.send(lane, FarmMsg::JobDone);
+        let _ = tx.send(FarmMsg::JobDone);
     };
 
     let reduced = pool.execute_with(jobs, workers, &job_fn, || {
@@ -659,9 +584,8 @@ impl Simulator {
     }
 
     /// [`run_profiles_pipelined`](Simulator::run_profiles_pipelined) with
-    /// explicit [`PipelineConfig`] knobs (chunking, channel capacity, worker
-    /// count). The knobs affect throughput and memory only, never the
-    /// result.
+    /// explicit [`PipelineConfig`] knobs (chunking and channel capacity).
+    /// The knobs affect throughput and memory only, never the result.
     pub fn run_profiles_pipelined_with<G, U, O>(
         &self,
         dynamics: &DynamicsEngine<G, U>,
@@ -855,16 +779,6 @@ impl Simulator {
         // Snapshot buffers flow worker → reducer → (return channel) → worker.
         let pool = SnapshotPool::new();
         let pool = &pool;
-        // Occupancy-driven retuning of the effective chunk size (no-op
-        // unless `config.adaptive`); chunk boundaries are result-invariant,
-        // so the bit-identity contract holds either way.
-        let controller = LagController::new(
-            config.adaptive,
-            config.chunk_ticks,
-            config.channel_capacity,
-            workers.max(1),
-        );
-        let controller = &controller;
 
         let worker = |replica: usize, tx: &FarmSender<SnapshotBatch>| {
             // A cancelled job stops claiming work before seeding anything:
@@ -888,7 +802,7 @@ impl Simulator {
                     // stream because the token explains it.
                     return false;
                 }
-                let chunk_end = (t + controller.chunk_ticks()).min(steps);
+                let chunk_end = (t + config.chunk_ticks).min(steps);
                 let first_sample = next_sample;
                 let mut batch: Vec<Vec<usize>> = Vec::new();
                 while t < chunk_end {
@@ -911,7 +825,6 @@ impl Simulator {
                     }
                 }
                 if !batch.is_empty() {
-                    controller.before_send();
                     let send = tx.send(SnapshotBatch {
                         replica,
                         first_sample,
@@ -927,66 +840,32 @@ impl Simulator {
             true
         };
 
-        let reducer_mode = config.reducer;
         let reduced: Option<(Vec<RunningStats>, Vec<f64>)> = farm(
             self.pool(),
-            config.backend,
             replicas,
             workers,
             config.channel_capacity,
             worker,
-            |rx| match reducer_mode {
-                ReducerMode::Ordered => {
-                    let mut reducer = OrderedSeriesReducer::new(times_ref.len(), replicas);
-                    for batch in rx {
-                        controller.after_recv();
-                        for (j, snapshot) in batch.profiles.iter().enumerate() {
-                            reducer.offer(
-                                batch.first_sample + j,
-                                batch.replica,
-                                observable.evaluate_profile(snapshot),
-                            );
-                        }
-                        // The snapshots are spent: recycle their buffers.
-                        pool.recycle(batch.profiles);
+            |rx| {
+                let mut reducer = OrderedSeriesReducer::new(times_ref.len(), replicas);
+                for batch in rx {
+                    for (j, snapshot) in batch.profiles.iter().enumerate() {
+                        reducer.offer(
+                            batch.first_sample + j,
+                            batch.replica,
+                            observable.evaluate_profile(snapshot),
+                        );
                     }
-                    // "Cancelled" wins over "completed": even a stream that
-                    // happens to be whole is discarded once the token is
-                    // set, so racing callers observe one outcome.
-                    if cancel.is_some_and(|c| c.is_cancelled()) {
-                        return None;
-                    }
-                    Some(reducer.finish().into_series_and_finals())
+                    // The snapshots are spent: recycle their buffers.
+                    pool.recycle(batch.profiles);
                 }
-                ReducerMode::Unordered => {
-                    // Merge-on-arrival: fold each batch into its own small
-                    // accumulator and merge immediately — no pending maps,
-                    // no reordering stalls. `SeriesAccumulator::merge` is
-                    // partition-invariant on counts/min/max/finals/law;
-                    // only the Welford moments follow arrival order.
-                    let mut acc = SeriesAccumulator::new(times_ref.len());
-                    for batch in rx {
-                        controller.after_recv();
-                        let mut part = SeriesAccumulator::new(times_ref.len());
-                        for (j, snapshot) in batch.profiles.iter().enumerate() {
-                            part.record(
-                                batch.first_sample + j,
-                                batch.replica,
-                                observable.evaluate_profile(snapshot),
-                            );
-                        }
-                        acc.merge(part);
-                        pool.recycle(batch.profiles);
-                    }
-                    if cancel.is_some_and(|c| c.is_cancelled()) {
-                        return None;
-                    }
-                    assert!(
-                        acc.series().iter().all(|s| s.count() == replicas as u64),
-                        "reduction is incomplete: not every replica reported every sample"
-                    );
-                    Some(acc.into_series_and_finals())
+                // "Cancelled" wins over "completed": even a stream that
+                // happens to be whole is discarded once the token is set,
+                // so racing callers observe one outcome.
+                if cancel.is_some_and(|c| c.is_cancelled()) {
+                    return None;
                 }
+                Some(reducer.finish().into_series_and_finals())
             },
         );
 
@@ -1074,7 +953,6 @@ mod tests {
                 PipelineConfig {
                     chunk_ticks: 1,
                     channel_capacity: 1,
-                    ..PipelineConfig::default()
                 },
             ),
             (
@@ -1082,7 +960,6 @@ mod tests {
                 PipelineConfig {
                     chunk_ticks: 7,
                     channel_capacity: 2,
-                    ..PipelineConfig::default()
                 },
             ),
             (
@@ -1090,7 +967,6 @@ mod tests {
                 PipelineConfig {
                     chunk_ticks: 1_000_000,
                     channel_capacity: 64,
-                    ..PipelineConfig::default()
                 },
             ),
         ] {
@@ -1108,7 +984,6 @@ mod tests {
         let config = PipelineConfig {
             chunk_ticks: 13,
             channel_capacity: 3,
-            ..PipelineConfig::default()
         };
         let seq_sweep = sim.run_profiles_scheduled(&d, &SystematicSweep, &[1; 5], 77, 20, &obs);
         let pipe_sweep = sim.run_profiles_scheduled_pipelined_with(
@@ -1138,7 +1013,6 @@ mod tests {
         let config = PipelineConfig {
             chunk_ticks: 11,
             channel_capacity: 2,
-            ..PipelineConfig::default()
         };
 
         let logit = DynamicsEngine::with_rule(game.clone(), crate::rules::Logit, 0.9);
@@ -1246,7 +1120,6 @@ mod tests {
         let config = PipelineConfig {
             chunk_ticks: 0,
             channel_capacity: 1,
-            ..PipelineConfig::default()
         };
         let _ = sim.run_profiles_pipelined_with(&d, &[0; 4], 10, 5, &obs, &config);
     }
@@ -1262,7 +1135,6 @@ mod tests {
         let config = PipelineConfig {
             chunk_ticks: 8,
             channel_capacity: 0,
-            ..PipelineConfig::default()
         };
         let _ = sim.run_profiles_pipelined_with(&d, &[0; 4], 10, 5, &obs, &config);
     }
@@ -1273,7 +1145,6 @@ mod tests {
         let pool = test_pool(1);
         let _ = farm(
             &pool,
-            ChannelBackendKind::Sync,
             1,
             1,
             0,
@@ -1320,7 +1191,6 @@ mod tests {
             PipelineConfig {
                 chunk_ticks: 3,
                 channel_capacity: 1,
-                ..PipelineConfig::default()
             },
         ] {
             let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 120, 1, &obs, &config);
@@ -1331,107 +1201,89 @@ mod tests {
     #[test]
     fn farm_streams_every_message_and_reduces_on_the_caller() {
         let pool = test_pool(4);
-        for backend in ChannelBackendKind::ALL {
-            let sum = farm(
-                &pool,
-                backend,
-                100,
-                4,
-                8,
-                |job, tx: &FarmSender<usize>| tx.send(job * job).is_ok(),
-                |rx| rx.sum::<usize>(),
-            );
-            assert_eq!(
-                sum,
-                (0..100).map(|j| j * j).sum::<usize>(),
-                "{backend:?} lost messages"
-            );
-        }
+        let sum = farm(
+            &pool,
+            100,
+            4,
+            8,
+            |job, tx: &FarmSender<usize>| tx.send(job * job).is_ok(),
+            |rx| rx.sum::<usize>(),
+        );
+        assert_eq!(sum, (0..100).map(|j| j * j).sum::<usize>());
     }
 
     #[test]
     fn farm_propagates_the_reducer_panic_after_workers_drain() {
         // A dying reducer must not deadlock blocked senders, and its panic —
-        // the root cause — must reach the caller. Pinned per backend: the
-        // disconnect story is part of the ChannelBackend contract.
+        // the root cause — must reach the caller.
         let pool = test_pool(2);
-        for backend in ChannelBackendKind::ALL {
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                farm(
-                    &pool,
-                    backend,
-                    50,
-                    2,
-                    1,
-                    |job, tx: &FarmSender<usize>| tx.send(job).is_ok(),
-                    |mut rx| {
-                        let first = rx.next();
-                        panic!("reducer rejected {first:?}");
-                    },
-                )
-            }));
-            let payload = caught.expect_err("the reducer panic must propagate");
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(
-                message.contains("reducer rejected"),
-                "{backend:?}: expected the reducer's own panic, got {message:?}"
-            );
-        }
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            farm(
+                &pool,
+                50,
+                2,
+                1,
+                |job, tx: &FarmSender<usize>| tx.send(job).is_ok(),
+                |mut rx| {
+                    let first = rx.next();
+                    panic!("reducer rejected {first:?}");
+                },
+            )
+        }));
+        let payload = caught.expect_err("the reducer panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains("reducer rejected"),
+            "expected the reducer's own panic, got {message:?}"
+        );
     }
 
     #[test]
     fn farm_propagates_a_worker_panic_as_the_root_cause() {
         // A dying worker truncates the stream; the reducer's incomplete-fold
-        // panic must not mask the worker's payload — on every backend, not
-        // just the sync_channel the pin was first recorded against.
+        // panic must not mask the worker's payload.
         let pool = test_pool(2);
-        for backend in ChannelBackendKind::ALL {
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                farm(
-                    &pool,
-                    backend,
-                    4,
-                    2,
-                    2,
-                    |job, _tx: &FarmSender<usize>| {
-                        if job == 1 {
-                            panic!("worker {job} exploded");
-                        }
-                        true
-                    },
-                    |rx| {
-                        let drained: Vec<usize> = rx.collect();
-                        panic!("stream truncated after {} messages", drained.len());
-                    },
-                )
-            }));
-            let payload = caught.expect_err("the worker panic must propagate");
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(
-                message.contains("worker 1 exploded"),
-                "{backend:?}: expected the worker's panic as root cause, got {message:?}"
-            );
-        }
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            farm(
+                &pool,
+                4,
+                2,
+                2,
+                |job, _tx: &FarmSender<usize>| {
+                    if job == 1 {
+                        panic!("worker {job} exploded");
+                    }
+                    true
+                },
+                |rx| {
+                    let drained: Vec<usize> = rx.collect();
+                    panic!("stream truncated after {} messages", drained.len());
+                },
+            )
+        }));
+        let payload = caught.expect_err("the worker panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains("worker 1 exploded"),
+            "expected the worker's panic as root cause, got {message:?}"
+        );
     }
 
     #[test]
     fn farm_reuses_the_pool_across_many_runs_without_thread_churn() {
         // The whole point of the persistent pool: many short farm runs on
-        // one pool, registry stable, no respawns — whichever backend each
-        // run picks.
+        // one pool, registry stable, no respawns.
         let pool = test_pool(3);
         let registry_size = pool.registry().len();
         for round in 0..50usize {
-            let backend = ChannelBackendKind::ALL[round % ChannelBackendKind::ALL.len()];
             let total = farm(
                 &pool,
-                backend,
                 6,
                 3,
                 4,
@@ -1441,88 +1293,6 @@ mod tests {
             assert_eq!(total, (0..6).map(|j| j + round).sum::<usize>());
         }
         assert_eq!(pool.registry().len(), registry_size);
-    }
-
-    #[test]
-    fn every_channel_backend_is_bit_identical_in_ordered_mode() {
-        // The backend is a transport choice, not a semantic one: under the
-        // ordered reducer all three must reproduce the sequential bytes.
-        let d = ring_dynamics(6);
-        let sim = simulator_with_workers(11, 20, 3);
-        let obs = StrategyFraction::new(1, "adopters");
-        let sequential = sim.run_profiles(&d, &[0; 6], 190, 25, &obs);
-        for backend in ChannelBackendKind::ALL {
-            let config = PipelineConfig {
-                chunk_ticks: 9,
-                channel_capacity: 3,
-                backend,
-                ..PipelineConfig::default()
-            };
-            let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 190, 25, &obs, &config);
-            assert_results_identical(&sequential, &pipelined);
-        }
-    }
-
-    #[test]
-    fn the_unordered_reducer_matches_ordered_up_to_fold_order() {
-        // Merge-on-arrival gives up the byte-level pin on the Welford
-        // moments only: counts, min/max, finals and the empirical law must
-        // stay exactly equal on every backend.
-        let d = ring_dynamics(6);
-        let sim = simulator_with_workers(23, 18, 3);
-        let obs = StrategyFraction::new(1, "adopters");
-        let ordered = sim.run_profiles(&d, &[0; 6], 160, 20, &obs);
-        for backend in ChannelBackendKind::ALL {
-            let config = PipelineConfig {
-                chunk_ticks: 5,
-                channel_capacity: 2,
-                backend,
-                reducer: ReducerMode::Unordered,
-                ..PipelineConfig::default()
-            };
-            let unordered = sim.run_profiles_pipelined_with(&d, &[0; 6], 160, 20, &obs, &config);
-            assert_eq!(ordered.final_values, unordered.final_values, "{backend:?}");
-            assert_eq!(
-                ordered.law().ks_distance(&unordered.law()),
-                0.0,
-                "{backend:?}: the final-time empirical laws must coincide"
-            );
-            for (a, b) in ordered.series.iter().zip(&unordered.series) {
-                assert_eq!(a.count(), b.count(), "{backend:?}");
-                assert_eq!(a.min(), b.min(), "{backend:?}");
-                assert_eq!(a.max(), b.max(), "{backend:?}");
-                assert!(
-                    (a.mean() - b.mean()).abs() <= 1e-12,
-                    "{backend:?}: means drifted beyond fp rounding"
-                );
-                assert!(
-                    (a.variance() - b.variance()).abs() <= 1e-12,
-                    "{backend:?}: variances drifted beyond fp rounding"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_backpressure_keeps_the_bit_identity_pin() {
-        // The controller only moves chunk boundaries and in-flight depth —
-        // both proven result-invariant — so adaptive mode must still match
-        // the sequential bytes, on every backend.
-        let d = ring_dynamics(6);
-        let sim = simulator_with_workers(5, 14, 2);
-        let obs = StrategyFraction::new(1, "adopters");
-        let sequential = sim.run_profiles(&d, &[0; 6], 150, 10, &obs);
-        for backend in ChannelBackendKind::ALL {
-            let config = PipelineConfig {
-                chunk_ticks: 2,
-                channel_capacity: 2,
-                backend,
-                adaptive: true,
-                ..PipelineConfig::default()
-            };
-            let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 150, 10, &obs, &config);
-            assert_results_identical(&sequential, &pipelined);
-        }
     }
 
     #[test]
@@ -1596,7 +1366,6 @@ mod tests {
         let config = PipelineConfig {
             chunk_ticks: 2,
             channel_capacity: 2,
-            ..PipelineConfig::default()
         };
         let result = sim
             .run_profiles_pipelined_cancellable_with(&d, &[0; 6], 400, 10, &obs, &config, &cancel);
@@ -1686,7 +1455,6 @@ mod tests {
         let tight = PipelineConfig {
             chunk_ticks: 1,
             channel_capacity: 1,
-            ..PipelineConfig::default()
         };
         let sim = simulator_with_workers(31, 10, 1);
         let c = sim.run_tempered_with(&ensemble, &UniformSingle, &[0; 4], 12, 4, 5, &obs, &tight);

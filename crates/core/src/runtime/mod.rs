@@ -31,7 +31,6 @@
 mod pool;
 mod registry;
 
-pub(crate) use pool::current_worker_index;
 pub use pool::WorkerPool;
 pub use registry::{ThreadRegistry, WorkerEntry};
 
@@ -50,7 +49,7 @@ fn first_warning(var: &str) -> bool {
 /// instead. The fallback behaviour is unchanged from the silent era — a
 /// bad value never aborts a run — but a typo like `LOGIT_WORKERS=for`
 /// is no longer indistinguishable from the variable being unset.
-pub(crate) fn warn_invalid_env(var: &str, value: &str) {
+fn warn_invalid_env(var: &str, value: &str) {
     logit_telemetry::warn_invalid_env(var, value);
 }
 

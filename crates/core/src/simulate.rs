@@ -722,15 +722,12 @@ impl Simulator {
     }
 
     /// [`Self::run_tempered`] with explicit
-    /// [`PipelineConfig`](crate::pipeline::PipelineConfig) knobs (channel
-    /// capacity, channel backend and reducer mode; `chunk_ticks` and
-    /// `adaptive` have no effect here — the tempering round structure
-    /// already chunks the stream at sample rounds; the worker count comes
-    /// from the simulator's
-    /// [`RuntimeConfig`](crate::runtime::RuntimeConfig)). In the default
-    /// ordered mode the knobs affect throughput and memory only, never the
-    /// result; the opt-in unordered reducer keeps counts/min/max/finals
-    /// exact and relaxes only the fold order of the moments.
+    /// [`PipelineConfig`](crate::pipeline::PipelineConfig) knobs. Only
+    /// `channel_capacity` applies: the tempering round structure already
+    /// chunks the stream at sample rounds, so `chunk_ticks` has no effect,
+    /// and the worker count comes from the simulator's
+    /// [`RuntimeConfig`](crate::runtime::RuntimeConfig). The knobs affect
+    /// throughput and memory only, never the result.
     #[allow(clippy::too_many_arguments)]
     pub fn run_tempered_with<G, U, S, O>(
         &self,
@@ -749,8 +746,7 @@ impl Simulator {
         S: SelectionSchedule,
         O: ProfileObservable + Sync,
     {
-        use crate::observables::SeriesAccumulator;
-        use crate::pipeline::{farm, FarmSender, OrderedSeriesReducer, ReducerMode, SnapshotBatch};
+        use crate::pipeline::{farm, FarmSender, OrderedSeriesReducer, SnapshotBatch};
 
         assert!(rounds >= 1, "need at least one round");
         assert!(sweep_ticks >= 1, "need at least one tick per round");
@@ -800,70 +796,32 @@ impl Simulator {
             .is_ok()
         };
 
-        let reducer_mode = config.reducer;
         let (acc, per_ensemble_stats) = farm(
             self.pool(),
-            config.backend,
             self.replicas,
             workers,
             config.channel_capacity,
             worker,
             |rx| {
+                let mut reducer = OrderedSeriesReducer::new(sample_rounds_ref.len(), self.replicas);
                 let mut stats: Vec<Option<crate::tempering::SwapStats>> = vec![None; self.replicas];
-                match reducer_mode {
-                    ReducerMode::Ordered => {
-                        let mut reducer =
-                            OrderedSeriesReducer::new(sample_rounds_ref.len(), self.replicas);
-                        for msg in rx {
-                            match msg {
-                                TemperMsg::Batch(batch) => {
-                                    for (j, snapshot) in batch.profiles.iter().enumerate() {
-                                        reducer.offer(
-                                            batch.first_sample + j,
-                                            batch.replica,
-                                            observable.evaluate_profile(snapshot),
-                                        );
-                                    }
-                                }
-                                TemperMsg::Stats { ensemble, stats: s } => {
-                                    stats[ensemble] = Some(s);
-                                }
+                for msg in rx {
+                    match msg {
+                        TemperMsg::Batch(batch) => {
+                            for (j, snapshot) in batch.profiles.iter().enumerate() {
+                                reducer.offer(
+                                    batch.first_sample + j,
+                                    batch.replica,
+                                    observable.evaluate_profile(snapshot),
+                                );
                             }
                         }
-                        (reducer.finish(), stats)
-                    }
-                    ReducerMode::Unordered => {
-                        // Merge-on-arrival, same contract as the profile
-                        // runner: exact counts/min/max/finals, moments to
-                        // fp rounding of the arrival-order fold.
-                        let mut acc = SeriesAccumulator::new(sample_rounds_ref.len());
-                        for msg in rx {
-                            match msg {
-                                TemperMsg::Batch(batch) => {
-                                    let mut part = SeriesAccumulator::new(sample_rounds_ref.len());
-                                    for (j, snapshot) in batch.profiles.iter().enumerate() {
-                                        part.record(
-                                            batch.first_sample + j,
-                                            batch.replica,
-                                            observable.evaluate_profile(snapshot),
-                                        );
-                                    }
-                                    acc.merge(part);
-                                }
-                                TemperMsg::Stats { ensemble, stats: s } => {
-                                    stats[ensemble] = Some(s);
-                                }
-                            }
+                        TemperMsg::Stats { ensemble, stats: s } => {
+                            stats[ensemble] = Some(s);
                         }
-                        assert!(
-                            acc.series()
-                                .iter()
-                                .all(|s| s.count() == self.replicas as u64),
-                            "reduction is incomplete: not every ensemble reported every sample"
-                        );
-                        (acc, stats)
                     }
                 }
+                (reducer.finish(), stats)
             },
         );
 

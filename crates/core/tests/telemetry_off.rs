@@ -80,7 +80,6 @@ fn pipelined_runs_stay_bit_identical_with_the_env_switch_set() {
     let config = PipelineConfig {
         chunk_ticks: 7,
         channel_capacity: 3,
-        ..PipelineConfig::default()
     };
     for beta in [0.4, 1.7] {
         let d = DynamicsEngine::with_rule(game.clone(), Logit, beta);

@@ -24,7 +24,7 @@ fn live_recording_observes_without_steering() {
     assert!(logit_telemetry::enabled());
 
     // Pipelined ensembles stay bit-identical to the sequential run while
-    // the farm records channel occupancy and chunk-size trajectories.
+    // the farm records batch counts and channel occupancy.
     let mut rng = StdRng::seed_from_u64(2024);
     let game = TablePotentialGame::random(vec![2, 3, 2], 2.0, &mut rng);
     let runtime = RuntimeConfig {
@@ -36,7 +36,6 @@ fn live_recording_observes_without_steering() {
     let config = PipelineConfig {
         chunk_ticks: 7,
         channel_capacity: 3,
-        ..PipelineConfig::default()
     };
     let d = DynamicsEngine::with_rule(game.clone(), Logit, 1.1);
     let start = [0usize, 0, 0];
@@ -92,7 +91,6 @@ fn live_recording_observes_without_steering() {
         "runtime_dispatch_ns",
         "pipeline_batches_sent",
         "pipeline_channel_in_flight",
-        "pipeline_chunk_ticks",
     ] {
         assert!(
             snapshot.contains(family),

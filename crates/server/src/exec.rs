@@ -409,6 +409,7 @@ where
                         sweep_ticks,
                         spec.sample_every,
                         &observable,
+                        &job.config,
                     ),
                     ScheduleKind::Sweep => run_tempered_scheduled(
                         sim,
@@ -419,6 +420,7 @@ where
                         sweep_ticks,
                         spec.sample_every,
                         &observable,
+                        &job.config,
                     ),
                     ScheduleKind::All => run_tempered_scheduled(
                         sim,
@@ -429,6 +431,7 @@ where
                         sweep_ticks,
                         spec.sample_every,
                         &observable,
+                        &job.config,
                     ),
                     ScheduleKind::Coloured => run_tempered_scheduled(
                         sim,
@@ -439,6 +442,7 @@ where
                         sweep_ticks,
                         spec.sample_every,
                         &observable,
+                        &job.config,
                     ),
                 };
                 Some(tempered_result_to_stream(result))
@@ -530,6 +534,7 @@ fn run_tempered_scheduled<G, U, S, O>(
     sweep_ticks: u64,
     sample_every: u64,
     observable: &O,
+    config: &PipelineConfig,
 ) -> TemperedEnsembleResult
 where
     G: PotentialGame + Send + Sync,
@@ -537,7 +542,7 @@ where
     S: SelectionSchedule,
     O: ProfileObservable + Sync,
 {
-    sim.run_tempered(
+    sim.run_tempered_with(
         ensemble,
         schedule,
         start,
@@ -545,5 +550,6 @@ where
         sweep_ticks,
         sample_every,
         observable,
+        config,
     )
 }

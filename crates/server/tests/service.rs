@@ -252,6 +252,31 @@ fn tempered_jobs_stream_and_replay_bit_identically() {
 }
 
 #[test]
+fn tight_pipeline_knobs_reach_both_job_modes_and_replay_bit_identically() {
+    // The tightest admissible farm: one in-flight batch, and one-tick
+    // chunks on the pipelined job. Tempered jobs run with their admitted
+    // capacity too, and neither knob may change a streamed byte.
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
+    let addr = server.addr();
+    let pipelined = base_job(7).replace("chunk_ticks=128", "chunk_ticks=1\nchannel_capacity=1");
+    let tempered = "game=graphical\ntopology=ring\nn=12\ndelta0=3.0\ndelta1=1.0\n\
+                    rule=logit\nschedule=sweep\nmode=tempered\nladder=linear\n\
+                    beta_min=0.1\nbeta_max=1.6\nrungs=4\nrounds=30\nsweep_ticks=24\n\
+                    sample_every=3\nobservable=potential\nreplicas=4\nseed=8\n\
+                    channel_capacity=1";
+    for text in [pipelined.as_str(), tempered] {
+        match submit_job(addr, text, None).expect("client io").0 {
+            ClientOutcome::Done(streamed) => {
+                assert_eq!(streamed.wire_text(), offline(text).wire_text());
+            }
+            other => panic!("expected completion, got {other:?}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.internal_errors, 0);
+}
+
+#[test]
 fn the_artifact_cache_is_shared_and_lru_bounded() {
     let server = RunningServer::start(
         0,

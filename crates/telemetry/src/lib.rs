@@ -187,7 +187,7 @@ mod tests {
         fn every_instrument_is_a_zero_sized_noop() {
             // The compile-time pin of the "telemetry off is genuinely
             // free" contract: handles occupy no memory, so instrumented
-            // structs (FarmSender, LagController, caches) pay nothing.
+            // structs (FarmSender, caches) pay nothing.
             assert_eq!(std::mem::size_of::<Counter>(), 0);
             assert_eq!(std::mem::size_of::<Gauge>(), 0);
             assert_eq!(std::mem::size_of::<Histogram>(), 0);
