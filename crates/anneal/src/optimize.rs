@@ -11,10 +11,10 @@
 use crate::annealed::AnnealedDynamics;
 use crate::schedule::BetaSchedule;
 use logit_core::rules::{Logit, UpdateRule};
+use logit_core::{RuntimeConfig, WorkerPool};
 use logit_games::PotentialGame;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Result of an annealing run over many replicas.
 #[derive(Debug, Clone)]
@@ -45,8 +45,9 @@ impl AnnealingOutcome {
 /// Runs `replicas` independent annealed trajectories of `steps` steps from
 /// `start` and summarises how well they minimise the potential.
 ///
-/// Replicas run in parallel (rayon) with independent, reproducible RNG streams
-/// derived from `seed`.
+/// Replicas run in parallel (one [`WorkerPool`] claim each, the pool sized by
+/// [`RuntimeConfig::from_env`]) with independent, reproducible RNG streams
+/// derived from `seed`, so the outcome does not depend on the worker count.
 pub fn anneal_minimize<G, S>(
     game: &G,
     schedule: S,
@@ -88,21 +89,15 @@ where
     let mut buf = vec![0usize; game.num_players()];
     let global_minimum = game.min_potential();
 
-    let finals: Vec<usize> = (0..replicas)
-        .into_par_iter()
-        .map(|replica| {
-            let dynamics =
-                AnnealedDynamics::with_rule(game.clone(), schedule.clone(), rule.clone());
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                seed ^ (replica as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-            );
-            let mut state = start;
-            for t in 0..steps {
-                state = dynamics.step(t, state, &mut rng);
-            }
-            state
-        })
-        .collect();
+    let mut finals = vec![start; replicas];
+    for_each_replica(&mut finals, |replica, state| {
+        let dynamics = AnnealedDynamics::with_rule(game.clone(), schedule.clone(), rule.clone());
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(seed ^ (replica as u64).wrapping_mul(0xA076_1D64_78BD_642F));
+        for t in 0..steps {
+            *state = dynamics.step(t, *state, &mut rng);
+        }
+    });
 
     let tol = 1e-9;
     let mut best_idx = finals[0];
@@ -167,7 +162,6 @@ where
 {
     use logit_core::schedules::UniformSingle;
     use logit_core::TemperingEnsemble;
-    use rayon::prelude::*;
 
     assert!(ensembles > 0, "need at least one ensemble");
     let space = game.profile_space();
@@ -176,19 +170,17 @@ where
     let global_minimum = game.min_potential();
 
     let ensemble = TemperingEnsemble::new(game.clone(), rule, ladder.betas());
-    let finals: Vec<Vec<usize>> = (0..ensembles)
-        .into_par_iter()
-        .map(|e| {
-            let mut state = ensemble.init_state(
-                &start_profile,
-                seed ^ (e as u64).wrapping_mul(0xA076_1D64_78BD_642F),
-            );
-            for _ in 0..rounds {
-                ensemble.round(&UniformSingle, &mut state, sweep_ticks);
-            }
-            state.cold_profile().to_vec()
-        })
-        .collect();
+    let mut finals: Vec<Vec<usize>> = vec![Vec::new(); ensembles];
+    for_each_replica(&mut finals, |e, cold| {
+        let mut state = ensemble.init_state(
+            &start_profile,
+            seed ^ (e as u64).wrapping_mul(0xA076_1D64_78BD_642F),
+        );
+        for _ in 0..rounds {
+            ensemble.round(&UniformSingle, &mut state, sweep_ticks);
+        }
+        *cold = state.cold_profile().to_vec();
+    });
 
     let tol = 1e-9;
     let mut best_profile = finals[0].clone();
@@ -216,6 +208,20 @@ where
         success_rate: successes as f64 / ensembles as f64,
         mean_final_potential: total_potential / ensembles as f64,
     }
+}
+
+/// Runs `replica(r, &mut slots[r])` for every `r` on a [`WorkerPool`]
+/// sized by [`RuntimeConfig::from_env`] (`LOGIT_WORKERS`), one claim per
+/// replica, so the slots come back in replica order whatever thread ran
+/// them.
+fn for_each_replica<T: Send>(slots: &mut [T], replica: impl Fn(usize, &mut T) + Sync) {
+    let config = RuntimeConfig::from_env();
+    WorkerPool::new(&config).for_each_chunk(
+        slots,
+        1,
+        config.resolved_workers(),
+        &|r, slot: &mut [T]| replica(r, &mut slot[0]),
+    );
 }
 
 #[cfg(test)]

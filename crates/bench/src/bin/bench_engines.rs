@@ -173,7 +173,7 @@ fn median(mut values: Vec<f64>) -> f64 {
 
 /// One committed `coloured` row: the coloured independent-set engine paths
 /// against per-player sequential stepping, one rule per row, on a large-n
-/// dense-degree circulant. Four measurements share the instance:
+/// dense-degree circulant. Three measurements share the instance:
 ///
 /// * `uniform` — per-player sequential stepping (`step_profile`, one random
 ///   player per update) through the same ChaCha stream stack the ensembles
@@ -182,15 +182,13 @@ fn median(mut values: Vec<f64>) -> f64 {
 /// * `coloured_seq` — the sequential colour-class sweep (`step_coloured`,
 ///   per-player counter-derived draws, in-place updates), median over the
 ///   interleaved gate rounds;
-/// * `coloured_par` — the legacy per-tick scoped-thread path
-///   (`step_coloured_par`), kept as the orchestration-overhead comparison;
 /// * `coloured_pooled` — the persistent-pool path (`step_coloured_pooled`),
 ///   median over the interleaved gate rounds.
 ///
 /// Two **in-process gates** run before any number is emitted:
 ///
-/// 1. *Bit-identity* — one full colour round through the scoped and pooled
-///    paths must reproduce the sequential class sweep exactly.
+/// 1. *Bit-identity* — one full colour round through the pooled path must
+///    reproduce the sequential class sweep exactly.
 /// 2. *Throughput* — over five interleaved (uniform, sequential, pooled)
 ///    rounds the best pooled/sequential ratio must reach 1.0 (the pool must
 ///    not tax the sweep: with one effective worker the pooled path *is* the
@@ -213,23 +211,18 @@ fn coloured_row<U: UpdateRule>(
     let n = game.num_players();
     let d = DynamicsEngine::with_rule(game.clone(), rule.clone(), 1.5);
     let classes = coloring.num_classes();
-    let ticks = rounds * classes as u64;
-    let updates = rounds * n as u64;
 
-    // Gate 1, bit-identity: a full colour round through the scoped and the
-    // pooled paths must reproduce the sequential class sweep exactly before
-    // any throughput number is emitted.
+    // Gate 1, bit-identity: a full colour round through the pooled path
+    // must reproduce the sequential class sweep exactly before any
+    // throughput number is emitted.
     {
         let mut seq = vec![0usize; n];
-        let mut par = vec![0usize; n];
         let mut pooled = vec![0usize; n];
         let mut scratch = Scratch::for_game(game);
         let mut pooled_scratch = Scratch::for_game(game);
-        let mut staged = Vec::new();
         let mut pooled_staged = Vec::new();
         for t in 0..classes as u64 {
             d.step_coloured(coloring, t, 0x0C01_C4ED, &mut seq, &mut scratch);
-            d.step_coloured_par(coloring, t, 0x0C01_C4ED, &mut par, &mut staged, workers);
             d.step_coloured_pooled(
                 coloring,
                 t,
@@ -242,29 +235,12 @@ fn coloured_row<U: UpdateRule>(
             );
             assert_eq!(
                 seq,
-                par,
-                "scoped coloured path diverged ({} at tick {t})",
-                rule.name()
-            );
-            assert_eq!(
-                seq,
                 pooled,
                 "pooled coloured path diverged ({} at tick {t})",
                 rule.name()
             );
         }
     }
-
-    let coloured_par = {
-        let mut staged = Vec::new();
-        let mut profile = vec![0usize; n];
-        let clock = std::time::Instant::now();
-        for t in 0..ticks {
-            d.step_coloured_par(coloring, t, 2, &mut profile, &mut staged, workers);
-        }
-        std::hint::black_box(&profile);
-        updates as f64 / clock.elapsed().as_secs_f64()
-    };
 
     // Gate 2, throughput: five interleaved (uniform, sequential, pooled)
     // rounds so scheduler drift hits every path alike; the committed rates
@@ -349,16 +325,14 @@ fn coloured_row<U: UpdateRule>(
         rule.name()
     );
 
-    let par_over_uniform = coloured_par / uniform;
-    let par_over_seq = coloured_par / coloured_seq;
     let wait_policy = pool.wait_policy().name();
     let pinned = pool.registry().pinned_count() > 0;
     eprintln!(
-        "   coloured {:>17} n = {n}: uniform = {uniform:.3e}, seq sweep = {coloured_seq:.3e}, par({workers}) = {coloured_par:.3e}, pooled = {coloured_pooled:.3e}, pooled/uniform = {pooled_over_uniform:.3}, pooled/seq = {pooled_over_seq:.3} (best {best_pooled_over_seq:.3})",
+        "   coloured {:>17} n = {n}: uniform = {uniform:.3e}, seq sweep = {coloured_seq:.3e}, pooled({workers}) = {coloured_pooled:.3e}, pooled/uniform = {pooled_over_uniform:.3}, pooled/seq = {pooled_over_seq:.3} (best {best_pooled_over_seq:.3})",
         rule.name()
     );
     format!(
-        "        {{\"rule\": \"{}\", \"n\": {n}, \"degree\": {}, \"classes\": {classes}, \"workers\": {workers}, \"wait_policy\": \"{wait_policy}\", \"pinned\": {pinned}, \"uniform_updates_per_sec\": {uniform:.0}, \"coloured_seq_updates_per_sec\": {coloured_seq:.0}, \"coloured_par_updates_per_sec\": {coloured_par:.0}, \"coloured_pooled_updates_per_sec\": {coloured_pooled:.0}, \"par_over_uniform\": {par_over_uniform:.3}, \"par_over_seq\": {par_over_seq:.3}, \"pooled_over_uniform\": {pooled_over_uniform:.3}, \"pooled_over_seq\": {pooled_over_seq:.3}, \"best_pooled_over_seq\": {best_pooled_over_seq:.3}}}",
+        "        {{\"rule\": \"{}\", \"n\": {n}, \"degree\": {}, \"classes\": {classes}, \"workers\": {workers}, \"wait_policy\": \"{wait_policy}\", \"pinned\": {pinned}, \"uniform_updates_per_sec\": {uniform:.0}, \"coloured_seq_updates_per_sec\": {coloured_seq:.0}, \"coloured_pooled_updates_per_sec\": {coloured_pooled:.0}, \"pooled_over_uniform\": {pooled_over_uniform:.3}, \"pooled_over_seq\": {pooled_over_seq:.3}, \"best_pooled_over_seq\": {best_pooled_over_seq:.3}}}",
         rule.name(),
         game.graph().max_degree()
     )
@@ -405,14 +379,14 @@ fn coloured_rows(steps: u64) -> String {
     ];
     let scaling = worker_scaling_rows(&game, &coloring, rounds, 2 * k);
     format!(
-        "  \"coloured\": {{\n    \"what\": \"coloured independent-set revision on a dense-degree circulant (n = {n}, degree {}, first-fit classes via the scale-aware coloring_for_game) vs per-player sequential stepping through the same engine; two in-process gates must pass before rows are emitted: bit-identity (one full colour round, scoped == pooled == sequential class sweep) and throughput (best pooled/seq over 5 interleaved rounds >= 1.0 — the persistent pool must not tax the sweep — and median pooled/uniform > 1.5). Committed invariants: the gates plus the ratios — pooled_over_uniform pins the coloured path beating per-player sequential stepping (the ascending class sweep streams the DRAM-resident adjacency where random-player stepping cache-misses, and counter-derived per-player draws replace stream draws; band to hold: > 1.5), pooled_over_seq pins the persistent-pool orchestration overhead (par_over_seq keeps the legacy per-tick scoped-thread cost for comparison); coloured_pooled additionally scales with cores (the emitting host resolved workers = {workers}; per-player sequential stepping cannot use more than one). wait_policy and pinned record the emitting pool's idle strategy and whether core pinning took effect\",\n    \"rows\": [\n{}\n    ]\n  }},\n{scaling}",
+        "  \"coloured\": {{\n    \"what\": \"coloured independent-set revision on a dense-degree circulant (n = {n}, degree {}, first-fit classes via the scale-aware coloring_for_game) vs per-player sequential stepping through the same engine; two in-process gates must pass before rows are emitted: bit-identity (one full colour round, pooled == sequential class sweep) and throughput (best pooled/seq over 5 interleaved rounds >= 1.0 — the persistent pool must not tax the sweep — and median pooled/uniform > 1.5). Committed invariants: the gates plus the ratios — pooled_over_uniform pins the coloured path beating per-player sequential stepping (the ascending class sweep streams the DRAM-resident adjacency where random-player stepping cache-misses, and counter-derived per-player draws replace stream draws; band to hold: > 1.5), pooled_over_seq pins the persistent-pool orchestration overhead; coloured_pooled additionally scales with cores (the emitting host resolved workers = {workers}; per-player sequential stepping cannot use more than one). wait_policy and pinned record the emitting pool's idle strategy and whether core pinning took effect\",\n    \"rows\": [\n{}\n    ]\n  }},\n{scaling}",
         2 * k,
         rows.join(",\n")
     )
 }
 
-/// The worker-scaling row-set: the pooled, scoped and sequential coloured
-/// paths at explicit worker counts on the same circulant instance. Recorded,
+/// The worker-scaling row-set: the pooled and sequential coloured paths at
+/// explicit worker counts on the same circulant instance. Recorded,
 /// not gated — on hosts with fewer cores than the row's worker count the
 /// extra workers oversubscribe and the ratios document that, which is
 /// exactly the information the row-set exists to commit.
@@ -448,17 +422,6 @@ fn worker_scaling_rows(
         };
         let pool = WorkerPool::new(&config);
 
-        let scoped_rate = {
-            let mut staged = Vec::new();
-            let mut profile = vec![0usize; n];
-            let clock = std::time::Instant::now();
-            for t in 0..ticks {
-                d.step_coloured_par(coloring, t, 2, &mut profile, &mut staged, workers);
-            }
-            std::hint::black_box(&profile);
-            updates / clock.elapsed().as_secs_f64()
-        };
-
         let pooled_rate = {
             let mut scratch = Scratch::for_game(game);
             let mut staged = Vec::new();
@@ -481,13 +444,12 @@ fn worker_scaling_rows(
         };
 
         let pooled_over_seq = pooled_rate / seq_rate;
-        let scoped_over_seq = scoped_rate / seq_rate;
         let pinned = pool.registry().pinned_count() > 0;
         eprintln!(
-            "   scaling  workers = {workers}: seq = {seq_rate:.3e}, scoped = {scoped_rate:.3e}, pooled = {pooled_rate:.3e}, pooled/seq = {pooled_over_seq:.3}, scoped/seq = {scoped_over_seq:.3}"
+            "   scaling  workers = {workers}: seq = {seq_rate:.3e}, pooled = {pooled_rate:.3e}, pooled/seq = {pooled_over_seq:.3}"
         );
         rows.push(format!(
-            "        {{\"workers\": {workers}, \"wait_policy\": \"{}\", \"pinned\": {pinned}, \"coloured_seq_updates_per_sec\": {seq_rate:.0}, \"coloured_par_updates_per_sec\": {scoped_rate:.0}, \"coloured_pooled_updates_per_sec\": {pooled_rate:.0}, \"pooled_over_seq\": {pooled_over_seq:.3}, \"scoped_over_seq\": {scoped_over_seq:.3}}}",
+            "        {{\"workers\": {workers}, \"wait_policy\": \"{}\", \"pinned\": {pinned}, \"coloured_seq_updates_per_sec\": {seq_rate:.0}, \"coloured_pooled_updates_per_sec\": {pooled_rate:.0}, \"pooled_over_seq\": {pooled_over_seq:.3}}}",
             pool.wait_policy().name()
         ));
     }
@@ -495,7 +457,7 @@ fn worker_scaling_rows(
         .map(|p| p.get())
         .unwrap_or(1);
     format!(
-        "  \"coloured_worker_scaling\": {{\n    \"what\": \"the pooled vs per-tick-scoped vs sequential coloured paths (Logit) at explicit worker counts on the same circulant (n = {n}, degree {degree}); recorded, not gated — worker counts above the emitting host's cores ({host_cores} here) oversubscribe, and the committed ratios document how gracefully each orchestration degrades (near-linear scaling is the expectation only up to the core count)\",\n    \"rows\": [\n{}\n    ]\n  }}",
+        "  \"coloured_worker_scaling\": {{\n    \"what\": \"the pooled vs sequential coloured paths (Logit) at explicit worker counts on the same circulant (n = {n}, degree {degree}); recorded, not gated — worker counts above the emitting host's cores ({host_cores} here) oversubscribe, and the committed ratios document how gracefully the pool degrades (near-linear scaling is the expectation only up to the core count)\",\n    \"rows\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
     )
 }

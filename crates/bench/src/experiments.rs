@@ -851,8 +851,8 @@ pub fn e13_tempering(fast: bool) -> String {
 /// over `num_classes` ticks. The coloured rows are produced by the
 /// genuinely parallel `step_coloured_pooled` engine path (the simulator's
 /// persistent worker pool, honouring the `LOGIT_*` env overrides), with
-/// bit-identity against the sequential class sweep and the scoped path
-/// asserted in-process before the row is emitted.
+/// bit-identity against the sequential class sweep asserted in-process
+/// before the row is emitted.
 pub fn e14_coloured_schedules(fast: bool) -> String {
     use logit_core::parallel::{coloring_for_game, ColouredBlocks, RandomBlock};
     use logit_core::schedules::{AllLogit, SystematicSweep, UniformSingle};
@@ -1024,10 +1024,9 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
         // pool smoke drives this with LOGIT_WORKERS=2): the same replica
         // count as every other row (one deterministic seed per replica, so
         // the column stays an ensemble mean and the rows are comparable
-        // like-for-like), with bit-identity against both the sequential
-        // class sweep and the legacy scoped path asserted on every tick of
-        // the first replica before the row is emitted.
-        let mut staged = Vec::new();
+        // like-for-like), with bit-identity against the sequential class
+        // sweep asserted on every tick of the first replica before the row
+        // is emitted.
         let mut pooled_staged = Vec::new();
         let mut scratch = Scratch::for_game(&game);
         let mut pooled_scratch = Scratch::for_game(&game);
@@ -1037,7 +1036,7 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
         for replica in 0..replicas {
             let seed = 0xE14C ^ (replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let mut pooled = start.clone();
-            let mut check = (replica == 0).then(|| (start.clone(), start.clone()));
+            let mut check = (replica == 0).then(|| start.clone());
             for t in 0..ticks {
                 moved += d.step_coloured_pooled(
                     &coloring,
@@ -1049,16 +1048,11 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
                     pool,
                     sim.runtime(),
                 );
-                if let Some((seq, par)) = check.as_mut() {
+                if let Some(seq) = check.as_mut() {
                     d.step_coloured(&coloring, t, seed, seq, &mut scratch);
-                    d.step_coloured_par(&coloring, t, seed, par, &mut staged, 0);
                     assert_eq!(
                         &pooled, seq,
                         "step_coloured_pooled diverged from the class sweep"
-                    );
-                    assert_eq!(
-                        &pooled, par,
-                        "step_coloured_pooled diverged from step_coloured_par"
                     );
                 }
             }
@@ -1086,8 +1080,8 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
          from the wrong consensus): adoption of the risk-dominant strategy at a matched update budget.\n\
          The parallel-engine rows run step_coloured_pooled (per-player RNG streams, frozen-profile\n\
          blocks, persistent worker pool) over the same replica count as the other rows — the column\n\
-         is an ensemble mean everywhere — with bit-identity against the sequential class sweep and\n\
-         the scoped path asserted per tick.\n\n{}\n\
+         is an ensemble mean everywhere — with bit-identity against the sequential class sweep\n\
+         asserted per tick.\n\n{}\n\
          PASS iff every topology produces one row per schedule, the coloured round keeps Gibbs\n\
          stationary to < 1e-8 while the all-logit block chain does not ({best_block_tv:.1e} >> 0), and the\n\
          parallel engine path never diverges from the sequential sweep (asserted, not just printed).\n",

@@ -27,7 +27,7 @@
 //! * [`parallel`] — the coloured parallel-revision subsystem: the
 //!   [`parallel::RandomBlock`] and [`parallel::ColouredBlocks`] schedules,
 //!   the genuinely parallel independent-set engine path
-//!   (`step_coloured_par`, per-player RNG streams, bit-identical to the
+//!   (`step_coloured_pooled`, per-player RNG streams, bit-identical to the
 //!   sequential class sweep) and the exact coloured block/round chains,
 //! * [`locality`] — the memory-locality layer for `n = 10⁶`–`10⁷`:
 //!   reverse-Cuthill–McKee player relabelling ([`locality::LocalityLayout`],
@@ -36,8 +36,9 @@
 //!   profiles over CSR adjacency, and cache-blocked pooled class sweeps
 //!   sized by [`runtime::RuntimeConfig`]`::block_players`,
 //! * [`gibbs`] — numerically stable Gibbs measures and partition functions,
-//! * [`simulate`] — trajectory simulation, parallel replica ensembles and
-//!   empirical-distribution estimation (rayon-based),
+//! * [`simulate`] — trajectory simulation, parallel replica ensembles (one
+//!   [`runtime::WorkerPool`] claim per replica) and empirical-distribution
+//!   estimation,
 //! * [`pipeline`] — the PPL-style pipelined ensemble runner: a farm of step
 //!   workers feeding one streamed, order-restoring observable reducer
 //!   through a bounded channel
@@ -47,8 +48,8 @@
 //!   [`runtime::WorkerPool`] with a thread registry (worker ids, optional
 //!   Linux core pinning), spin/yield/park wait policies, epoch-tagged
 //!   chunk-stealing dispatch and per-tick barriers, plus the unified
-//!   [`runtime::RuntimeConfig`] worker-count knob shared by the coloured,
-//!   pipelined and tempered paths,
+//!   [`runtime::RuntimeConfig`] worker-count knob shared by every parallel
+//!   path (coloured, pipelined, tempered, ensembles, sweeps, annealing),
 //! * [`estimate`] — mixing-time measurement: exact (via `logit-markov`), spectral
 //!   bounds, and coupling-based upper estimates using the paper's couplings,
 //! * [`coupling`] — the maximal per-coordinate coupling of Theorem 3.6 / 4.2 and
@@ -57,8 +58,9 @@
 //!   saddle computation plus a brute-force cross-check),
 //! * [`bounds`] — one function per theorem, returning the paper's closed-form
 //!   upper/lower bounds so experiments can print "measured vs. bound" tables,
-//! * [`sweep`] — parallel parameter sweeps (over β, n, topologies) producing the
-//!   rows of every experiment table in `EXPERIMENTS.md`,
+//! * [`sweep`] — parameter sweeps (over β, n, topologies), parallel over the
+//!   grid on a [`runtime::WorkerPool`], producing the rows of every
+//!   experiment table in `EXPERIMENTS.md`,
 //! * [`tempering`] — replica exchange (parallel tempering) across a β-ladder:
 //!   `K` engines sharing one game, Metropolis-accepted adjacent state swaps on
 //!   the potential difference, swap-rate diagnostics, and the exact

@@ -10,11 +10,11 @@
 
 use crate::dynamics::DynamicsEngine;
 use crate::rules::UpdateRule;
+use crate::runtime::{RuntimeConfig, WorkerPool};
 use logit_games::{Game, PotentialGame, ProfileSpace};
 use logit_linalg::stats::RunningStats;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// A scalar observable of a strategy profile (given by flat index).
 pub trait Observable {
@@ -313,7 +313,10 @@ impl TimeSeries {
 /// Records an observable along an ensemble of independent replicas of the logit
 /// dynamics, sampling it at the given `record_times` (which must be increasing).
 ///
-/// Replicas run in parallel with reproducible per-replica RNG streams.
+/// Replicas run in parallel, one claim each, on a [`WorkerPool`] sized by
+/// [`RuntimeConfig::from_env`] (`LOGIT_WORKERS`), with reproducible
+/// per-replica RNG streams — so the series does not depend on the worker
+/// count.
 pub fn ensemble_time_series<G, U, O>(
     dynamics: &DynamicsEngine<G, U>,
     observable: &O,
@@ -336,9 +339,13 @@ where
     assert!(start < dynamics.num_states(), "start state out of range");
 
     let space = dynamics.space();
-    let per_replica: Vec<Vec<f64>> = (0..replicas)
-        .into_par_iter()
-        .map(|replica| {
+    let config = RuntimeConfig::from_env();
+    let mut per_replica: Vec<Vec<f64>> = vec![Vec::new(); replicas];
+    WorkerPool::new(&config).for_each_chunk(
+        &mut per_replica,
+        1,
+        config.resolved_workers(),
+        &|replica, slot: &mut [Vec<f64>]| {
             let mut rng = ChaCha8Rng::seed_from_u64(
                 seed ^ (replica as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93),
             );
@@ -353,9 +360,9 @@ where
                 }
                 values.push(observable.evaluate(space, state));
             }
-            values
-        })
-        .collect();
+            slot[0] = values;
+        },
+    );
 
     let mut stats = vec![RunningStats::new(); record_times.len()];
     for values in &per_replica {

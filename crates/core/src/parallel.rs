@@ -22,15 +22,15 @@
 //! pipelined farm, `run_tempered`, sweeps, annealing.
 //!
 //! On top of the schedule seam sits the genuinely parallel engine path,
-//! [`DynamicsEngine::step_coloured_par`]: a whole colour class is updated by
-//! rayon-scoped workers, every player drawing from her **own deterministic
-//! RNG stream** (derived from `(seed, player, tick)`), each worker reading
-//! the frozen pre-tick profile through the read-only
-//! [`LocalGame::utilities_for_frozen`] hook. Because the class is an
-//! independent set, the result is bit-identical to the sequential class
-//! sweep [`DynamicsEngine::step_coloured`] *by construction* — the
-//! commutation argument, pinned by a proptest across rules × topologies —
-//! whatever the worker count or chunking.
+//! [`DynamicsEngine::step_coloured_pooled`]: a whole colour class is updated
+//! by the workers of the persistent [`WorkerPool`], every player drawing
+//! from her **own deterministic RNG stream** (derived from
+//! `(seed, player, tick)`), each worker reading the frozen pre-tick profile
+//! through the read-only [`LocalGame::utilities_for_frozen`] hook. Because
+//! the class is an independent set, the result is bit-identical to the
+//! sequential class sweep [`DynamicsEngine::step_coloured`] *by
+//! construction* — the commutation argument, pinned by a proptest across
+//! rules × topologies — whatever the worker count or chunking.
 //!
 //! The exact-chain counterparts,
 //! [`DynamicsEngine::transition_matrix_coloured_block`] and
@@ -130,7 +130,7 @@ impl SelectionSchedule for RandomBlock {
 /// For a [`LocalGame`] each class is an independent set, so the parallel
 /// block update is exactly equivalent to revising the class sequentially —
 /// the correct parallelisation of the dynamics, and the schedule the
-/// genuinely parallel [`DynamicsEngine::step_coloured_par`] path executes.
+/// genuinely parallel [`DynamicsEngine::step_coloured_pooled`] path executes.
 /// Selection consumes no randomness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColouredBlocks {
@@ -268,7 +268,7 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
     ///
     /// Because the class is an independent set of a [`LocalGame`]'s
     /// interaction graph, no player in it can observe another's same-tick
-    /// update — which is exactly why [`Self::step_coloured_par`] (frozen
+    /// update — which is exactly why [`Self::step_coloured_pooled`] (frozen
     /// profile, any worker count) is bit-identical to this sweep.
     ///
     /// # Panics
@@ -305,98 +305,11 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
 }
 
 impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
-    /// One coloured tick, genuinely parallel: the colour class of tick `t`
-    /// is chunked across `workers` rayon-scoped threads, each computing its
-    /// players' new strategies against the **frozen** pre-tick profile
-    /// (through the read-only [`LocalGame::utilities_for_frozen`] hook) into
-    /// a staged buffer; the block is then applied at once. Returns the
-    /// number of players that moved.
-    ///
-    /// Per-player RNG streams ([`player_tick_seed`]) make the result
-    /// independent of the worker count, the chunking and the execution
-    /// order, and — because a colour class is an independent set, so
-    /// non-neighbours commute — bit-identical to the sequential in-place
-    /// sweep [`Self::step_coloured`] from the same `(seed, t)`. The
-    /// proptest harness pins this across rules × topologies.
-    ///
-    /// `workers = 0` resolves to one per available core; the work is run
-    /// inline (no thread spawn) when a single worker would remain. `staged`
-    /// is a caller-owned scratch buffer, recycled across ticks.
-    ///
-    /// # Panics
-    /// Panics when the colouring's vertex count differs from the player
-    /// count.
-    pub fn step_coloured_par(
-        &self,
-        coloring: &Coloring,
-        t: u64,
-        seed: u64,
-        profile: &mut [usize],
-        staged: &mut Vec<usize>,
-        workers: usize,
-    ) -> usize {
-        let n = self.game().num_players();
-        assert_eq!(
-            coloring.num_vertices(),
-            n,
-            "colouring covers a different player count"
-        );
-        debug_assert_eq!(profile.len(), n);
-        let players = coloring.class(coloring.class_of_tick(t));
-        staged.clear();
-        staged.resize(players.len(), 0);
-
-        let auto = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let workers = if workers == 0 { auto } else { workers }
-            .max(1)
-            .min(players.len());
-
-        if workers <= 1 {
-            self.stage_class(players, t, seed, profile, staged);
-        } else {
-            let chunk = players.len().div_ceil(workers);
-            let frozen: &[usize] = profile;
-            rayon::scope(|s| {
-                for (player_chunk, out_chunk) in players.chunks(chunk).zip(staged.chunks_mut(chunk))
-                {
-                    s.spawn(move |_| {
-                        self.stage_class(player_chunk, t, seed, frozen, out_chunk);
-                    });
-                }
-            });
-        }
-
-        let mut moved = 0;
-        for (&player, &strategy) in players.iter().zip(staged.iter()) {
-            if profile[player] != strategy {
-                moved += 1;
-            }
-            profile[player] = strategy;
-        }
-        moved
-    }
-
     /// Samples the new strategies of `players` against the frozen `profile`
-    /// into `staged`, one `(seed, player, t)` stream per player. The
-    /// per-worker kernel of [`Self::step_coloured_par`].
-    fn stage_class(
-        &self,
-        players: &[usize],
-        t: u64,
-        seed: u64,
-        profile: &[usize],
-        staged: &mut [usize],
-    ) {
-        let mut utils: Vec<f64> = Vec::with_capacity(self.game().max_strategies());
-        let mut probs: Vec<f64> = Vec::with_capacity(self.game().max_strategies());
-        self.stage_class_with(players, t, seed, profile, staged, &mut utils, &mut probs);
-    }
-
-    /// [`Self::stage_class`] with caller-supplied utility/probability
-    /// buffers, so pooled workers can reuse thread-local storage instead of
-    /// allocating per dispatch.
+    /// into `staged`, one `(seed, player, t)` stream per player — the
+    /// per-chunk kernel of [`Self::step_coloured_pooled`]. The
+    /// utility/probability buffers are the caller's, so pool workers reuse
+    /// thread-local storage instead of allocating per dispatch.
     #[allow(clippy::too_many_arguments)]
     fn stage_class_with(
         &self,
@@ -419,11 +332,13 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
         }
     }
 
-    /// One coloured tick through the persistent [`WorkerPool`]: the same
-    /// frozen-profile staged update as [`Self::step_coloured_par`], but the
-    /// chunks are claimed by pool workers that were spawned once and wait
-    /// between ticks, instead of a fresh `rayon::scope` thread spawn per
-    /// tick. Returns the number of players that moved.
+    /// One coloured tick, genuinely parallel: the colour class of tick `t`
+    /// is chunked across the caller plus workers of the persistent
+    /// [`WorkerPool`] (spawned once, waiting between ticks), each computing
+    /// its players' new strategies against the **frozen** pre-tick profile
+    /// (through the read-only [`LocalGame::utilities_for_frozen`] hook) into
+    /// the staged buffer; the block is then applied at once. Returns the
+    /// number of players that moved.
     ///
     /// Worker-count resolution goes through [`RuntimeConfig`]: classes
     /// narrower than `min_class_size` — and any configuration resolving to
@@ -436,9 +351,11 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
     ///
     /// Per-player counter-derived draws ([`player_tick_seed`]) make the
     /// result independent of worker count, chunking, wait policy and
-    /// chunk→thread assignment, and bit-identical to both
-    /// [`Self::step_coloured`] and [`Self::step_coloured_par`] from the
-    /// same `(seed, t)` — pinned by the pooled proptest harness.
+    /// chunk→thread assignment, and — because a colour class is an
+    /// independent set, so non-neighbours commute — bit-identical to the
+    /// sequential in-place sweep [`Self::step_coloured`] from the same
+    /// `(seed, t)`. The proptest harness pins this across rules ×
+    /// topologies.
     ///
     /// # Panics
     /// Panics when the colouring's vertex count differs from the player
@@ -501,9 +418,7 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
 std::thread_local! {
     /// Per-thread staging buffers (utilities, probabilities) for the pooled
     /// coloured path: pool workers persist across ticks, so these warm up
-    /// once per thread instead of allocating per dispatch (the former
-    /// per-call `Vec::with_capacity` in `stage_class` was a measurable part
-    /// of the scoped path's orchestration overhead).
+    /// once per thread instead of allocating per dispatch.
     pub(crate) static STAGE_BUFFERS: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -667,15 +582,30 @@ mod tests {
         let d = ring_dynamics(12, 1.3);
         let coloring = coloring_for_game(d.game());
         let mut scratch = Scratch::for_game(d.game());
+        let mut pooled_scratch = Scratch::for_game(d.game());
         let mut staged = Vec::new();
         let seed = 0xC0DE;
         for workers in [0usize, 1, 2, 3, 5] {
+            let config = RuntimeConfig {
+                workers,
+                min_class_size: 0,
+                ..RuntimeConfig::default()
+            };
+            let pool = WorkerPool::new(&config);
             let mut seq = vec![0usize; 12];
             let mut par = vec![0usize; 12];
             for t in 0..40u64 {
                 let moved_seq = d.step_coloured(&coloring, t, seed, &mut seq, &mut scratch);
-                let moved_par =
-                    d.step_coloured_par(&coloring, t, seed, &mut par, &mut staged, workers);
+                let moved_par = d.step_coloured_pooled(
+                    &coloring,
+                    t,
+                    seed,
+                    &mut par,
+                    &mut pooled_scratch,
+                    &mut staged,
+                    &pool,
+                    &config,
+                );
                 assert_eq!(seq, par, "diverged at t = {t} with {workers} workers");
                 assert_eq!(moved_seq, moved_par);
             }
@@ -698,15 +628,11 @@ mod tests {
             let pool = WorkerPool::new(&config);
             let mut scratch = Scratch::for_game(d.game());
             let mut staged = Vec::new();
-            let mut staged_scoped = Vec::new();
             let mut seq = vec![0usize; 12];
-            let mut scoped = vec![0usize; 12];
             let mut pooled = vec![0usize; 12];
             let mut seq_scratch = Scratch::for_game(d.game());
             for t in 0..40u64 {
                 let moved_seq = d.step_coloured(&coloring, t, seed, &mut seq, &mut seq_scratch);
-                let moved_scoped =
-                    d.step_coloured_par(&coloring, t, seed, &mut scoped, &mut staged_scoped, 3);
                 let moved_pooled = d.step_coloured_pooled(
                     &coloring,
                     t,
@@ -718,9 +644,7 @@ mod tests {
                     &config,
                 );
                 assert_eq!(seq, pooled, "pooled diverged at t = {t} ({policy:?})");
-                assert_eq!(scoped, pooled, "scoped diverged at t = {t} ({policy:?})");
                 assert_eq!(moved_seq, moved_pooled);
-                assert_eq!(moved_scoped, moved_pooled);
             }
         }
     }
@@ -854,14 +778,30 @@ mod tests {
         let coloring = coloring_for_game(&game);
         assert!(coloring.is_proper(&interaction_graph(&game)));
         fn check<U: UpdateRule>(game: &IsingGame, coloring: &Coloring, rule: U) {
+            let config = RuntimeConfig {
+                workers: 3,
+                min_class_size: 0,
+                ..RuntimeConfig::default()
+            };
+            let pool = WorkerPool::new(&config);
             let d = DynamicsEngine::with_rule(game.clone(), rule, 1.2);
             let mut scratch = Scratch::for_game(game);
+            let mut pooled_scratch = Scratch::for_game(game);
             let mut staged = Vec::new();
             let mut seq = vec![0usize; 12];
             let mut par = vec![0usize; 12];
             for t in 0..3 * coloring.num_classes() as u64 {
                 d.step_coloured(coloring, t, 7, &mut seq, &mut scratch);
-                d.step_coloured_par(coloring, t, 7, &mut par, &mut staged, 3);
+                d.step_coloured_pooled(
+                    coloring,
+                    t,
+                    7,
+                    &mut par,
+                    &mut pooled_scratch,
+                    &mut staged,
+                    &pool,
+                    &config,
+                );
                 assert_eq!(seq, par, "rule diverged at t = {t}");
             }
         }

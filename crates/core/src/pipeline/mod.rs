@@ -20,8 +20,9 @@
 //! ```
 //!
 //! * **Emitter** — a shared atomic counter; workers claim replica indices as
-//!   they free up (work-stealing over replicas, like the `Simulator`'s rayon
-//!   ensemble but with streaming output instead of an ordered collect).
+//!   they free up (work-stealing over replicas, like the `Simulator`'s
+//!   [`run_profiles`](crate::simulate::Simulator::run_profiles) fan-out but
+//!   with streaming output instead of one slot per replica).
 //! * **Step workers** — threads of the [`Simulator`]'s persistent
 //!   [`WorkerPool`](crate::runtime::WorkerPool) (spawned once, reused
 //!   across runs — not per-run thread spawns). Each claims a replica,

@@ -1,13 +1,15 @@
 //! Persistent parallel runtime: a worker pool spawned once and reused for
 //! every tick, plus the configuration knobs shared by all parallel paths.
 //!
-//! PR 5's coloured independent-set engine and PR 4's pipelined farm both
-//! paid a fresh `rayon::scope` (one OS-thread spawn per worker) on every
-//! tick or run, which is why the committed coloured `par_over_seq` sat at
-//! 0.66–0.77 and narrow colour classes could never amortise parallelism.
-//! This module replaces per-tick thread creation with the skeleton-library
+//! This is the workspace's one parallel runtime, in the skeleton-library
 //! shape (spawn once, park on a wait policy, drive per-tick work through a
-//! claim counter and a completion barrier):
+//! claim counter and a completion barrier). Colour-class sweeps, the
+//! pipelined farm, tempered runs, the replica ensembles
+//! ([`Simulator::run`](crate::Simulator::run),
+//! [`Simulator::run_profiles`](crate::Simulator::run_profiles), the
+//! observables ensemble), the exact β-sweeps and the annealing minimisers
+//! all dispatch through it, so [`RuntimeConfig`] (and `LOGIT_WORKERS`)
+//! governs every one of them:
 //!
 //! * [`RuntimeConfig`] — the single notion of "how many threads" (worker
 //!   count, wait policy, core pinning, narrow-class threshold), threaded
@@ -105,14 +107,13 @@ impl WaitPolicy {
 }
 
 /// The one shared notion of "how parallel": worker count, wait policy,
-/// pinning, and the narrow-class amortisation guard. Replaces the former
-/// `PipelineConfig::workers` knob and `step_coloured_par`'s implicit
-/// per-call worker argument.
+/// pinning, and the narrow-class amortisation guard, read by every
+/// parallel path in the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Total stepping threads (including the calling thread for coloured
-    /// sweeps; pool participants for farm shapes). `0` means "one per
-    /// available core".
+    /// sweeps and replica fan-outs; pool participants for farm shapes).
+    /// `0` means "one per available core".
     pub workers: usize,
     /// How idle pool workers wait between dispatches.
     pub wait_policy: WaitPolicy,

@@ -1,12 +1,14 @@
 //! The persistent worker pool.
 //!
 //! Threads are spawned once (per pool — in practice once per
-//! [`Simulator`](crate::Simulator)) and wait between dispatches on the
-//! configured [`WaitPolicy`]; a dispatch publishes one *job* (a chunked
-//! closure) through an epoch-tagged claim counter, workers steal chunks
-//! from the shared counter until none remain, and the caller blocks on a
-//! completion barrier. This replaces the per-tick `rayon::scope` thread
-//! spawns the coloured and pipelined engines used to pay.
+//! [`Simulator`](crate::Simulator), or once per call of the free sweep and
+//! annealing functions) and wait between dispatches on the configured
+//! [`WaitPolicy`]; a dispatch publishes one *job* (a chunked closure)
+//! through an epoch-tagged claim counter, workers steal chunks from the
+//! shared counter until none remain, and the caller blocks on a completion
+//! barrier. It is the workspace's only parallel runtime: colour-class
+//! sweeps, the pipelined farm, replica ensembles and parameter sweeps all
+//! dispatch through it.
 //!
 //! # Protocol
 //!
@@ -33,12 +35,11 @@
 //!
 //! Panics inside a chunk are caught, the first payload is stashed, the
 //! remaining chunks still run (the barrier must fill), and the payload is
-//! re-raised on the calling thread once the barrier completes — the same
-//! first-panic semantics as the vendored `rayon::scope`. One dispatch at a
-//! time: the pool is a per-`Simulator` resource, and nesting `run` inside
-//! a pool worker (or racing two dispatches from two threads) is a
-//! programming error that the `active` guard turns into a panic instead
-//! of silent corruption.
+//! re-raised on the calling thread once the barrier completes, so the
+//! caller sees the root cause. One dispatch at a time: the pool is a
+//! per-`Simulator` resource, and nesting `run` inside a pool worker (or
+//! racing two dispatches from two threads) is a programming error that the
+//! `active` guard turns into a panic instead of silent corruption.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -6,12 +6,14 @@
 //!
 //! * [`simulate_trajectory`] — a single trajectory of flat state indices,
 //! * [`Simulator`] — reproducible parallel ensembles of independent replicas
-//!   (rayon work-stealing over replicas, one deterministic ChaCha stream per
-//!   replica so results do not depend on the number of worker threads). The
-//!   flat-index entry point [`Simulator::run`] serves the exactly-analysable
-//!   games; the in-place entry point [`Simulator::run_profiles`] serves
-//!   large-`n` games whose profile space does not fit a flat index, streaming
-//!   a [`ProfileObservable`](crate::observables::ProfileObservable) every `k`
+//!   (replicas claimed one at a time on the simulator's persistent
+//!   [`WorkerPool`](crate::runtime::WorkerPool), one deterministic ChaCha
+//!   stream per replica so results do not depend on the number of worker
+//!   threads). The flat-index entry point [`Simulator::run`] serves the
+//!   exactly-analysable games; the in-place entry point
+//!   [`Simulator::run_profiles`] serves large-`n` games whose profile space
+//!   does not fit a flat index, streaming a
+//!   [`ProfileObservable`](crate::observables::ProfileObservable) every `k`
 //!   steps instead of touching final states only,
 //! * [`EmpiricalLaw`] — the empirical distribution of an observable across
 //!   replicas, the `|S|`-free replacement for the per-state empirical vector,
@@ -28,7 +30,6 @@ use logit_linalg::Vector;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Simulates a single trajectory of `steps` transitions starting from the flat
 /// state index `start`, returning every visited state (including the start, so
@@ -365,11 +366,19 @@ impl TemperedEnsembleResult {
 
 /// Reproducible parallel ensemble simulator.
 ///
-/// Parallel execution (the pipelined farm, tempered runs) goes through one
-/// persistent [`WorkerPool`](crate::runtime::WorkerPool) per simulator,
-/// spawned lazily on the first parallel run and configured by the
-/// simulator's [`RuntimeConfig`] — worker counts, wait policy and pinning
-/// never affect results (the bit-identity contract), only throughput.
+/// Every parallel run — the replica ensembles of [`run`](Self::run) and
+/// [`run_profiles`](Self::run_profiles), the pipelined farm, tempered runs —
+/// goes through one persistent [`WorkerPool`](crate::runtime::WorkerPool)
+/// per simulator, spawned lazily on the first run and configured by the
+/// simulator's [`RuntimeConfig`](crate::runtime::RuntimeConfig) — worker
+/// counts, wait policy and pinning never affect results (the bit-identity
+/// contract), only throughput.
+///
+/// The pool takes one dispatch at a time (a second concurrent dispatch
+/// panics), so one `Simulator` — or clones and [`reseeded`](Self::reseeded)
+/// forks sharing its pool — must not run two ensembles at once from
+/// different threads. Give each thread its own `Simulator`, or serialise
+/// the runs through one thread as the job server's executor does.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     seed: u64,
@@ -446,6 +455,20 @@ impl Simulator {
         }
     }
 
+    /// Runs `replica(r, &mut slots[r])` for every replica `r` on the
+    /// simulator's pool, one claim per replica, so each replica writes its
+    /// own slot and the output order is the replica order whatever thread
+    /// ran it. With one configured worker the replicas run inline on the
+    /// caller and the pool's dispatch counter does not move.
+    fn for_each_replica<T: Send>(&self, slots: &mut [T], replica: impl Fn(usize, &mut T) + Sync) {
+        self.pool().for_each_chunk(
+            slots,
+            1,
+            self.runtime.resolved_workers(),
+            &|r, slot: &mut [T]| replica(r, &mut slot[0]),
+        );
+    }
+
     /// Drives `ticks` coloured block ticks of `engine` — which must be
     /// built on the **relabelled** game of `layout` — from the
     /// original-label profile `start`, through the simulator's persistent
@@ -486,8 +509,9 @@ impl Simulator {
         (out, moved)
     }
 
-    /// Runs every replica for `steps` steps from `start` in parallel and
-    /// evaluates `observable` on each final state.
+    /// Runs every replica for `steps` steps from `start` in parallel (one
+    /// pool claim per replica) and evaluates `observable` on each final
+    /// state.
     ///
     /// The observable is evaluated on the *flat index*; use
     /// `dynamics.space().profile_of(idx)` inside the closure when the profile
@@ -505,19 +529,15 @@ impl Simulator {
         F: Fn(usize) -> f64 + Sync,
     {
         assert!(start < dynamics.num_states(), "start state out of range");
-        let final_states: Vec<usize> = (0..self.replicas)
-            .into_par_iter()
-            .map(|replica| {
-                // Independent, reproducible stream per replica.
-                let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
-                let mut scratch = Scratch::for_game(dynamics.game());
-                let mut state = start;
-                for _ in 0..steps {
-                    state = dynamics.step_indexed(state, &mut scratch, &mut rng);
-                }
-                state
-            })
-            .collect();
+        let mut final_states = vec![start; self.replicas];
+        self.for_each_replica(&mut final_states, |replica, state| {
+            // Independent, reproducible stream per replica.
+            let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
+            let mut scratch = Scratch::for_game(dynamics.game());
+            for _ in 0..steps {
+                *state = dynamics.step_indexed(*state, &mut scratch, &mut rng);
+            }
+        });
 
         let mut empirical = Vector::zeros(dynamics.num_states());
         let mut stats = RunningStats::new();
@@ -620,33 +640,31 @@ impl Simulator {
 
         let times = sample_times(steps, sample_every);
 
-        let per_replica: Vec<Vec<f64>> = (0..self.replicas)
-            .into_par_iter()
-            .map(|replica| {
-                let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
-                let mut scratch = Scratch::for_game(dynamics.game());
-                let mut profile = start.to_vec();
-                let mut values = Vec::with_capacity(times.len());
-                let mut t = 0u64;
-                for &target in &times {
-                    while t < target {
-                        match schedule {
-                            // The default uniform single-player path keeps the
-                            // dedicated (and bit-compatible) fast path.
-                            None => {
-                                dynamics.step_profile(&mut profile, &mut scratch, &mut rng);
-                            }
-                            Some(s) => {
-                                dynamics.step_scheduled(s, t, &mut profile, &mut scratch, &mut rng);
-                            }
+        let mut per_replica: Vec<Vec<f64>> = vec![Vec::new(); self.replicas];
+        self.for_each_replica(&mut per_replica, |replica, slot| {
+            let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
+            let mut scratch = Scratch::for_game(dynamics.game());
+            let mut profile = start.to_vec();
+            let mut values = Vec::with_capacity(times.len());
+            let mut t = 0u64;
+            for &target in &times {
+                while t < target {
+                    match schedule {
+                        // The default uniform single-player path keeps the
+                        // dedicated (and bit-compatible) fast path.
+                        None => {
+                            dynamics.step_profile(&mut profile, &mut scratch, &mut rng);
                         }
-                        t += 1;
+                        Some(s) => {
+                            dynamics.step_scheduled(s, t, &mut profile, &mut scratch, &mut rng);
+                        }
                     }
-                    values.push(observable.evaluate_profile(&profile));
+                    t += 1;
                 }
-                values
-            })
-            .collect();
+                values.push(observable.evaluate_profile(&profile));
+            }
+            *slot = values;
+        });
 
         let mut series = vec![RunningStats::new(); times.len()];
         for values in &per_replica {
@@ -909,13 +927,35 @@ mod tests {
 
     #[test]
     fn ensemble_is_reproducible_and_thread_count_independent() {
+        use crate::observables::PotentialObservable;
         let game = WellGame::plateau(4, 1.0);
-        let d = LogitDynamics::new(game, 0.8);
-        let sim = Simulator::new(123, 64);
-        let a = sim.run(&d, 0, 50, |s| s as f64);
-        let b = sim.run(&d, 0, 50, |s| s as f64);
+        let d = LogitDynamics::new(game.clone(), 0.8);
+        let obs = PotentialObservable::new(game);
+        let with_workers = |workers| {
+            let runtime = crate::runtime::RuntimeConfig {
+                workers,
+                ..crate::runtime::RuntimeConfig::default()
+            };
+            Simulator::with_runtime(123, 64, runtime)
+        };
+        let moments = |s: &RunningStats| (s.count(), s.mean(), s.variance(), s.min(), s.max());
+        let (one, three) = (with_workers(1), with_workers(3));
+
+        let a = one.run(&d, 0, 50, |s| s as f64);
+        let b = three.run(&d, 0, 50, |s| s as f64);
         assert_eq!(a.final_states, b.final_states);
-        assert_eq!(a.observable_stats.mean(), b.observable_stats.mean());
+        assert_eq!(moments(&a.observable_stats), moments(&b.observable_stats));
+
+        let a = one.run_profiles(&d, &[0; 4], 50, 10, &obs);
+        let b = three.run_profiles(&d, &[0; 4], 50, 10, &obs);
+        assert_eq!(a.final_values, b.final_values);
+        let series = |r: &ProfileEnsembleResult| r.series.iter().map(moments).collect::<Vec<_>>();
+        assert_eq!(series(&a), series(&b));
+
+        // The worker count picks the execution strategy: one worker runs
+        // every replica inline, three fan them out over the pool.
+        assert_eq!(one.pool().dispatches(), 0);
+        assert!(three.pool().dispatches() > 0);
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //!
 //! Every experiment table is a sweep over β (and sometimes n or the topology)
 //! of the measured mixing/relaxation time alongside the paper's bound. The
-//! sweeps parallelise over the parameter grid with rayon — each grid point is an
-//! independent exact computation — which is where the multi-core speedup of the
-//! harness comes from.
+//! exact sweeps parallelise over the parameter grid on a [`WorkerPool`] sized
+//! by [`RuntimeConfig::from_env`] — each grid point is an independent exact
+//! computation, claimed as one chunk — which is where the multi-core speedup
+//! of the harness comes from.
 
 use crate::estimate::{exact_mixing_time, exact_mixing_time_with_rule, MixingMeasurement};
 use crate::observables::ProfileObservable;
 use crate::rules::{Logit, UpdateRule};
+use crate::runtime::{RuntimeConfig, WorkerPool};
 use crate::simulate::{EmpiricalLaw, Simulator};
 use crate::DynamicsEngine;
 use logit_games::{Game, PotentialGame};
-use rayon::prelude::*;
 
 /// One row of a β-sweep table.
 #[derive(Debug, Clone)]
@@ -35,15 +36,9 @@ pub fn beta_sweep<G>(game: &G, betas: &[f64], epsilon: f64, max_time: u64) -> Ve
 where
     G: PotentialGame + Sync,
 {
-    let delta_phi = game.max_global_variation();
-    betas
-        .par_iter()
-        .map(|&beta| BetaSweepRow {
-            beta,
-            measurement: exact_mixing_time(game, beta, epsilon, max_time),
-            delta_phi,
-        })
-        .collect()
+    sweep_grid(game, betas, |beta| {
+        exact_mixing_time(game, beta, epsilon, max_time)
+    })
 }
 
 /// [`beta_sweep`] under an arbitrary [`UpdateRule`]: exact per-β mixing
@@ -61,12 +56,34 @@ where
     G: PotentialGame + Sync,
     U: UpdateRule,
 {
+    sweep_grid(game, betas, |beta| {
+        exact_mixing_time_with_rule(game, rule.clone(), beta, epsilon, max_time)
+    })
+}
+
+/// Runs `measure` at every β of the grid on a pool sized by
+/// [`RuntimeConfig::from_env`] (`LOGIT_WORKERS`), one claim per grid point,
+/// and returns the rows in grid order.
+fn sweep_grid<G: PotentialGame>(
+    game: &G,
+    betas: &[f64],
+    measure: impl Fn(f64) -> MixingMeasurement + Sync,
+) -> Vec<BetaSweepRow> {
     let delta_phi = game.max_global_variation();
+    let config = RuntimeConfig::from_env();
+    let mut measurements: Vec<Option<MixingMeasurement>> = vec![None; betas.len()];
+    WorkerPool::new(&config).for_each_chunk(
+        &mut measurements,
+        1,
+        config.resolved_workers(),
+        &|i, slot: &mut [Option<MixingMeasurement>]| slot[0] = Some(measure(betas[i])),
+    );
     betas
-        .par_iter()
-        .map(|&beta| BetaSweepRow {
+        .iter()
+        .zip(measurements)
+        .map(|(&beta, measurement)| BetaSweepRow {
             beta,
-            measurement: exact_mixing_time_with_rule(game, rule.clone(), beta, epsilon, max_time),
+            measurement: measurement.expect("every grid point is measured"),
             delta_phi,
         })
         .collect()

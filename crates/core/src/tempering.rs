@@ -31,7 +31,6 @@
 
 use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::rules::UpdateRule;
-use crate::runtime::{RuntimeConfig, WorkerPool};
 use crate::schedules::SelectionSchedule;
 use logit_games::{Game, PotentialGame};
 use logit_linalg::Vector;
@@ -306,8 +305,7 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
         self.swap_phase(state)
     }
 
-    /// The swap phase shared by [`round`](Self::round) and
-    /// [`round_pooled`](Self::round_pooled): evaluates every replica's
+    /// The swap phase of [`round`](Self::round): evaluates every replica's
     /// potential, then proposes one Metropolis swap per adjacent pair in
     /// ladder order on the dedicated swap stream. Returns accepted swaps.
     fn swap_phase(&self, state: &mut TemperingState) -> usize {
@@ -369,104 +367,6 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
         }
         for _ in 0..max_rounds {
             self.round(schedule, state, sweep_ticks);
-            if target(state.cold_profile()) {
-                return Some(state.tick());
-            }
-        }
-        None
-    }
-}
-
-/// One rung's sweep-phase work item: the engine plus exclusive borrows of
-/// that rung's mutable state, so rungs can advance concurrently without
-/// touching each other.
-struct RungSweep<'a, G: Game, U: UpdateRule> {
-    engine: &'a DynamicsEngine<Arc<G>, U>,
-    profile: &'a mut Vec<usize>,
-    scratch: &'a mut Scratch,
-    rng: &'a mut ChaCha8Rng,
-}
-
-impl<G: PotentialGame + Send + Sync, U: UpdateRule> TemperingEnsemble<G, U> {
-    /// [`round`](Self::round) with the sweep phase fanned out over the
-    /// persistent [`WorkerPool`]: every rung advances `sweep_ticks` ticks
-    /// concurrently (one rung per pool chunk — rungs are independent between
-    /// swap scans because each owns its profile, scratch and RNG stream),
-    /// then the swap phase runs sequentially on the calling thread, exactly
-    /// as in `round`.
-    ///
-    /// Per-rung streams make this bit-identical to `round` for every worker
-    /// count; with one effective worker (or `K = 1`) it *is* `round`.
-    pub fn round_pooled<S: SelectionSchedule>(
-        &self,
-        schedule: &S,
-        state: &mut TemperingState,
-        sweep_ticks: u64,
-        pool: &WorkerPool,
-        config: &RuntimeConfig,
-    ) -> usize {
-        let k = self.num_replicas();
-        assert_eq!(
-            state.profiles.len(),
-            k,
-            "state built for a different ladder"
-        );
-        let workers = config.resolved_workers().min(pool.workers() + 1).min(k);
-        if workers <= 1 {
-            return self.round(schedule, state, sweep_ticks);
-        }
-
-        let mut jobs: Vec<RungSweep<'_, G, U>> = self
-            .engines
-            .iter()
-            .zip(state.profiles.iter_mut())
-            .zip(state.scratches.iter_mut())
-            .zip(state.rngs.iter_mut())
-            .map(|(((engine, profile), scratch), rng)| RungSweep {
-                engine,
-                profile,
-                scratch,
-                rng,
-            })
-            .collect();
-        let tick = state.tick;
-        pool.for_each_chunk(&mut jobs, 1, workers, &|_,
-                                                     chunk: &mut [RungSweep<
-            '_,
-            G,
-            U,
-        >]| {
-            for job in chunk.iter_mut() {
-                for t in tick..tick + sweep_ticks {
-                    job.engine
-                        .step_scheduled(schedule, t, job.profile, job.scratch, job.rng);
-                }
-            }
-        });
-        drop(jobs);
-        state.tick += sweep_ticks;
-        self.swap_phase(state)
-    }
-
-    /// [`run_until`](Self::run_until) driving [`round_pooled`](Self::round_pooled)
-    /// instead of the sequential `round`; identical semantics and (by rung
-    /// stream independence) identical trajectories.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_until_pooled<S: SelectionSchedule>(
-        &self,
-        schedule: &S,
-        state: &mut TemperingState,
-        sweep_ticks: u64,
-        max_rounds: u64,
-        target: impl Fn(&[usize]) -> bool,
-        pool: &WorkerPool,
-        config: &RuntimeConfig,
-    ) -> Option<u64> {
-        if target(state.cold_profile()) {
-            return Some(state.tick());
-        }
-        for _ in 0..max_rounds {
-            self.round_pooled(schedule, state, sweep_ticks, pool, config);
             if target(state.cold_profile()) {
                 return Some(state.tick());
             }
@@ -623,78 +523,6 @@ mod tests {
         }
         assert_eq!(state.tick(), 140);
         assert_eq!(state.swap_stats().pairs(), 0);
-    }
-
-    #[test]
-    fn pooled_rounds_match_sequential_rounds_bit_for_bit() {
-        // Rungs own their profile/scratch/RNG, so fanning the sweep phase
-        // over the pool must not change a single draw: every profile, the
-        // clock, the swap counts and the swap stats stay identical.
-        let config = RuntimeConfig {
-            workers: 3,
-            min_class_size: 0,
-            ..RuntimeConfig::default()
-        };
-        let pool = WorkerPool::new(&config);
-        let ens = well_ensemble(&[0.3, 0.9, 1.8, 2.4]);
-        let mut seq = ens.init_state(&[0; 4], 11);
-        let mut pooled = ens.init_state(&[0; 4], 11);
-        for round in 0..30u64 {
-            let a = ens.round(&UniformSingle, &mut seq, 5);
-            let b = ens.round_pooled(&UniformSingle, &mut pooled, 5, &pool, &config);
-            assert_eq!(a, b, "swap counts diverged in round {round}");
-            for k in 0..ens.num_replicas() {
-                assert_eq!(seq.profile(k), pooled.profile(k), "rung {k}, round {round}");
-            }
-            assert_eq!(seq.tick(), pooled.tick());
-        }
-        assert_eq!(seq.swap_stats(), pooled.swap_stats());
-        assert!(
-            pool.dispatches() > 0,
-            "a multi-rung ladder must actually engage the pool"
-        );
-    }
-
-    #[test]
-    fn run_until_pooled_matches_run_until() {
-        let config = RuntimeConfig {
-            workers: 2,
-            min_class_size: 0,
-            ..RuntimeConfig::default()
-        };
-        let pool = WorkerPool::new(&config);
-        let ens = well_ensemble(&[0.4, 1.1, 2.2]);
-        let target = |p: &[usize]| p.iter().all(|&s| s == 1);
-        let mut seq = ens.init_state(&[0; 4], 19);
-        let mut pooled = ens.init_state(&[0; 4], 19);
-        let hit_seq = ens.run_until(&UniformSingle, &mut seq, 6, 400, target);
-        let hit_pooled =
-            ens.run_until_pooled(&UniformSingle, &mut pooled, 6, 400, target, &pool, &config);
-        assert_eq!(hit_seq, hit_pooled);
-        assert_eq!(seq.cold_profile(), pooled.cold_profile());
-        assert_eq!(seq.tick(), pooled.tick());
-    }
-
-    #[test]
-    fn single_rung_pooled_round_never_dispatches() {
-        // K = 1 (or one effective worker) must fall back to the literal
-        // sequential round: same trajectory, zero pool engagement.
-        let config = RuntimeConfig {
-            workers: 4,
-            min_class_size: 0,
-            ..RuntimeConfig::default()
-        };
-        let pool = WorkerPool::new(&config);
-        let game = WellGame::plateau(5, 1.5);
-        let ens = TemperingEnsemble::new(game, MetropolisLogit, &[1.3]);
-        let mut seq = ens.init_state(&[0, 1, 0, 1, 0], 7);
-        let mut pooled = ens.init_state(&[0, 1, 0, 1, 0], 7);
-        for _ in 0..10 {
-            ens.round(&SystematicSweep, &mut seq, 6);
-            ens.round_pooled(&SystematicSweep, &mut pooled, 6, &pool, &config);
-        }
-        assert_eq!(seq.profile(0), pooled.profile(0));
-        assert_eq!(pool.dispatches(), 0, "K = 1 must bypass the pool entirely");
     }
 
     #[test]

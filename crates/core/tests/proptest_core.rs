@@ -672,10 +672,9 @@ proptest! {
     }
 
     /// Coloured-engine bit-identity, the tentpole pin (satellite proptest):
-    /// `step_coloured_par` (per-tick scoped threads) and
     /// `step_coloured_pooled` (persistent worker pool) — frozen-profile
     /// staged block, per-player RNG streams, any worker count, any wait
-    /// policy, any narrow-class threshold — walk exactly the trajectory of
+    /// policy, any narrow-class threshold — walks exactly the trajectory of
     /// the sequential in-place class sweep `step_coloured`, for every update
     /// rule on random graph topologies. This is the non-neighbours-commute
     /// argument made executable.
@@ -723,15 +722,11 @@ proptest! {
             let n = game.num_players();
             let mut scratch = Scratch::for_game(game);
             let mut pooled_scratch = Scratch::for_game(game);
-            let mut staged = Vec::new();
             let mut pooled_staged = Vec::new();
             let mut seq = vec![0usize; n];
-            let mut par = vec![0usize; n];
             let mut pooled = vec![0usize; n];
             for t in 0..2 * coloring.num_classes() as u64 + 3 {
                 let moved_seq = d.step_coloured(coloring, t, seed, &mut seq, &mut scratch);
-                let moved_par =
-                    d.step_coloured_par(coloring, t, seed, &mut par, &mut staged, workers);
                 let moved_pooled = d.step_coloured_pooled(
                     coloring,
                     t,
@@ -742,13 +737,11 @@ proptest! {
                     pool,
                     config,
                 );
-                prop_assert_eq!(&seq, &par, "scoped diverged at t = {} ({} workers)", t, workers);
                 prop_assert_eq!(
                     &seq, &pooled,
                     "pooled diverged at t = {} ({} workers, {} policy, threshold {})",
                     t, workers, config.wait_policy.name(), config.min_class_size
                 );
-                prop_assert_eq!(moved_seq, moved_par);
                 prop_assert_eq!(moved_seq, moved_pooled);
             }
             Ok(())

@@ -8,8 +8,8 @@
 //! a whole class can revise simultaneously against the frozen pre-tick
 //! profile and the result is identical to any sequential ordering of the
 //! same updates. The `ColouredBlocks` schedule and the
-//! `step_coloured_par` engine path in `logit-core` build on the [`Coloring`]
-//! type here.
+//! `step_coloured_pooled` engine path in `logit-core` build on the
+//! [`Coloring`] type here.
 //!
 //! Two constructions are provided:
 //!

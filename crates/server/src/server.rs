@@ -299,6 +299,7 @@ fn listener_loop(
         let cache = Arc::clone(&cache);
         let queue_tx = queue_tx.clone();
         let job_ids = Arc::clone(&job_ids);
+        reap_finished(&mut handlers);
         if let Ok(handle) = thread::Builder::new()
             .name("logit-serve-conn".into())
             .spawn(move || {
@@ -309,6 +310,16 @@ fn listener_loop(
         }
     }
     for handle in handlers {
+        let _ = handle.join();
+    }
+}
+
+/// Joins every handler thread that has already exited and keeps the live
+/// ones. An exited thread holds its stack and guard-page mappings until it
+/// is joined, so without reaping the listener's footprint would grow with
+/// the lifetime connection count instead of the open one.
+fn reap_finished(handlers: &mut Vec<thread::JoinHandle<()>>) {
+    for handle in handlers.extract_if(.., |handle| handle.is_finished()) {
         let _ = handle.join();
     }
 }
@@ -610,3 +621,38 @@ pub fn submit_raw(addr: SocketAddr, bytes: &[u8]) -> io::Result<Option<(u8, Stri
 
 // Re-exported so the module docs' [`run_direct`] link resolves in place.
 pub use crate::exec::run_direct;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    fn wait_until_finished(handle: &thread::JoinHandle<()>) {
+        while !handle.is_finished() {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn reaping_joins_finished_handlers_and_keeps_blocked_ones() {
+        let (release, blocked_on) = channel::<()>();
+        let blocked = thread::spawn(move || {
+            let _ = blocked_on.recv();
+        });
+        let finished = thread::spawn(|| {});
+        wait_until_finished(&finished);
+
+        let mut handlers = vec![finished, blocked];
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "the finished handler is joined");
+        assert!(
+            !handlers[0].is_finished(),
+            "the handler blocked on its channel is kept"
+        );
+
+        drop(release);
+        wait_until_finished(&handlers[0]);
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty(), "it is reaped once it exits");
+    }
+}
