@@ -13,7 +13,7 @@
 //!    Metropolis — i.e. classical simulated annealing — or noisy best
 //!    response), together with an annealing-based potential minimiser
 //!    ([`optimize`]) that can be compared across rules and schedules.
-//! 2. The companion line of work (reference [4] of the paper) studies the
+//! 2. The companion line of work (reference \[4\] of the paper) studies the
 //!    *stationary expected social welfare* of the logit dynamics — [`welfare`]
 //!    computes it exactly from the Gibbs measure and by simulation, along with
 //!    the welfare ratio against the optimum.

@@ -1,6 +1,6 @@
 //! Stationary expected social welfare.
 //!
-//! Reference [4] of the paper ("Mixing time and stationary expected social
+//! Reference \[4\] of the paper ("Mixing time and stationary expected social
 //! welfare of logit dynamics", SAGT 2010) studies the expected social welfare
 //! `E_π[Σ_i u_i(X)]` of the stationary distribution as a performance measure of
 //! the dynamics. This module computes it exactly from the Gibbs measure of a

@@ -9,8 +9,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use logit_core::rules::{Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
-use logit_core::schedules::AllLogit;
-use logit_core::{DynamicsEngine, LogitDynamics, Scratch};
+use logit_core::schedules::{AllLogit, UniformSingle};
+use logit_core::{DynamicsEngine, LogitDynamics, PipelineConfig, Scratch};
 use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame};
 use logit_graphs::GraphBuilder;
 use rand::rngs::StdRng;
@@ -199,12 +199,25 @@ fn bench_pipelined_ensemble(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("sequential/n={n}")),
             &dynamics,
-            |b, d| b.iter(|| sim.run_profiles(d, &start, 5_000, 1_250, &obs)),
+            |b, d| b.iter(|| sim.run_profiles(d, &UniformSingle, &start, 5_000, 1_250, &obs)),
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("pipelined/n={n}")),
             &dynamics,
-            |b, d| b.iter(|| sim.run_profiles_pipelined(d, &start, 5_000, 1_250, &obs)),
+            |b, d| {
+                b.iter(|| {
+                    sim.run_profiles_pipelined(
+                        d,
+                        &UniformSingle,
+                        &start,
+                        5_000,
+                        1_250,
+                        &obs,
+                        &PipelineConfig::default(),
+                        None,
+                    )
+                })
+            },
         );
     }
     group.finish();

@@ -16,8 +16,8 @@ use logit_core::parallel::{coloring_for_game, coloring_for_graph};
 use logit_core::rules::{Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 use logit_core::schedules::UniformSingle;
 use logit_core::{
-    DynamicsEngine, LocalityLayout, RuntimeConfig, Scratch, Simulator, TemperingEnsemble,
-    WorkerPool,
+    DynamicsEngine, LocalityLayout, PipelineConfig, RuntimeConfig, Scratch, Simulator,
+    TemperingEnsemble, WorkerPool,
 };
 use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame};
 use logit_graphs::{Coloring, Graph, GraphBuilder, VertexOrdering};
@@ -816,14 +816,19 @@ fn ensemble_steps_per_sec<U: UpdateRule>(
     let result = if pipelined {
         sim.run_profiles_pipelined(
             &dynamics,
+            &UniformSingle,
             &start,
             steps_per_replica,
             sample_every,
             &observable,
+            &PipelineConfig::default(),
+            None,
         )
+        .expect("uncancelled runs complete")
     } else {
         sim.run_profiles(
             &dynamics,
+            &UniformSingle,
             &start,
             steps_per_replica,
             sample_every,

@@ -445,6 +445,7 @@ pub fn e10_ring(fast: bool) -> String {
 /// reports wall-clock throughput in steps/sec. The full grid simulates
 /// `n = 10⁵` players for 10⁷ total steps.
 pub fn e11_large_ring(fast: bool) -> String {
+    use logit_core::{PipelineConfig, UniformSingle};
     let sizes: &[usize] = if fast {
         &[1_000, 10_000]
     } else {
@@ -477,15 +478,33 @@ pub fn e11_large_ring(fast: bool) -> String {
         let sim = Simulator::new(0xE11, replicas);
         let observable = StrategyFraction::new(1, "adopters");
         let start = vec![0usize; n];
+        let sample_every = (steps / 4).max(1);
         let clock = std::time::Instant::now();
-        let result = sim.run_profiles(&dynamics, &start, steps, (steps / 4).max(1), &observable);
+        let result = sim.run_profiles(
+            &dynamics,
+            &UniformSingle,
+            &start,
+            steps,
+            sample_every,
+            &observable,
+        );
         let seconds = clock.elapsed().as_secs_f64();
         // The same workload through the pipelined farm/reducer stages: the
         // result must be bit-identical (same seeds, order-restoring reducer),
         // so the in-process assertion doubles as an acceptance check.
         let pipe_clock = std::time::Instant::now();
-        let pipelined =
-            sim.run_profiles_pipelined(&dynamics, &start, steps, (steps / 4).max(1), &observable);
+        let pipelined = sim
+            .run_profiles_pipelined(
+                &dynamics,
+                &UniformSingle,
+                &start,
+                steps,
+                sample_every,
+                &observable,
+                &PipelineConfig::default(),
+                None,
+            )
+            .expect("uncancelled runs complete");
         let pipe_seconds = pipe_clock.elapsed().as_secs_f64();
         assert_eq!(
             result.final_values, pipelined.final_values,
@@ -537,7 +556,7 @@ pub fn e12_cross_rule(fast: bool) -> String {
     use logit_core::rules::{
         Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse, UpdateRule,
     };
-    use logit_core::schedules::AllLogit;
+    use logit_core::schedules::{AllLogit, UniformSingle};
     use logit_core::DynamicsEngine;
     use logit_markov::{mixing_time, spectral_analysis, stationary_distribution};
 
@@ -668,7 +687,8 @@ pub fn e12_cross_rule(fast: bool) -> String {
             obs: &StrategyFraction,
         ) -> logit_core::EmpiricalLaw {
             let d = DynamicsEngine::with_rule(game.clone(), rule, beta);
-            sim.run_profiles(&d, start, steps, steps, obs).law()
+            sim.run_profiles(&d, &UniformSingle, start, steps, steps, obs)
+                .law()
         }
         let law = run_rule(&sim, &game, Logit, beta, &start, steps, &obs);
         push_sim("logit", steps, law);
@@ -700,7 +720,7 @@ pub fn e12_cross_rule(fast: bool) -> String {
         let ticks = (steps / players as u64).max(1);
         let d = LogitDynamics::new(game.clone(), beta);
         let law = sim
-            .run_profiles_scheduled(&d, &AllLogit, &start, ticks, ticks, &obs)
+            .run_profiles(&d, &AllLogit, &start, ticks, ticks, &obs)
             .law();
         push_sim("all-logit (block)", ticks * players as u64, law);
     }
@@ -977,19 +997,19 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
             ]);
         };
         let mean = sim
-            .run_profiles_scheduled(&d, &UniformSingle, &start, updates, updates, &obs)
+            .run_profiles(&d, &UniformSingle, &start, updates, updates, &obs)
             .law()
             .mean();
         push("uniform single", updates, updates, mean);
         let mean = sim
-            .run_profiles_scheduled(&d, &SystematicSweep, &start, updates, updates, &obs)
+            .run_profiles(&d, &SystematicSweep, &start, updates, updates, &obs)
             .law()
             .mean();
         push("systematic sweep", updates, updates, mean);
         let k = (n / 8).max(1);
         let ticks = updates / k as u64;
         let mean = sim
-            .run_profiles_scheduled(&d, &RandomBlock::new(k), &start, ticks, ticks, &obs)
+            .run_profiles(&d, &RandomBlock::new(k), &start, ticks, ticks, &obs)
             .law()
             .mean();
         push(
@@ -999,7 +1019,7 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
             mean,
         );
         let mean = sim
-            .run_profiles_scheduled(&d, &AllLogit, &start, rounds, rounds, &obs)
+            .run_profiles(&d, &AllLogit, &start, rounds, rounds, &obs)
             .law()
             .mean();
         push("all-logit (block)", rounds, rounds * n as u64, mean);
@@ -1007,7 +1027,7 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
         // stream)...
         let ticks = rounds * classes as u64;
         let mean = sim
-            .run_profiles_scheduled(
+            .run_profiles(
                 &d,
                 &ColouredBlocks::new(coloring.clone()),
                 &start,

@@ -38,12 +38,16 @@
 //! * [`gibbs`] — numerically stable Gibbs measures and partition functions,
 //! * [`simulate`] — trajectory simulation, parallel replica ensembles (one
 //!   [`runtime::WorkerPool`] claim per replica) and empirical-distribution
-//!   estimation,
+//!   estimation; [`simulate::Simulator`] has one ensemble entry per
+//!   executor, each taking the selection schedule explicitly —
+//!   `run_profiles` (sequential reference), `run_profiles_pipelined` (farm)
+//!   and `run_tempered` (tempered farm),
 //! * [`pipeline`] — the PPL-style pipelined ensemble runner: a farm of step
 //!   workers feeding one streamed, order-restoring observable reducer
 //!   through a bounded channel
-//!   ([`simulate::Simulator::run_profiles_pipelined`]), bit-identical to the
-//!   sequential path under fixed seeds,
+//!   ([`simulate::Simulator::run_profiles_pipelined`], cancellable through a
+//!   [`pipeline::CancelToken`]), bit-identical to the sequential path under
+//!   fixed seeds,
 //! * [`runtime`] — the persistent parallel runtime: a spawn-once
 //!   [`runtime::WorkerPool`] with a thread registry (worker ids, optional
 //!   Linux core pinning), spin/yield/park wait policies, epoch-tagged

@@ -18,8 +18,8 @@
 //!   updates.
 //!
 //! Both are ordinary [`SelectionSchedule`]s, so they plug into everything
-//! downstream unchanged — `step_scheduled`, `run_profiles_scheduled`, the
-//! pipelined farm, `run_tempered`, sweeps, annealing.
+//! downstream unchanged — `step_scheduled`, `run_profiles`, the pipelined
+//! farm, `run_tempered`, sweeps, annealing.
 //!
 //! On top of the schedule seam sits the genuinely parallel engine path,
 //! [`DynamicsEngine::step_coloured_pooled`]: a whole colour class is updated
@@ -839,6 +839,7 @@ mod tests {
     #[test]
     fn random_block_runs_through_the_scheduled_engine_at_large_n() {
         use crate::observables::StrategyFraction;
+        use crate::pipeline::PipelineConfig;
         use crate::simulate::Simulator;
         let game = GraphicalCoordinationGame::new(
             GraphBuilder::ring(400),
@@ -848,31 +849,23 @@ mod tests {
         let sim = Simulator::new(23, 4);
         let obs = StrategyFraction::new(0, "zeros");
         // k = 40 players per tick: 200 ticks = 8000 updates.
-        let result = sim.run_profiles_scheduled(
-            &d,
-            &RandomBlock::new(40),
-            &vec![1usize; 400],
-            200,
-            50,
-            &obs,
-        );
+        let schedule = RandomBlock::new(40);
+        let start = vec![1usize; 400];
+        let result = sim.run_profiles(&d, &schedule, &start, 200, 50, &obs);
         assert_eq!(result.final_values.len(), 4);
         assert!(result.law().mean() > 0.1, "risk-dominant zeros spread");
         // And the pipelined farm path is bit-identical through the same schedule.
-        let pipelined = sim.run_profiles_scheduled_pipelined(
-            &d,
-            &RandomBlock::new(40),
-            &vec![1usize; 400],
-            200,
-            50,
-            &obs,
-        );
+        let config = PipelineConfig::default();
+        let pipelined = sim
+            .run_profiles_pipelined(&d, &schedule, &start, 200, 50, &obs, &config, None)
+            .expect("uncancelled runs complete");
         assert_eq!(result.final_values, pipelined.final_values);
     }
 
     #[test]
     fn coloured_blocks_run_through_simulator_pipeline_and_tempering() {
         use crate::observables::PotentialObservable;
+        use crate::pipeline::PipelineConfig;
         use crate::simulate::Simulator;
         use crate::tempering::TemperingEnsemble;
         let game = GraphicalCoordinationGame::new(
@@ -884,16 +877,23 @@ mod tests {
         let sim = Simulator::new(17, 8);
         let obs = PotentialObservable::new(game.clone());
         let start = vec![0usize; 9];
-        let sequential = sim.run_profiles_scheduled(&d, &schedule, &start, 30, 10, &obs);
-        let pipelined = sim.run_profiles_scheduled_pipelined(&d, &schedule, &start, 30, 10, &obs);
+        let config = PipelineConfig::default();
+        let sequential = sim.run_profiles(&d, &schedule, &start, 30, 10, &obs);
+        let pipelined = sim
+            .run_profiles_pipelined(&d, &schedule, &start, 30, 10, &obs, &config, None)
+            .expect("uncancelled runs complete");
         assert_eq!(sequential.final_values, pipelined.final_values);
         assert_eq!(sequential.times, pipelined.times);
         // run_tempered accepts the schedule unchanged (Arc<G> is a LocalGame
         // too, so even the coloured engine paths exist on the rungs).
         let ensemble = TemperingEnsemble::new(game, Logit, &[0.5, 1.0]);
-        let tempered = sim.run_tempered(&ensemble, &schedule, &start, 10, 3, 5, &obs);
+        let tempered = sim
+            .run_tempered(&ensemble, &schedule, &start, 10, 3, 5, &obs, &config, None)
+            .expect("uncancelled runs complete");
         assert_eq!(tempered.final_values.len(), 8);
-        let again = sim.run_tempered(&ensemble, &schedule, &start, 10, 3, 5, &obs);
+        let again = sim
+            .run_tempered(&ensemble, &schedule, &start, 10, 3, 5, &obs, &config, None)
+            .expect("uncancelled runs complete");
         assert_eq!(tempered.final_values, again.final_values);
     }
 

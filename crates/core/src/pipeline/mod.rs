@@ -24,23 +24,21 @@
 //!   [`run_profiles`](crate::simulate::Simulator::run_profiles) fan-out but
 //!   with streaming output instead of one slot per replica).
 //! * **Step workers** — threads of the [`Simulator`]'s persistent
-//!   [`WorkerPool`](crate::runtime::WorkerPool) (spawned once, reused
-//!   across runs — not per-run thread spawns). Each claims a replica,
-//!   seeds the *same* deterministic ChaCha stream the sequential
-//!   path derives, and advances the monomorphised
-//!   [`DynamicsEngine`](crate::dynamics::DynamicsEngine) hot loop in
-//!   fixed-size tick chunks. At sample times it snapshots the profile into
-//!   the current [`SnapshotBatch`]; at chunk boundaries the batch is pushed
-//!   through a **bounded** channel (backpressure: a slow reducer throttles
-//!   the workers instead of letting snapshots pile up unboundedly). No
-//!   observable is evaluated on the stepping thread.
+//!   [`WorkerPool`] (spawned once, reused across runs — not per-run thread
+//!   spawns). Each claims a replica, seeds the *same* deterministic ChaCha
+//!   stream the sequential path derives, and advances the monomorphised
+//!   [`DynamicsEngine`] hot loop in fixed-size tick chunks. At sample times
+//!   it snapshots the profile into the current [`SnapshotBatch`]; at chunk
+//!   boundaries the batch is pushed through a **bounded** channel
+//!   (backpressure: a slow reducer throttles the workers instead of letting
+//!   snapshots pile up unboundedly). No observable is evaluated on the
+//!   stepping thread.
 //! * **Reducer** — a dedicated stage (the calling thread) that drains the
 //!   channel *while replicas are still running*: it evaluates the observable
 //!   on each snapshot and folds the value through an
-//!   [`OrderedSeriesReducer`] into
-//!   [`SeriesAccumulator`](crate::observables::SeriesAccumulator)
-//!   statistics. Replicas stream into the reducer as they finish chunks —
-//!   there is no end-of-run barrier.
+//!   [`OrderedSeriesReducer`] into [`SeriesAccumulator`] statistics.
+//!   Replicas stream into the reducer as they finish chunks — there is no
+//!   end-of-run barrier.
 //!
 //! **Bit-identity contract.** The pipelined runner is pinned to produce
 //! exactly the bytes of the sequential path: replica streams use the same
@@ -52,11 +50,18 @@
 //! proptest harness asserts this for every rule × schedule combination.
 //!
 //! The rule/schedule seam stays a monomorphised generic end-to-end: workers
-//! call the same `step_profile`/`step_scheduled` loop as the sequential
-//! path, no `dyn` anywhere on the hot path.
+//! call the same `step_scheduled` loop as the sequential path, with the
+//! schedule passed explicitly (the paper's chain is
+//! [`UniformSingle`](crate::schedules::UniformSingle)), no `dyn` anywhere on
+//! the hot path.
+//!
+//! **Entry points.** [`Simulator::run_profiles_pipelined`] farms profile
+//! ensembles and [`Simulator::run_tempered`] farms tempering ensembles; both
+//! take a [`PipelineConfig`] and an optional [`CancelToken`], and return
+//! `None` only when that token was cancelled.
 //!
 //! **Snapshot pooling.** Spent snapshot buffers travel back from the reducer
-//! to the workers through an unbounded return channel ([`SnapshotPool`]):
+//! to the workers through an unbounded return channel (`SnapshotPool`):
 //! at dense sampling rates the farm stops allocating per sample and recycles
 //! a small working set of buffers bounded by the in-flight batch count.
 //! Pooling is non-blocking on both sides and invisible in the results — the
@@ -72,7 +77,7 @@ use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::observables::{ProfileObservable, SeriesAccumulator};
 use crate::rules::UpdateRule;
 use crate::runtime::WorkerPool;
-use crate::schedules::{SelectionSchedule, UniformSingle};
+use crate::schedules::SelectionSchedule;
 use crate::simulate::{replica_seed, sample_times, ProfileEnsembleResult, Simulator};
 use logit_games::Game;
 use logit_linalg::stats::RunningStats;
@@ -166,18 +171,18 @@ impl PipelineConfig {
     }
 }
 
-/// A shareable cancellation flag for pipelined runs: clone it, hand one
-/// clone to [`Simulator::run_profiles_pipelined_cancellable_with`] and keep
-/// the other; [`cancel`](CancelToken::cancel) from any thread makes the
-/// farm's workers stop claiming work at their next chunk boundary (the
-/// emitter drains the remaining replicas as no-ops) and the run return
-/// `None` instead of a result.
+/// A shareable cancellation flag for farm runs: clone it, hand one clone
+/// to [`Simulator::run_profiles_pipelined`] or [`Simulator::run_tempered`]
+/// and keep the other; [`cancel`](CancelToken::cancel) from any thread makes
+/// the farm's workers stop claiming work at their next chunk (or tempering
+/// round) boundary — the emitter drains the remaining replicas as no-ops —
+/// and the run return `None` instead of a result.
 ///
 /// Cancellation is cooperative and chunk-granular: a worker mid-chunk
-/// finishes the chunk it is stepping first. Cancelling an already-finished
-/// run is a no-op on the workers but still makes the runner report `None` —
-/// "cancelled" wins over "completed" whenever both raced, so callers see
-/// one consistent outcome.
+/// finishes the chunk (or round) it is stepping first. Cancelling an
+/// already-finished run is a no-op on the workers but still makes the
+/// runner report `None` — "cancelled" wins over "completed" whenever both
+/// raced, so callers see one consistent outcome.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: std::sync::Arc<AtomicBool>,
@@ -385,7 +390,7 @@ where
         }))
     });
 
-    if let Some(payload) = worker_panic.into_inner().expect("panic slot poisoned") {
+    if let Some(payload) = worker_panic.lock().expect("panic slot poisoned").take() {
         resume_unwind(payload);
     }
     match reduced {
@@ -553,139 +558,22 @@ impl OrderedSeriesReducer {
 impl Simulator {
     /// The pipelined counterpart of
     /// [`run_profiles`](Simulator::run_profiles): same replicas, same seeds,
-    /// same result — but stepping and observable reduction run as pipeline
-    /// stages (see the [module docs](crate::pipeline)), so observables are
-    /// evaluated off the hot stepping threads and replicas stream into the
-    /// reducer as they finish chunks, with no end-of-run barrier.
+    /// same schedule, same result — but stepping and observable reduction
+    /// run as pipeline stages (see the [module docs](crate::pipeline)), so
+    /// observables are evaluated off the hot stepping threads and replicas
+    /// stream into the reducer as they finish chunks, with no end-of-run
+    /// barrier. `config` sizes the chunks and the channel; it affects
+    /// throughput and memory only, never the result.
     ///
     /// Bit-identical to `run_profiles` under fixed seeds: same
     /// `EmpiricalLaw` samples, same `RunningStats` bytes (asserted by the
     /// test harness for every rule × schedule combination).
-    pub fn run_profiles_pipelined<G, U, O>(
-        &self,
-        dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
-        steps: u64,
-        sample_every: u64,
-        observable: &O,
-    ) -> ProfileEnsembleResult
-    where
-        G: Game + Sync,
-        U: UpdateRule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_profiles_pipelined_with(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            &PipelineConfig::default(),
-        )
-    }
-
-    /// [`run_profiles_pipelined`](Simulator::run_profiles_pipelined) with
-    /// explicit [`PipelineConfig`] knobs (chunking and channel capacity).
-    /// The knobs affect throughput and memory only, never the result.
-    pub fn run_profiles_pipelined_with<G, U, O>(
-        &self,
-        dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
-        steps: u64,
-        sample_every: u64,
-        observable: &O,
-        config: &PipelineConfig,
-    ) -> ProfileEnsembleResult
-    where
-        G: Game + Sync,
-        U: UpdateRule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_profiles_pipelined_inner::<G, U, UniformSingle, O>(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            None,
-            config,
-            None,
-        )
-        .expect("uncancellable runs always complete")
-    }
-
-    /// [`run_profiles_pipelined_with`](Simulator::run_profiles_pipelined_with)
-    /// with a cooperative [`CancelToken`]: returns `None` — and stops the
-    /// farm's workers from claiming further chunks — once the token is
-    /// cancelled, `Some(result)` (bit-identical to the uncancelled path)
-    /// otherwise. The service layer runs every job through this entry so a
-    /// client hang-up can never strand a long ensemble on the shared pool.
+    ///
+    /// Returns `None` only when `cancel` was cancelled (see [`CancelToken`];
+    /// a cancelled run is the *only* way a partial stream is legal), so a
+    /// run without a token always returns `Some`.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_profiles_pipelined_cancellable_with<G, U, O>(
-        &self,
-        dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
-        steps: u64,
-        sample_every: u64,
-        observable: &O,
-        config: &PipelineConfig,
-        cancel: &CancelToken,
-    ) -> Option<ProfileEnsembleResult>
-    where
-        G: Game + Sync,
-        U: UpdateRule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_profiles_pipelined_inner::<G, U, UniformSingle, O>(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            None,
-            config,
-            Some(cancel),
-        )
-    }
-
-    /// The cancellable counterpart of
-    /// [`run_profiles_scheduled_pipelined_with`](Simulator::run_profiles_scheduled_pipelined_with);
-    /// see [`run_profiles_pipelined_cancellable_with`](Simulator::run_profiles_pipelined_cancellable_with)
-    /// for the cancellation semantics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_profiles_scheduled_pipelined_cancellable_with<G, U, S, O>(
-        &self,
-        dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
-        steps: u64,
-        sample_every: u64,
-        observable: &O,
-        schedule: &S,
-        config: &PipelineConfig,
-        cancel: &CancelToken,
-    ) -> Option<ProfileEnsembleResult>
-    where
-        G: Game + Sync,
-        U: UpdateRule,
-        S: SelectionSchedule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_profiles_pipelined_inner(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            Some(schedule),
-            config,
-            Some(cancel),
-        )
-    }
-
-    /// The pipelined counterpart of
-    /// [`run_profiles_scheduled`](Simulator::run_profiles_scheduled): one
-    /// schedule *tick* per step, any [`SelectionSchedule`].
-    pub fn run_profiles_scheduled_pipelined<G, U, S, O>(
+    pub fn run_profiles_pipelined<G, U, S, O>(
         &self,
         dynamics: &DynamicsEngine<G, U>,
         schedule: &S,
@@ -693,71 +581,6 @@ impl Simulator {
         steps: u64,
         sample_every: u64,
         observable: &O,
-    ) -> ProfileEnsembleResult
-    where
-        G: Game + Sync,
-        U: UpdateRule,
-        S: SelectionSchedule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_profiles_scheduled_pipelined_with(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            schedule,
-            &PipelineConfig::default(),
-        )
-    }
-
-    /// [`run_profiles_scheduled_pipelined`](Simulator::run_profiles_scheduled_pipelined)
-    /// with explicit [`PipelineConfig`] knobs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_profiles_scheduled_pipelined_with<G, U, S, O>(
-        &self,
-        dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
-        steps: u64,
-        sample_every: u64,
-        observable: &O,
-        schedule: &S,
-        config: &PipelineConfig,
-    ) -> ProfileEnsembleResult
-    where
-        G: Game + Sync,
-        U: UpdateRule,
-        S: SelectionSchedule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_profiles_pipelined_inner(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            Some(schedule),
-            config,
-            None,
-        )
-        .expect("uncancellable runs always complete")
-    }
-
-    /// The one farm-backed runner behind every pipelined entry point.
-    /// `cancel` is the cooperative kill switch: workers re-check it before
-    /// every chunk they step (skipping the claim entirely once set, which
-    /// drains the emitter's remaining replicas as no-ops), and the reducer
-    /// returns `None` instead of asserting stream completeness — a
-    /// cancelled run is the *only* way a partial stream is legal.
-    #[allow(clippy::too_many_arguments)]
-    fn run_profiles_pipelined_inner<G, U, S, O>(
-        &self,
-        dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
-        steps: u64,
-        sample_every: u64,
-        observable: &O,
-        schedule: Option<&S>,
         config: &PipelineConfig,
         cancel: Option<&CancelToken>,
     ) -> Option<ProfileEnsembleResult>
@@ -807,16 +630,7 @@ impl Simulator {
                 let first_sample = next_sample;
                 let mut batch: Vec<Vec<usize>> = Vec::new();
                 while t < chunk_end {
-                    match schedule {
-                        // The default uniform single-player path keeps the
-                        // dedicated (and bit-compatible) fast path.
-                        None => {
-                            dynamics.step_profile(&mut profile, &mut scratch, &mut rng);
-                        }
-                        Some(s) => {
-                            dynamics.step_scheduled(s, t, &mut profile, &mut scratch, &mut rng);
-                        }
-                    }
+                    dynamics.step_scheduled(schedule, t, &mut profile, &mut scratch, &mut rng);
                     t += 1;
                     if next_sample < times_ref.len() && times_ref[next_sample] == t {
                         let mut snapshot = pool.acquire(&mut spare);
@@ -890,7 +704,7 @@ mod tests {
     use crate::observables::{PotentialObservable, StrategyFraction};
     use crate::rules::{MetropolisLogit, NoisyBestResponse};
     use crate::runtime::RuntimeConfig;
-    use crate::schedules::{AllLogit, SystematicSweep};
+    use crate::schedules::{AllLogit, SystematicSweep, UniformSingle};
     use logit_games::{CoordinationGame, GraphicalCoordinationGame, WellGame};
     use logit_graphs::GraphBuilder;
 
@@ -945,7 +759,7 @@ mod tests {
         let d = ring_dynamics(6);
         let sim = Simulator::new(42, 24);
         let obs = StrategyFraction::new(1, "adopters");
-        let sequential = sim.run_profiles(&d, &[0; 6], 205, 50, &obs);
+        let sequential = sim.run_profiles(&d, &UniformSingle, &[0; 6], 205, 50, &obs);
         // Chunking, capacity and worker count are unobservable in the result.
         for (workers, config) in [
             (0, PipelineConfig::default()),
@@ -972,7 +786,9 @@ mod tests {
             ),
         ] {
             let sim = simulator_with_workers(42, 24, workers);
-            let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 205, 50, &obs, &config);
+            let pipelined = sim
+                .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 205, 50, &obs, &config, None)
+                .expect("uncancelled runs complete");
             assert_results_identical(&sequential, &pipelined);
         }
     }
@@ -986,20 +802,17 @@ mod tests {
             chunk_ticks: 13,
             channel_capacity: 3,
         };
-        let seq_sweep = sim.run_profiles_scheduled(&d, &SystematicSweep, &[1; 5], 77, 20, &obs);
-        let pipe_sweep = sim.run_profiles_scheduled_pipelined_with(
-            &d,
-            &[1; 5],
-            77,
-            20,
-            &obs,
-            &SystematicSweep,
-            &config,
-        );
+        let seq_sweep = sim.run_profiles(&d, &SystematicSweep, &[1; 5], 77, 20, &obs);
+        let pipe_sweep = sim
+            .run_profiles_pipelined(&d, &SystematicSweep, &[1; 5], 77, 20, &obs, &config, None)
+            .expect("uncancelled runs complete");
         assert_results_identical(&seq_sweep, &pipe_sweep);
 
-        let seq_block = sim.run_profiles_scheduled(&d, &AllLogit, &[1; 5], 40, 10, &obs);
-        let pipe_block = sim.run_profiles_scheduled_pipelined(&d, &AllLogit, &[1; 5], 40, 10, &obs);
+        let seq_block = sim.run_profiles(&d, &AllLogit, &[1; 5], 40, 10, &obs);
+        let default = PipelineConfig::default();
+        let pipe_block = sim
+            .run_profiles_pipelined(&d, &AllLogit, &[1; 5], 40, 10, &obs, &default, None)
+            .expect("uncancelled runs complete");
         assert_results_identical(&seq_block, &pipe_block);
     }
 
@@ -1015,21 +828,43 @@ mod tests {
             chunk_ticks: 11,
             channel_capacity: 2,
         };
+        let start = [0; 5];
 
         let logit = DynamicsEngine::with_rule(game.clone(), crate::rules::Logit, 0.9);
         assert_results_identical(
-            &sim.run_profiles(&logit, &[0; 5], 60, 25, &obs),
-            &sim.run_profiles_pipelined_with(&logit, &[0; 5], 60, 25, &obs, &config),
+            &sim.run_profiles(&logit, &UniformSingle, &start, 60, 25, &obs),
+            &sim.run_profiles_pipelined(
+                &logit,
+                &UniformSingle,
+                &start,
+                60,
+                25,
+                &obs,
+                &config,
+                None,
+            )
+            .expect("uncancelled runs complete"),
         );
         let metro = DynamicsEngine::with_rule(game.clone(), MetropolisLogit, 0.9);
         assert_results_identical(
-            &sim.run_profiles(&metro, &[0; 5], 60, 25, &obs),
-            &sim.run_profiles_pipelined_with(&metro, &[0; 5], 60, 25, &obs, &config),
+            &sim.run_profiles(&metro, &UniformSingle, &start, 60, 25, &obs),
+            &sim.run_profiles_pipelined(
+                &metro,
+                &UniformSingle,
+                &start,
+                60,
+                25,
+                &obs,
+                &config,
+                None,
+            )
+            .expect("uncancelled runs complete"),
         );
         let nbr = DynamicsEngine::with_rule(game, NoisyBestResponse::new(0.2), 0.9);
         assert_results_identical(
-            &sim.run_profiles(&nbr, &[0; 5], 60, 25, &obs),
-            &sim.run_profiles_pipelined_with(&nbr, &[0; 5], 60, 25, &obs, &config),
+            &sim.run_profiles(&nbr, &UniformSingle, &start, 60, 25, &obs),
+            &sim.run_profiles_pipelined(&nbr, &UniformSingle, &start, 60, 25, &obs, &config, None)
+                .expect("uncancelled runs complete"),
         );
     }
 
@@ -1043,8 +878,21 @@ mod tests {
         let d = LogitDynamics::new(game, 2.0);
         let sim = Simulator::new(17, 6);
         let obs = StrategyFraction::new(0, "zeros");
-        let sequential = sim.run_profiles(&d, &vec![1usize; 400], 8_000, 2_000, &obs);
-        let pipelined = sim.run_profiles_pipelined(&d, &vec![1usize; 400], 8_000, 2_000, &obs);
+        let start = vec![1usize; 400];
+        let config = PipelineConfig::default();
+        let sequential = sim.run_profiles(&d, &UniformSingle, &start, 8_000, 2_000, &obs);
+        let pipelined = sim
+            .run_profiles_pipelined(
+                &d,
+                &UniformSingle,
+                &start,
+                8_000,
+                2_000,
+                &obs,
+                &config,
+                None,
+            )
+            .expect("uncancelled runs complete");
         assert_results_identical(&sequential, &pipelined);
         assert!(pipelined.law().mean() > 0.2);
     }
@@ -1122,7 +970,7 @@ mod tests {
             chunk_ticks: 0,
             channel_capacity: 1,
         };
-        let _ = sim.run_profiles_pipelined_with(&d, &[0; 4], 10, 5, &obs, &config);
+        let _ = sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 10, 5, &obs, &config, None);
     }
 
     #[test]
@@ -1137,7 +985,7 @@ mod tests {
             chunk_ticks: 8,
             channel_capacity: 0,
         };
-        let _ = sim.run_profiles_pipelined_with(&d, &[0; 4], 10, 5, &obs, &config);
+        let _ = sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 10, 5, &obs, &config, None);
     }
 
     #[test]
@@ -1186,7 +1034,7 @@ mod tests {
         let d = ring_dynamics(6);
         let sim = simulator_with_workers(77, 12, 2);
         let obs = StrategyFraction::new(1, "adopters");
-        let sequential = sim.run_profiles(&d, &[0; 6], 120, 1, &obs);
+        let sequential = sim.run_profiles(&d, &UniformSingle, &[0; 6], 120, 1, &obs);
         for config in [
             PipelineConfig::default(),
             PipelineConfig {
@@ -1194,7 +1042,9 @@ mod tests {
                 channel_capacity: 1,
             },
         ] {
-            let pipelined = sim.run_profiles_pipelined_with(&d, &[0; 6], 120, 1, &obs, &config);
+            let pipelined = sim
+                .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 120, 1, &obs, &config, None)
+                .expect("uncancelled runs complete");
             assert_results_identical(&sequential, &pipelined);
         }
     }
@@ -1335,14 +1185,15 @@ mod tests {
         let obs = StrategyFraction::new(1, "adopters");
         let cancel = CancelToken::new();
         cancel.cancel();
-        let result = sim.run_profiles_pipelined_cancellable_with(
+        let result = sim.run_profiles_pipelined(
             &d,
+            &UniformSingle,
             &[0; 6],
             1_000,
             100,
             &obs,
             &PipelineConfig::default(),
-            &cancel,
+            Some(&cancel),
         );
         assert!(
             result.is_none(),
@@ -1368,54 +1219,35 @@ mod tests {
             chunk_ticks: 2,
             channel_capacity: 2,
         };
-        let result = sim
-            .run_profiles_pipelined_cancellable_with(&d, &[0; 6], 400, 10, &obs, &config, &cancel);
+        let result = sim.run_profiles_pipelined(
+            &d,
+            &UniformSingle,
+            &[0; 6],
+            400,
+            10,
+            &obs,
+            &config,
+            Some(&cancel),
+        );
         assert!(result.is_none());
         // The pool survives the cancelled farm: the next run is normal and
         // bit-identical to the sequential path.
         let obs = StrategyFraction::new(1, "adopters");
-        let sequential = sim.run_profiles(&d, &[0; 6], 120, 30, &obs);
+        let sequential = sim.run_profiles(&d, &UniformSingle, &[0; 6], 120, 30, &obs);
         let fresh = CancelToken::new();
         let rerun = sim
-            .run_profiles_pipelined_cancellable_with(&d, &[0; 6], 120, 30, &obs, &config, &fresh)
+            .run_profiles_pipelined(
+                &d,
+                &UniformSingle,
+                &[0; 6],
+                120,
+                30,
+                &obs,
+                &config,
+                Some(&fresh),
+            )
             .expect("uncancelled rerun completes");
         assert_results_identical(&sequential, &rerun);
-    }
-
-    #[test]
-    fn an_uncancelled_token_changes_nothing() {
-        let d = ring_dynamics(6);
-        let sim = simulator_with_workers(13, 20, 3);
-        let obs = StrategyFraction::new(1, "adopters");
-        let sequential = sim.run_profiles(&d, &[0; 6], 205, 50, &obs);
-        let cancel = CancelToken::new();
-        let cancellable = sim
-            .run_profiles_pipelined_cancellable_with(
-                &d,
-                &[0; 6],
-                205,
-                50,
-                &obs,
-                &PipelineConfig::default(),
-                &cancel,
-            )
-            .expect("run completes");
-        assert_results_identical(&sequential, &cancellable);
-        // The scheduled entry honours the token the same way.
-        let seq_sweep = sim.run_profiles_scheduled(&d, &SystematicSweep, &[1; 6], 77, 20, &obs);
-        let pipe_sweep = sim
-            .run_profiles_scheduled_pipelined_cancellable_with(
-                &d,
-                &[1; 6],
-                77,
-                20,
-                &obs,
-                &SystematicSweep,
-                &PipelineConfig::default(),
-                &cancel,
-            )
-            .expect("run completes");
-        assert_results_identical(&seq_sweep, &pipe_sweep);
     }
 
     #[test]
@@ -1427,10 +1259,14 @@ mod tests {
         // Same threads, no respawn: the registry is the pool's identity.
         assert_eq!(job.pool().registry().entries(), shared_registry);
         let obs = StrategyFraction::new(1, "adopters");
-        let served = job.run_profiles_pipelined(&d, &[0; 6], 150, 30, &obs);
+        let config = PipelineConfig::default();
+        let served = job
+            .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 150, 30, &obs, &config, None)
+            .expect("uncancelled runs complete");
         // The offline replay contract: a fresh Simulator with the job's
         // seed and replica count reproduces the served bytes.
-        let offline = Simulator::new(99, 12).run_profiles(&d, &[0; 6], 150, 30, &obs);
+        let offline =
+            Simulator::new(99, 12).run_profiles(&d, &UniformSingle, &[0; 6], 150, 30, &obs);
         assert_results_identical(&offline, &served);
     }
 
@@ -1439,14 +1275,27 @@ mod tests {
         // `run_tempered` is routed through the same farm/reducer stages; its
         // existing tests pin reproducibility, this one pins the stage plumbing
         // on a multi-rung ladder end to end.
-        use crate::schedules::UniformSingle;
         use crate::tempering::TemperingEnsemble;
         let game = WellGame::plateau(4, 2.0);
         let ensemble = TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.4, 1.2, 2.4]);
         let sim = Simulator::new(31, 10);
         let obs = PotentialObservable::new(game);
-        let a = sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 12, 4, 5, &obs);
-        let b = sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 12, 4, 5, &obs);
+        let run = |sim: &Simulator, config: &PipelineConfig| {
+            sim.run_tempered(
+                &ensemble,
+                &UniformSingle,
+                &[0; 4],
+                12,
+                4,
+                5,
+                &obs,
+                config,
+                None,
+            )
+            .expect("uncancelled runs complete")
+        };
+        let a = run(&sim, &PipelineConfig::default());
+        let b = run(&sim, &PipelineConfig::default());
         assert_eq!(a.final_values, b.final_values);
         assert_eq!(a.swap_stats, b.swap_stats);
         assert_eq!(a.times, vec![20, 40, 48]);
@@ -1457,14 +1306,75 @@ mod tests {
             chunk_ticks: 1,
             channel_capacity: 1,
         };
-        let sim = simulator_with_workers(31, 10, 1);
-        let c = sim.run_tempered_with(&ensemble, &UniformSingle, &[0; 4], 12, 4, 5, &obs, &tight);
+        let c = run(&simulator_with_workers(31, 10, 1), &tight);
         assert_eq!(a.final_values, c.final_values);
         assert_eq!(a.swap_stats, c.swap_stats);
         for (sa, sc) in a.series.iter().zip(&c.series) {
             assert_eq!(sa.count(), sc.count());
             assert_eq!(sa.mean(), sc.mean());
             assert_eq!(sa.variance(), sc.variance());
+        }
+    }
+
+    #[test]
+    fn mid_run_cancellation_ends_the_tempered_farm_cleanly() {
+        // The observable trips the token on the first cold-replica sample,
+        // which lands after round 1 of the first ensemble while many
+        // rounds and ensembles remain: the workers must stop between
+        // rounds and the run must report `None`.
+        use crate::tempering::TemperingEnsemble;
+        let game = WellGame::plateau(4, 2.0);
+        let ensemble = TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.4, 1.2, 2.4]);
+        let sim = simulator_with_workers(5, 16, 2);
+        let cancel = CancelToken::new();
+        let trip = cancel.clone();
+        let tripwire =
+            crate::observables::NamedObservable::new("tripwire", move |p: &[usize]| {
+                trip.cancel();
+                p[0] as f64
+            });
+        let config = PipelineConfig {
+            chunk_ticks: 1,
+            channel_capacity: 1,
+        };
+        let cancelled = sim.run_tempered(
+            &ensemble,
+            &UniformSingle,
+            &[0; 4],
+            400,
+            4,
+            1,
+            &tripwire,
+            &config,
+            Some(&cancel),
+        );
+        assert!(cancelled.is_none());
+        // The pool survives the cancelled farm: the same simulator's next
+        // run equals a fresh simulator's.
+        let obs = PotentialObservable::new(game);
+        let run = |sim: &Simulator| {
+            sim.run_tempered(
+                &ensemble,
+                &UniformSingle,
+                &[0; 4],
+                30,
+                4,
+                10,
+                &obs,
+                &config,
+                None,
+            )
+            .expect("uncancelled runs complete")
+        };
+        let rerun = run(&sim);
+        let fresh = run(&simulator_with_workers(5, 16, 2));
+        assert_eq!(rerun.times, fresh.times);
+        assert_eq!(rerun.final_values, fresh.final_values);
+        assert_eq!(rerun.swap_stats, fresh.swap_stats);
+        for (sa, sb) in rerun.series.iter().zip(&fresh.series) {
+            assert_eq!(sa.count(), sb.count());
+            assert_eq!(sa.mean(), sb.mean());
+            assert_eq!(sa.variance(), sb.variance());
         }
     }
 }

@@ -4,8 +4,10 @@
 //! This is the workspace's one parallel runtime, in the skeleton-library
 //! shape (spawn once, park on a wait policy, drive per-tick work through a
 //! claim counter and a completion barrier). Colour-class sweeps, the
-//! pipelined farm, tempered runs, the replica ensembles
-//! ([`Simulator::run`](crate::Simulator::run),
+//! pipelined farm
+//! ([`Simulator::run_profiles_pipelined`](crate::Simulator::run_profiles_pipelined)),
+//! tempered runs ([`Simulator::run_tempered`](crate::Simulator::run_tempered)),
+//! the replica ensembles ([`Simulator::run`](crate::Simulator::run),
 //! [`Simulator::run_profiles`](crate::Simulator::run_profiles), the
 //! observables ensemble), the exact β-sweeps and the annealing minimisers
 //! all dispatch through it, so [`RuntimeConfig`] (and `LOGIT_WORKERS`)

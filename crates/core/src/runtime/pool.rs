@@ -293,7 +293,8 @@ fn worker_loop(shared: Arc<Shared>) {
 }
 
 /// A persistent pool of worker threads with chunk-stealing dispatch. See
-/// the [module docs](self) for the protocol; see
+/// the [`runtime`](crate::runtime) module docs for the design (the dispatch
+/// protocol is spelled out in the private `pool` module's comments) and
 /// [`RuntimeConfig`] for the knobs.
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -421,7 +422,7 @@ impl WorkerPool {
     /// farm shape: workers step, the caller reduces). Returns
     /// `caller_work`'s result once both it and every chunk are done.
     ///
-    /// Panic priority matches [`run`]: a chunk panic is re-raised first
+    /// Panic priority matches [`run`](Self::run): a chunk panic is re-raised first
     /// (root cause), then the caller's own panic.
     pub fn execute_with<F, C, R>(&self, chunks: usize, limit: usize, f: &F, caller_work: C) -> R
     where
@@ -762,7 +763,7 @@ mod tests {
             }
             std::thread::yield_now();
         });
-        let seen = seen.into_inner().expect("lane set poisoned");
+        let seen = seen.lock().expect("lane set poisoned");
         assert!(
             seen.iter().all(|&lane| lane < pool.workers()),
             "lane indices must stay within the spawned worker range"

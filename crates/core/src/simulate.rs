@@ -13,8 +13,12 @@
 //!   exactly-analysable games; the in-place entry point
 //!   [`Simulator::run_profiles`] serves large-`n` games whose profile space
 //!   does not fit a flat index, streaming a
-//!   [`ProfileObservable`](crate::observables::ProfileObservable) every `k`
-//!   steps instead of touching final states only,
+//!   [`ProfileObservable`] every `k` ticks of an explicit
+//!   [`SelectionSchedule`] instead of touching final states only. Its farm
+//!   counterpart [`Simulator::run_profiles_pipelined`] and the tempered farm
+//!   [`Simulator::run_tempered`] take the same arguments in the same order,
+//!   plus a [`PipelineConfig`](crate::pipeline::PipelineConfig) and an
+//!   optional [`CancelToken`](crate::pipeline::CancelToken),
 //! * [`EmpiricalLaw`] — the empirical distribution of an observable across
 //!   replicas, the `|S|`-free replacement for the per-state empirical vector,
 //! * empirical-distribution and observable tracking used by the experiments to
@@ -367,7 +371,9 @@ impl TemperedEnsembleResult {
 /// Reproducible parallel ensemble simulator.
 ///
 /// Every parallel run — the replica ensembles of [`run`](Self::run) and
-/// [`run_profiles`](Self::run_profiles), the pipelined farm, tempered runs —
+/// [`run_profiles`](Self::run_profiles), the pipelined farm
+/// [`run_profiles_pipelined`](Self::run_profiles_pipelined), the tempered
+/// farm [`run_tempered`](Self::run_tempered) —
 /// goes through one persistent [`WorkerPool`](crate::runtime::WorkerPool)
 /// per simulator, spawned lazily on the first run and configured by the
 /// simulator's [`RuntimeConfig`](crate::runtime::RuntimeConfig) — worker
@@ -469,46 +475,6 @@ impl Simulator {
         );
     }
 
-    /// Drives `ticks` coloured block ticks of `engine` — which must be
-    /// built on the **relabelled** game of `layout` — from the
-    /// original-label profile `start`, through the simulator's persistent
-    /// pool and runtime configuration (cache-blocked byte sweeps, draws
-    /// keyed by original player ids). Returns the final profile in
-    /// original labels together with the total moved count; bit-identical
-    /// to stepping the unrelabelled engine with
-    /// [`DynamicsEngine::step_coloured`] from the same seed.
-    pub fn run_coloured_locality<G, U>(
-        &self,
-        engine: &DynamicsEngine<G, U>,
-        layout: &crate::locality::LocalityLayout,
-        start: &[usize],
-        ticks: u64,
-    ) -> (Vec<usize>, usize)
-    where
-        G: logit_games::LocalGame + Sync,
-        U: UpdateRule,
-    {
-        let mut bytes = Vec::new();
-        layout.pack_profile(start, &mut bytes);
-        let mut scratch = Scratch::for_game(engine.game());
-        let mut moved = 0;
-        for t in 0..ticks {
-            moved += engine.step_coloured_pooled_bytes(
-                layout.coloring(),
-                t,
-                self.seed,
-                Some(layout.labels()),
-                &mut bytes,
-                &mut scratch,
-                self.pool(),
-                &self.runtime,
-            );
-        }
-        let mut out = Vec::new();
-        layout.unpack_profile(&bytes, &mut out);
-        (out, moved)
-    }
-
     /// Runs every replica for `steps` steps from `start` in parallel (one
     /// pool claim per replica) and evaluates `observable` on each final
     /// state.
@@ -557,44 +523,23 @@ impl Simulator {
     }
 
     /// Runs every replica in place over strategy profiles — the large-`n`
-    /// entry point. Each replica starts from a copy of `start`, steps
-    /// `steps` times with its own deterministic ChaCha stream and reused
-    /// [`Scratch`] buffers, and records `observable` every `sample_every`
-    /// steps (plus at the final step), so the transient is observed as it
-    /// unfolds instead of final states only.
+    /// entry point and the sequential reference the pipelined farm is
+    /// pinned against. Each replica starts from a copy of `start`, advances
+    /// `steps` ticks of `schedule` with its own deterministic ChaCha stream
+    /// and reused [`Scratch`] buffers, and records `observable` every
+    /// `sample_every` ticks (plus at the final tick), so the transient is
+    /// observed as it unfolds instead of final states only.
+    ///
+    /// A tick is one [`SelectionSchedule`] tick: a single player for the
+    /// sequential schedules (the paper's chain is
+    /// [`UniformSingle`](crate::schedules::UniformSingle)), a whole block of
+    /// updates for the parallel ones.
     ///
     /// Never builds the flat profile space: games with `n = 10⁵`–`10⁶`
     /// players run fine. Replica streams use the same seed derivation as
-    /// [`Self::run`], so on small games the two engines agree replica by
-    /// replica.
-    pub fn run_profiles<G, U, O>(
-        &self,
-        dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
-        steps: u64,
-        sample_every: u64,
-        observable: &O,
-    ) -> ProfileEnsembleResult
-    where
-        G: Game + Sync,
-        U: UpdateRule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_profiles_inner::<G, U, crate::schedules::UniformSingle, O>(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            None,
-        )
-    }
-
-    /// [`Self::run_profiles`] under an arbitrary
-    /// [`SelectionSchedule`](crate::schedules::SelectionSchedule): each step
-    /// is one schedule *tick* (a single player for the sequential schedules,
-    /// a whole block of `n` updates for the parallel all-logit schedule).
-    pub fn run_profiles_scheduled<G, U, S, O>(
+    /// [`Self::run`], so on small games under `UniformSingle` the two
+    /// engines agree replica by replica.
+    pub fn run_profiles<G, U, S, O>(
         &self,
         dynamics: &DynamicsEngine<G, U>,
         schedule: &S,
@@ -602,31 +547,6 @@ impl Simulator {
         steps: u64,
         sample_every: u64,
         observable: &O,
-    ) -> ProfileEnsembleResult
-    where
-        G: Game + Sync,
-        U: UpdateRule,
-        S: SelectionSchedule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_profiles_inner(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            Some(schedule),
-        )
-    }
-
-    fn run_profiles_inner<G, U, S, O>(
-        &self,
-        dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
-        steps: u64,
-        sample_every: u64,
-        observable: &O,
-        schedule: Option<&S>,
     ) -> ProfileEnsembleResult
     where
         G: Game + Sync,
@@ -649,16 +569,7 @@ impl Simulator {
             let mut t = 0u64;
             for &target in &times {
                 while t < target {
-                    match schedule {
-                        // The default uniform single-player path keeps the
-                        // dedicated (and bit-compatible) fast path.
-                        None => {
-                            dynamics.step_profile(&mut profile, &mut scratch, &mut rng);
-                        }
-                        Some(s) => {
-                            dynamics.step_scheduled(s, t, &mut profile, &mut scratch, &mut rng);
-                        }
-                    }
+                    dynamics.step_scheduled(schedule, t, &mut profile, &mut scratch, &mut rng);
                     t += 1;
                 }
                 values.push(observable.evaluate_profile(&profile));
@@ -688,8 +599,9 @@ impl Simulator {
         }
     }
 
-    /// Runs independent replica-exchange ensembles in parallel — the
-    /// tempering analogue of [`Self::run_profiles_scheduled`].
+    /// Runs independent replica-exchange ensembles on the farm — the
+    /// tempering analogue of
+    /// [`run_profiles_pipelined`](Self::run_profiles_pipelined).
     ///
     /// Each of the simulator's `replicas` entries becomes one *tempering
     /// ensemble* (a full β-ladder of `ensemble.num_replicas()` chains) with
@@ -704,12 +616,18 @@ impl Simulator {
     /// runner ([`crate::pipeline`]): ensemble workers push cold-replica
     /// snapshots through a bounded channel as the rounds unfold, and a
     /// dedicated reducer evaluates the observable and folds statistics off
-    /// the sweeping threads — streamed, no end-of-run barrier. Uses the
-    /// default [`crate::pipeline::PipelineConfig`]; pass explicit knobs
-    /// through [`Self::run_tempered_with`] when the defaults don't fit
-    /// (dense sampling on very large games pays one `O(n)` cold-profile
-    /// snapshot per sample round per ensemble, bounded by the channel
-    /// capacity).
+    /// the sweeping threads — streamed, no end-of-run barrier. Of `config`
+    /// only `channel_capacity` applies (dense sampling on very large games
+    /// pays one `O(n)` cold-profile snapshot per sample round per ensemble,
+    /// bounded by the channel capacity): the round structure already chunks
+    /// the stream at sample rounds, so `chunk_ticks` has no effect, and the
+    /// worker count comes from the simulator's
+    /// [`RuntimeConfig`](crate::runtime::RuntimeConfig). Neither affects the
+    /// result.
+    ///
+    /// `cancel` works as on the profile farm, checked before seeding and
+    /// before every round: `None` means cancelled, so a run without a token
+    /// always returns `Some`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_tempered<G, U, S, O>(
         &self,
@@ -720,44 +638,9 @@ impl Simulator {
         sweep_ticks: u64,
         sample_every: u64,
         observable: &O,
-    ) -> TemperedEnsembleResult
-    where
-        G: logit_games::PotentialGame + Send + Sync,
-        U: UpdateRule,
-        S: SelectionSchedule,
-        O: ProfileObservable + Sync,
-    {
-        self.run_tempered_with(
-            ensemble,
-            schedule,
-            start,
-            rounds,
-            sweep_ticks,
-            sample_every,
-            observable,
-            &crate::pipeline::PipelineConfig::default(),
-        )
-    }
-
-    /// [`Self::run_tempered`] with explicit
-    /// [`PipelineConfig`](crate::pipeline::PipelineConfig) knobs. Only
-    /// `channel_capacity` applies: the tempering round structure already
-    /// chunks the stream at sample rounds, so `chunk_ticks` has no effect,
-    /// and the worker count comes from the simulator's
-    /// [`RuntimeConfig`](crate::runtime::RuntimeConfig). The knobs affect
-    /// throughput and memory only, never the result.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_tempered_with<G, U, S, O>(
-        &self,
-        ensemble: &crate::tempering::TemperingEnsemble<G, U>,
-        schedule: &S,
-        start: &[usize],
-        rounds: u64,
-        sweep_ticks: u64,
-        sample_every: u64,
-        observable: &O,
         config: &crate::pipeline::PipelineConfig,
-    ) -> TemperedEnsembleResult
+        cancel: Option<&crate::pipeline::CancelToken>,
+    ) -> Option<TemperedEnsembleResult>
     where
         G: logit_games::PotentialGame + Send + Sync,
         U: UpdateRule,
@@ -788,11 +671,21 @@ impl Simulator {
             },
         }
 
+        let cancelled = || cancel.is_some_and(|c| c.is_cancelled());
         let worker = |e: usize, tx: &FarmSender<TemperMsg>| {
+            // A cancelled run stops before seeding and between rounds:
+            // returning `false` trips the farm's stop flag, so the emitter
+            // drains every remaining ensemble as a no-op.
+            if cancelled() {
+                return false;
+            }
             let mut state = ensemble.init_state(start, ensemble_seed(self.seed, e));
             let mut r = 0u64;
             for (k, &target) in sample_rounds_ref.iter().enumerate() {
                 while r < target {
+                    if cancelled() {
+                        return false;
+                    }
                     ensemble.round(schedule, &mut state, sweep_ticks);
                     r += 1;
                 }
@@ -839,9 +732,14 @@ impl Simulator {
                         }
                     }
                 }
-                (reducer.finish(), stats)
+                // As on the profile farm, a set token discards even a
+                // whole stream, so racing callers observe one outcome.
+                if cancelled() {
+                    return None;
+                }
+                Some((reducer.finish(), stats))
             },
-        );
+        )?;
 
         let (series, final_values) = acc.into_series_and_finals();
         let mut swap_stats =
@@ -850,7 +748,7 @@ impl Simulator {
             swap_stats.merge(&stats.expect("every ensemble reports swap stats"));
         }
 
-        TemperedEnsembleResult {
+        Some(TemperedEnsembleResult {
             ensembles: self.replicas,
             replicas_per_ensemble: ensemble.num_replicas(),
             rounds,
@@ -860,7 +758,7 @@ impl Simulator {
             series,
             final_values,
             swap_stats,
-        }
+        })
     }
 
     /// Convenience: runs the ensemble and reports the total variation distance of
@@ -911,6 +809,8 @@ mod tests {
     use super::*;
     use crate::dynamics::LogitDynamics;
     use crate::gibbs::gibbs_distribution;
+    use crate::pipeline::PipelineConfig;
+    use crate::schedules::UniformSingle;
     use logit_games::{CoordinationGame, GraphicalCoordinationGame, PotentialGame, WellGame};
     use logit_graphs::GraphBuilder;
     use rand::rngs::StdRng;
@@ -946,8 +846,8 @@ mod tests {
         assert_eq!(a.final_states, b.final_states);
         assert_eq!(moments(&a.observable_stats), moments(&b.observable_stats));
 
-        let a = one.run_profiles(&d, &[0; 4], 50, 10, &obs);
-        let b = three.run_profiles(&d, &[0; 4], 50, 10, &obs);
+        let a = one.run_profiles(&d, &UniformSingle, &[0; 4], 50, 10, &obs);
+        let b = three.run_profiles(&d, &UniformSingle, &[0; 4], 50, 10, &obs);
         assert_eq!(a.final_values, b.final_values);
         let series = |r: &ProfileEnsembleResult| r.series.iter().map(moments).collect::<Vec<_>>();
         assert_eq!(series(&a), series(&b));
@@ -1030,7 +930,7 @@ mod tests {
 
         let flat = sim.run(&d, 0, 60, |idx| game.potential(&space.profile_of(idx)));
         let obs = PotentialObservable::new(game.clone());
-        let prof = sim.run_profiles(&d, &[0, 0, 0, 0], 60, 60, &obs);
+        let prof = sim.run_profiles(&d, &UniformSingle, &[0, 0, 0, 0], 60, 60, &obs);
 
         // Same seeds, same update rule, same draw order: the final observable
         // values agree exactly, replica by replica.
@@ -1052,7 +952,7 @@ mod tests {
         let d = LogitDynamics::new(game, 1.2);
         let sim = Simulator::new(3, 100);
         let obs = StrategyFraction::new(1, "adopters");
-        let result = sim.run_profiles(&d, &[0; 6], 205, 50, &obs);
+        let result = sim.run_profiles(&d, &UniformSingle, &[0; 6], 205, 50, &obs);
         // Samples at 50, 100, 150, 200 plus the final step 205.
         assert_eq!(result.times, vec![50, 100, 150, 200, 205]);
         assert_eq!(result.series.len(), 5);
@@ -1077,7 +977,7 @@ mod tests {
         let d = LogitDynamics::new(game, 2.0);
         let sim = Simulator::new(9, 8);
         let obs = StrategyFraction::new(0, "zeros");
-        let result = sim.run_profiles(&d, &vec![1usize; 500], 20_000, 5_000, &obs);
+        let result = sim.run_profiles(&d, &UniformSingle, &vec![1usize; 500], 20_000, 5_000, &obs);
         assert_eq!(result.final_values.len(), 8);
         // Strategy 0 is risk dominant; from all-ones, zeros should spread.
         assert!(
@@ -1211,23 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_ensemble_with_uniform_single_matches_the_default_path() {
-        use crate::observables::PotentialObservable;
-        use crate::schedules::UniformSingle;
-        let game = GraphicalCoordinationGame::new(
-            GraphBuilder::ring(4),
-            CoordinationGame::from_deltas(2.0, 1.0),
-        );
-        let d = LogitDynamics::new(game.clone(), 0.9);
-        let sim = Simulator::new(21, 32);
-        let obs = PotentialObservable::new(game);
-        let default = sim.run_profiles(&d, &[0, 0, 0, 0], 50, 10, &obs);
-        let scheduled = sim.run_profiles_scheduled(&d, &UniformSingle, &[0, 0, 0, 0], 50, 10, &obs);
-        assert_eq!(default.final_values, scheduled.final_values);
-        assert_eq!(default.times, scheduled.times);
-    }
-
-    #[test]
     fn all_logit_ensemble_runs_at_large_n() {
         use crate::observables::StrategyFraction;
         use crate::schedules::AllLogit;
@@ -1240,7 +1123,7 @@ mod tests {
         let d = LogitDynamics::new(game, 2.0);
         let sim = Simulator::new(13, 6);
         let obs = StrategyFraction::new(0, "zeros");
-        let result = sim.run_profiles_scheduled(&d, &AllLogit, &vec![1usize; 300], 200, 50, &obs);
+        let result = sim.run_profiles(&d, &AllLogit, &vec![1usize; 300], 200, 50, &obs);
         assert_eq!(result.final_values.len(), 6);
         // Strategy 0 is risk dominant; 200 block ticks = 60000 updates should
         // flip a clear majority.
@@ -1304,13 +1187,27 @@ mod tests {
     #[test]
     fn tempered_ensembles_stream_the_cold_replica_and_pool_swap_stats() {
         use crate::observables::PotentialObservable;
-        use crate::schedules::UniformSingle;
         use crate::tempering::TemperingEnsemble;
         let game = WellGame::plateau(4, 2.0);
         let ensemble = TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.4, 1.2, 2.4]);
         let sim = Simulator::new(31, 24);
         let obs = PotentialObservable::new(game);
-        let result = sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 25, 4, 10, &obs);
+        let config = PipelineConfig::default();
+        let run = || {
+            sim.run_tempered(
+                &ensemble,
+                &UniformSingle,
+                &[0; 4],
+                25,
+                4,
+                10,
+                &obs,
+                &config,
+                None,
+            )
+            .expect("uncancelled runs complete")
+        };
+        let result = run();
         assert_eq!(result.ensembles, 24);
         assert_eq!(result.replicas_per_ensemble, 3);
         // Samples at rounds 10, 20 plus the final round 25, in engine ticks.
@@ -1324,7 +1221,7 @@ mod tests {
         assert_eq!(result.swap_stats.attempts(1), 24 * 25);
         assert_eq!(result.swap_rates().len(), 2);
         // Reproducible: same seed, same everything.
-        let again = sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 25, 4, 10, &obs);
+        let again = run();
         assert_eq!(result.final_values, again.final_values);
         assert_eq!(result.swap_stats, again.swap_stats);
     }
@@ -1332,7 +1229,6 @@ mod tests {
     #[test]
     fn tempered_cold_replica_law_tracks_gibbs_potential() {
         use crate::observables::PotentialObservable;
-        use crate::schedules::UniformSingle;
         use crate::tempering::TemperingEnsemble;
         let game = WellGame::plateau(4, 2.0);
         let beta_cold = 2.0;
@@ -1340,7 +1236,20 @@ mod tests {
             TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.3, 1.0, beta_cold]);
         let sim = Simulator::new(8, 400);
         let obs = PotentialObservable::new(game.clone());
-        let result = sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 150, 4, 150, &obs);
+        let config = PipelineConfig::default();
+        let result = sim
+            .run_tempered(
+                &ensemble,
+                &UniformSingle,
+                &[0; 4],
+                150,
+                4,
+                150,
+                &obs,
+                &config,
+                None,
+            )
+            .expect("uncancelled runs complete");
         let expected = crate::gibbs::expected_potential(&game, beta_cold);
         let mean = result.law().mean();
         assert!(
@@ -1357,6 +1266,6 @@ mod tests {
         let d = LogitDynamics::new(game, 1.0);
         let sim = Simulator::new(1, 4);
         let obs = StrategyFraction::new(0, "zeros");
-        let _ = sim.run_profiles(&d, &[0, 0], 10, 5, &obs);
+        let _ = sim.run_profiles(&d, &UniformSingle, &[0, 0], 10, 5, &obs);
     }
 }

@@ -5,12 +5,15 @@
 //! exact sweeps parallelise over the parameter grid on a [`WorkerPool`] sized
 //! by [`RuntimeConfig::from_env`] — each grid point is an independent exact
 //! computation, claimed as one chunk — which is where the multi-core speedup
-//! of the harness comes from.
+//! of the harness comes from. The profile sweeps run one
+//! [`Simulator::run_profiles`] ensemble per grid point, which fans its
+//! replicas out on the simulator's pool instead.
 
 use crate::estimate::{exact_mixing_time, exact_mixing_time_with_rule, MixingMeasurement};
 use crate::observables::ProfileObservable;
 use crate::rules::{Logit, UpdateRule};
 use crate::runtime::{RuntimeConfig, WorkerPool};
+use crate::schedules::UniformSingle;
 use crate::simulate::{EmpiricalLaw, Simulator};
 use crate::DynamicsEngine;
 use logit_games::{Game, PotentialGame};
@@ -146,9 +149,10 @@ pub struct ProfileSweepRow {
 
 /// Sweeps β with the in-place profile engine — the large-`n` counterpart of
 /// [`beta_sweep`], for games whose chains cannot be built exactly. Each grid
-/// point runs a replica ensemble (replicas parallelised inside
-/// [`Simulator::run_profiles`]; grid points run sequentially to avoid nested
-/// thread pools) and reports the final-time law of `observable`.
+/// point runs a replica ensemble of the paper's chain
+/// ([`Simulator::run_profiles`] under [`UniformSingle`], replicas
+/// parallelised inside it; grid points run sequentially to avoid nested
+/// dispatches on the pool) and reports the final-time law of `observable`.
 #[allow(clippy::too_many_arguments)]
 pub fn beta_profile_sweep<G, O>(
     game: &G,
@@ -201,8 +205,9 @@ where
     betas
         .iter()
         .map(|&beta| {
-            let dynamics = DynamicsEngine::with_rule(game.clone(), rule.clone(), beta);
-            let result = sim.run_profiles(&dynamics, start, steps, sample_every, observable);
+            let d = DynamicsEngine::with_rule(game.clone(), rule.clone(), beta);
+            let result =
+                sim.run_profiles(&d, &UniformSingle, start, steps, sample_every, observable);
             let stats = result.final_stats();
             ProfileSweepRow {
                 beta,

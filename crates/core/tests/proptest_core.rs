@@ -180,7 +180,7 @@ proptest! {
         let flat = sim.run(&d, 0, 40, |idx| game.potential(&space.profile_of(idx)));
         let obs = PotentialObservable::new(game.clone());
         let start = space.profile_of(0);
-        let prof = sim.run_profiles(&d, &start, 40, 10, &obs);
+        let prof = sim.run_profiles(&d, &UniformSingle, &start, 40, 10, &obs);
 
         let flat_finals: Vec<f64> = flat
             .final_states
@@ -225,7 +225,7 @@ proptest! {
         let d = LogitDynamics::new(game.clone(), beta);
         let obs = PotentialObservable::new(game.clone());
         let sim = Simulator::new(seed, 16);
-        let result = sim.run_profiles(&d, &[0, 0, 0], 33, 10, &obs);
+        let result = sim.run_profiles(&d, &UniformSingle, &[0, 0, 0], 33, 10, &obs);
         prop_assert_eq!(&result.times, &vec![10u64, 20, 30, 33]);
         prop_assert_eq!(result.series.len(), result.times.len());
         for stats in &result.series {
@@ -513,34 +513,37 @@ proptest! {
         ) -> Result<(), TestCaseError> {
             let d = DynamicsEngine::with_rule(game.clone(), rule, beta);
             let start = [0usize, 0, 0];
-            // Default (uniform single-player fast path).
+            // The paper's uniform single-player schedule, farmed with a live
+            // (never cancelled) token: the call shape the job server uses.
+            let token = logit_core::CancelToken::new();
             assert_identical(
-                &sim.run_profiles(&d, &start, 33, 10, obs),
-                &sim.run_profiles_pipelined_with(&d, &start, 33, 10, obs, config),
+                &sim.run_profiles(&d, &UniformSingle, &start, 33, 10, obs),
+                &sim.run_profiles_pipelined(&d, &UniformSingle, &start, 33, 10, obs, config, Some(&token))
+                    .expect("an uncancelled token lets the run complete"),
             )?;
-            // Every explicit schedule through the scheduled tick path.
+            // Every other schedule through the same tick path.
             assert_identical(
-                &sim.run_profiles_scheduled(&d, &UniformSingle, &start, 33, 10, obs),
-                &sim.run_profiles_scheduled_pipelined_with(&d, &start, 33, 10, obs, &UniformSingle, config),
+                &sim.run_profiles(&d, &SystematicSweep, &start, 33, 10, obs),
+                &sim.run_profiles_pipelined(&d, &SystematicSweep, &start, 33, 10, obs, config, None)
+                    .expect("uncancelled runs complete"),
             )?;
             assert_identical(
-                &sim.run_profiles_scheduled(&d, &SystematicSweep, &start, 33, 10, obs),
-                &sim.run_profiles_scheduled_pipelined_with(&d, &start, 33, 10, obs, &SystematicSweep, config),
-            )?;
-            assert_identical(
-                &sim.run_profiles_scheduled(&d, &AllLogit, &start, 21, 7, obs),
-                &sim.run_profiles_scheduled_pipelined_with(&d, &start, 21, 7, obs, &AllLogit, config),
+                &sim.run_profiles(&d, &AllLogit, &start, 21, 7, obs),
+                &sim.run_profiles_pipelined(&d, &AllLogit, &start, 21, 7, obs, config, None)
+                    .expect("uncancelled runs complete"),
             )?;
             // The coloured-revision block schedules ride the same seam.
             let block = RandomBlock::new(2);
             assert_identical(
-                &sim.run_profiles_scheduled(&d, &block, &start, 33, 10, obs),
-                &sim.run_profiles_scheduled_pipelined_with(&d, &start, 33, 10, obs, &block, config),
+                &sim.run_profiles(&d, &block, &start, 33, 10, obs),
+                &sim.run_profiles_pipelined(&d, &block, &start, 33, 10, obs, config, None)
+                    .expect("uncancelled runs complete"),
             )?;
             let coloured = ColouredBlocks::new(logit_graphs::Coloring::from_colors(vec![0, 1, 0]));
             assert_identical(
-                &sim.run_profiles_scheduled(&d, &coloured, &start, 21, 7, obs),
-                &sim.run_profiles_scheduled_pipelined_with(&d, &start, 21, 7, obs, &coloured, config),
+                &sim.run_profiles(&d, &coloured, &start, 21, 7, obs),
+                &sim.run_profiles_pipelined(&d, &coloured, &start, 21, 7, obs, config, None)
+                    .expect("uncancelled runs complete"),
             )?;
             Ok(())
         }

@@ -14,7 +14,8 @@ use logit_core::observables::PotentialObservable;
 use logit_core::parallel::coloring_for_game;
 use logit_core::rules::{Logit, MetropolisLogit};
 use logit_core::{
-    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, WaitPolicy, WorkerPool,
+    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, UniformSingle, WaitPolicy,
+    WorkerPool,
 };
 use logit_games::{Game, GraphicalCoordinationGame, TablePotentialGame};
 use logit_graphs::GraphBuilder;
@@ -51,7 +52,8 @@ fn engines_never_register_instruments_without_the_feature() {
     let game = TablePotentialGame::random(vec![2, 3, 2], 2.0, &mut rng);
     let d = DynamicsEngine::with_rule(game.clone(), Logit, 1.1);
     let obs = PotentialObservable::new(game);
-    let _ = sim.run_profiles_pipelined(&d, &[0, 0, 0], 40, 8, &obs);
+    let config = PipelineConfig::default();
+    let _ = sim.run_profiles_pipelined(&d, &UniformSingle, &[0, 0, 0], 40, 8, &obs, &config, None);
     assert_eq!(
         logit_telemetry::global().instrument_count(),
         0,
@@ -84,8 +86,10 @@ fn pipelined_runs_stay_bit_identical_with_the_env_switch_set() {
     for beta in [0.4, 1.7] {
         let d = DynamicsEngine::with_rule(game.clone(), Logit, beta);
         let start = [0usize, 0, 0];
-        let sequential = sim.run_profiles(&d, &start, 33, 10, &obs);
-        let pipelined = sim.run_profiles_pipelined_with(&d, &start, 33, 10, &obs, &config);
+        let sequential = sim.run_profiles(&d, &UniformSingle, &start, 33, 10, &obs);
+        let pipelined = sim
+            .run_profiles_pipelined(&d, &UniformSingle, &start, 33, 10, &obs, &config, None)
+            .expect("uncancelled runs complete");
         assert_eq!(sequential.times, pipelined.times);
         assert_eq!(sequential.final_values, pipelined.final_values);
         assert_eq!(sequential.law().ks_distance(&pipelined.law()), 0.0);

@@ -10,7 +10,9 @@
 use logit_core::observables::PotentialObservable;
 use logit_core::parallel::coloring_for_game;
 use logit_core::rules::{Logit, MetropolisLogit};
-use logit_core::{DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, WorkerPool};
+use logit_core::{
+    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, UniformSingle, WorkerPool,
+};
 use logit_games::{Game, GraphicalCoordinationGame, TablePotentialGame};
 use logit_graphs::GraphBuilder;
 use rand::rngs::StdRng;
@@ -39,8 +41,10 @@ fn live_recording_observes_without_steering() {
     };
     let d = DynamicsEngine::with_rule(game.clone(), Logit, 1.1);
     let start = [0usize, 0, 0];
-    let sequential = sim.run_profiles(&d, &start, 33, 10, &obs);
-    let pipelined = sim.run_profiles_pipelined_with(&d, &start, 33, 10, &obs, &config);
+    let sequential = sim.run_profiles(&d, &UniformSingle, &start, 33, 10, &obs);
+    let pipelined = sim
+        .run_profiles_pipelined(&d, &UniformSingle, &start, 33, 10, &obs, &config, None)
+        .expect("uncancelled runs complete");
     assert_eq!(sequential.times, pipelined.times);
     assert_eq!(sequential.final_values, pipelined.final_values);
     assert_eq!(sequential.law().ks_distance(&pipelined.law()), 0.0);

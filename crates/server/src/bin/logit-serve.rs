@@ -223,6 +223,14 @@ fn self_test() {
             "STATS sample `{name}` must match the chaos-batch ground truth"
         );
     }
+    // Every accepted job ended in exactly one execution outcome.
+    assert_eq!(
+        samples["server_jobs_accepted"],
+        samples["server_jobs_completed"]
+            + samples["server_jobs_cancelled"]
+            + samples["server_internal_errors"],
+        "completed + cancelled + internal errors must partition the accepted jobs"
+    );
     if logit_telemetry::enabled() {
         // Feature builds running with LOGIT_TELEMETRY=1 must also carry
         // non-empty per-job latency histograms in the same snapshot.

@@ -3,17 +3,19 @@
 //! [`prepare`] is the second admission stage: it materialises the game
 //! description through the library crates' fallible `try_*` constructors —
 //! [`CsrGraph::try_from_graph`], [`CoordinationGame::try_new`],
-//! [`IsingGame::try_new`], [`BetaLadder::try_*`],
-//! [`PipelineConfig::try_validate`] — sharing the expensive derived
-//! artifacts through the content-addressed [`ArtifactCache`]. Anything that
-//! survives `prepare` can run on the shared pool without tripping a
-//! boundary `assert!`.
+//! [`IsingGame::try_new`], [`BetaLadder::try_geometric`] /
+//! [`BetaLadder::try_linear`], [`PipelineConfig::try_validate`] — sharing
+//! the expensive derived artifacts through the content-addressed
+//! [`ArtifactCache`]. Anything that survives `prepare` can run on the shared
+//! pool without tripping a boundary `assert!`.
 //!
-//! [`run_prepared`] drives the job on a given [`Simulator`] (the server's
-//! pool-sharing one), honouring a [`CancelToken`]; [`run_direct`] replays
-//! the same job on a *fresh* simulator the way an offline user would. The
-//! two produce bit-identical [`StreamedResult`]s — the service's
-//! reproducibility contract, enforced by the tests and the bench gate.
+//! [`run_prepared`] drives the job on the farm of a given [`Simulator`]
+//! (the server's pool-sharing one), honouring a [`CancelToken`] in both job
+//! modes; [`run_direct`] replays the same job on a *fresh* simulator the way
+//! an offline user would. The two produce bit-identical [`StreamedResult`]s
+//! — the service's reproducibility contract, enforced by the tests and the
+//! bench gate. Both run every job kind through one generic runner, one arm
+//! per selection schedule.
 
 use crate::cache::{ArtifactCache, GameArtifacts};
 use crate::error::AdmissionError;
@@ -26,11 +28,12 @@ use logit_anneal::BetaLadder;
 use logit_core::{
     coloring_for_graph, AllLogit, CancelToken, ColouredBlocks, DynamicsEngine, LocalityLayout,
     Logit, MetropolisLogit, NoisyBestResponse, PipelineConfig, PotentialObservable,
-    ProfileEnsembleResult, ProfileObservable, SelectionSchedule, Simulator, StrategyFraction,
-    SystematicSweep, TemperedEnsembleResult, TemperingEnsemble, UpdateRule,
+    ProfileObservable, SelectionSchedule, Simulator, StrategyFraction, SystematicSweep,
+    TemperingEnsemble, UniformSingle, UpdateRule,
 };
 use logit_games::{CoordinationGame, GraphicalCoordinationGame, IsingGame, PotentialGame};
 use logit_graphs::{CsrGraph, GraphBuilder};
+use logit_linalg::stats::RunningStats;
 use std::sync::Arc;
 
 /// A job that has passed both admission stages and holds its shared
@@ -195,11 +198,17 @@ fn start_profile(spec: &JobSpec) -> Vec<usize> {
     }
 }
 
-fn profile_result_to_stream(r: ProfileEnsembleResult) -> StreamedResult {
-    let points = r
-        .times
+/// Packs one ensemble's series and final values into the wire-level result
+/// (shared by the profile and tempered modes).
+fn to_stream(
+    name: String,
+    times: &[u64],
+    series: &[RunningStats],
+    finals: Vec<f64>,
+) -> StreamedResult {
+    let points = times
         .iter()
-        .zip(r.series.iter())
+        .zip(series)
         .map(|(&t, s)| SeriesPoint {
             t,
             count: s.count(),
@@ -210,42 +219,20 @@ fn profile_result_to_stream(r: ProfileEnsembleResult) -> StreamedResult {
         })
         .collect();
     StreamedResult {
-        name: r.name,
+        name,
         points,
-        finals: r.final_values,
-    }
-}
-
-fn tempered_result_to_stream(r: TemperedEnsembleResult) -> StreamedResult {
-    let points = r
-        .times
-        .iter()
-        .zip(r.series.iter())
-        .map(|(&t, s)| SeriesPoint {
-            t,
-            count: s.count(),
-            mean: s.mean(),
-            variance: s.variance(),
-            min: s.min(),
-            max: s.max(),
-        })
-        .collect();
-    StreamedResult {
-        name: r.name,
-        points,
-        finals: r.final_values,
+        finals,
     }
 }
 
 /// Runs a prepared job on `sim` — the server's pool-sharing simulator —
-/// honouring `cancel`. Returns `None` when the job was cancelled before
-/// completing.
+/// on the farm, honouring `cancel`. Returns `None` when the job was
+/// cancelled before completing.
 ///
-/// Pipelined jobs check the token at every worker chunk boundary (the
-/// farm's cooperative granularity). Tempered jobs check it only before the
-/// run starts — the tempering loop has no cancellation seam — so a
-/// mid-run cancel of a tempered job takes effect when the result is
-/// streamed, not during the sweep.
+/// Both modes check the token cooperatively: pipelined jobs at every
+/// worker chunk boundary, tempered jobs before every tempering round, so a
+/// cancel stops the run within one chunk or round. A cancel that lands
+/// after execution has finished is left to the server's streaming loop.
 pub fn run_prepared(
     sim: &Simulator,
     job: &PreparedJob,
@@ -254,7 +241,7 @@ pub fn run_prepared(
     if cancel.is_cancelled() {
         return None;
     }
-    dispatch_game(job, &mut |runner| runner.run(sim, job, Some(cancel)))
+    dispatch_game(sim, job, Some(cancel))
 }
 
 /// Replays a prepared job the way an offline user would: a fresh
@@ -263,28 +250,14 @@ pub fn run_prepared(
 /// pipelined ≡ sequential contract of the engines.
 pub fn run_direct(job: &PreparedJob) -> StreamedResult {
     let sim = Simulator::new(job.spec.seed, job.spec.replicas);
-    dispatch_game(job, &mut |runner| runner.run(&sim, job, None))
-        .expect("uncancelled direct runs always complete")
+    dispatch_game(&sim, job, None).expect("uncancelled direct runs always complete")
 }
 
-/// A fully monomorphised runnable job: game, rule and engine chosen.
-trait RunnableJob {
-    fn run(
-        &self,
-        sim: &Simulator,
-        job: &PreparedJob,
-        cancel: Option<&CancelToken>,
-    ) -> Option<StreamedResult>;
-}
-
-struct Runner<G: PotentialGame + Clone, U: UpdateRule + Clone> {
-    game: G,
-    rule: U,
-}
-
+/// Builds the job's game, then dispatches on its rule.
 fn dispatch_game(
+    sim: &Simulator,
     job: &PreparedJob,
-    f: &mut dyn FnMut(&dyn RunnableJob) -> Option<StreamedResult>,
+    cancel: Option<&CancelToken>,
 ) -> Option<StreamedResult> {
     let graph = job.artifacts.graph.clone();
     match job.spec.game {
@@ -292,46 +265,78 @@ fn dispatch_game(
             let base = CoordinationGame::try_from_deltas(delta0, delta1)
                 .expect("payoffs were validated at admission");
             let game = GraphicalCoordinationGame::new(graph, base);
-            dispatch_rule(job, game, f)
+            dispatch_rule(sim, job, game, cancel)
         }
         GameFamily::Ising { coupling, field } => {
             let game = IsingGame::try_new(graph, coupling, field)
                 .expect("payoffs were validated at admission");
-            dispatch_rule(job, game, f)
+            dispatch_rule(sim, job, game, cancel)
         }
     }
 }
 
 fn dispatch_rule<G>(
+    sim: &Simulator,
     job: &PreparedJob,
     game: G,
-    f: &mut dyn FnMut(&dyn RunnableJob) -> Option<StreamedResult>,
+    cancel: Option<&CancelToken>,
 ) -> Option<StreamedResult>
 where
-    G: PotentialGame + Clone + Send + Sync + 'static,
+    G: PotentialGame + Clone + Send + Sync,
 {
     match job.spec.rule {
-        RuleKind::Logit => f(&Runner { game, rule: Logit }),
-        RuleKind::Metropolis => f(&Runner {
+        RuleKind::Logit => Runner { game, rule: Logit }.run(sim, job, cancel),
+        RuleKind::Metropolis => Runner {
             game,
             rule: MetropolisLogit,
-        }),
-        RuleKind::Nbr { noise } => f(&Runner {
+        }
+        .run(sim, job, cancel),
+        RuleKind::Nbr { noise } => Runner {
             game,
             rule: NoisyBestResponse::new(noise),
-        }),
+        }
+        .run(sim, job, cancel),
     }
 }
 
-impl<G, U> RunnableJob for Runner<G, U>
+/// A fully monomorphised job: game and rule chosen.
+struct Runner<G, U> {
+    game: G,
+    rule: U,
+}
+
+impl<G, U> Runner<G, U>
 where
-    G: PotentialGame + Clone + Send + Sync + 'static,
+    G: PotentialGame + Clone + Send + Sync,
     U: UpdateRule + Clone,
 {
     fn run(
         &self,
         sim: &Simulator,
         job: &PreparedJob,
+        cancel: Option<&CancelToken>,
+    ) -> Option<StreamedResult> {
+        match job.spec.schedule {
+            ScheduleKind::Uniform => self.run_schedule(sim, job, &UniformSingle, cancel),
+            ScheduleKind::Sweep => self.run_schedule(sim, job, &SystematicSweep, cancel),
+            ScheduleKind::All => self.run_schedule(sim, job, &AllLogit, cancel),
+            ScheduleKind::Coloured => {
+                let schedule = ColouredBlocks::new(job.artifacts.coloring.clone());
+                self.run_schedule(sim, job, &schedule, cancel)
+            }
+        }
+    }
+
+    /// Runs the job under `schedule` in either mode. With a token the job
+    /// runs on the farm; without one (the [`run_direct`] replay) a
+    /// pipelined job runs the *sequential* engine instead — the service's
+    /// reproducibility gate leans on the pipelined ≡ sequential
+    /// bit-identity contract rather than re-running the farm.
+    fn run_schedule<S: SelectionSchedule>(
+        &self,
+        sim: &Simulator,
+        job: &PreparedJob,
+        schedule: &S,
         cancel: Option<&CancelToken>,
     ) -> Option<StreamedResult> {
         let spec = &job.spec;
@@ -341,52 +346,27 @@ where
             ModeKind::Pipelined { beta, steps } => {
                 let dynamics =
                     DynamicsEngine::with_rule(self.game.clone(), self.rule.clone(), beta);
-                let result = match spec.schedule {
-                    ScheduleKind::Uniform => run_pipelined_uniform(
-                        sim,
+                let r = match cancel {
+                    Some(_) => sim.run_profiles_pipelined(
                         &dynamics,
+                        schedule,
                         &start,
                         steps,
                         spec.sample_every,
                         &observable,
-                        job,
+                        &job.config,
                         cancel,
-                    ),
-                    ScheduleKind::Sweep => run_pipelined_scheduled(
-                        sim,
+                    )?,
+                    None => sim.run_profiles(
                         &dynamics,
-                        &SystematicSweep,
+                        schedule,
                         &start,
                         steps,
                         spec.sample_every,
                         &observable,
-                        job,
-                        cancel,
-                    ),
-                    ScheduleKind::All => run_pipelined_scheduled(
-                        sim,
-                        &dynamics,
-                        &AllLogit,
-                        &start,
-                        steps,
-                        spec.sample_every,
-                        &observable,
-                        job,
-                        cancel,
-                    ),
-                    ScheduleKind::Coloured => run_pipelined_scheduled(
-                        sim,
-                        &dynamics,
-                        &ColouredBlocks::new(job.artifacts.coloring.clone()),
-                        &start,
-                        steps,
-                        spec.sample_every,
-                        &observable,
-                        job,
-                        cancel,
                     ),
                 };
-                result.map(profile_result_to_stream)
+                Some(to_stream(r.name, &r.times, &r.series, r.final_values))
             }
             ModeKind::Tempered {
                 rounds,
@@ -399,157 +379,19 @@ where
                     .expect("tempered jobs carry their ladder");
                 let ensemble =
                     TemperingEnsemble::new(self.game.clone(), self.rule.clone(), betas.as_slice());
-                let result = match spec.schedule {
-                    ScheduleKind::Uniform => run_tempered_scheduled(
-                        sim,
-                        &ensemble,
-                        &logit_core::UniformSingle,
-                        &start,
-                        rounds,
-                        sweep_ticks,
-                        spec.sample_every,
-                        &observable,
-                        &job.config,
-                    ),
-                    ScheduleKind::Sweep => run_tempered_scheduled(
-                        sim,
-                        &ensemble,
-                        &SystematicSweep,
-                        &start,
-                        rounds,
-                        sweep_ticks,
-                        spec.sample_every,
-                        &observable,
-                        &job.config,
-                    ),
-                    ScheduleKind::All => run_tempered_scheduled(
-                        sim,
-                        &ensemble,
-                        &AllLogit,
-                        &start,
-                        rounds,
-                        sweep_ticks,
-                        spec.sample_every,
-                        &observable,
-                        &job.config,
-                    ),
-                    ScheduleKind::Coloured => run_tempered_scheduled(
-                        sim,
-                        &ensemble,
-                        &ColouredBlocks::new(job.artifacts.coloring.clone()),
-                        &start,
-                        rounds,
-                        sweep_ticks,
-                        spec.sample_every,
-                        &observable,
-                        &job.config,
-                    ),
-                };
-                Some(tempered_result_to_stream(result))
+                let r = sim.run_tempered(
+                    &ensemble,
+                    schedule,
+                    &start,
+                    rounds,
+                    sweep_ticks,
+                    spec.sample_every,
+                    &observable,
+                    &job.config,
+                    cancel,
+                )?;
+                Some(to_stream(r.name, &r.times, &r.series, r.final_values))
             }
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined_uniform<G, U, O>(
-    sim: &Simulator,
-    dynamics: &DynamicsEngine<G, U>,
-    start: &[usize],
-    steps: u64,
-    sample_every: u64,
-    observable: &O,
-    job: &PreparedJob,
-    cancel: Option<&CancelToken>,
-) -> Option<ProfileEnsembleResult>
-where
-    G: logit_games::Game + Sync,
-    U: UpdateRule,
-    O: ProfileObservable + Sync,
-{
-    match cancel {
-        Some(token) => sim.run_profiles_pipelined_cancellable_with(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            &job.config,
-            token,
-        ),
-        // The direct path is the *sequential* engine: the service's
-        // reproducibility gate leans on the pipelined ≡ sequential
-        // bit-identity contract rather than re-running the farm.
-        None => Some(sim.run_profiles(dynamics, start, steps, sample_every, observable)),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined_scheduled<G, U, S, O>(
-    sim: &Simulator,
-    dynamics: &DynamicsEngine<G, U>,
-    schedule: &S,
-    start: &[usize],
-    steps: u64,
-    sample_every: u64,
-    observable: &O,
-    job: &PreparedJob,
-    cancel: Option<&CancelToken>,
-) -> Option<ProfileEnsembleResult>
-where
-    G: logit_games::Game + Sync,
-    U: UpdateRule,
-    S: SelectionSchedule,
-    O: ProfileObservable + Sync,
-{
-    match cancel {
-        Some(token) => sim.run_profiles_scheduled_pipelined_cancellable_with(
-            dynamics,
-            start,
-            steps,
-            sample_every,
-            observable,
-            schedule,
-            &job.config,
-            token,
-        ),
-        None => Some(sim.run_profiles_scheduled(
-            dynamics,
-            schedule,
-            start,
-            steps,
-            sample_every,
-            observable,
-        )),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_tempered_scheduled<G, U, S, O>(
-    sim: &Simulator,
-    ensemble: &TemperingEnsemble<G, U>,
-    schedule: &S,
-    start: &[usize],
-    rounds: u64,
-    sweep_ticks: u64,
-    sample_every: u64,
-    observable: &O,
-    config: &PipelineConfig,
-) -> TemperedEnsembleResult
-where
-    G: PotentialGame + Send + Sync,
-    U: UpdateRule,
-    S: SelectionSchedule,
-    O: ProfileObservable + Sync,
-{
-    sim.run_tempered_with(
-        ensemble,
-        schedule,
-        start,
-        rounds,
-        sweep_ticks,
-        sample_every,
-        observable,
-        config,
-    )
 }

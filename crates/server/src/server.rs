@@ -18,17 +18,20 @@
 //! Each job runs on `simulator.reseeded(spec.seed, spec.replicas)` — a
 //! fork sharing the pool but carrying the *job's* seed, so any stream can
 //! be replayed offline by `Simulator::new(seed, replicas)` plus the same
-//! description ([`run_direct`]); the streamed frames are bit-identical.
+//! description ([`run_direct`](crate::exec::run_direct)); the streamed
+//! frames are bit-identical.
 //!
 //! ## Cancellation
 //!
 //! A per-job [`CancelToken`] is created at admission. A watcher thread per
-//! connection turns a [`CANCEL`](crate::protocol::CANCEL) frame — or the client
-//! vanishing — into `token.cancel()`; the farm observes it at chunk
-//! granularity and the handler finishes the stream with a `CANCELLED`
-//! frame instead of `FINAL`/`DONE`. A panic anywhere in a job is caught by
-//! the executor's `catch_unwind` backstop and surfaces as an `ERROR` frame
-//! on that connection only.
+//! connection turns a [`CANCEL`] frame — or the client vanishing — into
+//! `token.cancel()`; the farm observes it at chunk granularity (pipelined
+//! jobs) or round granularity (tempered jobs) and the handler finishes the
+//! stream with a `CANCELLED` frame instead of `FINAL`/`DONE`. A cancel that
+//! lands after execution finished is caught between SERIES frames while
+//! the result streams. A panic anywhere in a job is caught by the
+//! executor's `catch_unwind` backstop and surfaces as an `ERROR` frame on
+//! that connection only.
 
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::error::AdmissionError;
@@ -71,6 +74,12 @@ impl Default for ServerConfig {
 }
 
 /// Monotonic counters of one server instance.
+///
+/// `completed`, `cancelled` and `internal_errors` count how each accepted
+/// job's *execution* ended, once per job, in the executor: they partition
+/// `accepted` (their sum equals it once the queue has drained). A job
+/// whose execution completed counts as `completed` even when a cancel then
+/// lands while its frames stream and the client receives `CANCELLED`.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     pub accepted: AtomicU64,
@@ -445,7 +454,7 @@ fn handle_connection(
         .recv()
         .unwrap_or_else(|_| ExecOutcome::Panicked("executor hung up".into()));
     let write_result = match outcome {
-        ExecOutcome::Finished(result) => stream_result(&mut stream, &result, &cancel, stats),
+        ExecOutcome::Finished(result) => stream_result(&mut stream, &result, &cancel),
         ExecOutcome::Cancelled => write_frame(&mut stream, CANCELLED, ""),
         ExecOutcome::Panicked(msg) => write_frame(&mut stream, ERROR, &format!("internal: {msg}")),
     };
@@ -456,19 +465,17 @@ fn handle_connection(
     write_result
 }
 
-/// Streams a finished series, checking the cancel token between frames —
-/// the cancellation seam for results (tempered runs) that the farm itself
-/// could not interrupt.
+/// Streams a finished series, checking the cancel token between frames:
+/// execution is over, so this catches cancels that land after it, while
+/// the frames stream. The job already counts as completed.
 fn stream_result(
     stream: &mut TcpStream,
     result: &StreamedResult,
     cancel: &CancelToken,
-    stats: &ServerStats,
 ) -> io::Result<()> {
     let _stream_span = telemetry().job_stream_ns.span();
     for point in &result.points {
         if cancel.is_cancelled() {
-            stats.cancelled.fetch_add(1, Ordering::Relaxed);
             return write_frame(stream, CANCELLED, "");
         }
         write_frame(stream, SERIES, &point.encode())?;
@@ -618,9 +625,6 @@ pub fn submit_raw(addr: SocketAddr, bytes: &[u8]) -> io::Result<Option<(u8, Stri
     stream.shutdown(Shutdown::Write)?;
     read_frame(&mut stream)
 }
-
-// Re-exported so the module docs' [`run_direct`] link resolves in place.
-pub use crate::exec::run_direct;
 
 #[cfg(test)]
 mod tests {

@@ -9,11 +9,13 @@
 //! whole contract: the farm, the shared pool, the artifact cache and the
 //! queue must leave no fingerprints on results.
 
+use logit_core::{CancelToken, Simulator};
 use logit_server::{
-    prepare, run_direct, submit_job, submit_raw, ArtifactCache, ClientOutcome, JobSpec,
-    RunningServer, ServerConfig,
+    prepare, run_direct, run_prepared, submit_job, submit_raw, ArtifactCache, ClientOutcome,
+    JobSpec, RunningServer, ServerConfig, StatsSnapshot,
 };
 use std::thread;
+use std::time::{Duration, Instant};
 
 fn base_job(seed: u64) -> String {
     format!(
@@ -28,6 +30,16 @@ fn offline(text: &str) -> logit_server::StreamedResult {
     let cache = ArtifactCache::new(4);
     let job = prepare(spec, &cache).expect("test job passes admission");
     run_direct(&job)
+}
+
+/// Every accepted job ends in exactly one execution outcome, so once the
+/// server has shut down the outcome counters split `accepted` exactly.
+fn assert_outcomes_partition_accepted(stats: &StatsSnapshot) {
+    assert_eq!(
+        stats.accepted,
+        stats.completed + stats.cancelled + stats.internal_errors,
+        "each accepted job must be counted exactly once: {stats:?}"
+    );
 }
 
 #[test]
@@ -142,6 +154,7 @@ fn a_loaded_server_streams_bit_identical_series() {
     assert_eq!(stats.internal_errors, 0, "no panics reached the backstop");
     assert_eq!(stats.rejected, 1);
     assert!(stats.completed >= 7);
+    assert_outcomes_partition_accepted(&stats);
     assert!(
         stats.artifact_cache.hits >= 1,
         "tenants sharing a game description must share its artifacts"
@@ -229,6 +242,7 @@ fn rejected_and_cancelled_jobs_leave_the_pool_able_to_reproduce() {
     let stats = server.shutdown();
     assert_eq!(stats.internal_errors, 0);
     assert_eq!(stats.rejected, 3);
+    assert_outcomes_partition_accepted(&stats);
 }
 
 #[test]
@@ -249,6 +263,40 @@ fn tempered_jobs_stream_and_replay_bit_identically() {
         other => panic!("expected completion, got {other:?}"),
     }
     server.shutdown();
+}
+
+#[test]
+fn a_tempered_job_stops_soon_after_a_mid_run_cancel() {
+    // Sized within the admission limits to run for tens of seconds even in
+    // an optimised build (2 ensembles x 8 rungs x 10^8 ticks); every
+    // tempering round checks the token, so a cancel must end it promptly.
+    let text = "game=graphical\ntopology=ring\nn=256\ndelta0=2.0\ndelta1=1.0\n\
+                rule=logit\nschedule=uniform\nmode=tempered\nladder=geometric\n\
+                beta_min=0.2\nbeta_max=2.0\nrungs=8\nrounds=100000\nsweep_ticks=1000\n\
+                sample_every=1000\nobservable=potential\nreplicas=2\nseed=9";
+    let spec = JobSpec::parse(text).expect("test job parses");
+    let job = prepare(spec, &ArtifactCache::new(4)).expect("test job passes admission");
+    let sim = Simulator::new(job.spec.seed, job.spec.replicas);
+    let cancel = CancelToken::new();
+    let canceller = {
+        let cancel = cancel.clone();
+        thread::spawn(move || {
+            thread::sleep(Duration::from_millis(100));
+            cancel.cancel();
+            Instant::now()
+        })
+    };
+    let result = run_prepared(&sim, &job, &cancel);
+    let cancelled_at = canceller.join().expect("canceller thread");
+    let latency = cancelled_at.elapsed();
+    assert!(
+        result.is_none(),
+        "a cancelled tempered job yields no result"
+    );
+    assert!(
+        latency < Duration::from_secs(5),
+        "the run kept going {latency:?} after the cancel"
+    );
 }
 
 #[test]
