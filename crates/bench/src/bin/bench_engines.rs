@@ -334,7 +334,7 @@ fn coloured_row<U: UpdateRule>(
     format!(
         "        {{\"rule\": \"{}\", \"n\": {n}, \"degree\": {}, \"classes\": {classes}, \"workers\": {workers}, \"wait_policy\": \"{wait_policy}\", \"pinned\": {pinned}, \"uniform_updates_per_sec\": {uniform:.0}, \"coloured_seq_updates_per_sec\": {coloured_seq:.0}, \"coloured_pooled_updates_per_sec\": {coloured_pooled:.0}, \"pooled_over_uniform\": {pooled_over_uniform:.3}, \"pooled_over_seq\": {pooled_over_seq:.3}, \"best_pooled_over_seq\": {best_pooled_over_seq:.3}}}",
         rule.name(),
-        game.graph().max_degree()
+        game.csr().max_degree()
     )
 }
 

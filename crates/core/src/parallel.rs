@@ -51,6 +51,7 @@ use logit_graphs::{dsatur_coloring, greedy_coloring, Coloring};
 use logit_linalg::Matrix;
 use logit_markov::MarkovChain;
 use rand::Rng;
+use std::sync::Arc;
 
 /// A parallel block schedule revising a uniformly random `k`-subset of the
 /// players each tick (all sampling against the frozen pre-tick profile).
@@ -131,18 +132,21 @@ impl SelectionSchedule for RandomBlock {
 /// block update is exactly equivalent to revising the class sequentially —
 /// the correct parallelisation of the dynamics, and the schedule the
 /// genuinely parallel [`DynamicsEngine::step_coloured_pooled`] path executes.
-/// Selection consumes no randomness.
+/// Selection consumes no randomness. The colouring is shared by reference,
+/// so cloning the schedule copies a pointer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColouredBlocks {
-    coloring: Coloring,
+    coloring: Arc<Coloring>,
 }
 
 impl ColouredBlocks {
-    /// Creates the schedule from a colouring (use
+    /// Creates the schedule from a colouring, owned or already shared (use
     /// [`Coloring::is_proper`] against the interaction graph when the
     /// colouring does not come from one of the constructions here).
-    pub fn new(coloring: Coloring) -> Self {
-        Self { coloring }
+    pub fn new(coloring: impl Into<Arc<Coloring>>) -> Self {
+        Self {
+            coloring: coloring.into(),
+        }
     }
 
     /// Colours `game`'s interaction graph via [`coloring_for_game`]

@@ -957,3 +957,13 @@ proptest! {
         prop_assert!(high[argmin] >= low[argmin] - 1e-12);
     }
 }
+
+/// A coloured schedule built on a shared colouring keeps sharing it
+/// through `clone()`.
+#[test]
+fn coloured_blocks_and_their_clones_share_one_colouring() {
+    let coloring = std::sync::Arc::new(logit_graphs::greedy_coloring(&GraphBuilder::ring(6)));
+    let schedule = ColouredBlocks::new(std::sync::Arc::clone(&coloring));
+    assert!(std::ptr::eq(schedule.coloring(), &*coloring));
+    assert!(std::ptr::eq(schedule.clone().coloring(), &*coloring));
+}

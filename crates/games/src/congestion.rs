@@ -27,7 +27,7 @@ pub struct CongestionGame {
     /// neighbourhood backing the `LocalGame` impl. Derived from `strategies`;
     /// computed on first use because it is Θ(Σ_r |users(r)|²) and dense games
     /// (e.g. load balancing at large `n`) never need it to simulate.
-    adjacency: OnceLock<Vec<Vec<usize>>>,
+    adjacency: OnceLock<Vec<Vec<u32>>>,
 }
 
 /// Equality is over the game data (`delays`, `strategies`); the lazily cached
@@ -89,7 +89,7 @@ impl CongestionGame {
 
     /// Builds the interaction adjacency: players are adjacent when some
     /// resource appears in a strategy of each.
-    fn build_adjacency(&self) -> Vec<Vec<usize>> {
+    fn build_adjacency(&self) -> Vec<Vec<u32>> {
         let n = self.strategies.len();
         let mut users_of: Vec<Vec<usize>> = vec![Vec::new(); self.num_resources];
         for (i, strats) in self.strategies.iter().enumerate() {
@@ -114,7 +114,11 @@ impl CongestionGame {
         }
         adjacency
             .into_iter()
-            .map(|set| set.into_iter().collect())
+            .map(|set| {
+                set.into_iter()
+                    .map(|j| u32::try_from(j).expect("player ids fit in u32"))
+                    .collect()
+            })
             .collect()
     }
 
@@ -150,7 +154,7 @@ impl CongestionGame {
     /// The full adjacency is computed on first call and cached; games that
     /// only simulate (which needs `utilities_for`, not neighbourhoods) never
     /// pay for it.
-    pub fn interaction_neighbors(&self, player: usize) -> &[usize] {
+    pub fn interaction_neighbors(&self, player: usize) -> &[u32] {
         &self.adjacency.get_or_init(|| self.build_adjacency())[player]
     }
 

@@ -3,7 +3,8 @@
 //! `n` players sit on the vertices of a social graph `G`; every player picks a
 //! single strategy in `{0, 1}` and plays the 2×2 basic coordination game with
 //! each neighbour, collecting the sum of the payoffs. The potential is the sum
-//! of the edge potentials, `Φ(x) = Σ_{(u,v) ∈ E} φ(x_u, x_v)`.
+//! of the edge potentials, `Φ(x) = Σ_{(u,v) ∈ E} φ(x_u, x_v)`. The game holds
+//! the graph only as a shared `Arc<CsrGraph>`.
 //!
 //! The crate also exposes the closed-form clique potential used by Theorem 5.5:
 //! on the clique the potential only depends on the number `k` of players playing
@@ -12,39 +13,36 @@
 
 use crate::coordination::CoordinationGame;
 use crate::game::{Game, PotentialGame};
-use logit_graphs::{CsrGraph, Graph};
+use logit_graphs::CsrGraph;
+use std::sync::Arc;
 
 /// A graphical coordination game: one [`CoordinationGame`] per edge of a social graph.
 #[derive(Debug, Clone)]
 pub struct GraphicalCoordinationGame {
-    graph: Graph,
-    /// Frozen CSR view of `graph`: the utility kernels iterate this (two
-    /// contiguous `u32` arrays) instead of the per-vertex `Vec`s, so a
-    /// colour-class sweep reads one linear neighbour stream.
-    csr: CsrGraph,
+    /// The social graph, frozen to CSR (two contiguous `u32` arrays, so a
+    /// colour-class sweep reads one linear neighbour stream) and shared:
+    /// cloning the game copies the pointer, not the rows.
+    csr: Arc<CsrGraph>,
     base: CoordinationGame,
 }
 
 impl GraphicalCoordinationGame {
-    /// Creates the game from a social graph and the basic 2×2 game.
+    /// Creates the game from a social graph and the basic 2×2 game. The
+    /// graph is either an owned [`logit_graphs::Graph`], frozen here, or an
+    /// `Arc<CsrGraph>` the game then shares.
     ///
     /// # Panics
     /// Panics when the graph has no vertices (a game needs at least one player).
-    pub fn new(graph: Graph, base: CoordinationGame) -> Self {
+    pub fn new(graph: impl Into<Arc<CsrGraph>>, base: CoordinationGame) -> Self {
+        let csr = graph.into();
         assert!(
-            graph.num_vertices() > 0,
+            csr.num_vertices() > 0,
             "the social graph needs at least one player"
         );
-        let csr = CsrGraph::from_graph(&graph);
-        Self { graph, csr, base }
+        Self { csr, base }
     }
 
-    /// The underlying social graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The frozen CSR view of the social graph (built at construction).
+    /// The social graph in its frozen CSR form.
     pub fn csr(&self) -> &CsrGraph {
         &self.csr
     }
@@ -66,18 +64,18 @@ impl GraphicalCoordinationGame {
 
     /// Potential of the all-zeros profile: `-|E|·δ₀`.
     pub fn potential_all_zero(&self) -> f64 {
-        -(self.graph.num_edges() as f64) * self.delta0()
+        -(self.csr.num_edges() as f64) * self.delta0()
     }
 
     /// Potential of the all-ones profile: `-|E|·δ₁`.
     pub fn potential_all_one(&self) -> f64 {
-        -(self.graph.num_edges() as f64) * self.delta1()
+        -(self.csr.num_edges() as f64) * self.delta1()
     }
 }
 
 impl Game for GraphicalCoordinationGame {
     fn num_players(&self) -> usize {
-        self.graph.num_vertices()
+        self.csr.num_vertices()
     }
 
     fn num_strategies(&self, _player: usize) -> usize {
@@ -86,10 +84,10 @@ impl Game for GraphicalCoordinationGame {
 
     fn utility(&self, player: usize, profile: &[usize]) -> f64 {
         debug_assert_eq!(profile.len(), self.num_players());
-        self.graph
+        self.csr
             .neighbors(player)
             .iter()
-            .map(|&j| self.base.payoff(profile[player], profile[j]))
+            .map(|&j| self.base.payoff(profile[player], profile[j as usize]))
             .sum()
     }
 
@@ -99,24 +97,18 @@ impl Game for GraphicalCoordinationGame {
 }
 
 impl GraphicalCoordinationGame {
-    /// The batch evaluation behind both `utilities_for` hooks: reads the
-    /// profile immutably (one pass over the neighbourhood serves both
-    /// strategies — only the counts of neighbours on each side matter), so
-    /// the parallel frozen-profile path can share it across workers.
-    /// Iterates the CSR row — one contiguous `u32` stream per player.
-    pub(crate) fn utilities_readonly(&self, player: usize, profile: &[usize], out: &mut [f64]) {
+    /// The batch evaluation behind every `utilities_for` hook, on a `usize`
+    /// profile or the byte-packed one of the cache-blocked coloured sweeps:
+    /// reads the profile immutably (one pass over the neighbourhood serves
+    /// both strategies — only the counts of neighbours on each side
+    /// matter), so the parallel frozen-profile path can share it across
+    /// workers. Iterates the CSR row — one contiguous `u32` stream per player.
+    pub(crate) fn utilities_readonly<S>(&self, player: usize, profile: &[S], out: &mut [f64])
+    where
+        S: Copy + Into<usize>,
+    {
         let row = self.csr.neighbors(player);
-        let ones: usize = row.iter().map(|&j| profile[j as usize]).sum();
-        self.utilities_from_ones(row.len(), ones, out);
-    }
-
-    /// [`Self::utilities_readonly`] against a byte-packed strategy profile —
-    /// the SoA buffer of the cache-blocked coloured sweeps. Identical
-    /// arithmetic (same neighbour-count kernel), so the two hooks agree
-    /// bitwise on corresponding profiles.
-    pub(crate) fn utilities_readonly_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
-        let row = self.csr.neighbors(player);
-        let ones: usize = row.iter().map(|&j| profile[j as usize] as usize).sum();
+        let ones: usize = row.iter().map(|&j| profile[j as usize].into()).sum();
         self.utilities_from_ones(row.len(), ones, out);
     }
 
@@ -136,10 +128,20 @@ impl GraphicalCoordinationGame {
 
 impl PotentialGame for GraphicalCoordinationGame {
     fn potential(&self, profile: &[usize]) -> f64 {
-        self.graph
-            .edges()
-            .map(|(u, v)| self.base.edge_potential(profile[u], profile[v]))
-            .sum()
+        // The walk of `csr.edges()` as plain loops: through the iterator the
+        // per-row fold stayed an out-of-line call and measured slower. Each
+        // edge once, in lexicographic order, summed from `-0.0` as
+        // `Iterator::sum` does, so the result is that sum bit for bit.
+        let mut sum = -0.0;
+        for u in 0..self.csr.num_vertices() {
+            for &v in self.csr.neighbors(u) {
+                let v = v as usize;
+                if v > u {
+                    sum += self.base.edge_potential(profile[u], profile[v]);
+                }
+            }
+        }
+        sum
     }
 }
 

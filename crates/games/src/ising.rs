@@ -13,17 +13,19 @@
 //!
 //! With `h = 0` this is, up to a constant per-edge shift, the graphical
 //! coordination game with `δ₀ = δ₁ = 2J` — the constant shift changes neither
-//! the logit update probabilities nor the Gibbs measure.
+//! the logit update probabilities nor the Gibbs measure. Like the graphical
+//! game, the model holds its graph only as a shared `Arc<CsrGraph>`.
 
 use crate::game::{Game, PotentialGame};
-use logit_graphs::{CsrGraph, Graph};
+use logit_graphs::CsrGraph;
+use std::sync::Arc;
 
 /// Ferromagnetic Ising model on a graph, viewed as a potential game.
 #[derive(Debug, Clone)]
 pub struct IsingGame {
-    graph: Graph,
-    /// Frozen CSR view of `graph`, iterated by the utility kernels.
-    csr: CsrGraph,
+    /// The graph, frozen to CSR and shared: cloning the game copies the
+    /// pointer, not the rows.
+    csr: Arc<CsrGraph>,
     coupling: f64,
     field: f64,
 }
@@ -53,12 +55,14 @@ impl std::error::Error for IsingError {}
 
 impl IsingGame {
     /// Creates an Ising game with coupling `J > 0` and external field `h`.
+    /// The graph is either an owned [`logit_graphs::Graph`], frozen here, or
+    /// an `Arc<CsrGraph>` the game then shares.
     ///
     /// # Panics
     /// Panics when `coupling <= 0` (the logit/Glauber correspondence in the paper
     /// is for the ferromagnetic case) or when the graph is empty. Use
     /// [`try_new`](Self::try_new) where the failure must be a value instead.
-    pub fn new(graph: Graph, coupling: f64, field: f64) -> Self {
+    pub fn new(graph: impl Into<Arc<CsrGraph>>, coupling: f64, field: f64) -> Self {
         match Self::try_new(graph, coupling, field) {
             Ok(game) => game,
             Err(e) => panic!("{e}"),
@@ -67,16 +71,19 @@ impl IsingGame {
 
     /// The fallible form of [`new`](Self::new): `Err` with a typed
     /// [`IsingError`] instead of panicking on a malformed description.
-    pub fn try_new(graph: Graph, coupling: f64, field: f64) -> Result<Self, IsingError> {
+    pub fn try_new(
+        graph: impl Into<Arc<CsrGraph>>,
+        coupling: f64,
+        field: f64,
+    ) -> Result<Self, IsingError> {
         if coupling.is_nan() || coupling <= 0.0 {
             return Err(IsingError::NonPositiveCoupling);
         }
-        if graph.num_vertices() == 0 {
+        let csr = graph.into();
+        if csr.num_vertices() == 0 {
             return Err(IsingError::NoSpins);
         }
-        let csr = CsrGraph::from_graph(&graph);
         Ok(Self {
-            graph,
             csr,
             coupling,
             field,
@@ -84,16 +91,11 @@ impl IsingGame {
     }
 
     /// Zero-field Ising model.
-    pub fn zero_field(graph: Graph, coupling: f64) -> Self {
+    pub fn zero_field(graph: impl Into<Arc<CsrGraph>>, coupling: f64) -> Self {
         Self::new(graph, coupling, 0.0)
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// The frozen CSR view of the graph (built at construction).
+    /// The graph in its frozen CSR form.
     pub fn csr(&self) -> &CsrGraph {
         &self.csr
     }
@@ -126,7 +128,7 @@ impl IsingGame {
 
 impl Game for IsingGame {
     fn num_players(&self) -> usize {
-        self.graph.num_vertices()
+        self.csr.num_vertices()
     }
 
     fn num_strategies(&self, _player: usize) -> usize {
@@ -136,10 +138,10 @@ impl Game for IsingGame {
     fn utility(&self, player: usize, profile: &[usize]) -> f64 {
         let si = Self::spin(profile[player]);
         let neighbour_sum: f64 = self
-            .graph
+            .csr
             .neighbors(player)
             .iter()
-            .map(|&j| Self::spin(profile[j]))
+            .map(|&j| Self::spin(profile[j as usize]))
             .sum();
         self.coupling * si * neighbour_sum + self.field * si
     }
@@ -150,24 +152,19 @@ impl Game for IsingGame {
 }
 
 impl IsingGame {
-    /// The batch evaluation behind both `utilities_for` hooks: reads the
-    /// profile immutably (the neighbour spin sum is shared by both candidate
-    /// spins), so the parallel frozen-profile path can share it across
-    /// workers. Iterates the CSR row and counts up-spins — the spin sum
-    /// `2·ones − deg` is an exact integer in `f64`, so the counting kernel
-    /// is bitwise equal to the former sequential `±1.0` accumulation.
-    pub(crate) fn utilities_readonly(&self, player: usize, profile: &[usize], out: &mut [f64]) {
+    /// The batch evaluation behind every `utilities_for` hook, on a `usize`
+    /// profile or the byte-packed one of the cache-blocked coloured sweeps:
+    /// reads the profile immutably (the neighbour spin sum is shared by both
+    /// candidate spins), so the parallel frozen-profile path can share it
+    /// across workers. Iterates the CSR row and counts up-spins — the spin
+    /// sum `2·ones − deg` is an exact integer in `f64`, so the counting
+    /// kernel is bitwise equal to the former sequential `±1.0` accumulation.
+    pub(crate) fn utilities_readonly<S>(&self, player: usize, profile: &[S], out: &mut [f64])
+    where
+        S: Copy + Into<usize>,
+    {
         let row = self.csr.neighbors(player);
-        let ones: usize = row.iter().map(|&j| profile[j as usize]).sum();
-        self.utilities_from_ones(row.len(), ones, out);
-    }
-
-    /// [`Self::utilities_readonly`] against a byte-packed strategy profile
-    /// (the SoA buffer of the cache-blocked coloured sweeps), through the
-    /// same counting kernel for bitwise agreement.
-    pub(crate) fn utilities_readonly_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
-        let row = self.csr.neighbors(player);
-        let ones: usize = row.iter().map(|&j| profile[j as usize] as usize).sum();
+        let ones: usize = row.iter().map(|&j| profile[j as usize].into()).sum();
         self.utilities_from_ones(row.len(), ones, out);
     }
 
@@ -184,11 +181,17 @@ impl IsingGame {
 
 impl PotentialGame for IsingGame {
     fn potential(&self, profile: &[usize]) -> f64 {
-        let edge_term: f64 = self
-            .graph
-            .edges()
-            .map(|(u, v)| Self::spin(profile[u]) * Self::spin(profile[v]))
-            .sum();
+        // `csr.edges()` as plain loops, summed from `-0.0` like
+        // `Iterator::sum` (see the graphical game's `potential`).
+        let mut edge_term = -0.0;
+        for u in 0..self.csr.num_vertices() {
+            for &v in self.csr.neighbors(u) {
+                let v = v as usize;
+                if v > u {
+                    edge_term += Self::spin(profile[u]) * Self::spin(profile[v]);
+                }
+            }
+        }
         -self.coupling * edge_term - self.field * self.magnetization(profile)
     }
 }

@@ -58,7 +58,7 @@ pub use dominant::AllZeroDominantGame;
 pub use game::{Game, PotentialGame};
 pub use graphical::GraphicalCoordinationGame;
 pub use ising::{IsingError, IsingGame};
-pub use local::{interaction_csr, interaction_graph, LocalGame};
+pub use local::{interaction_graph, LocalGame};
 pub use matrix_game::TwoPlayerGame;
 pub use profile::ProfileSpace;
 pub use table::{TableGame, TablePotentialGame};

@@ -21,18 +21,21 @@
 //! profile immutably) and [`interaction_graph`] (the bridge that turns any
 //! `LocalGame`'s neighbourhood structure into a `logit_graphs::Graph`, ready
 //! for the colouring algorithms in `logit-graphs`).
+//!
+//! Neighbourhoods are `u32` player ids: the graph-backed games hand out the
+//! rows of the one shared CSR adjacency they hold, with no second copy.
 
 use crate::congestion::CongestionGame;
 use crate::game::Game;
 use crate::graphical::GraphicalCoordinationGame;
 use crate::ising::IsingGame;
-use logit_graphs::{CsrGraph, Graph};
+use logit_graphs::Graph;
 
 /// A game whose utilities have bounded-neighbourhood locality.
 pub trait LocalGame: Game {
     /// The players (other than `player`) whose strategies can affect
-    /// `player`'s utility.
-    fn neighbors_of(&self, player: usize) -> &[usize];
+    /// `player`'s utility, as `u32` player ids.
+    fn neighbors_of(&self, player: usize) -> &[u32];
 
     /// Read-only batch utilities: like [`Game::utilities_for`], but the
     /// profile is borrowed *immutably* — the hook of the parallel
@@ -102,7 +105,7 @@ pub trait LocalGame: Game {
 }
 
 impl<G: LocalGame + ?Sized> LocalGame for &G {
-    fn neighbors_of(&self, player: usize) -> &[usize] {
+    fn neighbors_of(&self, player: usize) -> &[u32] {
         (**self).neighbors_of(player)
     }
     fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
@@ -122,7 +125,7 @@ impl<G: LocalGame + ?Sized> LocalGame for &G {
 /// games' read-only overrides survive (same reasoning as the `Arc<G>: Game`
 /// impl in [`crate::game`]).
 impl<G: LocalGame + ?Sized> LocalGame for std::sync::Arc<G> {
-    fn neighbors_of(&self, player: usize) -> &[usize] {
+    fn neighbors_of(&self, player: usize) -> &[u32] {
         (**self).neighbors_of(player)
     }
     fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
@@ -137,14 +140,14 @@ impl<G: LocalGame + ?Sized> LocalGame for std::sync::Arc<G> {
 }
 
 impl LocalGame for GraphicalCoordinationGame {
-    fn neighbors_of(&self, player: usize) -> &[usize] {
-        self.graph().neighbors(player)
+    fn neighbors_of(&self, player: usize) -> &[u32] {
+        self.csr().neighbors(player)
     }
     fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
         self.utilities_readonly(player, profile, out);
     }
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
-        self.utilities_readonly_bytes(player, profile, out);
+        self.utilities_readonly(player, profile, out);
     }
     fn prefetch_frozen_bytes(&self, player: usize) {
         self.csr().prefetch_row(player);
@@ -152,14 +155,14 @@ impl LocalGame for GraphicalCoordinationGame {
 }
 
 impl LocalGame for IsingGame {
-    fn neighbors_of(&self, player: usize) -> &[usize] {
-        self.graph().neighbors(player)
+    fn neighbors_of(&self, player: usize) -> &[u32] {
+        self.csr().neighbors(player)
     }
     fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
         self.utilities_readonly(player, profile, out);
     }
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
-        self.utilities_readonly_bytes(player, profile, out);
+        self.utilities_readonly(player, profile, out);
     }
     fn prefetch_frozen_bytes(&self, player: usize) {
         self.csr().prefetch_row(player);
@@ -167,7 +170,7 @@ impl LocalGame for IsingGame {
 }
 
 impl LocalGame for CongestionGame {
-    fn neighbors_of(&self, player: usize) -> &[usize] {
+    fn neighbors_of(&self, player: usize) -> &[u32] {
         self.interaction_neighbors(player)
     }
     fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
@@ -189,30 +192,17 @@ impl LocalGame for CongestionGame {
 /// Neighbourhoods are symmetrised: an edge is added when either endpoint
 /// lists the other (for the games here the relation is already symmetric,
 /// and `Graph::from_edges` deduplicates, so every directed pair is pushed
-/// unconditionally).
+/// unconditionally). The `u32` ids are widened back to `usize`.
 pub fn interaction_graph<G: LocalGame>(game: &G) -> Graph {
     let n = game.num_players();
     let mut edges = Vec::new();
     for u in 0..n {
         for &v in game.neighbors_of(u) {
+            let v = v as usize;
             edges.push((u.min(v), u.max(v)));
         }
     }
     Graph::from_edges(n, &edges)
-}
-
-/// [`interaction_graph`] frozen to CSR form — the locality-first view of
-/// any local game's interaction structure, ready for the bandwidth
-/// machinery (`logit_graphs::rcm_ordering`) and the cache-blocked engine
-/// paths. Graph-backed games expose their own cached `csr()` accessor;
-/// this bridge covers the games whose interaction graph is implicit
-/// (congestion via resource sharing).
-///
-/// # Panics
-/// Panics when the player or directed-edge count exceeds the CSR `u32`
-/// validity bound (see [`CsrGraph::from_graph`]).
-pub fn interaction_csr<G: LocalGame>(game: &G) -> CsrGraph {
-    CsrGraph::from_graph(&interaction_graph(game))
 }
 
 #[cfg(test)]
@@ -227,8 +217,11 @@ mod tests {
         let n = game.num_players();
         let mut profile = vec![0usize; n];
         for player in 0..n {
-            let local: std::collections::BTreeSet<usize> =
-                game.neighbors_of(player).iter().copied().collect();
+            let local: std::collections::BTreeSet<usize> = game
+                .neighbors_of(player)
+                .iter()
+                .map(|&j| j as usize)
+                .collect();
             assert!(
                 !local.contains(&player),
                 "a player is not her own neighbour"
@@ -257,9 +250,10 @@ mod tests {
         let graph = GraphBuilder::ring(6);
         let coord = GraphicalCoordinationGame::new(graph.clone(), CoordinationGame::symmetric(1.0));
         let ising = IsingGame::zero_field(graph.clone(), 0.5);
+        let widened = |row: &[u32]| row.iter().map(|&j| j as usize).collect::<Vec<_>>();
         for v in 0..6 {
-            assert_eq!(coord.neighbors_of(v), graph.neighbors(v));
-            assert_eq!(ising.neighbors_of(v), graph.neighbors(v));
+            assert_eq!(widened(coord.neighbors_of(v)), graph.neighbors(v));
+            assert_eq!(widened(ising.neighbors_of(v)), graph.neighbors(v));
         }
         assert_eq!(coord.max_degree(), 2);
         assert_eq!(coord.step_cost_bound(), 4);
@@ -288,7 +282,7 @@ mod tests {
         let game = CongestionGame::new(delays, strategies);
         assert_eq!(game.neighbors_of(0), &[1]);
         assert_eq!(game.neighbors_of(1), &[0]);
-        assert_eq!(game.neighbors_of(2), &[] as &[usize]);
+        assert_eq!(game.neighbors_of(2), &[] as &[u32]);
         check_locality(&game);
     }
 
@@ -395,7 +389,7 @@ mod tests {
         }
         let ising = IsingGame::zero_field(GraphBuilder::torus(3, 4), 1.0);
         let bridged = interaction_graph(&ising);
-        assert_eq!(bridged.num_edges(), ising.graph().num_edges());
+        assert_eq!(bridged.num_edges(), ising.csr().num_edges());
         // Congestion: players 0 and 1 share machine 0, player 2 is isolated.
         let delays = vec![vec![1.0, 2.0, 3.0], vec![1.0, 2.0, 3.0]];
         let strategies = vec![vec![vec![0]], vec![vec![0]], vec![vec![1]]];
@@ -404,24 +398,5 @@ mod tests {
         assert!(bridged.has_edge(0, 1));
         assert_eq!(bridged.degree(2), 0);
         assert_eq!(bridged.num_edges(), 1);
-    }
-
-    /// The CSR bridge and the cached per-game CSR views agree with the
-    /// adjacency-list graph.
-    #[test]
-    fn interaction_csr_matches_the_graph_bridge() {
-        let graph = GraphBuilder::circulant(10, 2);
-        let coord =
-            GraphicalCoordinationGame::new(graph.clone(), CoordinationGame::from_deltas(2.0, 1.0));
-        let csr = interaction_csr(&coord);
-        assert_eq!(csr.num_vertices(), graph.num_vertices());
-        assert_eq!(csr.num_edges(), graph.num_edges());
-        for v in 0..10 {
-            let row: Vec<usize> = csr.neighbors(v).iter().map(|&j| j as usize).collect();
-            assert_eq!(row, graph.neighbors(v));
-        }
-        assert_eq!(coord.csr(), &csr, "cached game CSR is the same view");
-        let ising = IsingGame::zero_field(GraphBuilder::torus(3, 4), 1.0);
-        assert_eq!(interaction_csr(&ising), *ising.csr());
     }
 }

@@ -2,16 +2,67 @@
 
 use logit_games::analysis::{best_response_dynamics, is_pure_nash, verify_exact_potential};
 use logit_games::{
-    CoordinationGame, Game, GraphicalCoordinationGame, PotentialGame, ProfileSpace,
+    CoordinationGame, Game, GraphicalCoordinationGame, IsingGame, PotentialGame, ProfileSpace,
     TablePotentialGame, WellGame,
 };
-use logit_graphs::GraphBuilder;
+use logit_graphs::{CsrGraph, Graph, GraphBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+
+/// Strategy producing a random small graph (as `n` and a loop-free edge
+/// list) with a strategy profile on it.
+fn small_graph_and_profile() -> impl Strategy<Value = (usize, Vec<(usize, usize)>, Vec<usize>)> {
+    (1usize..9).prop_flat_map(|n| {
+        (
+            Just(n),
+            prop::collection::vec((0..n, 0..n), 0..24),
+            prop::collection::vec(0usize..2, n),
+        )
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Both graph games read the CSR they hold exactly as the adjacency
+    /// lists were read: the potential equals, bit for bit, a sum over
+    /// `Graph::edges()` in its lexicographic order, and every utility a sum
+    /// over the player's neighbour row.
+    #[test]
+    fn graph_games_sum_in_the_graph_order(
+        (n, raw, profile) in small_graph_and_profile(),
+        d0 in 0.5f64..3.0,
+        d1 in 0.5f64..3.0,
+        field in -1.0f64..1.0,
+    ) {
+        let edges: Vec<(usize, usize)> = raw.into_iter().filter(|&(u, v)| u != v).collect();
+        let graph = Graph::from_edges(n, &edges);
+        let x = &profile;
+
+        let base = CoordinationGame::from_deltas(d0, d1);
+        let coord = GraphicalCoordinationGame::new(graph.clone(), base);
+        let potential: f64 = graph.edges().map(|(u, v)| base.edge_potential(x[u], x[v])).sum();
+        prop_assert_eq!(coord.potential(x).to_bits(), potential.to_bits());
+
+        let ising = IsingGame::new(graph.clone(), d0, field);
+        let spin = IsingGame::spin;
+        let edge_term: f64 = graph.edges().map(|(u, v)| spin(x[u]) * spin(x[v])).sum();
+        let magnetization: f64 = x.iter().map(|&s| spin(s)).sum();
+        let potential = -d0 * edge_term - field * magnetization;
+        prop_assert_eq!(ising.potential(x).to_bits(), potential.to_bits());
+
+        for i in 0..n {
+            let row = graph.neighbors(i);
+            let utility: f64 = row.iter().map(|&j| base.payoff(x[i], x[j])).sum();
+            prop_assert_eq!(coord.utility(i, x).to_bits(), utility.to_bits());
+            let si = spin(x[i]);
+            let neighbour_sum: f64 = row.iter().map(|&j| spin(x[j])).sum();
+            let utility = d0 * si * neighbour_sum + field * si;
+            prop_assert_eq!(ising.utility(i, x).to_bits(), utility.to_bits());
+        }
+    }
 
     /// Any potential table yields an exact potential game, and the global
     /// variation always dominates the local variation.
@@ -49,7 +100,7 @@ proptest! {
             GraphBuilder::ring(n),
             CoordinationGame::from_deltas(d0, d1),
         );
-        let edges = game.graph().num_edges() as f64;
+        let edges = game.csr().num_edges() as f64;
         let space = game.profile_space();
         let idx = profile_bits % space.size();
         let profile = space.profile_of(idx);
@@ -81,5 +132,21 @@ proptest! {
         prop_assert_eq!(space.index_of(&space.profile_of(ia)), ia);
         prop_assert_eq!(space.hamming_distance(ia, ib), space.hamming_distance(ib, ia));
         prop_assert_eq!(space.hamming_distance(ia, ia), 0);
+    }
+}
+
+/// Graph games built on a shared CSR keep sharing it through `clone()`.
+#[test]
+fn graph_games_and_their_clones_share_one_csr() {
+    let csr: Arc<CsrGraph> = GraphBuilder::torus(3, 4).into();
+    let coord = GraphicalCoordinationGame::new(Arc::clone(&csr), CoordinationGame::symmetric(1.0));
+    let ising = IsingGame::zero_field(Arc::clone(&csr), 0.5);
+    for game_csr in [
+        coord.csr(),
+        coord.clone().csr(),
+        ising.csr(),
+        ising.clone().csr(),
+    ] {
+        assert!(std::ptr::eq(game_csr, &*csr));
     }
 }

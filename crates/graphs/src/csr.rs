@@ -12,6 +12,9 @@
 //! vertex graph is 36 MB instead of ~160 MB of scattered `Vec` headers and
 //! `usize` ids.
 //!
+//! It is also the one adjacency the graph-backed games hold, as a shared
+//! `Arc<CsrGraph>`: cloning a game copies the pointer, not the rows.
+//!
 //! The u32 index choice is a checked contract, not a hope:
 //! [`CsrGraph::from_graph`] validates that both the vertex count and the
 //! directed-edge count fit, and panics otherwise — beyond `u32` the working
@@ -20,6 +23,7 @@
 
 use crate::graph::Graph;
 use std::fmt;
+use std::sync::Arc;
 
 /// A frozen compressed-sparse-row view of an undirected graph: the
 /// neighbours of vertex `u` are `targets[offsets[u]..offsets[u + 1]]`,
@@ -149,6 +153,19 @@ impl CsrGraph {
         (self.offsets[u + 1] - self.offsets[u]) as usize
     }
 
+    /// Iterator over edges as `(u, v)` with `u < v`, in lexicographic order
+    /// — [`Graph::edges`]'s contract, row walk and sequence: the `v > u`
+    /// entries of each sorted row, rows in vertex order.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.n).flat_map(move |u| {
+            self.neighbors(u)
+                .iter()
+                .map(|&v| v as usize)
+                .filter(move |&v| v > u)
+                .map(move |v| (u, v))
+        })
+    }
+
     /// Hints the cache that the row of `u` is about to be read.
     ///
     /// A colour-class sweep visits rows at a stride of roughly
@@ -219,6 +236,14 @@ impl fmt::Debug for CsrGraph {
     }
 }
 
+/// Freezes an owned graph through [`CsrGraph::from_graph`], so the game
+/// constructors take either a `Graph` or an already shared `Arc<CsrGraph>`.
+impl From<Graph> for Arc<CsrGraph> {
+    fn from(graph: Graph) -> Self {
+        Arc::new(CsrGraph::from_graph(&graph))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +272,7 @@ mod tests {
                 assert_eq!(row, graph.neighbors(u), "row {u} differs");
                 assert!(csr.neighbors(u).windows(2).all(|w| w[0] < w[1]));
             }
+            assert!(csr.edges().eq(graph.edges()), "edge sequences differ");
         }
     }
 
@@ -260,6 +286,7 @@ mod tests {
         let csr = CsrGraph::from_graph(&Graph::new(3));
         assert_eq!(csr.num_vertices(), 3);
         assert_eq!(csr.neighbors(1), &[] as &[u32]);
+        assert_eq!(csr.edges().count(), 0);
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Undirected simple graphs with adjacency-list storage.
+//!
+//! [`Graph`] is the builder and exact-analysis type; games and engines
+//! read its frozen [`CsrGraph`](crate::CsrGraph) form.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// An undirected simple graph on vertices `0..n`.
 ///
 /// Self-loops and parallel edges are rejected: a graphical coordination game
 /// pairs distinct players and plays each basic game once per edge.
+///
+/// Each edge is stored once per endpoint, in sorted adjacency rows; the edge
+/// set is the `v > u` tail of every row `u`, so it needs no second copy.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     n: usize,
     /// Sorted adjacency lists.
     adj: Vec<Vec<usize>>,
-    /// Edge list with `u < v`, kept sorted for deterministic iteration.
-    edges: BTreeSet<(usize, usize)>,
+    /// Number of undirected edges (half the total row length).
+    num_edges: usize,
 }
 
 impl Graph {
@@ -22,34 +27,39 @@ impl Graph {
         Self {
             n,
             adj: vec![Vec::new(); n],
-            edges: BTreeSet::new(),
+            num_edges: 0,
         }
     }
 
     /// Creates a graph on `n` vertices from an edge list.
     ///
-    /// Bulk construction: adjacency lists are sorted once at the end rather
-    /// than per insertion, so dense-degree graphs (the coloured-revision
-    /// benchmarks use circulants with hundreds of neighbours per vertex)
-    /// build in `O(m log m)` instead of `O(m·Δ log Δ)`.
+    /// Bulk construction: each edge is pushed onto both endpoints' rows, and
+    /// every row is sorted and deduplicated once at the end rather than per
+    /// insertion, so dense-degree graphs (the coloured-revision benchmarks
+    /// use circulants with hundreds of neighbours per vertex) build in
+    /// `O(m log Δ)` instead of `O(m·Δ)`.
     ///
     /// # Panics
     /// Panics on out-of-range endpoints or self-loops. Duplicate edges are ignored.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Self::new(n);
+        let mut adj = vec![Vec::new(); n];
         for &(u, v) in edges {
             assert!(u < n && v < n, "edge ({u},{v}) out of range");
             assert_ne!(u, v, "self-loops are not allowed");
-            let key = (u.min(v), u.max(v));
-            if g.edges.insert(key) {
-                g.adj[u].push(v);
-                g.adj[v].push(u);
-            }
+            adj[u].push(v);
+            adj[v].push(u);
         }
-        for adj in &mut g.adj {
-            adj.sort_unstable();
+        let mut directed = 0;
+        for row in &mut adj {
+            row.sort_unstable();
+            row.dedup();
+            directed += row.len();
         }
-        g
+        Self {
+            n,
+            adj,
+            num_edges: directed / 2,
+        }
     }
 
     /// Number of vertices.
@@ -61,7 +71,7 @@ impl Graph {
     /// Number of edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.num_edges
     }
 
     /// Adds the undirected edge `{u, v}`. Returns `true` when the edge was new.
@@ -71,24 +81,21 @@ impl Graph {
     pub fn add_edge(&mut self, u: usize, v: usize) -> bool {
         assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range");
         assert_ne!(u, v, "self-loops are not allowed");
-        let key = (u.min(v), u.max(v));
-        if self.edges.insert(key) {
-            self.adj[u].push(v);
-            self.adj[v].push(u);
-            self.adj[u].sort_unstable();
-            self.adj[v].sort_unstable();
-            true
-        } else {
-            false
-        }
+        let Err(pos) = self.adj[u].binary_search(&v) else {
+            return false;
+        };
+        self.adj[u].insert(pos, v);
+        let pos = self.adj[v]
+            .binary_search(&u)
+            .expect_err("adjacency rows are symmetric");
+        self.adj[v].insert(pos, u);
+        self.num_edges += 1;
+        true
     }
 
     /// Returns `true` when `{u, v}` is an edge.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        if u == v || u >= self.n || v >= self.n {
-            return false;
-        }
-        self.edges.contains(&(u.min(v), u.max(v)))
+        u != v && u < self.n && v < self.n && self.adj[u].binary_search(&v).is_ok()
     }
 
     /// Neighbours of `u`, sorted ascending.
@@ -106,9 +113,15 @@ impl Graph {
         (0..self.n).map(|u| self.degree(u)).max().unwrap_or(0)
     }
 
-    /// Iterator over edges as `(u, v)` with `u < v`, in lexicographic order.
+    /// Iterator over edges as `(u, v)` with `u < v`, in lexicographic order:
+    /// the `v > u` entries of each sorted row, rows in vertex order.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.edges.iter().copied()
+        self.adj.iter().enumerate().flat_map(|(u, row)| {
+            row.iter()
+                .copied()
+                .filter(move |&v| v > u)
+                .map(move |v| (u, v))
+        })
     }
 
     /// Vertex iterator `0..n`.
@@ -126,22 +139,17 @@ impl Graph {
             v
         };
         let index_of = |x: usize| keep.binary_search(&x).ok();
-        let mut g = Graph::new(keep.len());
-        for &(u, v) in &self.edges {
-            if let (Some(iu), Some(iv)) = (index_of(u), index_of(v)) {
-                g.add_edge(iu, iv);
-            }
-        }
-        (g, keep)
+        let kept: Vec<(usize, usize)> = self
+            .edges()
+            .filter_map(|(u, v)| Some((index_of(u)?, index_of(v)?)))
+            .collect();
+        (Graph::from_edges(keep.len(), &kept), keep)
     }
 
     /// Number of edges with exactly one endpoint in `set`.
     pub fn cut_size(&self, set: &[bool]) -> usize {
         assert_eq!(set.len(), self.n, "cut_size: indicator length mismatch");
-        self.edges
-            .iter()
-            .filter(|&&(u, v)| set[u] != set[v])
-            .count()
+        self.edges().filter(|&(u, v)| set[u] != set[v]).count()
     }
 
     /// Returns `true` when the graph is `k`-regular.
@@ -180,9 +188,8 @@ impl Graph {
     /// RCM ordering, freeze to CSR, and a sweep in new-label order touches
     /// near-contiguous neighbourhoods.
     ///
-    /// Construction is `O(m log m)` via one sorted edge vector (bulk
-    /// `BTreeSet` build), deliberately bypassing the per-insert cost of
-    /// [`Graph::from_edges`] — relabelling a `10⁷`-vertex bench instance
+    /// Construction is one [`Graph::from_edges`] bulk build over the mapped
+    /// edges, `O(m log Δ)` — relabelling a `10⁷`-vertex bench instance
     /// happens on the measurement path.
     ///
     /// # Panics
@@ -193,42 +200,19 @@ impl Graph {
             self.n,
             "ordering covers a different vertex count"
         );
-        let mut mapped: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .map(|&(u, v)| {
-                let (a, b) = (ordering.position_of(u), ordering.position_of(v));
-                (a.min(b), a.max(b))
-            })
+        let mapped: Vec<(usize, usize)> = self
+            .edges()
+            .map(|(u, v)| (ordering.position_of(u), ordering.position_of(v)))
             .collect();
-        mapped.sort_unstable();
-        let mut adj = vec![Vec::new(); self.n];
-        for &(u, v) in &mapped {
-            adj[u].push(v);
-            adj[v].push(u);
-        }
-        for row in &mut adj {
-            row.sort_unstable();
-        }
-        Graph {
-            n: self.n,
-            adj,
-            // A permutation maps distinct edges to distinct edges, so the
-            // sorted vector bulk-loads without dedup.
-            edges: mapped.into_iter().collect(),
-        }
+        Graph::from_edges(self.n, &mapped)
     }
 }
 
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Graph(n={}, m={}, edges={:?})",
-            self.n,
-            self.num_edges(),
-            self.edges
-        )
+        write!(f, "Graph(n={}, m={}, edges=", self.n, self.num_edges)?;
+        f.debug_set().entries(self.edges()).finish()?;
+        write!(f, ")")
     }
 }
 

@@ -15,7 +15,8 @@
 //!   ([`traversal`]),
 //! * a frozen **CSR adjacency** view ([`csr`]): two contiguous `u32`
 //!   arrays with a validity check, the memory-locality substrate of the
-//!   large-`n` engine paths in `logit-core`,
+//!   large-`n` engine paths in `logit-core` and the one adjacency the
+//!   graph-backed games hold (as a shared `Arc<CsrGraph>`),
 //! * **bandwidth-minimising relabelling** ([`relabel`]): reverse
 //!   Cuthill–McKee orderings plus `bandwidth_of_ordering`, sharing the
 //!   [`VertexOrdering`] machinery with the cutwidth computations,

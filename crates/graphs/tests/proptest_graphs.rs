@@ -3,7 +3,7 @@
 use logit_graphs::traversal::{bfs_distances, connected_components, is_connected};
 use logit_graphs::{
     cutwidth_exact, cutwidth_heuristic, cutwidth_of_ordering, dsatur_coloring, greedy_coloring,
-    Graph, GraphBuilder, VertexOrdering,
+    CsrGraph, Graph, GraphBuilder, VertexOrdering,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,8 +27,54 @@ fn build(n: usize, raw: &[(usize, usize)]) -> Graph {
     g
 }
 
+/// Strategy producing a loop-free edge list on `n` vertices in which some
+/// edges repeat, in both orientations.
+fn edge_list_with_repeats() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (2usize..10)
+        .prop_flat_map(|n| (Just(n), prop::collection::vec((0..n, 0..n), 0..30)))
+        .prop_map(|(n, raw)| {
+            let mut edges: Vec<(usize, usize)> = raw.into_iter().filter(|&(u, v)| u != v).collect();
+            let repeats: Vec<(usize, usize)> = edges
+                .iter()
+                .step_by(2)
+                .map(|&(u, v)| (v, u))
+                .chain(edges.iter().step_by(3).copied())
+                .collect();
+            edges.extend(repeats);
+            (n, edges)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `from_edges` stores every distinct edge once, in sorted rows: its
+    /// edge sequence is the sorted, deduplicated `(min, max)` pairs,
+    /// `has_edge` holds exactly on them, and inserting the edges one at a
+    /// time builds an equal graph.
+    #[test]
+    fn from_edges_stores_each_edge_once_in_sorted_rows((n, edges) in edge_list_with_repeats()) {
+        let g = Graph::from_edges(n, &edges);
+        let mut expected: Vec<(usize, usize)> =
+            edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        expected.sort_unstable();
+        expected.dedup();
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), expected.clone());
+        prop_assert_eq!(g.num_edges(), expected.len());
+        for u in 0..n {
+            prop_assert!(g.neighbors(u).windows(2).all(|w| w[0] < w[1]));
+            for v in 0..n {
+                let listed = expected.binary_search(&(u.min(v), u.max(v))).is_ok();
+                prop_assert_eq!(g.has_edge(u, v), listed);
+            }
+        }
+        prop_assert!(CsrGraph::from_graph(&g).edges().eq(g.edges()));
+        let mut one_by_one = Graph::new(n);
+        for &(u, v) in &edges {
+            one_by_one.add_edge(u, v);
+        }
+        prop_assert_eq!(one_by_one, g);
+    }
 
     /// The handshake lemma: sum of degrees equals twice the edge count.
     #[test]

@@ -1,17 +1,17 @@
 //! Content-addressed, LRU-bounded cache of derived artifacts.
 //!
 //! Building a job's environment is dominated by work that is a pure
-//! function of the *game description* — the interaction graph, its greedy
-//! colouring (for the parallel-revision schedule), and the
-//! [`LocalityLayout`] reordering diagnostics. A multi-tenant server sees
-//! the same handful of descriptions over and over, so these are computed
-//! once per content hash ([`JobSpec::content_key`](crate::JobSpec::content_key)),
-//! shared as `Arc`s across concurrent jobs, and evicted least-recently-used
-//! once the cache is full. β-ladders get the same treatment in a second,
-//! smaller cache.
+//! function of the *game description* — the interaction graph, frozen to
+//! CSR, and its colouring (for the parallel-revision schedule). A
+//! multi-tenant server sees the same handful of descriptions over and
+//! over, so these are computed once per content hash
+//! ([`JobSpec::content_key`](crate::JobSpec::content_key)), shared as
+//! `Arc`s across concurrent jobs, and evicted least-recently-used once the
+//! cache is full. Jobs hold the same `Arc`s: their games and schedules
+//! point at the cached CSR and colouring instead of copying them.
+//! β-ladders get the same treatment in a second, smaller cache.
 
-use logit_core::LocalityLayout;
-use logit_graphs::{Coloring, Graph};
+use logit_graphs::{Coloring, CsrGraph};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -159,20 +159,16 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// Everything derived from one game description that jobs can share:
-/// the interaction graph, its greedy colouring, and the RCM locality
-/// ordering with its bandwidth diagnostics.
+/// Everything derived from one game description that jobs can share: the
+/// interaction graph and its colouring, each behind its own `Arc` so a
+/// job's game and schedule share them without a copy.
 #[derive(Debug)]
 pub struct GameArtifacts {
-    /// The interaction graph the topology describes.
-    pub graph: Graph,
-    /// Greedy colouring of `graph` — the `schedule=coloured` revision
-    /// classes.
-    pub coloring: Coloring,
-    /// RCM relabelling of the game's interaction structure.
-    pub layout: LocalityLayout,
-    /// Adjacency bandwidth before/after the RCM relabelling.
-    pub bandwidth: (usize, usize),
+    /// The interaction graph the topology describes, frozen to CSR — the
+    /// only adjacency the job's game holds.
+    pub csr: Arc<CsrGraph>,
+    /// Colouring of the graph — the `schedule=coloured` revision classes.
+    pub coloring: Arc<Coloring>,
 }
 
 /// The server's artifact store: game artifacts keyed by content hash,

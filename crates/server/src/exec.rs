@@ -7,7 +7,10 @@
 //! [`BetaLadder::try_linear`], [`PipelineConfig::try_validate`] — sharing
 //! the expensive derived artifacts through the content-addressed
 //! [`ArtifactCache`]. Anything that survives `prepare` can run on the shared
-//! pool without tripping a boundary `assert!`.
+//! pool without tripping a boundary `assert!`. Jobs run on the cached
+//! artifacts by reference: the game holds an `Arc::clone` of the cached CSR
+//! and a coloured schedule one of the cached colouring, so no job copies a
+//! graph.
 //!
 //! [`run_prepared`] drives the job on the farm of a given [`Simulator`]
 //! (the server's pool-sharing one), honouring a [`CancelToken`] in both job
@@ -26,10 +29,10 @@ use crate::job::{
 use crate::protocol::{SeriesPoint, StreamedResult};
 use logit_anneal::BetaLadder;
 use logit_core::{
-    coloring_for_graph, AllLogit, CancelToken, ColouredBlocks, DynamicsEngine, LocalityLayout,
-    Logit, MetropolisLogit, NoisyBestResponse, PipelineConfig, PotentialObservable,
-    ProfileObservable, SelectionSchedule, Simulator, StrategyFraction, SystematicSweep,
-    TemperingEnsemble, UniformSingle, UpdateRule,
+    coloring_for_graph, AllLogit, CancelToken, ColouredBlocks, DynamicsEngine, Logit,
+    MetropolisLogit, NoisyBestResponse, PipelineConfig, PotentialObservable, ProfileObservable,
+    SelectionSchedule, Simulator, StrategyFraction, SystematicSweep, TemperingEnsemble,
+    UniformSingle, UpdateRule,
 };
 use logit_games::{CoordinationGame, GraphicalCoordinationGame, IsingGame, PotentialGame};
 use logit_graphs::{CsrGraph, GraphBuilder};
@@ -116,7 +119,8 @@ pub fn prepare(spec: JobSpec, cache: &ArtifactCache) -> Result<PreparedJob, Admi
     })
 }
 
-/// Builds the derived artifacts of one game description (cache miss path).
+/// Builds the derived artifacts of one game description (cache miss path):
+/// the graph is built, frozen and coloured, then dropped.
 fn build_artifacts(spec: &JobSpec) -> Result<Arc<GameArtifacts>, AdmissionError> {
     let graph = match spec.topology {
         Topology::Ring { n } => GraphBuilder::ring(n),
@@ -128,24 +132,9 @@ fn build_artifacts(spec: &JobSpec) -> Result<Arc<GameArtifacts>, AdmissionError>
     };
     // The CSR u32-width boundary, as a typed error (unreachable under the
     // admission limits, but the farm must never see an unchecked graph).
-    CsrGraph::try_from_graph(&graph)?;
-    let coloring = coloring_for_graph(&graph);
-    let (layout, _) = match spec.game {
-        GameFamily::Graphical { delta0, delta1 } => {
-            let base = CoordinationGame::try_from_deltas(delta0, delta1)?;
-            LocalityLayout::for_game(&GraphicalCoordinationGame::new(graph.clone(), base))
-        }
-        GameFamily::Ising { coupling, field } => {
-            LocalityLayout::for_game(&IsingGame::try_new(graph.clone(), coupling, field)?)
-        }
-    };
-    let bandwidth = (layout.bandwidth_before(), layout.bandwidth_after());
-    Ok(Arc::new(GameArtifacts {
-        graph,
-        coloring,
-        layout,
-        bandwidth,
-    }))
+    let csr = Arc::new(CsrGraph::try_from_graph(&graph)?);
+    let coloring = Arc::new(coloring_for_graph(&graph));
+    Ok(Arc::new(GameArtifacts { csr, coloring }))
 }
 
 /// Observable dispatch: a concrete `ProfileObservable` per
@@ -253,22 +242,22 @@ pub fn run_direct(job: &PreparedJob) -> StreamedResult {
     dispatch_game(&sim, job, None).expect("uncancelled direct runs always complete")
 }
 
-/// Builds the job's game, then dispatches on its rule.
+/// Builds the job's game on the cached CSR, then dispatches on its rule.
 fn dispatch_game(
     sim: &Simulator,
     job: &PreparedJob,
     cancel: Option<&CancelToken>,
 ) -> Option<StreamedResult> {
-    let graph = job.artifacts.graph.clone();
+    let csr = Arc::clone(&job.artifacts.csr);
     match job.spec.game {
         GameFamily::Graphical { delta0, delta1 } => {
             let base = CoordinationGame::try_from_deltas(delta0, delta1)
                 .expect("payoffs were validated at admission");
-            let game = GraphicalCoordinationGame::new(graph, base);
+            let game = GraphicalCoordinationGame::new(csr, base);
             dispatch_rule(sim, job, game, cancel)
         }
         GameFamily::Ising { coupling, field } => {
-            let game = IsingGame::try_new(graph, coupling, field)
+            let game = IsingGame::try_new(csr, coupling, field)
                 .expect("payoffs were validated at admission");
             dispatch_rule(sim, job, game, cancel)
         }
@@ -321,7 +310,7 @@ where
             ScheduleKind::Sweep => self.run_schedule(sim, job, &SystematicSweep, cancel),
             ScheduleKind::All => self.run_schedule(sim, job, &AllLogit, cancel),
             ScheduleKind::Coloured => {
-                let schedule = ColouredBlocks::new(job.artifacts.coloring.clone());
+                let schedule = ColouredBlocks::new(Arc::clone(&job.artifacts.coloring));
                 self.run_schedule(sim, job, &schedule, cancel)
             }
         }

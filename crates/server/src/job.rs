@@ -55,12 +55,17 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Number of players the topology induces.
+    /// Number of players the topology induces, saturating at `usize::MAX`
+    /// so that no oversized description wraps to a small count.
     pub fn num_players(&self) -> usize {
         match *self {
             Topology::Ring { n } | Topology::Clique { n } | Topology::Circulant { n, .. } => n,
-            Topology::Torus { rows, cols } | Topology::Grid { rows, cols } => rows * cols,
-            Topology::Hypercube { dim } => 1usize << dim,
+            Topology::Torus { rows, cols } | Topology::Grid { rows, cols } => {
+                rows.saturating_mul(cols)
+            }
+            Topology::Hypercube { dim } => {
+                1usize.checked_shl(dim.min(64) as u32).unwrap_or(usize::MAX)
+            }
         }
     }
 }
@@ -247,6 +252,19 @@ impl JobSpec {
             },
             other => return Err(bad("topology", format!("unknown topology `{other}`"))),
         };
+        // The player count first: it saturates rather than wraps, and once
+        // it is bounded every size below is too, except circulant `k`,
+        // which its builder precondition bounds.
+        let players = topology.num_players();
+        if players > limits::MAX_PLAYERS {
+            return Err(bad(
+                "topology",
+                format!(
+                    "induces {players} players, above the limit of {}",
+                    limits::MAX_PLAYERS
+                ),
+            ));
+        }
         // Pre-check the builder preconditions so malformed topologies are
         // typed rejections, never a panic in a handler thread.
         match topology {
@@ -256,22 +274,18 @@ impl JobSpec {
             Topology::Torus { rows, cols } if rows < 3 || cols < 3 => {
                 return Err(bad("rows", "a torus needs both dimensions at least 3"));
             }
-            Topology::Circulant { n, k } if k < 1 || n <= 2 * k => {
+            Topology::Circulant { n, k } if k < 1 || n <= k.saturating_mul(2) => {
                 return Err(bad("k", "a circulant needs 1 <= k and n >= 2k + 1"));
-            }
-            Topology::Hypercube { dim } if dim >= 21 => {
-                return Err(bad("dim", "hypercube dimension must be at most 20"));
             }
             _ => {}
         }
+        let p = players as u64;
         let edges: u64 = match topology {
-            Topology::Ring { n } => n as u64,
-            Topology::Clique { n } => (n as u64) * (n as u64).saturating_sub(1) / 2,
-            Topology::Torus { rows, cols } | Topology::Grid { rows, cols } => {
-                2 * (rows as u64) * (cols as u64)
-            }
-            Topology::Hypercube { dim } => (dim as u64) << (dim.saturating_sub(1)),
-            Topology::Circulant { n, k } => (n as u64) * (k as u64),
+            Topology::Ring { .. } => p,
+            Topology::Clique { .. } => p * p.saturating_sub(1) / 2,
+            Topology::Torus { .. } | Topology::Grid { .. } => 2 * p,
+            Topology::Hypercube { dim } => (dim as u64).saturating_mul(p) / 2,
+            Topology::Circulant { k, .. } => p.saturating_mul(k as u64),
         };
         if edges > limits::MAX_EDGES {
             return Err(bad(
@@ -282,18 +296,8 @@ impl JobSpec {
                 ),
             ));
         }
-        let players = topology.num_players();
         if players == 0 {
             return Err(bad("topology", "induces zero players"));
-        }
-        if players > limits::MAX_PLAYERS {
-            return Err(bad(
-                "topology",
-                format!(
-                    "induces {players} players, above the limit of {}",
-                    limits::MAX_PLAYERS
-                ),
-            ));
         }
 
         let game = match f.take("game")?.as_str() {
@@ -478,8 +482,8 @@ impl JobSpec {
     }
 
     /// Canonical text of the *game description* — family, payoffs and
-    /// topology, the inputs every cached derived artifact (interaction
-    /// graph, colouring, locality ordering) is a pure function of. Floats
+    /// topology, the inputs every cached derived artifact (the CSR
+    /// interaction graph and its colouring) is a pure function of. Floats
     /// are rendered as bit patterns so the key is injective.
     pub fn canonical_game_text(&self) -> String {
         use crate::protocol::encode_f64;

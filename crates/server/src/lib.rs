@@ -10,8 +10,8 @@
 //! [`AdmissionError`]s ([`job`], [`exec::prepare`]); accepted jobs are
 //! queued onto the single shared [`WorkerPool`](logit_core::WorkerPool)
 //! behind the pipeline farm ([`server`]), with derived artifacts
-//! (interaction graphs, colourings, locality orderings, β-ladders) shared
-//! across tenants through a content-hash-keyed LRU cache ([`cache`]).
+//! (CSR interaction graphs, colourings, β-ladders) shared across tenants
+//! through a content-hash-keyed LRU cache ([`cache`]).
 //!
 //! The contract that makes the service more than a remote-procedure
 //! wrapper: every streamed series is **bit-reproducible offline**. The

@@ -381,12 +381,10 @@ fn handle_connection(
     // job moves into the queue.
     let id = job_ids.fetch_add(1, Ordering::Relaxed);
     let accepted_meta = format!(
-        "job={id} key={:016x} artifacts={} colors={} bandwidth={}->{}",
+        "job={id} key={:016x} artifacts={} colors={}",
         job.spec.content_key(),
         if job.cache_hit { "hit" } else { "miss" },
         job.artifacts.coloring.num_classes(),
-        job.artifacts.bandwidth.0,
-        job.artifacts.bandwidth.1,
     );
 
     let cancel = CancelToken::new();

@@ -14,6 +14,7 @@ use logit_server::{
     prepare, run_direct, run_prepared, submit_job, submit_raw, ArtifactCache, ClientOutcome,
     JobSpec, RunningServer, ServerConfig, StatsSnapshot,
 };
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -196,6 +197,15 @@ fn admission_rejects_each_malformed_layer_with_its_typed_code() {
         format!("{}\nchannel_capacity=0", base_job(1)).replace("chunk_ticks=128\n", "")
     )
     .starts_with("pipeline:"));
+    // Size layer: sizes whose products wrap past 64 bits (rows·cols to 4,
+    // 2k to 0) are rejected, not built as small graphs.
+    for topology in [
+        "topology=torus\nrows=4611686018427387905\ncols=4",
+        "topology=circulant\nn=1000\nk=9223372036854775808",
+    ] {
+        let msg = reject(base_job(1).replace("topology=ring\nn=20", topology));
+        assert!(msg.starts_with("bad-value:"), "got `{msg}`");
+    }
     // Protocol layer (raw garbage framing).
     let reply = submit_raw(addr, b"\x00\x00\x00\x02Qq").expect("garbage io");
     let (kind, payload) = reply.expect("server answers garbage with a frame");
@@ -204,7 +214,7 @@ fn admission_rejects_each_malformed_layer_with_its_typed_code() {
 
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 0);
-    assert_eq!(stats.rejected, 7);
+    assert_eq!(stats.rejected, 9);
     assert_eq!(stats.internal_errors, 0);
 }
 
@@ -322,6 +332,15 @@ fn tight_pipeline_knobs_reach_both_job_modes_and_replay_bit_identically() {
     }
     let stats = server.shutdown();
     assert_eq!(stats.internal_errors, 0);
+}
+
+#[test]
+fn jobs_on_one_description_share_its_csr_and_colouring() {
+    let cache = ArtifactCache::new(4);
+    let prepared = || prepare(JobSpec::parse(&base_job(1)).unwrap(), &cache).unwrap();
+    let (a, b) = (prepared(), prepared());
+    assert!(Arc::ptr_eq(&a.artifacts.csr, &b.artifacts.csr));
+    assert!(Arc::ptr_eq(&a.artifacts.coloring, &b.artifacts.coloring));
 }
 
 #[test]

@@ -65,7 +65,7 @@ fn main() {
     println!(
         "simulation at beta = {beta}: mean potential after 200 steps = {:.3} (minimum possible {:.3})",
         result.observable_stats.mean(),
-        -(game.graph().num_edges() as f64) * delta
+        -(game.csr().num_edges() as f64) * delta
     );
 
     // Swapping the update rule is one constructor away: the Metropolis chain

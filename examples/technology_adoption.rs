@@ -32,7 +32,7 @@ fn adoption_report(name: &str, game: &GraphicalCoordinationGame, betas: &[f64]) 
 
     println!(
         "--- {name} ({n} players, {} edges) ---",
-        game.graph().num_edges()
+        game.csr().num_edges()
     );
     println!(
         "{:>6} {:>18} {:>18} {:>14}",
@@ -64,8 +64,9 @@ fn main() {
     let n = 5;
     let betas = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0];
 
-    let ring = GraphicalCoordinationGame::new(GraphBuilder::ring(n), base);
-    let clique = GraphicalCoordinationGame::new(GraphBuilder::clique(n), base);
+    let (ring_graph, clique_graph) = (GraphBuilder::ring(n), GraphBuilder::clique(n));
+    let ring = GraphicalCoordinationGame::new(ring_graph.clone(), base);
+    let clique = GraphicalCoordinationGame::new(clique_graph.clone(), base);
 
     println!("Diffusion of a risk-dominant technology (delta0 = 1, delta1 = 2)\n");
     adoption_report("ring (local interaction)", &ring, &betas);
@@ -77,8 +78,8 @@ fn main() {
     println!("ring it stays modest — local interaction is what makes diffusion fast.");
 
     // Also report the cutwidths driving the Theorem 5.1 bound.
-    let chi_ring = cutwidth_exact(ring.graph()).cutwidth;
-    let chi_clique = cutwidth_exact(clique.graph()).cutwidth;
+    let chi_ring = cutwidth_exact(&ring_graph).cutwidth;
+    let chi_clique = cutwidth_exact(&clique_graph).cutwidth;
     println!();
     println!("cutwidths: ring = {chi_ring}, clique = {chi_clique} (Theorem 5.1 exponent is proportional to these)");
 }
