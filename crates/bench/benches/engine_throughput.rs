@@ -183,9 +183,9 @@ fn bench_tempered_round(c: &mut Criterion) {
 fn bench_pipelined_ensemble(c: &mut Criterion) {
     // The whole ensemble runner, sequential fold vs the pipelined
     // farm/reducer stages, same seeds and therefore (by the bit-identity
-    // contract) the same result — the delta is pure orchestration cost:
-    // channel traffic + profile snapshots vs in-line observable evaluation
-    // and the end-of-run barrier.
+    // contract) the same result. Both evaluate the observable where they
+    // step, so the delta is pure orchestration cost: channel traffic of
+    // f64 samples and the streamed fold vs the end-of-run barrier.
     use logit_core::observables::StrategyFraction;
     use logit_core::Simulator;
 

@@ -795,9 +795,10 @@ fn large_n_rows(steps: u64, full: bool) -> String {
 }
 
 /// Aggregate stepping throughput of a replica ensemble through either the
-/// sequential `run_profiles` path (observables evaluated on the stepping
-/// threads, end-of-run fold) or the pipelined farm/reducer stages
-/// (observables evaluated off the stepping threads, streamed reduction).
+/// sequential `run_profiles` path (end-of-run fold) or the pipelined
+/// farm/reducer stages (streamed, order-restoring fold). Both evaluate the
+/// observable on the threads that step, so the gap is the farm's channel
+/// and reducer cost.
 /// Returns the rate and the full result so the caller can pin the
 /// bit-identity contract in-process.
 fn ensemble_steps_per_sec<U: UpdateRule>(
@@ -1132,10 +1133,10 @@ fn main() {
     // committed invariant.
     let tempered = tempered_rows(4, &[1_000, 10_000, 100_000], steps);
 
-    // Pipelined-ensemble rows: the farm/reducer stages against the in-line
-    // sequential ensemble, per rule, at the size where snapshot traffic is
-    // realistic. Bit-identity is asserted inside, so a diverging pipeline
-    // can never emit a baseline.
+    // Pipelined-ensemble rows: the farm/reducer stages against the
+    // sequential ensemble, per rule, at a size where a sample's evaluation
+    // costs real time. Bit-identity is asserted inside, so a diverging
+    // pipeline can never emit a baseline.
     let pipelined = pipelined_rows(10_000, steps);
 
     // Coloured independent-set rows: the parallel-revision engine paths on

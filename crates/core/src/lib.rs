@@ -103,9 +103,7 @@ pub use observables::{
 pub use parallel::{
     coloring_for_game, coloring_for_graph, player_tick_seed, ColouredBlocks, RandomBlock,
 };
-pub use pipeline::{
-    CancelToken, OrderedSeriesReducer, PipelineConfig, PipelineConfigError, SnapshotBatch,
-};
+pub use pipeline::{CancelToken, OrderedSeriesReducer, PipelineConfig, PipelineConfigError};
 pub use rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 pub use runtime::{RuntimeConfig, ThreadRegistry, WaitPolicy, WorkerEntry, WorkerPool};
 pub use schedules::{AllLogit, SelectionSchedule, SystematicSweep, UniformSingle};

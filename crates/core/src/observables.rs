@@ -195,8 +195,9 @@ impl ProfileObservable for StrategyFraction {
 /// replica order whatever order the replicas report in).
 ///
 /// This is the accumulator the pipelined ensemble runner
-/// ([`crate::pipeline`]) folds observable samples into, off the hot
-/// stepping threads. The order of [`record`](Self::record) calls *within
+/// ([`crate::pipeline`]) folds into on its calling thread: the step workers
+/// evaluate the observable and stream the values, the reducer only orders
+/// and records them. The order of [`record`](Self::record) calls *within
 /// one time index* determines the floating-point association of the
 /// Welford moments, which is why the bit-identical pipelined path feeds it
 /// through an order-restoring frontier

@@ -1,22 +1,24 @@
 //! PPL-style pipelined ensemble runner: a farm of step workers feeding a
-//! streamed observable reducer.
+//! streamed, order-restoring reducer.
 //!
 //! [`Simulator::run_profiles`](crate::simulate::Simulator::run_profiles)
-//! evaluates observables on the hot stepping thread and joins every replica
-//! at an end-of-run barrier before folding statistics. This module
-//! restructures the ensemble as a pipeline of stages, the farm shape of the
-//! parallel-pipeline (PPL) libraries:
+//! runs every replica to the end and folds statistics after an end-of-run
+//! barrier. This module restructures the ensemble as a pipeline of stages,
+//! the farm shape of the parallel-pipeline (PPL) libraries: the heavy,
+//! stateless work stays in the replicated workers and the collector only
+//! orders and folds.
 //!
 //! ```text
 //!  emitter                 step workers                reducer
-//!  (atomic replica        (one seeded ChaCha           (dedicated thread)
+//!  (atomic replica        (one seeded ChaCha           (the calling thread)
 //!   counter)               stream per replica)
 //!     │   claim next   ┌──────────────────┐  bounded   ┌──────────────────┐
-//!     ├───────────────▶│ advance engine in │  channel   │ evaluate the     │
-//!     │                │ fixed tick chunks,├───────────▶│ observable, fold │
-//!     ├───────────────▶│ snapshot profiles │  batches   │ in replica order │
-//!     │                │ at sample times   │            │ into RunningStats│
-//!     └───────────────▶└──────────────────┘            └──────────────────┘
+//!     ├───────────────▶│ advance engine in │  channel   │ fold f64 samples │
+//!     │                │ fixed tick chunks,├───────────▶│ in replica order │
+//!     ├───────────────▶│ evaluate the      │  batches   │ into RunningStats│
+//!     │                │ observable at     │            │                  │
+//!     └───────────────▶│ sample times      │            │                  │
+//!                      └──────────────────┘            └──────────────────┘
 //! ```
 //!
 //! * **Emitter** — a shared atomic counter; workers claim replica indices as
@@ -28,26 +30,26 @@
 //!   spawns). Each claims a replica, seeds the *same* deterministic ChaCha
 //!   stream the sequential path derives, and advances the monomorphised
 //!   [`DynamicsEngine`] hot loop in fixed-size tick chunks. At sample times
-//!   it snapshots the profile into the current [`SnapshotBatch`]; at chunk
-//!   boundaries the batch is pushed through a **bounded** channel
-//!   (backpressure: a slow reducer throttles the workers instead of letting
-//!   snapshots pile up unboundedly). No observable is evaluated on the
-//!   stepping thread.
-//! * **Reducer** — a dedicated stage (the calling thread) that drains the
-//!   channel *while replicas are still running*: it evaluates the observable
-//!   on each snapshot and folds the value through an
-//!   [`OrderedSeriesReducer`] into [`SeriesAccumulator`] statistics.
-//!   Replicas stream into the reducer as they finish chunks — there is no
-//!   end-of-run barrier.
+//!   it evaluates the observable on its own profile and appends the `f64`
+//!   to the chunk's sample batch; at chunk boundaries the batch is pushed
+//!   through a **bounded** channel (backpressure: a slow reducer throttles
+//!   the workers instead of letting samples pile up unboundedly).
+//! * **Reducer** — the calling thread, which drains the channel *while
+//!   replicas are still running* and offers each value to an
+//!   [`OrderedSeriesReducer`], which folds it into [`SeriesAccumulator`]
+//!   statistics. It evaluates nothing, so it keeps pace with the workers
+//!   instead of letting the bounded channel fill and throttle them. There
+//!   is no end-of-run barrier.
 //!
 //! **Bit-identity contract.** The pipelined runner is pinned to produce
 //! exactly the bytes of the sequential path: replica streams use the same
-//! seed derivation and consume randomness identically (snapshots draw
-//! nothing), observable evaluation is deterministic on the snapshot, and the
-//! [`OrderedSeriesReducer`] restores strict replica order per recorded time
-//! before touching the Welford accumulators — so chunking, channel capacity,
-//! worker count and arrival order are all unobservable in the result. The
-//! proptest harness asserts this for every rule × schedule combination.
+//! seed derivation and consume randomness identically (evaluation draws
+//! nothing), the observable is the same deterministic function of the same
+//! profile whichever thread runs it, and the [`OrderedSeriesReducer`]
+//! restores strict replica order per recorded time before touching the
+//! Welford accumulators — so chunking, channel capacity, worker count and
+//! arrival order are all unobservable in the result. The proptest harness
+//! asserts this for every rule × schedule combination.
 //!
 //! The rule/schedule seam stays a monomorphised generic end-to-end: workers
 //! call the same `step_scheduled` loop as the sequential path, with the
@@ -60,18 +62,12 @@
 //! take a [`PipelineConfig`] and an optional [`CancelToken`], and return
 //! `None` only when that token was cancelled.
 //!
-//! **Snapshot pooling.** Spent snapshot buffers travel back from the reducer
-//! to the workers through an unbounded return channel (`SnapshotPool`):
-//! at dense sampling rates the farm stops allocating per sample and recycles
-//! a small working set of buffers bounded by the in-flight batch count.
-//! Pooling is non-blocking on both sides and invisible in the results — the
-//! bit-identity contract is asserted through this path.
-//!
 //! **One path.** The farm has one transport (a bounded
 //! `std::sync::mpsc::sync_channel`), one chunking policy (fixed
 //! [`PipelineConfig::chunk_ticks`]) and one reducer (the
 //! [`OrderedSeriesReducer`]); [`PipelineConfig`] sizes the chunks and the
-//! channel and nothing else.
+//! channel and nothing else. A message carries `f64` samples only, so
+//! in-flight sample memory is `O(capacity · batch)` whatever the game size.
 
 use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::observables::{ProfileObservable, SeriesAccumulator};
@@ -85,8 +81,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 
 /// Tuning knobs of the pipelined runner. The defaults are safe everywhere;
@@ -97,16 +93,17 @@ use std::sync::Mutex;
 ///   channel flushes. Larger chunks amortise channel traffic (one send per
 ///   chunk that contains a sample time); smaller chunks smooth reducer
 ///   utilisation. Keep it well above the per-tick cost crossover: at the
-///   default sampling rates a chunk carries at most a few snapshots.
+///   default sampling rates a chunk carries at most a few samples.
 /// * `channel_capacity` — in-flight batches before senders block. This is
-///   the backpressure bound: peak snapshot memory is
-///   `O(capacity · batch · n)`.
+///   the backpressure bound: peak in-flight sample memory is
+///   `O(capacity · batch)` `f64`s, independent of the player count.
 ///
-/// The step-worker count is no longer a pipeline knob: it comes from the
+/// The step-worker count is not a pipeline knob: it comes from the
 /// [`Simulator`]'s [`RuntimeConfig`](crate::runtime::RuntimeConfig)
 /// (`workers`, capped at the replica count), the same notion of "how many
-/// threads" the coloured and tempered paths use. The reducer runs on the
-/// calling thread in addition.
+/// threads" the coloured and tempered paths use. Those workers step and
+/// evaluate the observable; the calling thread runs the reducer in
+/// addition.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Ticks per worker chunk (≥ 1).
@@ -205,17 +202,25 @@ impl CancelToken {
     }
 }
 
-/// One worker→reducer message: profile snapshots of a single replica at
-/// consecutive sample times, taken during one tick chunk.
-#[derive(Debug, Clone)]
-pub struct SnapshotBatch {
-    /// The replica (or tempering-ensemble) index the snapshots belong to.
-    pub replica: usize,
-    /// Index into the recorded-times grid of `profiles[0]`; entry `j` is the
-    /// snapshot at recorded time `first_sample + j`.
-    pub first_sample: usize,
-    /// The profile snapshots, in sample order.
-    pub profiles: Vec<Vec<usize>>,
+/// One worker→reducer message: observable samples of a single replica at
+/// consecutive recorded times, evaluated during one tick chunk.
+pub(crate) struct SampleBatch {
+    /// The replica (or tempering-ensemble) index the samples belong to.
+    pub(crate) replica: usize,
+    /// Index into the recorded-times grid of `values[0]`; entry `j` is the
+    /// sample at recorded time `first_sample + j`.
+    pub(crate) first_sample: usize,
+    /// The observable values, in sample order.
+    pub(crate) values: Vec<f64>,
+}
+
+impl SampleBatch {
+    /// Offers every value of the batch to `reducer`, in sample order.
+    pub(crate) fn offer_to(&self, reducer: &mut OrderedSeriesReducer) {
+        for (j, &value) in self.values.iter().enumerate() {
+            reducer.offer(self.first_sample + j, self.replica, value);
+        }
+    }
 }
 
 /// One farm-channel message: either a worker payload or a job-completion
@@ -399,81 +404,6 @@ where
     }
 }
 
-/// Snapshot-buffer recycling through a **return channel**: once the reducer
-/// has evaluated a batch's profile snapshots it hands the buffers back to
-/// the step workers, which overwrite them for the next sample instead of
-/// allocating fresh `Vec`s — at dense sampling rates this removes the
-/// `O(samples · n)` allocation churn of the snapshot stream.
-///
-/// The return channel is unbounded (returns never block the reducer) and
-/// drained non-blockingly by workers (`try_lock` + `try_recv`): a worker
-/// that finds the pool momentarily contended or empty just allocates, so
-/// pooling can never deadlock or stall the farm. Buffers are fully
-/// overwritten (`clear` + `extend_from_slice`) before reuse, so pooling is
-/// invisible in the results — the bit-identity proptests run through this
-/// path unchanged.
-pub(crate) struct SnapshotPool {
-    tx: Sender<Vec<Vec<usize>>>,
-    rx: Mutex<Receiver<Vec<Vec<usize>>>>,
-    fresh: AtomicUsize,
-    reused: AtomicUsize,
-}
-
-impl SnapshotPool {
-    pub(crate) fn new() -> Self {
-        let (tx, rx) = channel();
-        Self {
-            tx,
-            rx: Mutex::new(rx),
-            fresh: AtomicUsize::new(0),
-            reused: AtomicUsize::new(0),
-        }
-    }
-
-    /// Reducer side: hands a consumed batch's buffers back to the workers.
-    pub(crate) fn recycle(&self, buffers: Vec<Vec<usize>>) {
-        // A send can only fail after every worker (receiver users) is done;
-        // dropping the buffers is then exactly right.
-        let _ = self.tx.send(buffers);
-    }
-
-    /// Worker side: produces an empty snapshot buffer, preferring a
-    /// recycled one from `spare` (refilled from the return channel when it
-    /// runs dry). Never blocks.
-    pub(crate) fn acquire(&self, spare: &mut Vec<Vec<usize>>) -> Vec<usize> {
-        if spare.is_empty() {
-            if let Ok(rx) = self.rx.try_lock() {
-                while let Ok(mut returned) = rx.try_recv() {
-                    spare.append(&mut returned);
-                }
-            }
-        }
-        match spare.pop() {
-            Some(mut buffer) => {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                buffer.clear();
-                buffer
-            }
-            None => {
-                self.fresh.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Buffers allocated fresh (pool empty at acquisition).
-    #[cfg(test)]
-    pub(crate) fn fresh_count(&self) -> usize {
-        self.fresh.load(Ordering::Relaxed)
-    }
-
-    /// Buffers served from the return channel.
-    #[cfg(test)]
-    pub(crate) fn reused_count(&self) -> usize {
-        self.reused.load(Ordering::Relaxed)
-    }
-}
-
 /// Order-restoring streaming frontier in front of a
 /// [`SeriesAccumulator`]: accepts `(sample, replica, value)` triples in
 /// **any** arrival order and folds them in strict replica order per recorded
@@ -558,12 +488,12 @@ impl OrderedSeriesReducer {
 impl Simulator {
     /// The pipelined counterpart of
     /// [`run_profiles`](Simulator::run_profiles): same replicas, same seeds,
-    /// same schedule, same result — but stepping and observable reduction
-    /// run as pipeline stages (see the [module docs](crate::pipeline)), so
-    /// observables are evaluated off the hot stepping threads and replicas
-    /// stream into the reducer as they finish chunks, with no end-of-run
-    /// barrier. `config` sizes the chunks and the channel; it affects
-    /// throughput and memory only, never the result.
+    /// same schedule, same result — but run as pipeline stages (see the
+    /// [module docs](crate::pipeline)): the step workers evaluate the
+    /// observable where they step and stream `f64` samples, and the calling
+    /// thread folds them in replica order as replicas finish chunks, with no
+    /// end-of-run barrier. `config` sizes the chunks and the channel; it
+    /// affects throughput and memory only, never the result.
     ///
     /// Bit-identical to `run_profiles` under fixed seeds: same
     /// `EmpiricalLaw` samples, same `RunningStats` bytes (asserted by the
@@ -600,11 +530,8 @@ impl Simulator {
         let workers = self.runtime().farm_workers(replicas);
         let seed = self.master_seed();
         let times_ref = &times;
-        // Snapshot buffers flow worker → reducer → (return channel) → worker.
-        let pool = SnapshotPool::new();
-        let pool = &pool;
 
-        let worker = |replica: usize, tx: &FarmSender<SnapshotBatch>| {
+        let worker = |replica: usize, tx: &FarmSender<SampleBatch>| {
             // A cancelled job stops claiming work before seeding anything:
             // returning `false` trips the farm's stop flag, so the emitter
             // drains every remaining replica as a no-op.
@@ -616,7 +543,6 @@ impl Simulator {
             let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(seed, replica));
             let mut scratch = Scratch::for_game(dynamics.game());
             let mut profile = start.to_vec();
-            let mut spare: Vec<Vec<usize>> = Vec::new();
             let mut t = 0u64;
             let mut next_sample = 0usize;
             while t < steps {
@@ -628,22 +554,20 @@ impl Simulator {
                 }
                 let chunk_end = (t + config.chunk_ticks).min(steps);
                 let first_sample = next_sample;
-                let mut batch: Vec<Vec<usize>> = Vec::new();
+                let mut values = Vec::new();
                 while t < chunk_end {
                     dynamics.step_scheduled(schedule, t, &mut profile, &mut scratch, &mut rng);
                     t += 1;
                     if next_sample < times_ref.len() && times_ref[next_sample] == t {
-                        let mut snapshot = pool.acquire(&mut spare);
-                        snapshot.extend_from_slice(&profile);
-                        batch.push(snapshot);
+                        values.push(observable.evaluate_profile(&profile));
                         next_sample += 1;
                     }
                 }
-                if !batch.is_empty() {
-                    let send = tx.send(SnapshotBatch {
+                if !values.is_empty() {
+                    let send = tx.send(SampleBatch {
                         replica,
                         first_sample,
-                        profiles: batch,
+                        values,
                     });
                     if send.is_err() {
                         // The reducer died; stop stepping, let its panic
@@ -664,15 +588,7 @@ impl Simulator {
             |rx| {
                 let mut reducer = OrderedSeriesReducer::new(times_ref.len(), replicas);
                 for batch in rx {
-                    for (j, snapshot) in batch.profiles.iter().enumerate() {
-                        reducer.offer(
-                            batch.first_sample + j,
-                            batch.replica,
-                            observable.evaluate_profile(snapshot),
-                        );
-                    }
-                    // The snapshots are spent: recycle their buffers.
-                    pool.recycle(batch.profiles);
+                    batch.offer_to(&mut reducer);
                 }
                 // "Cancelled" wins over "completed": even a stream that
                 // happens to be whole is discarded once the token is set,
@@ -1003,34 +919,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_pool_recycles_buffers_through_the_return_channel() {
-        let pool = SnapshotPool::new();
-        let mut spare = Vec::new();
-        // Empty pool: the first acquisitions allocate fresh buffers.
-        let mut a = pool.acquire(&mut spare);
-        let mut b = pool.acquire(&mut spare);
-        assert_eq!(pool.fresh_count(), 2);
-        assert_eq!(pool.reused_count(), 0);
-        a.extend_from_slice(&[1, 2, 3]);
-        b.extend_from_slice(&[4, 5]);
-        // The reducer hands the batch back; the next acquisitions reuse its
-        // buffers, cleared.
-        pool.recycle(vec![a, b]);
-        let c = pool.acquire(&mut spare);
-        assert!(c.is_empty(), "recycled buffers come back cleared");
-        assert!(c.capacity() >= 2, "capacity survives the round trip");
-        let _ = pool.acquire(&mut spare);
-        assert_eq!(pool.fresh_count(), 2);
-        assert_eq!(pool.reused_count(), 2);
-        // Dry again: back to allocating.
-        let _ = pool.acquire(&mut spare);
-        assert_eq!(pool.fresh_count(), 3);
-    }
-
-    #[test]
-    fn snapshot_pooling_preserves_bit_identity_at_dense_sampling() {
-        // sample_every = 1 maximises snapshot traffic, so the recycled
-        // buffers are exercised hard; the results must not notice.
+    fn dense_sampling_preserves_bit_identity() {
+        // sample_every = 1 evaluates the observable after every tick and
+        // puts the most samples through the channel; the results must not
+        // notice.
         let d = ring_dynamics(6);
         let sim = simulator_with_workers(77, 12, 2);
         let obs = StrategyFraction::new(1, "adopters");
@@ -1047,6 +939,136 @@ mod tests {
                 .expect("uncancelled runs complete");
             assert_results_identical(&sequential, &pipelined);
         }
+    }
+
+    #[test]
+    fn both_farms_evaluate_every_sample_on_the_step_workers() {
+        // The stage split: step workers evaluate the observable where they
+        // step, the calling thread only orders and folds. Every evaluation
+        // logs the thread it ran on: there must be one per (replica,
+        // recorded time) and none on the caller, whatever the worker count.
+        use crate::tempering::TemperingEnsemble;
+        let game = WellGame::plateau(4, 2.0);
+        let d = LogitDynamics::new(game.clone(), 0.9);
+        let ensemble = TemperingEnsemble::new(game, crate::rules::Logit, &[0.4, 1.2, 2.4]);
+        let caller = std::thread::current().id();
+        let threads = Mutex::new(Vec::new());
+        let counting = crate::observables::NamedObservable::new("counting", |p: &[usize]| {
+            threads
+                .lock()
+                .expect("thread log poisoned")
+                .push(std::thread::current().id());
+            p[0] as f64
+        });
+        let evaluations = || std::mem::take(&mut *threads.lock().expect("thread log poisoned"));
+        let config = PipelineConfig {
+            chunk_ticks: 5,
+            channel_capacity: 2,
+        };
+        let replicas = 6;
+        for workers in 1..=3 {
+            let sim = simulator_with_workers(11, replicas, workers);
+            let farmed = sim
+                .run_profiles_pipelined(
+                    &d,
+                    &UniformSingle,
+                    &[0; 4],
+                    40,
+                    10,
+                    &counting,
+                    &config,
+                    None,
+                )
+                .expect("uncancelled runs complete");
+            let ran_on = evaluations();
+            assert_eq!(ran_on.len(), replicas * farmed.times.len());
+            assert!(
+                ran_on.iter().all(|&id| id != caller),
+                "the profile farm evaluated on the calling thread ({workers} workers)"
+            );
+
+            let tempered = sim
+                .run_tempered(
+                    &ensemble,
+                    &UniformSingle,
+                    &[0; 4],
+                    12,
+                    4,
+                    5,
+                    &counting,
+                    &config,
+                    None,
+                )
+                .expect("uncancelled runs complete");
+            let ran_on = evaluations();
+            assert_eq!(ran_on.len(), replicas * tempered.times.len());
+            assert!(
+                ran_on.iter().all(|&id| id != caller),
+                "the tempered farm evaluated on the calling thread ({workers} workers)"
+            );
+        }
+    }
+
+    #[test]
+    fn an_observable_panic_surfaces_with_its_own_message_from_both_farms() {
+        // A panicking observable kills a step worker mid-stream. Both farms
+        // must re-raise the observable's own message, not the reducer's
+        // consequent "reduction is incomplete", and leave the pool usable.
+        use crate::tempering::TemperingEnsemble;
+        use std::sync::atomic::AtomicUsize;
+        let game = WellGame::plateau(4, 2.0);
+        let d = LogitDynamics::new(game.clone(), 0.9);
+        let ensemble = TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.4, 1.2, 2.4]);
+        let sim = simulator_with_workers(13, 8, 2);
+        let calls = AtomicUsize::new(0);
+        let faulty = crate::observables::NamedObservable::new("faulty", |p: &[usize]| {
+            let call = calls.fetch_add(1, Ordering::Relaxed);
+            if call == 5 {
+                panic!("observable failed at evaluation {call}");
+            }
+            p[0] as f64
+        });
+        let config = PipelineConfig {
+            chunk_ticks: 3,
+            channel_capacity: 1,
+        };
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 40, 5, &faulty, &config, None)
+        }));
+        let payload = caught.expect_err("the observable panic must propagate");
+        assert_eq!(message(payload), "observable failed at evaluation 5");
+
+        calls.store(0, Ordering::Relaxed);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            sim.run_tempered(
+                &ensemble,
+                &UniformSingle,
+                &[0; 4],
+                12,
+                4,
+                1,
+                &faulty,
+                &config,
+                None,
+            )
+        }));
+        let payload = caught.expect_err("the observable panic must propagate");
+        assert_eq!(message(payload), "observable failed at evaluation 5");
+
+        // The same simulator still reproduces the sequential path.
+        let obs = PotentialObservable::new(game);
+        let sequential = sim.run_profiles(&d, &UniformSingle, &[0; 4], 40, 5, &obs);
+        let farmed = sim
+            .run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 40, 5, &obs, &config, None)
+            .expect("uncancelled runs complete");
+        assert_results_identical(&sequential, &farmed);
     }
 
     #[test]

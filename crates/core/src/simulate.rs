@@ -613,13 +613,12 @@ impl Simulator {
     /// pooled across ensembles.
     ///
     /// Routed through the same farm/reducer stages as the pipelined profile
-    /// runner ([`crate::pipeline`]): ensemble workers push cold-replica
-    /// snapshots through a bounded channel as the rounds unfold, and a
-    /// dedicated reducer evaluates the observable and folds statistics off
-    /// the sweeping threads — streamed, no end-of-run barrier. Of `config`
-    /// only `channel_capacity` applies (dense sampling on very large games
-    /// pays one `O(n)` cold-profile snapshot per sample round per ensemble,
-    /// bounded by the channel capacity): the round structure already chunks
+    /// runner ([`crate::pipeline`]): each ensemble's worker evaluates the
+    /// observable on its cold profile at every sample round and streams the
+    /// value through a bounded channel as the rounds unfold, and the calling
+    /// thread only folds those values in ensemble order — streamed, no
+    /// end-of-run barrier. Of `config` only `channel_capacity` applies (it
+    /// bounds the samples in flight): the round structure already chunks
     /// the stream at sample rounds, so `chunk_ticks` has no effect, and the
     /// worker count comes from the simulator's
     /// [`RuntimeConfig`](crate::runtime::RuntimeConfig). Neither affects the
@@ -647,7 +646,7 @@ impl Simulator {
         S: SelectionSchedule,
         O: ProfileObservable + Sync,
     {
-        use crate::pipeline::{farm, FarmSender, OrderedSeriesReducer, SnapshotBatch};
+        use crate::pipeline::{farm, FarmSender, OrderedSeriesReducer, SampleBatch};
 
         assert!(rounds >= 1, "need at least one round");
         assert!(sweep_ticks >= 1, "need at least one tick per round");
@@ -661,10 +660,10 @@ impl Simulator {
         let sample_rounds_ref = &sample_rounds;
         let workers = self.runtime.farm_workers(self.replicas);
 
-        // Cold-replica snapshots stream through the shared stage type; the
+        // Cold-replica samples stream through the shared stage type; the
         // swap diagnostics ride behind them once per ensemble.
         enum TemperMsg {
-            Batch(SnapshotBatch),
+            Batch(SampleBatch),
             Stats {
                 ensemble: usize,
                 stats: crate::tempering::SwapStats,
@@ -689,10 +688,10 @@ impl Simulator {
                     ensemble.round(schedule, &mut state, sweep_ticks);
                     r += 1;
                 }
-                let send = tx.send(TemperMsg::Batch(SnapshotBatch {
+                let send = tx.send(TemperMsg::Batch(SampleBatch {
                     replica: e,
                     first_sample: k,
-                    profiles: vec![state.cold_profile().to_vec()],
+                    values: vec![observable.evaluate_profile(state.cold_profile())],
                 }));
                 if send.is_err() {
                     // The reducer died; stop sweeping, let its panic
@@ -718,15 +717,7 @@ impl Simulator {
                 let mut stats: Vec<Option<crate::tempering::SwapStats>> = vec![None; self.replicas];
                 for msg in rx {
                     match msg {
-                        TemperMsg::Batch(batch) => {
-                            for (j, snapshot) in batch.profiles.iter().enumerate() {
-                                reducer.offer(
-                                    batch.first_sample + j,
-                                    batch.replica,
-                                    observable.evaluate_profile(snapshot),
-                                );
-                            }
-                        }
+                        TemperMsg::Batch(batch) => batch.offer_to(&mut reducer),
                         TemperMsg::Stats { ensemble, stats: s } => {
                             stats[ensemble] = Some(s);
                         }
@@ -1256,6 +1247,92 @@ mod tests {
             (mean - expected).abs() < 0.1,
             "cold-replica mean potential {mean} should approach the Gibbs expectation {expected}"
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The tempered farm against a sequential replay: each ensemble
+        /// runs `init_state` and `round` in order on the caller, the
+        /// observable is read off `cold_profile` at every sample round, and
+        /// the values are pushed replica-major into plain `RunningStats`.
+        /// Worker count and channel capacity must not move a byte.
+        #[test]
+        fn tempered_farm_matches_a_sequential_replay(
+            seed in 0u64..10_000,
+            workers in 1usize..5,
+            channel_capacity in 1usize..6,
+        ) {
+            use crate::observables::PotentialObservable;
+            use crate::tempering::{SwapStats, TemperingEnsemble};
+            // A hot ladder on a ring keeps the cold rung wandering over
+            // many potential levels, so the folded moments depend on the
+            // order of the values.
+            let game = GraphicalCoordinationGame::new(
+                GraphBuilder::ring(6),
+                CoordinationGame::from_deltas(2.0, 1.0),
+            );
+            let ensemble =
+                TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.1, 0.4, 0.9]);
+            let obs = PotentialObservable::new(game);
+            let (ensembles, rounds, sweep_ticks, sample_every) = (7, 11, 3, 4);
+            let start = [0; 6];
+            let runtime = crate::runtime::RuntimeConfig {
+                workers,
+                ..crate::runtime::RuntimeConfig::default()
+            };
+            let config = PipelineConfig {
+                channel_capacity,
+                ..PipelineConfig::default()
+            };
+            let farmed = Simulator::with_runtime(seed, ensembles, runtime)
+                .run_tempered(
+                    &ensemble,
+                    &UniformSingle,
+                    &start,
+                    rounds,
+                    sweep_ticks,
+                    sample_every,
+                    &obs,
+                    &config,
+                    None,
+                )
+                .expect("uncancelled runs complete");
+
+            let sample_rounds = sample_times(rounds, sample_every);
+            let mut series = vec![RunningStats::new(); sample_rounds.len()];
+            let mut final_values = Vec::new();
+            let mut swap_stats = SwapStats::new(ensemble.num_replicas() - 1);
+            for e in 0..ensembles {
+                let mut state = ensemble.init_state(&start, ensemble_seed(seed, e));
+                let mut round = 0;
+                for (k, &target) in sample_rounds.iter().enumerate() {
+                    while round < target {
+                        ensemble.round(&UniformSingle, &mut state, sweep_ticks);
+                        round += 1;
+                    }
+                    let value = obs.evaluate_profile(state.cold_profile());
+                    series[k].push(value);
+                    if k + 1 == sample_rounds.len() {
+                        final_values.push(value);
+                    }
+                }
+                swap_stats.merge(state.swap_stats());
+            }
+
+            // `Debug` prints every Welford field in round-trip precision,
+            // so equal strings are equal bytes.
+            proptest::prop_assert_eq!(format!("{:?}", farmed.series), format!("{:?}", series));
+            proptest::prop_assert_eq!(
+                format!("{:?}", farmed.final_values),
+                format!("{:?}", final_values)
+            );
+            proptest::prop_assert_eq!(farmed.swap_stats, swap_stats);
+            proptest::prop_assert_eq!(
+                farmed.times,
+                sample_rounds.iter().map(|&r| r * sweep_ticks).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,9 @@ pub mod limits {
     /// Longest run (steps for pipelined jobs, `rounds * sweep_ticks` for
     /// tempered jobs).
     pub const MAX_STEPS: u64 = 1_000_000_000;
-    /// Most recorded times a series may have (`steps / sample_every`).
+    /// Most recorded times a series may have: `⌈steps / sample_every⌉`
+    /// (`⌈rounds / sample_every⌉` for tempered jobs), because the final
+    /// step is recorded even when it is not a multiple of `sample_every`.
     pub const MAX_SAMPLES: u64 = 100_000;
     /// Most rungs a β-ladder may have.
     pub const MAX_RUNGS: usize = 64;
@@ -363,7 +365,7 @@ impl JobSpec {
                         format!("must lie in 1..={}", limits::MAX_STEPS),
                     ));
                 }
-                if steps / sample_every > limits::MAX_SAMPLES {
+                if steps.div_ceil(sample_every) > limits::MAX_SAMPLES {
                     return Err(bad(
                         "sample_every",
                         format!("would record more than {} samples", limits::MAX_SAMPLES),
@@ -404,7 +406,7 @@ impl JobSpec {
                         format!("rounds * sweep_ticks must be at most {}", limits::MAX_STEPS),
                     ));
                 }
-                if rounds / sample_every > limits::MAX_SAMPLES {
+                if rounds.div_ceil(sample_every) > limits::MAX_SAMPLES {
                     return Err(bad(
                         "sample_every",
                         format!("would record more than {} samples", limits::MAX_SAMPLES),
@@ -586,6 +588,42 @@ mod tests {
 
         let nan_beta = JobSpec::parse(&base_job().replace("beta=1.25", "beta=nan"));
         assert_eq!(nan_beta.unwrap_err().code(), "bad-value");
+    }
+
+    #[test]
+    fn the_sample_limit_counts_the_recorded_final_step() {
+        // `sample_times` records ⌈steps / sample_every⌉ times, so 200000/2
+        // records exactly MAX_SAMPLES and 200001/2 records one more.
+        assert_eq!(limits::MAX_SAMPLES, 100_000);
+        let pipelined = |steps: u64| {
+            JobSpec::parse(
+                &base_job()
+                    .replace("steps=400", &format!("steps={steps}"))
+                    .replace("sample_every=100", "sample_every=2"),
+            )
+        };
+        let tempered = |rounds: u64| {
+            let text = base_job()
+                .replace(
+                    "mode=pipelined\nbeta=1.25\nsteps=400",
+                    "mode=tempered\nladder=linear\nbeta_min=0.5\nbeta_max=2.0\nrungs=3",
+                )
+                .replace("sample_every=100", "sample_every=2");
+            JobSpec::parse(&format!("{text}\nrounds={rounds}\nsweep_ticks=1"))
+        };
+        let rejected_at_sample_every = |parsed: Result<JobSpec, AdmissionError>| {
+            matches!(
+                parsed,
+                Err(AdmissionError::BadValue {
+                    field: "sample_every",
+                    ..
+                })
+            )
+        };
+        assert!(pipelined(200_000).is_ok());
+        assert!(rejected_at_sample_every(pipelined(200_001)));
+        assert!(tempered(200_000).is_ok());
+        assert!(rejected_at_sample_every(tempered(200_001)));
     }
 
     #[test]
