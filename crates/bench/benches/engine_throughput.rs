@@ -150,9 +150,10 @@ fn bench_all_logit_block(c: &mut Criterion) {
 
 fn bench_tempered_round(c: &mut Criterion) {
     // One tempering round = K·n player updates plus one swap phase (K
-    // potential evaluations and K−1 Metropolis coin flips). The per-update
-    // cost must track the single profile engine: the sweep phase is the same
-    // monomorphised loop, the swap phase amortises over n ticks.
+    // potentials read from the rungs' tallies and K−1 Metropolis coin
+    // flips). The per-update cost must track the single profile engine: the
+    // sweep phase is the same monomorphised loop plus a tally update per
+    // applied move, the swap phase amortises over n ticks.
     use logit_anneal::BetaLadder;
     use logit_core::schedules::UniformSingle;
     use logit_core::TemperingEnsemble;

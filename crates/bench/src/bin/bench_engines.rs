@@ -119,9 +119,10 @@ fn legacy_logit_steps_per_sec(n: usize, steps: u64) -> f64 {
 
 /// Per-update throughput of the tempering ensemble: `K` replicas stepping
 /// under uniform selection with a Metropolis swap phase every `n` ticks. The
-/// sweep phase is the same monomorphised hot loop as the single engine, so
-/// per-update cost must match the profile engine up to the amortised swap
-/// overhead (K potential evaluations — O(K·n) work — every K·n updates).
+/// sweep phase is the same monomorphised hot loop as the single engine plus
+/// an `O(deg)` potential-tally update per applied move, and the swap phase
+/// reads the `K` potentials from the tallies in `O(K)`, so per-update cost
+/// must match the profile engine up to the tally updates.
 fn tempered_updates_per_sec(n: usize, rungs: usize, updates: u64) -> f64 {
     let game = GraphicalCoordinationGame::new(
         GraphBuilder::ring(n),

@@ -34,7 +34,7 @@
 
 use crate::rules::{Logit, UpdateRule};
 use crate::schedules::SelectionSchedule;
-use logit_games::{Game, PotentialGame, ProfileSpace};
+use logit_games::{Game, PotentialGame, PotentialTally, ProfileSpace};
 use logit_linalg::{CsrMatrix, Matrix};
 use logit_markov::MarkovChain;
 use rand::Rng;
@@ -289,6 +289,7 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
     /// With [`UniformSingle`](crate::schedules::UniformSingle) this consumes
     /// the RNG stream identically to [`Self::step_profile`], so the two paths
     /// walk the same trajectory from the same seed.
+    #[inline]
     pub fn step_scheduled<S: SelectionSchedule, R: Rng + ?Sized>(
         &self,
         schedule: &S,
@@ -297,6 +298,31 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
         scratch: &mut Scratch,
         rng: &mut R,
     ) -> usize {
+        self.step_scheduled_tracked(schedule, t, profile, scratch, rng, |_, _, _| {})
+    }
+
+    /// [`Self::step_scheduled`] that also reports every applied move to
+    /// `on_move` as `(player, old strategy, profile)`, with the player's new
+    /// strategy already written into `profile`. A parallel block is applied
+    /// one player at a time too, so each report sees a profile that differs
+    /// from the previous one in the mover's coordinate only: a tally updated
+    /// from the mover's neighbourhood ([`PotentialGame::retally`]) stays
+    /// exact even when neighbours move in the same tick. Same RNG stream and
+    /// trajectory as the untracked call.
+    pub fn step_scheduled_tracked<S, R, F>(
+        &self,
+        schedule: &S,
+        t: u64,
+        profile: &mut [usize],
+        scratch: &mut Scratch,
+        rng: &mut R,
+        mut on_move: F,
+    ) -> usize
+    where
+        S: SelectionSchedule,
+        R: Rng + ?Sized,
+        F: FnMut(usize, usize, &[usize]),
+    {
         let n = self.game.num_players();
         debug_assert_eq!(
             profile.len(),
@@ -314,24 +340,58 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
                 staged.push(sample_index(&scratch.probs, rng));
             }
             for (&player, &strategy) in players.iter().zip(&staged) {
-                if profile[player] != strategy {
-                    moved += 1;
-                }
+                let old = profile[player];
                 profile[player] = strategy;
+                if old != strategy {
+                    moved += 1;
+                    on_move(player, old, profile);
+                }
             }
             scratch.staged = staged;
         } else {
             for &player in &players {
                 self.update_distribution_into(player, profile, scratch);
                 let strategy = sample_index(&scratch.probs, rng);
-                if profile[player] != strategy {
-                    moved += 1;
-                }
+                let old = profile[player];
                 profile[player] = strategy;
+                if old != strategy {
+                    moved += 1;
+                    on_move(player, old, profile);
+                }
             }
         }
         scratch.players = players;
         moved
+    }
+
+    /// Runs the schedule ticks `ticks` on `profile`. With a `tally`, every
+    /// applied move also goes to `retally`, which keeps it current; without
+    /// one this is the plain [`Self::step_scheduled`] loop.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn advance<S: SelectionSchedule, R: Rng + ?Sized>(
+        &self,
+        schedule: &S,
+        ticks: std::ops::Range<u64>,
+        profile: &mut [usize],
+        scratch: &mut Scratch,
+        rng: &mut R,
+        tally: Option<&mut PotentialTally>,
+        retally: impl Fn(&mut PotentialTally, usize, usize, &[usize]),
+    ) {
+        match tally {
+            Some(tally) => {
+                for t in ticks {
+                    self.step_scheduled_tracked(schedule, t, profile, scratch, rng, |p, old, x| {
+                        retally(tally, p, old, x)
+                    });
+                }
+            }
+            None => {
+                for t in ticks {
+                    self.step_scheduled(schedule, t, profile, scratch, rng);
+                }
+            }
+        }
     }
 
     /// One step of the flat-index chain using reusable scratch buffers:

@@ -11,7 +11,7 @@
 use crate::dynamics::DynamicsEngine;
 use crate::rules::UpdateRule;
 use crate::runtime::{RuntimeConfig, WorkerPool};
-use logit_games::{Game, PotentialGame, ProfileSpace};
+use logit_games::{Game, PotentialGame, PotentialTally, ProfileSpace};
 use logit_linalg::stats::RunningStats;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -31,12 +31,51 @@ pub trait Observable {
 /// engine never materialises flat indices (for `n ≳ 60` binary players they
 /// do not fit in a `usize`), so its streaming measurements go through this
 /// trait instead.
+///
+/// An observable may also carry a [`PotentialTally`]: the profile
+/// ensembles ([`Simulator::run_profiles`](crate::simulate::Simulator::run_profiles)
+/// and its pipelined farm) then keep one per replica, update it at every
+/// applied move ([`retally`](Self::retally)) and read each sample from it
+/// ([`evaluate_tally`](Self::evaluate_tally)) in `O(1)`, bit for bit equal
+/// to `evaluate_profile`. The default keeps none, so samples are full
+/// evaluations.
 pub trait ProfileObservable {
     /// Evaluates the observable at `profile`.
     fn evaluate_profile(&self, profile: &[usize]) -> f64;
 
     /// Name used as a column header.
     fn name(&self) -> &str;
+
+    /// The tally to keep alongside a replica starting at `profile`, or
+    /// `None` (the default): no tally, samples evaluate the profile.
+    fn tally(&self, _profile: &[usize]) -> Option<PotentialTally> {
+        None
+    }
+
+    /// Updates `tally` after `player` moved from `old` to
+    /// `profile[player]` (see [`PotentialGame::retally`]).
+    ///
+    /// # Panics
+    /// The default panics: only an observable whose
+    /// [`tally`](Self::tally) returns `Some` keeps one.
+    fn retally(
+        &self,
+        _tally: &mut PotentialTally,
+        _player: usize,
+        _old: usize,
+        _profile: &[usize],
+    ) {
+        panic!("this observable keeps no tally");
+    }
+
+    /// The observable at a profile whose tally is `tally`: bit for bit
+    /// `evaluate_profile(profile)`.
+    ///
+    /// # Panics
+    /// The default panics, as for [`retally`](Self::retally).
+    fn evaluate_tally(&self, _tally: &PotentialTally) -> f64 {
+        panic!("this observable keeps no tally");
+    }
 }
 
 /// An ad-hoc profile observable from a closure, for experiment binaries and
@@ -83,8 +122,15 @@ impl HammingToProfile {
 }
 
 impl ProfileObservable for HammingToProfile {
+    /// # Panics
+    /// Panics when `profile` and the reference differ in length.
     fn evaluate_profile(&self, profile: &[usize]) -> f64 {
-        debug_assert_eq!(profile.len(), self.reference.len());
+        assert!(
+            profile.len() == self.reference.len(),
+            "profile length {} does not match the reference length {}",
+            profile.len(),
+            self.reference.len()
+        );
         profile
             .iter()
             .zip(&self.reference)
@@ -96,7 +142,10 @@ impl ProfileObservable for HammingToProfile {
     }
 }
 
-/// The potential `Φ(x)` of a potential game.
+/// The potential `Φ(x)` of a potential game. It carries the game's
+/// [`PotentialTally`] where the game keeps one (the graphical coordination
+/// and Ising games do), so the profile ensembles read each sample in `O(1)`
+/// instead of an `O(n + m)` evaluation, with the same bits.
 pub struct PotentialObservable<G: PotentialGame> {
     game: G,
 }
@@ -123,6 +172,15 @@ impl<G: PotentialGame> ProfileObservable for PotentialObservable<G> {
     }
     fn name(&self) -> &str {
         "potential"
+    }
+    fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
+        self.game.tally(profile)
+    }
+    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
+        self.game.retally(tally, player, old, profile)
+    }
+    fn evaluate_tally(&self, tally: &PotentialTally) -> f64 {
+        self.game.potential_of_tally(tally)
     }
 }
 
@@ -498,6 +556,14 @@ mod tests {
         let mut acc = SeriesAccumulator::new(1);
         acc.record(0, 3, 1.0);
         acc.record(0, 3, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match the reference length")]
+    fn hamming_distance_rejects_a_profile_of_another_length() {
+        // A shorter reference must not be compared on the common prefix.
+        let obs = HammingToProfile::new(vec![0, 1, 0], "d");
+        let _ = obs.evaluate_profile(&[0, 1, 0, 1]);
     }
 
     #[test]

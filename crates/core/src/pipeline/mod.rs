@@ -15,7 +15,7 @@
 //!     │   claim next   ┌──────────────────┐  bounded   ┌──────────────────┐
 //!     ├───────────────▶│ advance engine in │  channel   │ fold f64 samples │
 //!     │                │ fixed tick chunks,├───────────▶│ in replica order │
-//!     ├───────────────▶│ evaluate the      │  batches   │ into RunningStats│
+//!     ├───────────────▶│ read the          │  batches   │ into RunningStats│
 //!     │                │ observable at     │            │                  │
 //!     └───────────────▶│ sample times      │            │                  │
 //!                      └──────────────────┘            └──────────────────┘
@@ -30,10 +30,13 @@
 //!   spawns). Each claims a replica, seeds the *same* deterministic ChaCha
 //!   stream the sequential path derives, and advances the monomorphised
 //!   [`DynamicsEngine`] hot loop in fixed-size tick chunks. At sample times
-//!   it evaluates the observable on its own profile and appends the `f64`
-//!   to the chunk's sample batch; at chunk boundaries the batch is pushed
-//!   through a **bounded** channel (backpressure: a slow reducer throttles
-//!   the workers instead of letting samples pile up unboundedly).
+//!   it reads the observable and appends the `f64` to the chunk's sample
+//!   batch: from the replica's running tally when the observable carries
+//!   one ([`ProfileObservable::tally`]; the potential of the graphical and
+//!   Ising games, `O(1)` per sample, updated at every applied move), else
+//!   by evaluating it on its own profile. At chunk boundaries the batch is
+//!   pushed through a **bounded** channel (backpressure: a slow reducer
+//!   throttles the workers instead of letting samples pile up unboundedly).
 //! * **Reducer** — the calling thread, which drains the channel *while
 //!   replicas are still running* and offers each value to an
 //!   [`OrderedSeriesReducer`], which folds it into [`SeriesAccumulator`]
@@ -45,11 +48,13 @@
 //! exactly the bytes of the sequential path: replica streams use the same
 //! seed derivation and consume randomness identically (evaluation draws
 //! nothing), the observable is the same deterministic function of the same
-//! profile whichever thread runs it, and the [`OrderedSeriesReducer`]
-//! restores strict replica order per recorded time before touching the
-//! Welford accumulators — so chunking, channel capacity, worker count and
-//! arrival order are all unobservable in the result. The proptest harness
-//! asserts this for every rule × schedule combination.
+//! profile whichever thread runs it (a tally holds exact integers, so
+//! reading it gives the bits of a full evaluation), and the
+//! [`OrderedSeriesReducer`] restores strict replica order per recorded time
+//! before touching the Welford accumulators — so chunking, channel
+//! capacity, worker count and arrival order are all unobservable in the
+//! result. The proptest harness asserts this for every rule × schedule
+//! combination.
 //!
 //! The rule/schedule seam stays a monomorphised generic end-to-end: workers
 //! call the same `step_scheduled` loop as the sequential path, with the
@@ -69,16 +74,14 @@
 //! channel and nothing else. A message carries `f64` samples only, so
 //! in-flight sample memory is `O(capacity · batch)` whatever the game size.
 
-use crate::dynamics::{DynamicsEngine, Scratch};
+use crate::dynamics::DynamicsEngine;
 use crate::observables::{ProfileObservable, SeriesAccumulator};
 use crate::rules::UpdateRule;
 use crate::runtime::WorkerPool;
 use crate::schedules::SelectionSchedule;
-use crate::simulate::{replica_seed, sample_times, ProfileEnsembleResult, Simulator};
+use crate::simulate::{sample_times, ProfileEnsembleResult, Replica, Simulator};
 use logit_games::Game;
 use logit_linalg::stats::RunningStats;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -489,10 +492,10 @@ impl Simulator {
     /// The pipelined counterpart of
     /// [`run_profiles`](Simulator::run_profiles): same replicas, same seeds,
     /// same schedule, same result — but run as pipeline stages (see the
-    /// [module docs](crate::pipeline)): the step workers evaluate the
-    /// observable where they step and stream `f64` samples, and the calling
-    /// thread folds them in replica order as replicas finish chunks, with no
-    /// end-of-run barrier. `config` sizes the chunks and the channel; it
+    /// [module docs](crate::pipeline)): the step workers read the
+    /// observable where they step (from the replica's tally when it carries
+    /// one) and stream `f64` samples, and the calling thread folds them in
+    /// replica order as replicas finish chunks, with no end-of-run barrier. `config` sizes the chunks and the channel; it
     /// affects throughput and memory only, never the result.
     ///
     /// Bit-identical to `run_profiles` under fixed seeds: same
@@ -538,13 +541,11 @@ impl Simulator {
             if cancel.is_some_and(|c| c.is_cancelled()) {
                 return false;
             }
-            // Same stream derivation as the sequential path: bit-identity
-            // starts at the seed.
-            let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(seed, replica));
-            let mut scratch = Scratch::for_game(dynamics.game());
-            let mut profile = start.to_vec();
-            let mut t = 0u64;
+            // The sequential path's replica: same stream, same stepping,
+            // same sampling, so bit-identity starts at the seed.
+            let mut run = Replica::new(dynamics, observable, start, seed, replica);
             let mut next_sample = 0usize;
+            let mut t = 0u64;
             while t < steps {
                 if cancel.is_some_and(|c| c.is_cancelled()) {
                     // Mid-replica cancellation: abandon the stream at a
@@ -555,14 +556,13 @@ impl Simulator {
                 let chunk_end = (t + config.chunk_ticks).min(steps);
                 let first_sample = next_sample;
                 let mut values = Vec::new();
-                while t < chunk_end {
-                    dynamics.step_scheduled(schedule, t, &mut profile, &mut scratch, &mut rng);
-                    t += 1;
-                    if next_sample < times_ref.len() && times_ref[next_sample] == t {
-                        values.push(observable.evaluate_profile(&profile));
-                        next_sample += 1;
-                    }
+                while next_sample < times_ref.len() && times_ref[next_sample] <= chunk_end {
+                    run.advance_to(schedule, times_ref[next_sample]);
+                    values.push(run.sample());
+                    next_sample += 1;
                 }
+                run.advance_to(schedule, chunk_end);
+                t = chunk_end;
                 if !values.is_empty() {
                     let send = tx.send(SampleBatch {
                         replica,

@@ -28,7 +28,7 @@ use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::observables::ProfileObservable;
 use crate::rules::UpdateRule;
 use crate::schedules::SelectionSchedule;
-use logit_games::Game;
+use logit_games::{Game, PotentialTally};
 use logit_linalg::stats::RunningStats;
 use logit_linalg::Vector;
 use rand::Rng;
@@ -109,6 +109,66 @@ pub(crate) fn sample_times(steps: u64, sample_every: u64) -> Vec<u64> {
 /// `Simulator` replica).
 pub(crate) fn replica_seed(seed: u64, replica: usize) -> u64 {
     seed ^ (replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// One replica of a profile ensemble: its profile, ChaCha stream, scratch
+/// buffers and clock, plus the observable's running tally when the
+/// observable carries one. [`Simulator::run_profiles`] and the pipelined
+/// farm's step workers both drive their replicas through it, so they step
+/// and sample alike.
+pub(crate) struct Replica<'a, G: Game, U: UpdateRule, O> {
+    dynamics: &'a DynamicsEngine<G, U>,
+    observable: &'a O,
+    profile: Vec<usize>,
+    tally: Option<PotentialTally>,
+    scratch: Scratch,
+    rng: ChaCha8Rng,
+    t: u64,
+}
+
+impl<'a, G: Game, U: UpdateRule, O: ProfileObservable> Replica<'a, G, U, O> {
+    /// Replica `replica` of a run with master seed `seed`, at tick 0 on a
+    /// copy of `start`.
+    pub(crate) fn new(
+        dynamics: &'a DynamicsEngine<G, U>,
+        observable: &'a O,
+        start: &[usize],
+        seed: u64,
+        replica: usize,
+    ) -> Self {
+        Self {
+            dynamics,
+            observable,
+            profile: start.to_vec(),
+            tally: observable.tally(start),
+            scratch: Scratch::for_game(dynamics.game()),
+            rng: ChaCha8Rng::seed_from_u64(replica_seed(seed, replica)),
+            t: 0,
+        }
+    }
+
+    /// Steps the replica to tick `target`, keeping its tally current.
+    pub(crate) fn advance_to<S: SelectionSchedule>(&mut self, schedule: &S, target: u64) {
+        let observable = self.observable;
+        self.dynamics.advance(
+            schedule,
+            self.t..target,
+            &mut self.profile,
+            &mut self.scratch,
+            &mut self.rng,
+            self.tally.as_mut(),
+            |tally, player, old, profile| observable.retally(tally, player, old, profile),
+        );
+        self.t = self.t.max(target);
+    }
+
+    /// The observable now: read from the tally when there is one.
+    pub(crate) fn sample(&self) -> f64 {
+        match &self.tally {
+            Some(tally) => self.observable.evaluate_tally(tally),
+            None => self.observable.evaluate_profile(&self.profile),
+        }
+    }
 }
 
 /// The master seed of tempering ensemble `e` in [`Simulator::run_tempered`].
@@ -528,7 +588,11 @@ impl Simulator {
     /// `steps` ticks of `schedule` with its own deterministic ChaCha stream
     /// and reused [`Scratch`] buffers, and records `observable` every
     /// `sample_every` ticks (plus at the final tick), so the transient is
-    /// observed as it unfolds instead of final states only.
+    /// observed as it unfolds instead of final states only. An observable
+    /// that carries a tally ([`ProfileObservable::tally`], e.g. the
+    /// potential of a graphical or Ising game) is kept current at every
+    /// applied move and each sample reads it in `O(1)`, with the bits of a
+    /// full evaluation.
     ///
     /// A tick is one [`SelectionSchedule`] tick: a single player for the
     /// sequential schedules (the paper's chain is
@@ -562,19 +626,14 @@ impl Simulator {
 
         let mut per_replica: Vec<Vec<f64>> = vec![Vec::new(); self.replicas];
         self.for_each_replica(&mut per_replica, |replica, slot| {
-            let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(self.seed, replica));
-            let mut scratch = Scratch::for_game(dynamics.game());
-            let mut profile = start.to_vec();
-            let mut values = Vec::with_capacity(times.len());
-            let mut t = 0u64;
-            for &target in &times {
-                while t < target {
-                    dynamics.step_scheduled(schedule, t, &mut profile, &mut scratch, &mut rng);
-                    t += 1;
-                }
-                values.push(observable.evaluate_profile(&profile));
-            }
-            *slot = values;
+            let mut run = Replica::new(dynamics, observable, start, self.seed, replica);
+            *slot = times
+                .iter()
+                .map(|&target| {
+                    run.advance_to(schedule, target);
+                    run.sample()
+                })
+                .collect();
         });
 
         let mut series = vec![RunningStats::new(); times.len()];

@@ -13,7 +13,10 @@
 //! * **swap phases** — adjacent replica pairs `(i, i+1)` propose to exchange
 //!   their *states*, accepted with the Metropolis probability
 //!   `min(1, e^{(β_i − β_{i+1})(Φ(x_i) − Φ(x_{i+1}))})` on the games'
-//!   potential hook.
+//!   potential hook. A game that keeps a [`PotentialTally`] (graphical
+//!   coordination and Ising games) has one per replica, updated at every
+//!   applied move of the sweep and swapped along with its profile, so each
+//!   `Φ(x_i)` is read in `O(1)` with the bits of a full evaluation.
 //!
 //! The swap acceptance is exactly the Metropolis ratio for the product Gibbs
 //! measure `Π_k e^{−β_k Φ(x_k)}`, so each component kernel — the tensor sweep
@@ -25,14 +28,15 @@
 //! closed-form Markov-chain theory in the proptest harness.
 //!
 //! Everything stays monomorphised over `G`, `U` and the schedule: the sweep
-//! phase is the same hot loop as the single-chain engine, and the swap phase
-//! costs `K` potential evaluations per round — amortised to nothing for
-//! `sweep_ticks ≳ n`.
+//! phase is the same hot loop as the single-chain engine (plus an `O(deg)`
+//! tally update per applied move where the game keeps tallies), and the
+//! swap phase costs `O(K)` per round with tallies, `K` full potential
+//! evaluations without.
 
 use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::rules::UpdateRule;
 use crate::schedules::SelectionSchedule;
-use logit_games::{Game, PotentialGame};
+use logit_games::{Game, PotentialGame, PotentialTally};
 use logit_linalg::Vector;
 use logit_markov::{compose, product_distribution, swap_chain, tensor_product_chain, MarkovChain};
 use rand::{Rng, SeedableRng};
@@ -106,9 +110,40 @@ impl SwapStats {
     }
 }
 
-/// The mutable side of a tempering run: one strategy profile, scratch buffer
-/// and RNG stream per replica, a dedicated swap RNG, the shared schedule
-/// clock and the swap diagnostics.
+/// Per-pair swap counters, `tempering.pair_swaps_attempted{pair}` and
+/// `tempering.pair_swaps_accepted{pair}`, next to the unlabelled totals
+/// `tempering.swaps_attempted` / `tempering.swaps_accepted`. Counters add
+/// up across concurrent ensembles and jobs. The handles are registered
+/// once per [`TemperingState`], never per round.
+#[derive(Debug, Clone)]
+struct SwapCounters {
+    attempted: Vec<logit_telemetry::Counter>,
+    accepted: Vec<logit_telemetry::Counter>,
+    attempted_total: logit_telemetry::Counter,
+    accepted_total: logit_telemetry::Counter,
+}
+
+impl SwapCounters {
+    fn register(pairs: usize) -> Self {
+        let registry = logit_telemetry::global();
+        let per_pair = |name: &str| -> Vec<logit_telemetry::Counter> {
+            (0..pairs)
+                .map(|pair| registry.counter_labelled(name, ("pair", &pair.to_string())))
+                .collect()
+        };
+        SwapCounters {
+            attempted: per_pair("tempering.pair_swaps_attempted"),
+            accepted: per_pair("tempering.pair_swaps_accepted"),
+            attempted_total: registry.counter("tempering.swaps_attempted"),
+            accepted_total: registry.counter("tempering.swaps_accepted"),
+        }
+    }
+}
+
+/// The mutable side of a tempering run: one strategy profile, potential
+/// tally (where the game keeps one), scratch buffer and RNG stream per
+/// replica, a dedicated swap RNG, the shared schedule clock and the swap
+/// diagnostics.
 ///
 /// Replica `k`'s stream is derived exactly like `Simulator`'s replica
 /// streams, and the swap RNG is a separate stream — so a `K = 1` ladder
@@ -117,12 +152,15 @@ impl SwapStats {
 #[derive(Debug, Clone)]
 pub struct TemperingState {
     profiles: Vec<Vec<usize>>,
-    phis: Vec<f64>,
+    tallies: Vec<Option<PotentialTally>>,
     scratches: Vec<Scratch>,
     rngs: Vec<ChaCha8Rng>,
     swap_rng: ChaCha8Rng,
     tick: u64,
     stats: SwapStats,
+    /// Registered only while telemetry records, so the disabled path pays
+    /// neither label formatting nor registry lookups.
+    counters: Option<SwapCounters>,
 }
 
 impl TemperingState {
@@ -221,10 +259,19 @@ impl<G: Game, U: UpdateRule> TemperingEnsemble<G, U> {
     pub fn game(&self) -> &G {
         self.engines[0].game()
     }
+}
 
-    /// Initialises a run: every replica starts from a copy of `start`, with
-    /// per-replica RNG streams and a separate swap stream derived from
-    /// `seed` the same way `Simulator` derives replica streams.
+/// The swap RNG is its own stream so that sweep trajectories are unaffected
+/// by whether swaps run (the `K = 1` no-op contract).
+fn swap_stream_seed(seed: u64) -> u64 {
+    seed ^ 0x51AB_5EED_0F0F_A5A5
+}
+
+impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
+    /// Initialises a run: every replica starts from a copy of `start` (and
+    /// of its potential tally, where the game keeps one), with per-replica
+    /// RNG streams and a separate swap stream derived from `seed` the same
+    /// way `Simulator` derives replica streams.
     pub fn init_state(&self, start: &[usize], seed: u64) -> TemperingState {
         let game = self.game();
         assert_eq!(
@@ -241,7 +288,7 @@ impl<G: Game, U: UpdateRule> TemperingEnsemble<G, U> {
         let k = self.num_replicas();
         TemperingState {
             profiles: vec![start.to_vec(); k],
-            phis: vec![0.0; k],
+            tallies: vec![game.tally(start); k],
             scratches: (0..k).map(|_| Scratch::for_game(game)).collect(),
             rngs: (0..k)
                 .map(|r| ChaCha8Rng::seed_from_u64(crate::simulate::replica_seed(seed, r)))
@@ -249,17 +296,10 @@ impl<G: Game, U: UpdateRule> TemperingEnsemble<G, U> {
             swap_rng: ChaCha8Rng::seed_from_u64(swap_stream_seed(seed)),
             tick: 0,
             stats: SwapStats::new(k.saturating_sub(1)),
+            counters: (k > 1 && logit_telemetry::enabled()).then(|| SwapCounters::register(k - 1)),
         }
     }
-}
 
-/// The swap RNG is its own stream so that sweep trajectories are unaffected
-/// by whether swaps run (the `K = 1` no-op contract).
-fn swap_stream_seed(seed: u64) -> u64 {
-    seed ^ 0x51AB_5EED_0F0F_A5A5
-}
-
-impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
     /// The Metropolis swap acceptance for adjacent pair `(i, i+1)` given the
     /// replicas' current potentials: `min(1, e^{(β_i − β_{i+1})(Φ_i −
     /// Φ_{i+1})})`. This is the Metropolis ratio of the product Gibbs measure
@@ -290,58 +330,65 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
             k,
             "state built for a different ladder"
         );
+        let game = self.game();
         for (i, engine) in self.engines.iter().enumerate() {
-            for t in state.tick..state.tick + sweep_ticks {
-                engine.step_scheduled(
-                    schedule,
-                    t,
-                    &mut state.profiles[i],
-                    &mut state.scratches[i],
-                    &mut state.rngs[i],
-                );
-            }
+            engine.advance(
+                schedule,
+                state.tick..state.tick + sweep_ticks,
+                &mut state.profiles[i],
+                &mut state.scratches[i],
+                &mut state.rngs[i],
+                state.tallies[i].as_mut(),
+                |tally, player, old, profile| game.retally(tally, player, old, profile),
+            );
         }
         state.tick += sweep_ticks;
         self.swap_phase(state)
     }
 
-    /// The swap phase of [`round`](Self::round): evaluates every replica's
-    /// potential, then proposes one Metropolis swap per adjacent pair in
-    /// ladder order on the dedicated swap stream. Returns accepted swaps.
+    /// Replica `r`'s potential: read from its tally where it keeps one,
+    /// else evaluated.
+    fn rung_potential(&self, state: &TemperingState, r: usize) -> f64 {
+        match &state.tallies[r] {
+            Some(tally) => self.game().potential_of_tally(tally),
+            None => self.game().potential(&state.profiles[r]),
+        }
+    }
+
+    /// The swap phase of [`round`](Self::round): proposes one Metropolis
+    /// swap per adjacent pair in ladder order on the dedicated swap stream.
+    /// Each rung's potential is read once: the upper potential of one pair
+    /// is the lower potential of the next, unless the swap moved the lower
+    /// state up. Returns accepted swaps.
     fn swap_phase(&self, state: &mut TemperingState) -> usize {
         let k = self.num_replicas();
+        if k < 2 {
+            return 0;
+        }
         let mut accepted = 0;
-        if k > 1 {
-            for (i, phi) in state.phis.iter_mut().enumerate() {
-                *phi = self.engines[i].game().potential(&state.profiles[i]);
-            }
-            for pair in 0..k - 1 {
-                let a = self.swap_acceptance(pair, state.phis[pair], state.phis[pair + 1]);
-                let accept = state.swap_rng.gen::<f64>() < a;
-                state.stats.record(pair, accept);
+        let mut phi_lo = self.rung_potential(state, 0);
+        for pair in 0..k - 1 {
+            let phi_hi = self.rung_potential(state, pair + 1);
+            let a = self.swap_acceptance(pair, phi_lo, phi_hi);
+            let accept = state.swap_rng.gen::<f64>() < a;
+            state.stats.record(pair, accept);
+            if let Some(counters) = &state.counters {
+                counters.attempted[pair].inc();
                 if accept {
-                    state.profiles.swap(pair, pair + 1);
-                    state.phis.swap(pair, pair + 1);
-                    accepted += 1;
+                    counters.accepted[pair].inc();
                 }
             }
-            // Publish the live acceptance picture once per swap phase (K-1
-            // gauge stores, never per proposal). Guarded so the disabled
-            // path pays neither the label formatting nor registry lookups.
-            if logit_telemetry::enabled() {
-                let registry = logit_telemetry::global();
-                registry
-                    .counter("tempering.swaps_attempted")
-                    .add((k - 1) as u64);
-                registry
-                    .counter("tempering.swaps_accepted")
-                    .add(accepted as u64);
-                for pair in 0..k - 1 {
-                    registry
-                        .gauge_labelled("tempering.swap_rate", ("pair", &pair.to_string()))
-                        .set(state.stats.rate(pair));
-                }
+            if accept {
+                state.profiles.swap(pair, pair + 1);
+                state.tallies.swap(pair, pair + 1);
+                accepted += 1;
+            } else {
+                phi_lo = phi_hi;
             }
+        }
+        if let Some(counters) = &state.counters {
+            counters.attempted_total.add((k - 1) as u64);
+            counters.accepted_total.add(accepted as u64);
         }
         accepted
     }
@@ -542,6 +589,94 @@ mod tests {
         assert!(rates.iter().all(|r| (0.0..=1.0).contains(r)));
         // On this mild ladder swaps do happen.
         assert!(stats.accepts(0) + stats.accepts(1) > 0);
+    }
+
+    /// Replays `rounds` tempering rounds with a reference swap loop that
+    /// evaluates `potential` on every rung before every swap phase, and
+    /// checks that the ensemble takes the same swap decisions, ends every
+    /// round on the same profiles and keeps the same `SwapStats`.
+    fn replay_swaps_with_full_evaluations<G: PotentialGame, S: SelectionSchedule>(
+        ens: &TemperingEnsemble<G, Logit>,
+        schedule: &S,
+        start: &[usize],
+        seed: u64,
+        rounds: u64,
+        sweep_ticks: u64,
+    ) {
+        let k = ens.num_replicas();
+        let mut state = ens.init_state(start, seed);
+        let mut profiles = vec![start.to_vec(); k];
+        let mut scratches: Vec<Scratch> = (0..k).map(|_| Scratch::for_game(ens.game())).collect();
+        let mut rngs: Vec<ChaCha8Rng> = (0..k)
+            .map(|r| ChaCha8Rng::seed_from_u64(crate::simulate::replica_seed(seed, r)))
+            .collect();
+        let mut swap_rng = ChaCha8Rng::seed_from_u64(swap_stream_seed(seed));
+        let mut stats = SwapStats::new(k - 1);
+        for round in 0..rounds {
+            let accepted = ens.round(schedule, &mut state, sweep_ticks);
+            for (r, profile) in profiles.iter_mut().enumerate() {
+                for t in round * sweep_ticks..(round + 1) * sweep_ticks {
+                    ens.engine(r).step_scheduled(
+                        schedule,
+                        t,
+                        profile,
+                        &mut scratches[r],
+                        &mut rngs[r],
+                    );
+                }
+            }
+            let mut phis: Vec<f64> = profiles.iter().map(|x| ens.game().potential(x)).collect();
+            let mut reference_accepted = 0;
+            for pair in 0..k - 1 {
+                let a = ens.swap_acceptance(pair, phis[pair], phis[pair + 1]);
+                let accept = swap_rng.gen::<f64>() < a;
+                stats.record(pair, accept);
+                if accept {
+                    profiles.swap(pair, pair + 1);
+                    phis.swap(pair, pair + 1);
+                    reference_accepted += 1;
+                }
+            }
+            assert_eq!(accepted, reference_accepted, "round {round}");
+            for (r, profile) in profiles.iter().enumerate() {
+                assert_eq!(state.profile(r), &profile[..], "rung {r}, round {round}");
+            }
+            assert_eq!(state.swap_stats(), &stats, "round {round}");
+        }
+        let accepts: u64 = (0..k - 1).map(|p| stats.accepts(p)).sum();
+        assert!(
+            accepts > 0 && accepts < (k as u64 - 1) * rounds,
+            "the replay should see both decisions: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn swap_decisions_replay_a_reference_that_evaluates_every_rung() {
+        // Non-dyadic payoffs and a field: the tallied potentials must still
+        // take the reference's decisions, draw for draw. The well game keeps
+        // no tally and evaluates each rung once per phase.
+        let graph = GraphBuilder::circulant(24, 3);
+        let ladder = [0.2, 0.7, 1.5, 3.0];
+        let start: Vec<usize> = (0..24).map(|i| (i * 7 / 5) % 2).collect();
+        let coord =
+            GraphicalCoordinationGame::new(graph.clone(), CoordinationGame::from_deltas(0.7, 1.3));
+        let ising = logit_games::IsingGame::new(graph, 0.3, -0.1);
+        for seed in [3, 41, 977] {
+            let ens = TemperingEnsemble::new(coord.clone(), Logit, &ladder);
+            replay_swaps_with_full_evaluations(&ens, &UniformSingle, &start, seed, 60, 5);
+            replay_swaps_with_full_evaluations(
+                &ens,
+                &crate::schedules::AllLogit,
+                &start,
+                seed,
+                60,
+                1,
+            );
+            let ens = TemperingEnsemble::new(ising.clone(), Logit, &ladder);
+            replay_swaps_with_full_evaluations(&ens, &SystematicSweep, &start, seed, 60, 5);
+            let ens = TemperingEnsemble::new(WellGame::plateau(6, 2.0), Logit, &ladder);
+            replay_swaps_with_full_evaluations(&ens, &UniformSingle, &[0; 6], seed, 60, 3);
+        }
     }
 
     #[test]

@@ -967,3 +967,188 @@ fn coloured_blocks_and_their_clones_share_one_colouring() {
     assert!(std::ptr::eq(schedule.coloring(), &*coloring));
     assert!(std::ptr::eq(schedule.clone().coloring(), &*coloring));
 }
+
+/// Steps `engine` through `ticks` ticks of `schedule` twice from `start`,
+/// once untracked and once keeping the game's tally with `retally`, and
+/// checks after every tick that the trajectories agree, that the tally is
+/// the full count of the profile, and that its potential is
+/// `potential(profile)` bit for bit.
+fn check_tally_under<G, U, S>(
+    engine: &DynamicsEngine<G, U>,
+    schedule: &S,
+    start: &[usize],
+    seed: u64,
+    ticks: u64,
+) -> Result<(), TestCaseError>
+where
+    G: PotentialGame,
+    U: UpdateRule,
+    S: SelectionSchedule,
+{
+    let game = engine.game();
+    let mut profile = start.to_vec();
+    let mut plain = start.to_vec();
+    let mut tally = game.tally(start).expect("graph games keep a tally");
+    let mut scratch = Scratch::for_game(game);
+    let mut plain_scratch = Scratch::for_game(game);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut plain_rng = ChaCha8Rng::seed_from_u64(seed);
+    for t in 0..ticks {
+        engine.step_scheduled_tracked(
+            schedule,
+            t,
+            &mut profile,
+            &mut scratch,
+            &mut rng,
+            |p, old, x| game.retally(&mut tally, p, old, x),
+        );
+        engine.step_scheduled(schedule, t, &mut plain, &mut plain_scratch, &mut plain_rng);
+        prop_assert_eq!(
+            &profile,
+            &plain,
+            "tracking changed the trajectory at t = {}",
+            t
+        );
+        prop_assert_eq!(
+            Some(tally),
+            game.tally(&profile),
+            "{} at t = {}",
+            schedule.name(),
+            t
+        );
+        prop_assert_eq!(
+            game.potential_of_tally(&tally).to_bits(),
+            game.potential(&profile).to_bits(),
+            "{} at t = {}",
+            schedule.name(),
+            t
+        );
+    }
+    Ok(())
+}
+
+fn check_tally_for_every_rule_and_schedule<G>(
+    game: &G,
+    start: &[usize],
+    beta: f64,
+    seed: u64,
+) -> Result<(), TestCaseError>
+where
+    G: PotentialGame + logit_games::LocalGame + Clone,
+{
+    fn rule<G: PotentialGame + logit_games::LocalGame + Clone, U: UpdateRule>(
+        game: &G,
+        rule: U,
+        start: &[usize],
+        beta: f64,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let engine = DynamicsEngine::with_rule(game.clone(), rule, beta);
+        let n = game.num_players() as u64;
+        check_tally_under(&engine, &UniformSingle, start, seed, 4 * n)?;
+        check_tally_under(&engine, &SystematicSweep, start, seed, 4 * n)?;
+        check_tally_under(&engine, &AllLogit, start, seed, 8)?;
+        check_tally_under(&engine, &ColouredBlocks::for_game(game), start, seed, 16)
+    }
+    rule(game, Logit, start, beta, seed)?;
+    rule(game, MetropolisLogit, start, beta, seed)?;
+    rule(
+        game,
+        logit_core::NoisyBestResponse::new(0.15),
+        start,
+        beta,
+        seed,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Incremental Φ is exact: under every rule × schedule (uniform, sweep,
+    /// all-logit, coloured) a tally updated from each mover's neighbour row
+    /// equals the full count after every tick, and reads the potential bit
+    /// for bit — on graphical games with random non-dyadic payoffs and on
+    /// Ising games with and without a field, over random graphs that may
+    /// have isolated players or no edges at all.
+    #[test]
+    fn tallies_track_the_potential_bit_for_bit(
+        seed in 0u64..10_000,
+        n in 1usize..14,
+        p in 0.0f64..0.6,
+        beta in 0.0f64..3.0,
+        d0 in 0.1f64..3.0,
+        d1 in 0.1f64..3.0,
+        coupling in 0.1f64..2.0,
+        field in -1.0f64..1.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = GraphBuilder::erdos_renyi(n, p, &mut rng);
+        let start: Vec<usize> = (0..n).map(|_| rng.gen_range(0..2usize)).collect();
+        let coord = GraphicalCoordinationGame::new(
+            graph.clone(),
+            logit_games::CoordinationGame::from_deltas(d0, d1),
+        );
+        check_tally_for_every_rule_and_schedule(&coord, &start, beta, seed)?;
+        let ising = logit_games::IsingGame::new(graph.clone(), coupling, field);
+        check_tally_for_every_rule_and_schedule(&ising, &start, beta, seed)?;
+        let zero_field = logit_games::IsingGame::zero_field(graph, coupling);
+        check_tally_for_every_rule_and_schedule(&zero_field, &start, beta, seed)?;
+    }
+
+    /// Samples read from a tally are full evaluations: on both runners the
+    /// tallied potential observable gives the bytes of an observable that
+    /// evaluates `potential(profile)` at every sample, for every schedule,
+    /// whatever the farm's chunking, channel and worker count.
+    #[test]
+    fn tallied_samples_equal_full_evaluations_on_both_runners(
+        seed in 0u64..10_000,
+        beta in 0.0f64..3.0,
+        d0 in 0.1f64..3.0,
+        d1 in 0.1f64..3.0,
+        field in -1.0f64..1.0,
+        chunk_ticks in 1u64..40,
+        workers in 1usize..4,
+    ) {
+        use logit_core::{NamedObservable, PipelineConfig, RuntimeConfig};
+
+        fn check<G: PotentialGame + logit_games::LocalGame + Clone + Sync, S: SelectionSchedule>(
+            game: &G,
+            schedule: &S,
+            beta: f64,
+            sim: &Simulator,
+            config: &PipelineConfig,
+        ) -> Result<(), TestCaseError> {
+            let d = LogitDynamics::new(game.clone(), beta);
+            let start = vec![0usize; game.num_players()];
+            let tallied = PotentialObservable::new(game.clone());
+            let full = NamedObservable::new("potential", |x: &[usize]| game.potential(x));
+            let reference = sim.run_profiles(&d, schedule, &start, 40, 3, &full);
+            let sequential = sim.run_profiles(&d, schedule, &start, 40, 3, &tallied);
+            let farmed = sim
+                .run_profiles_pipelined(&d, schedule, &start, 40, 3, &tallied, config, None)
+                .expect("uncancelled runs complete");
+            let bytes = |r: &logit_core::ProfileEnsembleResult| format!("{:?} {:?}", r.series, r.final_values);
+            prop_assert_eq!(bytes(&reference), bytes(&sequential), "{}", schedule.name());
+            prop_assert_eq!(bytes(&reference), bytes(&farmed), "{}", schedule.name());
+            Ok(())
+        }
+
+        let runtime = RuntimeConfig { workers, ..RuntimeConfig::default() };
+        let sim = Simulator::with_runtime(seed, 6, runtime);
+        let config = PipelineConfig { chunk_ticks, channel_capacity: 2 };
+        let graph = GraphBuilder::circulant(10, 2);
+        let coord = GraphicalCoordinationGame::new(
+            graph.clone(),
+            logit_games::CoordinationGame::from_deltas(d0, d1),
+        );
+        let ising = logit_games::IsingGame::new(graph, 0.7, field);
+        check(&coord, &UniformSingle, beta, &sim, &config)?;
+        check(&coord, &SystematicSweep, beta, &sim, &config)?;
+        check(&coord, &AllLogit, beta, &sim, &config)?;
+        check(&coord, &ColouredBlocks::for_game(&coord), beta, &sim, &config)?;
+        check(&ising, &UniformSingle, beta, &sim, &config)?;
+        check(&ising, &SystematicSweep, beta, &sim, &config)?;
+        check(&ising, &AllLogit, beta, &sim, &config)?;
+        check(&ising, &ColouredBlocks::for_game(&ising), beta, &sim, &config)?;
+    }
+}

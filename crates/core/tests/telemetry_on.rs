@@ -11,15 +11,17 @@ use logit_core::observables::PotentialObservable;
 use logit_core::parallel::coloring_for_game;
 use logit_core::rules::{Logit, MetropolisLogit};
 use logit_core::{
-    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, UniformSingle, WorkerPool,
+    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, TemperingEnsemble,
+    UniformSingle, WorkerPool,
 };
-use logit_games::{Game, GraphicalCoordinationGame, TablePotentialGame};
+use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame, TablePotentialGame};
 use logit_graphs::GraphBuilder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// One process-wide test: the registry is global, so a single test keeps
-/// the instrument-population asserts free of inter-test ordering races.
+/// The registry is global, so the engine families are checked in this one
+/// test, free of inter-test ordering races; the tempering counters have a
+/// test of their own, the only one in this binary that runs tempering.
 #[test]
 fn live_recording_observes_without_steering() {
     assert!(logit_telemetry::enable(), "feature builds honour enable()");
@@ -111,4 +113,81 @@ fn live_recording_observes_without_steering() {
             >= 1.0,
         "the pool recorded at least one dispatch span"
     );
+}
+
+/// Per-pair swap counters add up across concurrent ensembles: over one run
+/// of several tempering ensembles on three workers, each pair's attempted
+/// and accepted counters move by exactly the result's merged `SwapStats`,
+/// and the unlabelled totals by their sums.
+#[test]
+fn per_pair_swap_counters_add_up_to_the_merged_swap_stats() {
+    assert!(logit_telemetry::enable());
+    let registry = logit_telemetry::global();
+    let pairs = 3;
+    let read = |name: &str| -> Vec<u64> {
+        (0..pairs)
+            .map(|pair| {
+                registry
+                    .counter_labelled(name, ("pair", &pair.to_string()))
+                    .value()
+            })
+            .collect()
+    };
+    let totals = || {
+        (
+            registry.counter("tempering.swaps_attempted").value(),
+            registry.counter("tempering.swaps_accepted").value(),
+        )
+    };
+    let (attempted_before, accepted_before) = (
+        read("tempering.pair_swaps_attempted"),
+        read("tempering.pair_swaps_accepted"),
+    );
+    let totals_before = totals();
+
+    let game = GraphicalCoordinationGame::new(
+        GraphBuilder::ring(16),
+        CoordinationGame::from_deltas(1.5, 0.7),
+    );
+    let ensemble = TemperingEnsemble::new(game.clone(), Logit, &[0.2, 0.6, 1.2, 2.0]);
+    let runtime = RuntimeConfig {
+        workers: 3,
+        ..RuntimeConfig::default()
+    };
+    let sim = Simulator::with_runtime(77, 6, runtime);
+    let result = sim
+        .run_tempered(
+            &ensemble,
+            &UniformSingle,
+            &[0; 16],
+            50,
+            8,
+            10,
+            &PotentialObservable::new(game),
+            &PipelineConfig::default(),
+            None,
+        )
+        .expect("uncancelled runs complete");
+
+    let stats = &result.swap_stats;
+    let attempted = read("tempering.pair_swaps_attempted");
+    let accepted = read("tempering.pair_swaps_accepted");
+    for pair in 0..pairs {
+        assert_eq!(
+            attempted[pair] - attempted_before[pair],
+            stats.attempts(pair)
+        );
+        assert_eq!(accepted[pair] - accepted_before[pair], stats.accepts(pair));
+    }
+    let attempts: u64 = (0..pairs).map(|p| stats.attempts(p)).sum();
+    let accepts: u64 = (0..pairs).map(|p| stats.accepts(p)).sum();
+    assert_eq!(
+        attempts,
+        6 * 50 * 3,
+        "every ensemble proposes every pair each round"
+    );
+    assert!(accepts > 0, "this ladder exchanges: {stats:?}");
+    let (attempted_total, accepted_total) = totals();
+    assert_eq!(attempted_total - totals_before.0, attempts);
+    assert_eq!(accepted_total - totals_before.1, accepts);
 }

@@ -61,6 +61,17 @@ pub trait Game {
     }
 }
 
+/// Two exact integer counters a potential is computed from: the matched
+/// 0-0 and 1-1 edges of a graphical coordination game, or the spin-product
+/// sum and the up-spin count of an Ising model.
+///
+/// A tally kept current move by move ([`PotentialGame::retally`]) holds
+/// the same integers as a fresh count of the same profile, so
+/// [`PotentialGame::potential_of_tally`] returns `potential(profile)` bit
+/// for bit, with no drift however long the run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PotentialTally(pub(crate) [i64; 2]);
+
 /// An (exact) potential game.
 ///
 /// The potential follows the paper's **cost convention** (eq. (1)):
@@ -71,6 +82,39 @@ pub trait Game {
 pub trait PotentialGame: Game {
     /// Exact potential `Φ(x)` of the profile.
     fn potential(&self, profile: &[usize]) -> f64;
+
+    /// The [`PotentialTally`] of `profile`, for games whose potential is
+    /// computed from one; `None` (the default) means the game keeps no
+    /// tally and its potential is tracked by full evaluation.
+    fn tally(&self, _profile: &[usize]) -> Option<PotentialTally> {
+        None
+    }
+
+    /// Updates `tally` after `player` moved from `old` to the different
+    /// strategy `profile[player]` (already written), reading only the
+    /// mover's neighbourhood: `O(deg)` instead of a full count.
+    ///
+    /// # Panics
+    /// The default panics: only a game whose [`tally`](Self::tally)
+    /// returns `Some` keeps one.
+    fn retally(
+        &self,
+        _tally: &mut PotentialTally,
+        _player: usize,
+        _old: usize,
+        _profile: &[usize],
+    ) {
+        panic!("this game keeps no potential tally");
+    }
+
+    /// The potential of a profile from its tally, in `O(1)`: bit for bit
+    /// `potential(profile)` when `tally` is the profile's tally.
+    ///
+    /// # Panics
+    /// The default panics, as for [`retally`](Self::retally).
+    fn potential_of_tally(&self, _tally: &PotentialTally) -> f64 {
+        panic!("this game keeps no potential tally");
+    }
 
     /// Maximum global variation `ΔΦ = max Φ - min Φ` (Section 3.2).
     ///
@@ -155,6 +199,15 @@ impl<G: PotentialGame + ?Sized> PotentialGame for &G {
     fn potential(&self, profile: &[usize]) -> f64 {
         (**self).potential(profile)
     }
+    fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
+        (**self).tally(profile)
+    }
+    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
+        (**self).retally(tally, player, old, profile)
+    }
+    fn potential_of_tally(&self, tally: &PotentialTally) -> f64 {
+        (**self).potential_of_tally(tally)
+    }
     fn max_global_variation(&self) -> f64 {
         (**self).max_global_variation()
     }
@@ -194,6 +247,15 @@ impl<G: Game + ?Sized> Game for std::sync::Arc<G> {
 impl<G: PotentialGame + ?Sized> PotentialGame for std::sync::Arc<G> {
     fn potential(&self, profile: &[usize]) -> f64 {
         (**self).potential(profile)
+    }
+    fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
+        (**self).tally(profile)
+    }
+    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
+        (**self).retally(tally, player, old, profile)
+    }
+    fn potential_of_tally(&self, tally: &PotentialTally) -> f64 {
+        (**self).potential_of_tally(tally)
     }
     fn max_global_variation(&self) -> f64 {
         (**self).max_global_variation()

@@ -3,8 +3,12 @@
 //! `n` players sit on the vertices of a social graph `G`; every player picks a
 //! single strategy in `{0, 1}` and plays the 2×2 basic coordination game with
 //! each neighbour, collecting the sum of the payoffs. The potential is the sum
-//! of the edge potentials, `Φ(x) = Σ_{(u,v) ∈ E} φ(x_u, x_v)`. The game holds
-//! the graph only as a shared `Arc<CsrGraph>`.
+//! of the edge potentials, `Φ(x) = Σ_{(u,v) ∈ E} φ(x_u, x_v)`; since
+//! `φ(0,0) = -δ₀`, `φ(1,1) = -δ₁` and mismatched edges give 0 (eq. 11), it is
+//! computed from two exact counts as `Φ(x) = -(c₀₀·δ₀ + c₁₁·δ₁)`, where
+//! `c₀₀` and `c₁₁` are the edges matched on 0 and on 1. The counts form a
+//! [`PotentialTally`] that a move updates from the mover's neighbour row
+//! alone. The game holds the graph only as a shared `Arc<CsrGraph>`.
 //!
 //! The crate also exposes the closed-form clique potential used by Theorem 5.5:
 //! on the clique the potential only depends on the number `k` of players playing
@@ -12,7 +16,7 @@
 //! near `k* ≈ (n-1)·δ₀/(δ₀+δ₁) + ½`.
 
 use crate::coordination::CoordinationGame;
-use crate::game::{Game, PotentialGame};
+use crate::game::{Game, PotentialGame, PotentialTally};
 use logit_graphs::CsrGraph;
 use std::sync::Arc;
 
@@ -108,8 +112,7 @@ impl GraphicalCoordinationGame {
         S: Copy + Into<usize>,
     {
         let row = self.csr.neighbors(player);
-        let ones: usize = row.iter().map(|&j| profile[j as usize].into()).sum();
-        self.utilities_from_ones(row.len(), ones, out);
+        self.utilities_from_ones(row.len(), ones_in(row, profile), out);
     }
 
     /// The shared counting kernel: only `(degree, #neighbours on 1)` enter
@@ -126,22 +129,62 @@ impl GraphicalCoordinationGame {
     }
 }
 
+/// How many of the players in `row` play strategy 1 (profiles hold 0 or 1).
+#[inline]
+pub(crate) fn ones_in<S: Copy + Into<usize>>(row: &[u32], profile: &[S]) -> usize {
+    row.iter().map(|&j| profile[j as usize].into()).sum()
+}
+
 impl PotentialGame for GraphicalCoordinationGame {
     fn potential(&self, profile: &[usize]) -> f64 {
-        // The walk of `csr.edges()` as plain loops: through the iterator the
-        // per-row fold stayed an out-of-line call and measured slower. Each
-        // edge once, in lexicographic order, summed from `-0.0` as
-        // `Iterator::sum` does, so the result is that sum bit for bit.
-        let mut sum = -0.0;
-        for u in 0..self.csr.num_vertices() {
-            for &v in self.csr.neighbors(u) {
-                let v = v as usize;
-                if v > u {
-                    sum += self.base.edge_potential(profile[u], profile[v]);
-                }
-            }
+        self.potential_of_tally(&self.count(profile))
+    }
+
+    fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
+        Some(self.count(profile))
+    }
+
+    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
+        let row = self.csr.neighbors(player);
+        let ones = ones_in(row, profile) as i64;
+        let zeros = row.len() as i64 - ones;
+        let [c00, c11] = &mut tally.0;
+        if old == 0 {
+            *c00 -= zeros;
+            *c11 += ones;
+        } else {
+            *c11 -= ones;
+            *c00 += zeros;
         }
-        sum
+    }
+
+    fn potential_of_tally(&self, tally: &PotentialTally) -> f64 {
+        let [c00, c11] = tally.0;
+        if c00 == 0 && c11 == 0 {
+            // The zeros of the edge-order sum `Σ φ` started from `-0.0`:
+            // mismatched edges add `+0.0` and leave `+0.0`, and a graph
+            // without edges leaves `-0.0`. Kept, since the bits go on the
+            // wire.
+            return if self.csr.num_edges() == 0 { -0.0 } else { 0.0 };
+        }
+        -(c00 as f64 * self.delta0() + c11 as f64 * self.delta1())
+    }
+}
+
+impl GraphicalCoordinationGame {
+    /// The matched-edge counts `[c₀₀, c₁₁]` of `profile` in one pass over
+    /// the CSR rows: every matched edge is seen from both ends, so the row
+    /// sums hold each count twice.
+    fn count(&self, profile: &[usize]) -> PotentialTally {
+        let (mut twice_c00, mut twice_c11) = (0i64, 0i64);
+        for (u, &x) in profile.iter().enumerate() {
+            let row = self.csr.neighbors(u);
+            let ones = ones_in(row, profile) as i64;
+            let x = x as i64;
+            twice_c00 += (1 - x) * (row.len() as i64 - ones);
+            twice_c11 += x * ones;
+        }
+        PotentialTally([twice_c00 / 2, twice_c11 / 2])
     }
 }
 
@@ -233,6 +276,24 @@ mod tests {
         assert_eq!(g.potential_all_one(), -12.0);
         // Mixed profile: only matching edges contribute.
         assert_eq!(g.potential(&[0, 0, 0, 1, 1, 1]), -3.0 * 2.0 - 2.0 * 2.0);
+    }
+
+    #[test]
+    fn potential_zeros_keep_their_signs() {
+        // The potential's bits go on the wire, so the sign of zero counts:
+        // mismatched edges only give +0.0, no edge at all gives -0.0.
+        let ring = ring_game(6, 3.0, 2.0);
+        assert_eq!(
+            ring.potential(&[0, 1, 0, 1, 0, 1]).to_bits(),
+            0.0f64.to_bits()
+        );
+        let edgeless = GraphicalCoordinationGame::new(
+            logit_graphs::Graph::new(3),
+            CoordinationGame::from_deltas(3.0, 2.0),
+        );
+        for profile in [[0, 0, 0], [1, 1, 1], [0, 1, 0]] {
+            assert_eq!(edgeless.potential(&profile).to_bits(), (-0.0f64).to_bits());
+        }
     }
 
     #[test]

@@ -9,14 +9,18 @@
 //! `u_i(x) = J · Σ_{j ∈ N(i)} σ_i σ_j + h · σ_i`
 //!
 //! with ferromagnetic coupling `J > 0` and external field `h`. The exact
-//! potential (cost convention) is `Φ(x) = -J·Σ_{(u,v) ∈ E} σ_u σ_v - h·Σ_i σ_i`.
+//! potential (cost convention) is `Φ(x) = -J·Σ_{(u,v) ∈ E} σ_u σ_v - h·Σ_i σ_i`,
+//! computed from two exact integers, the spin-product sum and the up-spin
+//! count: the [`PotentialTally`] a move updates from the mover's neighbour
+//! row alone.
 //!
 //! With `h = 0` this is, up to a constant per-edge shift, the graphical
 //! coordination game with `δ₀ = δ₁ = 2J` — the constant shift changes neither
 //! the logit update probabilities nor the Gibbs measure. Like the graphical
 //! game, the model holds its graph only as a shared `Arc<CsrGraph>`.
 
-use crate::game::{Game, PotentialGame};
+use crate::game::{Game, PotentialGame, PotentialTally};
+use crate::graphical::ones_in;
 use logit_graphs::CsrGraph;
 use std::sync::Arc;
 
@@ -164,8 +168,7 @@ impl IsingGame {
         S: Copy + Into<usize>,
     {
         let row = self.csr.neighbors(player);
-        let ones: usize = row.iter().map(|&j| profile[j as usize].into()).sum();
-        self.utilities_from_ones(row.len(), ones, out);
+        self.utilities_from_ones(row.len(), ones_in(row, profile), out);
     }
 
     /// Shared kernel: neighbour spin sum from the up-spin count, then the
@@ -181,18 +184,52 @@ impl IsingGame {
 
 impl PotentialGame for IsingGame {
     fn potential(&self, profile: &[usize]) -> f64 {
-        // `csr.edges()` as plain loops, summed from `-0.0` like
-        // `Iterator::sum` (see the graphical game's `potential`).
-        let mut edge_term = -0.0;
-        for u in 0..self.csr.num_vertices() {
-            for &v in self.csr.neighbors(u) {
-                let v = v as usize;
-                if v > u {
-                    edge_term += Self::spin(profile[u]) * Self::spin(profile[v]);
-                }
-            }
+        self.potential_of_tally(&self.count(profile))
+    }
+
+    fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
+        Some(self.count(profile))
+    }
+
+    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
+        let row = self.csr.neighbors(player);
+        let neighbour_sum = 2 * ones_in(row, profile) as i64 - row.len() as i64;
+        // The mover's spin flips from `2·old − 1`: each of her bonds
+        // changes sign, and an up-spin is lost or gained.
+        let old_spin = 2 * old as i64 - 1;
+        let [bonds, ones] = &mut tally.0;
+        *bonds -= 2 * old_spin * neighbour_sum;
+        *ones -= old_spin;
+    }
+
+    fn potential_of_tally(&self, tally: &PotentialTally) -> f64 {
+        let [bonds, ones] = tally.0;
+        // Both sums of `±1` terms are exact integers, and the zero of a sum
+        // started from `-0.0` is `-0.0` only when it has no terms: the edge
+        // term of an edgeless graph (the magnetisation has n ≥ 1 terms).
+        let edge_term = if self.csr.num_edges() == 0 {
+            -0.0
+        } else {
+            bonds as f64
+        };
+        let magnetization = (2 * ones - self.csr.num_vertices() as i64) as f64;
+        -self.coupling * edge_term - self.field * magnetization
+    }
+}
+
+impl IsingGame {
+    /// The tally `[Σ_{(u,v) ∈ E} σ_u σ_v, #up-spins]` of `profile` in one
+    /// pass over the CSR rows (each bond is seen from both ends).
+    fn count(&self, profile: &[usize]) -> PotentialTally {
+        let (mut twice_bonds, mut ones) = (0i64, 0i64);
+        for (u, &x) in profile.iter().enumerate() {
+            let row = self.csr.neighbors(u);
+            let neighbour_sum = 2 * ones_in(row, profile) as i64 - row.len() as i64;
+            let x = x as i64;
+            twice_bonds += (2 * x - 1) * neighbour_sum;
+            ones += x;
         }
-        -self.coupling * edge_term - self.field * self.magnetization(profile)
+        PotentialTally([twice_bonds / 2, ones])
     }
 }
 
@@ -237,6 +274,30 @@ mod tests {
         let all_up = vec![1usize; 5];
         let all_down = vec![0usize; 5];
         assert!(g.potential(&all_up) < g.potential(&all_down));
+    }
+
+    #[test]
+    fn potential_zeros_keep_their_signs() {
+        // Zero edge term and zero magnetisation: the sign of the zero
+        // potential depends on the field's sign, and on whether the graph
+        // has edges at all.
+        let ring = [1, 1, 0, 0];
+        for (field, expected) in [(0.0, -0.0), (0.5, -0.0), (-0.5, 0.0)] {
+            let game = IsingGame::new(GraphBuilder::ring(4), 1.5, field);
+            assert_eq!(
+                game.potential(&ring).to_bits(),
+                f64::to_bits(expected),
+                "ring, field {field}"
+            );
+        }
+        for field in [0.0, 0.5, -0.5] {
+            let game = IsingGame::new(logit_graphs::Graph::new(2), 1.5, field);
+            assert_eq!(
+                game.potential(&[0, 1]).to_bits(),
+                0.0f64.to_bits(),
+                "edgeless, field {field}"
+            );
+        }
     }
 
     #[test]

@@ -27,24 +27,52 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Both graph games read the CSR they hold exactly as the adjacency
-    /// lists were read: the potential equals, bit for bit, a sum over
-    /// `Graph::edges()` in its lexicographic order, and every utility a sum
-    /// over the player's neighbour row.
+    /// lists were read. The graphical potential is its count form
+    /// `-(c₀₀·δ₀ + c₁₁·δ₁)` bit for bit. Against the sum of `φ(x_u, x_v)`
+    /// over `Graph::edges()` in its lexicographic order it is equal bit for
+    /// bit on integer payoffs, and otherwise within `(|E| + 2)·ε` relative:
+    /// that sum of `|E|` terms of one sign rounds at most `|E| − 1` times,
+    /// the count form three times. The Ising potential equals its
+    /// edge-order sum bit for bit, and every utility a sum over the
+    /// player's neighbour row.
     #[test]
     fn graph_games_sum_in_the_graph_order(
         (n, raw, profile) in small_graph_and_profile(),
         d0 in 0.5f64..3.0,
         d1 in 0.5f64..3.0,
         field in -1.0f64..1.0,
+        whole_d0 in 1u32..6,
+        whole_d1 in 1u32..6,
     ) {
         let edges: Vec<(usize, usize)> = raw.into_iter().filter(|&(u, v)| u != v).collect();
         let graph = Graph::from_edges(n, &edges);
         let x = &profile;
+        let m = graph.num_edges();
+
+        let edge_sum = |base: CoordinationGame| -> f64 {
+            graph.edges().map(|(u, v)| base.edge_potential(x[u], x[v])).sum()
+        };
+        let matched = |s: usize| graph.edges().filter(|&(u, v)| x[u] == s && x[v] == s).count();
+        let count_form = |base: CoordinationGame| -> f64 {
+            match (matched(0), matched(1)) {
+                (0, 0) if m == 0 => -0.0,
+                (0, 0) => 0.0,
+                (c00, c11) => -(c00 as f64 * base.delta0() + c11 as f64 * base.delta1()),
+            }
+        };
 
         let base = CoordinationGame::from_deltas(d0, d1);
         let coord = GraphicalCoordinationGame::new(graph.clone(), base);
-        let potential: f64 = graph.edges().map(|(u, v)| base.edge_potential(x[u], x[v])).sum();
-        prop_assert_eq!(coord.potential(x).to_bits(), potential.to_bits());
+        let potential = coord.potential(x);
+        prop_assert_eq!(potential.to_bits(), count_form(base).to_bits());
+        let reference = edge_sum(base);
+        prop_assert!(
+            (potential - reference).abs() <= (m + 2) as f64 * f64::EPSILON * reference.abs(),
+            "count form {} drifted from the edge-order sum {}", potential, reference
+        );
+        let whole = CoordinationGame::from_deltas(whole_d0.into(), whole_d1.into());
+        let whole_game = GraphicalCoordinationGame::new(graph.clone(), whole);
+        prop_assert_eq!(whole_game.potential(x).to_bits(), edge_sum(whole).to_bits());
 
         let ising = IsingGame::new(graph.clone(), d0, field);
         let spin = IsingGame::spin;

@@ -34,7 +34,9 @@ use logit_core::{
     SelectionSchedule, Simulator, StrategyFraction, SystematicSweep, TemperingEnsemble,
     UniformSingle, UpdateRule,
 };
-use logit_games::{CoordinationGame, GraphicalCoordinationGame, IsingGame, PotentialGame};
+use logit_games::{
+    CoordinationGame, GraphicalCoordinationGame, IsingGame, PotentialGame, PotentialTally,
+};
 use logit_graphs::{CsrGraph, GraphBuilder};
 use logit_linalg::stats::RunningStats;
 use std::sync::Arc;
@@ -139,7 +141,8 @@ fn build_artifacts(spec: &JobSpec) -> Result<Arc<GameArtifacts>, AdmissionError>
 
 /// Observable dispatch: a concrete `ProfileObservable` per
 /// [`ObservableKind`], generic in the game so the potential observable can
-/// hold it.
+/// hold it. It forwards the potential's tally, so `potential` jobs on the
+/// graph games read every sample in `O(1)`; the fractions keep none.
 enum JobObservable<G: PotentialGame> {
     Fraction(StrategyFraction),
     Potential(PotentialObservable<G>),
@@ -175,6 +178,24 @@ impl<G: PotentialGame> ProfileObservable for JobObservable<G> {
         match self {
             JobObservable::Fraction(o) => o.name(),
             JobObservable::Potential(o) => o.name(),
+        }
+    }
+    fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
+        match self {
+            JobObservable::Fraction(o) => o.tally(profile),
+            JobObservable::Potential(o) => o.tally(profile),
+        }
+    }
+    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
+        match self {
+            JobObservable::Fraction(o) => o.retally(tally, player, old, profile),
+            JobObservable::Potential(o) => o.retally(tally, player, old, profile),
+        }
+    }
+    fn evaluate_tally(&self, tally: &PotentialTally) -> f64 {
+        match self {
+            JobObservable::Fraction(o) => o.evaluate_tally(tally),
+            JobObservable::Potential(o) => o.evaluate_tally(tally),
         }
     }
 }
