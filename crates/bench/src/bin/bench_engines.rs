@@ -6,9 +6,11 @@
 //! The flat engine needs the profile space to fit a `usize`, which caps it at
 //! 63 binary players; beyond that its column is `null`. The in-place engine
 //! is measured up to n = 100000. Every `UpdateRule` runs through the same
-//! generic `DynamicsEngine`, so the per-rule rows track whether the
-//! pluggable-rule seam costs throughput (it must not: the rule is a
-//! monomorphised generic, not a dynamic dispatch).
+//! generic `DynamicsEngine`; on the ring game it reads each update's
+//! distribution from the engine's count table, so the per-rule rows show
+//! the table. The `legacy_parity` row hides the game's count kernel and so
+//! tracks whether the pluggable-rule seam costs throughput (it must not:
+//! the rule is a monomorphised generic, not a dynamic dispatch).
 
 use logit_anneal::BetaLadder;
 use logit_core::observables::StrategyFraction;
@@ -16,8 +18,8 @@ use logit_core::parallel::{coloring_for_game, coloring_for_graph};
 use logit_core::rules::{Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 use logit_core::schedules::UniformSingle;
 use logit_core::{
-    DynamicsEngine, LocalityLayout, PipelineConfig, RuntimeConfig, Scratch, Simulator,
-    TemperingEnsemble, WorkerPool,
+    DynamicsEngine, LocalityLayout, LogitDynamics, PipelineConfig, RuntimeConfig, Scratch,
+    Simulator, TemperingEnsemble, WorkerPool,
 };
 use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame};
 use logit_graphs::{Coloring, Graph, GraphBuilder, VertexOrdering};
@@ -28,15 +30,34 @@ use rand_chacha::ChaCha8Rng;
 /// Binary-profile rings stop fitting a flat `usize` index past this size.
 const FLAT_LIMIT: usize = 63;
 
-fn ring_dynamics<U: UpdateRule>(n: usize, rule: U) -> DynamicsEngine<GraphicalCoordinationGame, U> {
-    DynamicsEngine::with_rule(
-        GraphicalCoordinationGame::new(
-            GraphBuilder::ring(n),
-            CoordinationGame::from_deltas(1.0, 2.0),
-        ),
-        rule,
-        1.5,
+fn ring_game(n: usize) -> GraphicalCoordinationGame {
+    GraphicalCoordinationGame::new(
+        GraphBuilder::ring(n),
+        CoordinationGame::from_deltas(1.0, 2.0),
     )
+}
+
+fn ring_dynamics<U: UpdateRule>(n: usize, rule: U) -> DynamicsEngine<GraphicalCoordinationGame, U> {
+    DynamicsEngine::with_rule(ring_game(n), rule, 1.5)
+}
+
+/// A game with its count kernel hidden: an engine on it computes every
+/// update through `utilities_for` and `fill_probs`, as the legacy loop does.
+struct TableFree<G>(G);
+
+impl<G: Game> Game for TableFree<G> {
+    fn num_players(&self) -> usize {
+        self.0.num_players()
+    }
+    fn num_strategies(&self, player: usize) -> usize {
+        self.0.num_strategies(player)
+    }
+    fn utility(&self, player: usize, profile: &[usize]) -> f64 {
+        self.0.utility(player, profile)
+    }
+    fn utilities_for(&self, player: usize, profile: &mut [usize], out: &mut [f64]) {
+        self.0.utilities_for(player, profile, out)
+    }
 }
 
 fn flat_steps_per_sec<U: UpdateRule>(n: usize, rule: U, steps: u64) -> f64 {
@@ -53,7 +74,14 @@ fn flat_steps_per_sec<U: UpdateRule>(n: usize, rule: U, steps: u64) -> f64 {
 }
 
 fn profile_steps_per_sec<U: UpdateRule>(n: usize, rule: U, steps: u64) -> f64 {
-    let dynamics = ring_dynamics(n, rule);
+    engine_steps_per_sec(&ring_dynamics(n, rule), steps)
+}
+
+fn engine_steps_per_sec<G: Game, U: UpdateRule>(
+    dynamics: &DynamicsEngine<G, U>,
+    steps: u64,
+) -> f64 {
+    let n = dynamics.game().num_players();
     let mut rng = StdRng::seed_from_u64(1);
     let mut scratch = Scratch::for_game(dynamics.game());
     let mut profile = vec![0usize; n];
@@ -75,10 +103,7 @@ fn profile_steps_per_sec<U: UpdateRule>(n: usize, rule: U, steps: u64) -> f64 {
 /// (`legacy_step_profile`): that one pins *bit-identical trajectories*, this
 /// one pins *throughput*; keep both in sync with the historical hot path.
 fn legacy_logit_steps_per_sec(n: usize, steps: u64) -> f64 {
-    let game = GraphicalCoordinationGame::new(
-        GraphBuilder::ring(n),
-        CoordinationGame::from_deltas(1.0, 2.0),
-    );
+    let game = ring_game(n);
     let beta = 1.5;
     let mut rng = StdRng::seed_from_u64(1);
     let mut utils: Vec<f64> = Vec::with_capacity(2);
@@ -124,10 +149,7 @@ fn legacy_logit_steps_per_sec(n: usize, steps: u64) -> f64 {
 /// reads the `K` potentials from the tallies in `O(K)`, so per-update cost
 /// must match the profile engine up to the tally updates.
 fn tempered_updates_per_sec(n: usize, rungs: usize, updates: u64) -> f64 {
-    let game = GraphicalCoordinationGame::new(
-        GraphBuilder::ring(n),
-        CoordinationGame::from_deltas(1.0, 2.0),
-    );
+    let game = ring_game(n);
     let ladder = BetaLadder::geometric(0.5, 1.5, rungs);
     let ensemble = TemperingEnsemble::new(game, Logit, ladder.betas());
     let mut state = ensemble.init_state(&vec![0usize; n], 1);
@@ -1107,7 +1129,9 @@ fn main() {
     ];
 
     // Same-host parity certificate: generic engine vs the verbatim
-    // pre-refactor loop at a representative size. Absolute throughput varies
+    // pre-refactor loop at a representative size, both computing every
+    // update (the engine runs on the ring game with its count kernel
+    // hidden). Absolute throughput varies
     // with the host; this ratio is the invariant the baseline pins. Five
     // interleaved rounds, median ratio: three proved too few — a single
     // frequency-scaling or scheduler event during one leg skews a
@@ -1118,7 +1142,8 @@ fn main() {
     let mut ratios: Vec<(f64, f64, f64)> = (0..5)
         .map(|_| {
             let legacy = legacy_logit_steps_per_sec(parity_n, steps);
-            let engine = profile_steps_per_sec(parity_n, Logit, steps);
+            let table_free = LogitDynamics::new(TableFree(ring_game(parity_n)), 1.5);
+            let engine = engine_steps_per_sec(&table_free, steps);
             (engine / legacy, legacy, engine)
         })
         .collect();
@@ -1161,7 +1186,7 @@ fn main() {
     let telemetry = json_escape(&logit_telemetry::global().render());
 
     println!(
-        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{tempered},\n{pipelined},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
+        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) on the ring game with its count kernel hidden, so it computes every update as the loop does, vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{tempered},\n{pipelined},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
         rule_sets.join(",\n")
     );
 }

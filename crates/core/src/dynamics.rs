@@ -31,10 +31,20 @@
 //! exact counterparts are [`DynamicsEngine::transition_matrix`] (uniform
 //! selection, any rule), [`DynamicsEngine::transition_matrix_all_logit`] and
 //! [`DynamicsEngine::transition_matrix_sweep_round`].
+//!
+//! On a game with a [`CountKernel`] (the graphical coordination and Ising
+//! games) an update's distribution depends only on the player's degree,
+//! her neighbours on 1 and her own strategy. The engine then tabulates the
+//! distributions once, on first use, and every update path — both engines,
+//! every schedule, the coloured sweeps on `usize` and byte profiles, the
+//! farms and tempering — counts the neighbours on 1 and loads its entry
+//! instead of computing utilities and calling the rule. The entries are
+//! built by those same calls, so no result changes by a bit. Other games
+//! keep the per-update path, chosen at compile time.
 
 use crate::rules::{Logit, UpdateRule};
 use crate::schedules::SelectionSchedule;
-use logit_games::{Game, PotentialGame, PotentialTally, ProfileSpace};
+use logit_games::{CountKernel, Game, PotentialGame, PotentialTally, ProfileSpace};
 use logit_linalg::{CsrMatrix, Matrix};
 use logit_markov::MarkovChain;
 use rand::Rng;
@@ -48,8 +58,11 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     /// Utilities `u_i(s, x_{-i})`, one per strategy of the updating player.
+    /// Unused on games with a [`CountKernel`], whose updates load their
+    /// distributions from the engine's count table.
     utils: Vec<f64>,
-    /// The update-rule probabilities over those strategies.
+    /// The update-rule probabilities over those strategies, computed or
+    /// copied from the count table: the buffer every sampler reads.
     probs: Vec<f64>,
     /// Decoded profile buffer used by the flat-index wrapper.
     profile: Vec<usize>,
@@ -135,6 +148,9 @@ pub struct DynamicsEngine<G: Game, U: UpdateRule = Logit> {
     rule: U,
     beta: f64,
     space: OnceLock<ProfileSpace>,
+    /// The update distributions of a game with a [`CountKernel`], built on
+    /// first use.
+    table: OnceLock<CountTable>,
 }
 
 /// The logit dynamics `M_β(G)` of the paper — the [`Logit`] instance of the
@@ -168,6 +184,7 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
             rule,
             beta,
             space: OnceLock::new(),
+            table: OnceLock::new(),
         }
     }
 
@@ -217,10 +234,25 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
         scratch.probs
     }
 
+    /// The game's count kernel with the engine's [`CountTable`], built on
+    /// the first call and shared by every later one, on any thread. `None`
+    /// for games without a kernel, which is known at compile time for the
+    /// concrete games that keep the default hook.
+    #[inline]
+    pub(crate) fn count_table(&self) -> Option<(&dyn CountKernel, &CountTable)> {
+        let kernel = self.game.count_kernel()?;
+        let table = self
+            .table
+            .get_or_init(|| CountTable::build(kernel, &self.rule, self.beta));
+        Some((kernel, table))
+    }
+
     /// Computes `σ_i(· | x)` into `scratch.probs` without allocating (after
-    /// the buffers' first growth): the game's `utilities_for` batch hook
-    /// fills `scratch.utils`, and the update rule turns the utilities into
-    /// probabilities.
+    /// the buffers' first growth). For a game with a [`CountKernel`] this is
+    /// one load from the engine's count table, indexed by the player's
+    /// degree, her neighbours on 1 and her strategy. Otherwise the game's
+    /// `utilities_for` batch hook fills `scratch.utils`, and the update
+    /// rule turns the utilities into probabilities. Both give the same bits.
     ///
     /// `profile` is borrowed mutably so strategies can be varied in place by
     /// the game's `utilities_for` hook; it is restored before returning.
@@ -230,6 +262,10 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
         profile: &mut [usize],
         scratch: &mut Scratch,
     ) {
+        if let Some((kernel, table)) = self.count_table() {
+            table.fill(kernel, player, profile, &mut scratch.probs);
+            return;
+        }
         let m = self.game.num_strategies(player);
         scratch.utils.clear();
         scratch.utils.resize(m, 0.0);
@@ -595,6 +631,73 @@ impl<G: PotentialGame, U: UpdateRule> DynamicsEngine<G, U> {
     /// exact chain.
     pub fn gibbs(&self) -> logit_linalg::Vector {
         crate::gibbs::gibbs_distribution(&self.game, self.beta)
+    }
+}
+
+/// The update distributions of a game with a [`CountKernel`] at one `β`,
+/// tabulated by `(degree, ones, current strategy)`: `degree` is the length
+/// of the player's count row and `ones` how many in it play 1. Only the
+/// degrees some player has get rows, so the table holds `Σ_d (d + 1)`
+/// entries over the distinct degrees `d`, never `O(max_degree²)`.
+///
+/// Every entry is built by the calls the per-update path makes,
+/// `utilities_from_ones` and then [`UpdateRule::fill_probs`], and
+/// `fill_probs` is a pure function of its arguments, so a table load has
+/// the bits of the computation it replaces.
+#[derive(Debug, Clone)]
+pub(crate) struct CountTable {
+    /// `start[d]`: where degree `d`'s rows begin in `entries`, or
+    /// `entries.len()` (out of range for every `ones`) if no player has
+    /// degree `d`.
+    start: Vec<usize>,
+    /// `entries[start[d] + ones][current]`: the distribution over `{0, 1}`.
+    entries: Vec<[[f64; 2]; 2]>,
+}
+
+impl CountTable {
+    /// Builds the table in `O(Σ_d (d + 1))` time: the kernel lists its
+    /// row lengths, so no player is visited.
+    fn build<U: UpdateRule>(kernel: &dyn CountKernel, rule: &U, beta: f64) -> Self {
+        let degrees = kernel.row_lengths();
+        let total = degrees.iter().map(|&d| d as usize + 1).sum();
+        let top = degrees.last().map_or(0, |&d| d as usize + 1);
+        // Degrees no player has start past the end.
+        let mut start = vec![total; top];
+        let mut entries = Vec::with_capacity(total);
+        let mut utils = [0.0; 2];
+        let mut probs = Vec::with_capacity(2);
+        for &degree in degrees {
+            let degree = degree as usize;
+            start[degree] = entries.len();
+            for ones in 0..=degree {
+                kernel.utilities_from_ones(degree, ones, &mut utils);
+                let mut entry = [[0.0; 2]; 2];
+                for (current, slot) in entry.iter_mut().enumerate() {
+                    rule.fill_probs(beta, current, &utils, &mut probs);
+                    slot.copy_from_slice(&probs);
+                }
+                entries.push(entry);
+            }
+        }
+        Self { start, entries }
+    }
+
+    /// Fills `probs` with `player`'s update distribution on `profile`
+    /// (`usize` or byte-packed), counting her row's ones there.
+    #[inline]
+    pub(crate) fn fill<S: Copy + Into<usize>>(
+        &self,
+        kernel: &dyn CountKernel,
+        player: usize,
+        profile: &[S],
+        probs: &mut Vec<f64>,
+    ) {
+        let row = kernel.count_row(player);
+        let ones: usize = row.iter().map(|&j| profile[j as usize].into()).sum();
+        debug_assert!(ones <= row.len(), "count profiles hold 0s and 1s");
+        let entry = &self.entries[self.start[row.len()] + ones][profile[player].into()];
+        probs.clear();
+        probs.extend_from_slice(entry);
     }
 }
 
@@ -967,6 +1070,29 @@ mod tests {
             m.step_profile(&mut profile, &mut scratch, &mut rng);
         }
         assert!(profile.iter().all(|&s| s < 2));
+    }
+
+    #[test]
+    fn the_count_table_holds_only_the_degrees_the_graph_has() {
+        // A 50-player star has degrees 1 and 49: 2 + 50 rows, where a
+        // table over every degree up to the maximum would hold 1275.
+        let star = GraphicalCoordinationGame::new(
+            GraphBuilder::star(50),
+            CoordinationGame::from_deltas(2.0, 1.0),
+        );
+        let d = DynamicsEngine::with_rule(star, MetropolisLogit, 0.8);
+        let (_, table) = d.count_table().expect("graph games have a count kernel");
+        assert_eq!(table.entries.len(), 52);
+        assert_eq!(table.start.len(), 50);
+        let (_, again) = d.count_table().expect("built once");
+        assert!(
+            std::ptr::eq(table, again),
+            "the table is built once per engine"
+        );
+        // A game without a count kernel has no table.
+        assert!(LogitDynamics::new(WellGame::plateau(4, 1.0), 0.8)
+            .count_table()
+            .is_none());
     }
 
     #[test]

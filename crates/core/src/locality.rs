@@ -29,11 +29,11 @@
 //! relabelled-bit-identity proptest harness pins this across all update
 //! rules, topologies, worker counts and block sizes.
 
-use crate::dynamics::{sample_index_from_uniform, DynamicsEngine, Scratch};
+use crate::dynamics::{sample_index_from_uniform, CountTable, DynamicsEngine, Scratch};
 use crate::parallel::{coloring_for_graph, player_tick_uniform, STAGE_BUFFERS};
 use crate::rules::UpdateRule;
 use crate::runtime::{RuntimeConfig, WorkerPool};
-use logit_games::{interaction_graph, LocalGame};
+use logit_games::{interaction_graph, CountKernel, LocalGame};
 use logit_graphs::{bandwidth_of_ordering, rcm_ordering, Coloring, Graph, VertexOrdering};
 
 /// How many players ahead of the revision the byte sweeps issue
@@ -179,7 +179,8 @@ impl LocalityLayout {
 impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
     /// One coloured tick on a **byte** strategy profile, sequential: the
     /// players of colour class `t mod num_classes` revise in class order,
-    /// utilities through [`LocalGame::utilities_for_frozen_bytes`].
+    /// utilities through [`LocalGame::utilities_for_frozen_bytes`] (on a
+    /// game with a count kernel, a count-table load instead).
     ///
     /// `labels`, when present, maps engine positions to **original** player
     /// ids (`labels[position] = original`): every draw is keyed by the
@@ -212,25 +213,19 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
             "colouring covers a different player count"
         );
         debug_assert_eq!(profile.len(), n);
-        let beta = self.beta();
         let class = coloring.class_of_tick(t);
         let mut moved = 0;
         let (utils, probs) = scratch.rule_buffers();
         let members = coloring.class(class);
+        let table = self.count_table();
         for (i, &player) in members.iter().enumerate() {
             if let Some(&ahead) = members.get(i + PREFETCH_AHEAD) {
                 self.game().prefetch_frozen_bytes(ahead);
             }
-            let m = self.game().num_strategies(player);
-            utils.clear();
-            utils.resize(m, 0.0);
             // A colour class is an independent set, so no revising player
             // can observe a same-tick update: reading the live profile here
             // is the same as reading the frozen pre-tick one.
-            self.game()
-                .utilities_for_frozen_bytes(player, profile, utils);
-            self.rule()
-                .fill_probs(beta, profile[player] as usize, utils, probs);
+            self.byte_distribution_into(table, player, profile, utils, probs);
             let key = labels.map_or(player, |l| l[player] as usize);
             let strategy =
                 sample_index_from_uniform(probs, player_tick_uniform(seed, key, t)) as u8;
@@ -240,6 +235,30 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
             profile[player] = strategy;
         }
         moved
+    }
+
+    /// Fills `probs` with `player`'s update distribution against the byte
+    /// `profile`: a load from the count `table` when the game has one, else
+    /// [`LocalGame::utilities_for_frozen_bytes`] into `utils` and the rule.
+    #[inline]
+    fn byte_distribution_into(
+        &self,
+        table: Option<(&dyn CountKernel, &CountTable)>,
+        player: usize,
+        profile: &[u8],
+        utils: &mut Vec<f64>,
+        probs: &mut Vec<f64>,
+    ) {
+        if let Some((kernel, table)) = table {
+            table.fill(kernel, player, profile, probs);
+            return;
+        }
+        utils.clear();
+        utils.resize(self.game().num_strategies(player), 0.0);
+        self.game()
+            .utilities_for_frozen_bytes(player, profile, utils);
+        self.rule()
+            .fill_probs(self.beta(), profile[player] as usize, utils, probs);
     }
 }
 
@@ -336,18 +355,12 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
         utils: &mut Vec<f64>,
         probs: &mut Vec<f64>,
     ) {
-        let beta = self.beta();
+        let table = self.count_table();
         for (i, (&player, slot)) in players.iter().zip(staged.iter_mut()).enumerate() {
             if let Some(&ahead) = players.get(i + PREFETCH_AHEAD) {
                 self.game().prefetch_frozen_bytes(ahead);
             }
-            let m = self.game().num_strategies(player);
-            utils.clear();
-            utils.resize(m, 0.0);
-            self.game()
-                .utilities_for_frozen_bytes(player, profile, utils);
-            self.rule()
-                .fill_probs(beta, profile[player] as usize, utils, probs);
+            self.byte_distribution_into(table, player, profile, utils, probs);
             let key = labels.map_or(player, |l| l[player] as usize);
             *slot = sample_index_from_uniform(probs, player_tick_uniform(seed, key, t)) as u8;
         }

@@ -26,7 +26,9 @@
 //! by the workers of the persistent [`WorkerPool`], every player drawing
 //! from her **own deterministic RNG stream** (derived from
 //! `(seed, player, tick)`), each worker reading the frozen pre-tick profile
-//! through the read-only [`LocalGame::utilities_for_frozen`] hook. Because
+//! through the read-only [`LocalGame::utilities_for_frozen`] hook (or, on a
+//! game with a count kernel, counting neighbours on 1 for the engine's
+//! count table). Because
 //! the class is an independent set, the result is bit-identical to the
 //! sequential class sweep [`DynamicsEngine::step_coloured`] *by
 //! construction* — the commutation argument, pinned by a proptest across
@@ -326,12 +328,17 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
         probs: &mut Vec<f64>,
     ) {
         let beta = self.beta();
+        let table = self.count_table();
         for (&player, slot) in players.iter().zip(staged.iter_mut()) {
-            let m = self.game().num_strategies(player);
-            utils.clear();
-            utils.resize(m, 0.0);
-            self.game().utilities_for_frozen(player, profile, utils);
-            self.rule().fill_probs(beta, profile[player], utils, probs);
+            if let Some((kernel, table)) = table {
+                table.fill(kernel, player, profile, probs);
+            } else {
+                let m = self.game().num_strategies(player);
+                utils.clear();
+                utils.resize(m, 0.0);
+                self.game().utilities_for_frozen(player, profile, utils);
+                self.rule().fill_probs(beta, profile[player], utils, probs);
+            }
             *slot = sample_index_from_uniform(probs, player_tick_uniform(seed, player, t));
         }
     }
@@ -340,7 +347,8 @@ impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
     /// is chunked across the caller plus workers of the persistent
     /// [`WorkerPool`] (spawned once, waiting between ticks), each computing
     /// its players' new strategies against the **frozen** pre-tick profile
-    /// (through the read-only [`LocalGame::utilities_for_frozen`] hook) into
+    /// (through the read-only [`LocalGame::utilities_for_frozen`] hook, or
+    /// the count table) into
     /// the staged buffer; the block is then applied at once. Returns the
     /// number of players that moved.
     ///

@@ -14,7 +14,12 @@
 //!
 //! A rule fills a probability vector from `(β, current strategy, utilities)`.
 //! The utilities arrive through the games' batch `utilities_for` hook, so a
-//! rule never touches the game itself and stays `O(|S_i|)` per update.
+//! rule never touches the game itself and costs `O(|S_i|)` per call. On a
+//! game with a [`CountKernel`](logit_games::CountKernel) (the graphical
+//! coordination and Ising games) the engine calls the rule only when it
+//! builds its count table, `2·(d + 1)` times per distinct degree `d`, and
+//! an update is a table load; annealing, whose `β` changes every step,
+//! calls it on every update.
 
 /// A single-player revision rule: given the inverse noise `β`, the player's
 /// current strategy and the utilities of all her strategies (opponents
@@ -23,7 +28,10 @@
 /// Contract: after `fill_probs(beta, current, utils, probs)`,
 /// `probs.len() == utils.len()`, every entry is finite and non-negative, and
 /// the entries sum to 1 (up to rounding). `current < utils.len()` always
-/// holds at the call sites.
+/// holds at the call sites. `fill_probs` is a pure function of its
+/// arguments: the same `(beta, current, utils)` always gives the same bits.
+/// The engines' count tables rely on that, since they call it once per
+/// table entry and replay the result on every update that meets the entry.
 pub trait UpdateRule: std::fmt::Debug + Clone + Send + Sync {
     /// Fills `probs` (cleared first) with the update distribution.
     fn fill_probs(&self, beta: f64, current: usize, utils: &[f64], probs: &mut Vec<f64>);
@@ -36,8 +44,11 @@ pub trait UpdateRule: std::fmt::Debug + Clone + Send + Sync {
 /// `σ_i(y | x) ∝ e^{β·u_i(y, x_{-i})}`, independent of the current strategy.
 ///
 /// Numerically stable via the usual log-sum-exp shift, so large `β·u` values
-/// do not overflow. For potential games the induced (uniform-selection) chain
-/// is reversible with respect to the Gibbs measure `π(x) ∝ e^{-βΦ(x)}`.
+/// do not overflow. Where the largest `β·u` itself overflows to `±∞` the
+/// shift cannot help, and the rule returns the `β → ∞` limit instead:
+/// uniform over the strategies of largest utility. For potential games the
+/// induced (uniform-selection) chain is reversible with respect to the
+/// Gibbs measure `π(x) ∝ e^{-βΦ(x)}`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Logit;
 
@@ -48,6 +59,18 @@ impl UpdateRule for Logit {
             .map(|&u| beta * u)
             .fold(f64::NEG_INFINITY, f64::max);
         probs.clear();
+        if !max.is_finite() {
+            // `∞ − ∞` would fill NaNs. Several `β·u` can be `±∞` at once, so
+            // the ties are taken on `u`.
+            let best = utils.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let ties = utils.iter().filter(|&&u| u == best).count() as f64;
+            probs.extend(
+                utils
+                    .iter()
+                    .map(|&u| if u == best { 1.0 / ties } else { 0.0 }),
+            );
+            return;
+        }
         probs.extend(utils.iter().map(|&u| (beta * u - max).exp()));
         let total: f64 = probs.iter().sum();
         for p in probs.iter_mut() {
@@ -278,6 +301,21 @@ mod tests {
         assert!((probs[0] - e / (e + 1.0)).abs() < 1e-12);
         assert_distribution(&probs);
         assert_eq!(Logit.name(), "logit");
+    }
+
+    #[test]
+    fn logit_takes_the_zero_noise_limit_when_beta_u_overflows() {
+        // β·u = ±∞ for every strategy: the shifted exponents would be
+        // `∞ − ∞`. The limit is the argmax of `u`, ties split evenly.
+        let mut probs = Vec::new();
+        Logit.fill_probs(1e308, 0, &[2.0, 0.0], &mut probs);
+        assert_eq!(probs, vec![1.0, 0.0]);
+        Logit.fill_probs(1e308, 0, &[-2.0, -4.0], &mut probs);
+        assert_eq!(probs, vec![1.0, 0.0]);
+        Logit.fill_probs(1e308, 0, &[0.0, 2.0], &mut probs);
+        assert_eq!(probs, vec![0.0, 1.0]);
+        Logit.fill_probs(1e308, 1, &[2.0, 2.0], &mut probs);
+        assert_eq!(probs, vec![0.5, 0.5]);
     }
 
     #[test]

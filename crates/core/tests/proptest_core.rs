@@ -9,7 +9,8 @@ use logit_core::{
     TemperingEnsemble,
 };
 use logit_games::{
-    interaction_graph, Game, GraphicalCoordinationGame, PotentialGame, TablePotentialGame,
+    interaction_graph, CoordinationGame, Game, GraphicalCoordinationGame, IsingGame, LocalGame,
+    PotentialGame, TablePotentialGame,
 };
 use logit_graphs::GraphBuilder;
 use logit_markov::{stationary_distribution, total_variation};
@@ -54,6 +55,35 @@ fn legacy_step_profile<G: Game, R: Rng + ?Sized>(
         }
     }
     profile[player] = chosen;
+}
+
+/// Steps the `Logit` engine and the legacy loop side by side from `start`
+/// on one seed: the profiles must agree after every step, and the RNG
+/// streams must end in the same position.
+fn check_legacy_replay<G: Game + Clone>(
+    game: &G,
+    beta: f64,
+    start: &[usize],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let d = LogitDynamics::new(game.clone(), beta);
+    let mut rng_new = StdRng::seed_from_u64(seed ^ 0xBEEF);
+    let mut rng_old = StdRng::seed_from_u64(seed ^ 0xBEEF);
+    let mut scratch = Scratch::for_game(game);
+    let mut prof_new = start.to_vec();
+    let mut prof_old = start.to_vec();
+    for t in 0..150 {
+        d.step_profile(&mut prof_new, &mut scratch, &mut rng_new);
+        legacy_step_profile(game, beta, &mut prof_old, &mut rng_old);
+        prop_assert_eq!(
+            &prof_new,
+            &prof_old,
+            "diverged from legacy engine at step {}",
+            t
+        );
+    }
+    prop_assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
+    Ok(())
 }
 
 proptest! {
@@ -287,31 +317,32 @@ proptest! {
     /// trajectories through the refactored generic engine are bit-identical
     /// to the pre-refactor engine (verbatim reference implementation above)
     /// from the same seed — same player draws, same strategy draws, step by
-    /// step, on any random potential game and any β.
+    /// step, on any random potential game and any β. The graph games take
+    /// the engine's count table, so they pin it too: a graphical game with
+    /// non-dyadic payoffs, and an Ising model with a field on an irregular
+    /// graph that may leave players isolated.
     #[test]
     fn logit_rule_is_bit_identical_to_the_pre_refactor_engine(
         seed in 0u64..10_000,
         beta in 0.0f64..5.0,
         start_raw in 0usize..1000,
+        n in 2usize..16,
+        p in 0.05f64..0.8,
+        payoff in 0.01f64..3.0,
     ) {
         let mut game_rng = StdRng::seed_from_u64(seed);
         let game = TablePotentialGame::random(vec![2, 3, 2], 3.0, &mut game_rng);
-        let d = LogitDynamics::new(game.clone(), beta);
         let space = game.profile_space();
         let start = space.profile_of(start_raw % space.size());
+        check_legacy_replay(&game, beta, &start, seed)?;
 
-        let mut rng_new = StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let mut rng_old = StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let mut scratch = Scratch::for_game(&game);
-        let mut prof_new = start.clone();
-        let mut prof_old = start;
-        for t in 0..150 {
-            d.step_profile(&mut prof_new, &mut scratch, &mut rng_new);
-            legacy_step_profile(&game, beta, &mut prof_old, &mut rng_old);
-            prop_assert_eq!(&prof_new, &prof_old, "diverged from legacy engine at step {}", t);
-        }
-        // And the RNG streams are in the same position afterwards.
-        prop_assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
+        let graph = GraphBuilder::erdos_renyi(n, p, &mut game_rng);
+        let start: Vec<usize> = (0..n).map(|i| (start_raw >> (i % 10)) & 1).collect();
+        let base = CoordinationGame::new(1.3 + payoff, 0.7 + payoff / 3.0, 0.1 * payoff, 0.2);
+        let graphical = GraphicalCoordinationGame::new(graph.clone(), base);
+        check_legacy_replay(&graphical, beta, &start, seed)?;
+        let ising = IsingGame::new(graph, 0.5 + payoff, payoff - 1.5);
+        check_legacy_replay(&ising, beta, &start, seed)?;
     }
 
     /// Tempering swap kernel, satellite check: for a two-rung ladder on a
@@ -1150,5 +1181,212 @@ proptest! {
         check(&ising, &SystematicSweep, beta, &sim, &config)?;
         check(&ising, &AllLogit, beta, &sim, &config)?;
         check(&ising, &ColouredBlocks::for_game(&ising), beta, &sim, &config)?;
+    }
+}
+
+/// A count game behind a newtype that forwards everything but
+/// [`Game::count_kernel`]: its engines take the per-update
+/// `utilities_for` → `fill_probs` path, the reference the count table must
+/// replay.
+#[derive(Clone)]
+struct TableFree<G>(G);
+
+impl<G: Game> Game for TableFree<G> {
+    fn num_players(&self) -> usize {
+        self.0.num_players()
+    }
+    fn num_strategies(&self, player: usize) -> usize {
+        self.0.num_strategies(player)
+    }
+    fn utility(&self, player: usize, profile: &[usize]) -> f64 {
+        self.0.utility(player, profile)
+    }
+    fn utilities_for(&self, player: usize, profile: &mut [usize], out: &mut [f64]) {
+        self.0.utilities_for(player, profile, out)
+    }
+}
+
+impl<G: LocalGame> LocalGame for TableFree<G> {
+    fn neighbors_of(&self, player: usize) -> &[u32] {
+        self.0.neighbors_of(player)
+    }
+    fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
+        self.0.utilities_for_frozen(player, profile, out)
+    }
+    fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
+        self.0.utilities_for_frozen_bytes(player, profile, out)
+    }
+}
+
+/// Every profile each engine kernel walks through from `start`, labelled
+/// by kernel and tick: uniform, sweep and all-logit ticks on one stream,
+/// then the sequential and pooled coloured sweeps on `usize` and on byte
+/// profiles.
+fn walk_every_kernel<G: LocalGame + Sync, U: UpdateRule>(
+    d: &DynamicsEngine<G, U>,
+    coloring: &logit_graphs::Coloring,
+    start: &[usize],
+    seed: u64,
+    pool: &logit_core::WorkerPool,
+    config: &logit_core::RuntimeConfig,
+) -> Vec<(&'static str, u64, Vec<usize>)> {
+    let n = start.len();
+    let mut walked = Vec::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut scratch = Scratch::for_game(d.game());
+    let mut x = start.to_vec();
+    for t in 0..3 * n as u64 {
+        d.step_scheduled(&UniformSingle, t, &mut x, &mut scratch, &mut rng);
+        walked.push(("uniform", t, x.clone()));
+    }
+    for t in 0..2 * n as u64 {
+        d.step_scheduled(&SystematicSweep, t, &mut x, &mut scratch, &mut rng);
+        walked.push(("sweep", t, x.clone()));
+    }
+    for t in 0..4 {
+        d.step_scheduled(&AllLogit, t, &mut x, &mut scratch, &mut rng);
+        walked.push(("all-logit", t, x.clone()));
+    }
+    let ticks = 2 * coloring.num_classes() as u64 + 3;
+    let (mut seq, mut pooled, mut staged) = (start.to_vec(), start.to_vec(), Vec::new());
+    let mut bytes: Vec<u8> = start.iter().map(|&s| s as u8).collect();
+    let mut pooled_bytes = bytes.clone();
+    for t in 0..ticks {
+        d.step_coloured(coloring, t, seed, &mut seq, &mut scratch);
+        walked.push(("coloured", t, seq.clone()));
+        d.step_coloured_pooled(
+            coloring,
+            t,
+            seed,
+            &mut pooled,
+            &mut scratch,
+            &mut staged,
+            pool,
+            config,
+        );
+        walked.push(("pooled", t, pooled.clone()));
+        d.step_coloured_bytes(coloring, t, seed, None, &mut bytes, &mut scratch);
+        walked.push(("bytes", t, bytes.iter().map(|&s| s as usize).collect()));
+        d.step_coloured_pooled_bytes(
+            coloring,
+            t,
+            seed,
+            None,
+            &mut pooled_bytes,
+            &mut scratch,
+            pool,
+            config,
+        );
+        walked.push((
+            "pooled bytes",
+            t,
+            pooled_bytes.iter().map(|&s| s as usize).collect(),
+        ));
+    }
+    walked
+}
+
+/// The count table of `game` under `rule` against the per-update path:
+/// every player's tabulated distribution has the bits of
+/// `fill_probs(utilities_for(..))` on random profiles, and every kernel
+/// walks the trajectory of the same game with the table hidden.
+#[allow(clippy::too_many_arguments)]
+fn check_count_table<G: LocalGame + Clone + Sync, U: UpdateRule>(
+    game: &G,
+    rule: U,
+    beta: f64,
+    start: &[usize],
+    seed: u64,
+    coloring: &logit_graphs::Coloring,
+    pool: &logit_core::WorkerPool,
+    config: &logit_core::RuntimeConfig,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        game.count_kernel().is_some(),
+        "a count game exposes its kernel"
+    );
+    let tabulated = DynamicsEngine::with_rule(game.clone(), rule.clone(), beta);
+    let table_free = DynamicsEngine::with_rule(TableFree(game.clone()), rule.clone(), beta);
+    let bits = |probs: &[f64]| probs.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7AB1E);
+    for _ in 0..4 {
+        let mut x: Vec<usize> = (0..start.len()).map(|_| rng.gen_range(0..2usize)).collect();
+        for player in 0..x.len() {
+            let mut utils = vec![0.0; 2];
+            game.utilities_for(player, &mut x, &mut utils);
+            let mut expected = Vec::new();
+            rule.fill_probs(beta, x[player], &utils, &mut expected);
+            let got = tabulated.update_distribution(player, &x);
+            prop_assert_eq!(
+                bits(&got),
+                bits(&expected),
+                "{} at player {}",
+                rule.name(),
+                player
+            );
+        }
+    }
+    let reference = walk_every_kernel(&table_free, coloring, start, seed, pool, config);
+    let walked = walk_every_kernel(&tabulated, coloring, start, seed, pool, config);
+    prop_assert_eq!(walked, reference, "{}", rule.name());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The count table replays the per-update path bit for bit, for all
+    /// five rules at β = 0, a random β and β = 10³⁰⁸ (where the logit
+    /// weights overflow), on graphical games with non-dyadic payoffs and
+    /// Ising games with a field, over random graphs with isolated players
+    /// and mixed degrees, on every kernel that reads the table.
+    #[test]
+    fn count_table_replays_fill_probs_and_the_table_free_engine(
+        seed in 0u64..10_000,
+        n in 2usize..14,
+        p in 0.05f64..0.8,
+        beta_kind in 0usize..3,
+        beta_raw in 0.0f64..6.0,
+        payoff in 0.01f64..3.0,
+        workers in 1usize..4,
+    ) {
+        use logit_core::{NoisyBestResponse, RuntimeConfig, WorkerPool};
+
+        let beta = [0.0, beta_raw, 1e308][beta_kind];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = GraphBuilder::erdos_renyi(n, p, &mut rng);
+        let start: Vec<usize> = (0..n).map(|_| rng.gen_range(0..2usize)).collect();
+        let base = CoordinationGame::new(1.3 + payoff, 0.7 + payoff / 3.0, 0.1 * payoff, 0.2);
+        let graphical = GraphicalCoordinationGame::new(graph.clone(), base);
+        let ising = IsingGame::new(graph, 0.5 + payoff, payoff - 1.5);
+        let coloring = coloring_for_game(&graphical);
+        let config = RuntimeConfig {
+            workers,
+            min_class_size: 1,
+            block_players: 2,
+            ..RuntimeConfig::default()
+        };
+        let pool = WorkerPool::new(&config);
+
+        fn every_rule<G: LocalGame + Clone + Sync>(
+            game: &G,
+            beta: f64,
+            start: &[usize],
+            seed: u64,
+            coloring: &logit_graphs::Coloring,
+            pool: &WorkerPool,
+            config: &RuntimeConfig,
+        ) -> Result<(), TestCaseError> {
+            check_count_table(game, Logit, beta, start, seed, coloring, pool, config)?;
+            check_count_table(game, MetropolisLogit, beta, start, seed, coloring, pool, config)?;
+            let nbr = NoisyBestResponse::new(0.15);
+            check_count_table(game, nbr, beta, start, seed, coloring, pool, config)?;
+            check_count_table(game, Fermi, beta, start, seed, coloring, pool, config)?;
+            let imitate = ImitateBetter::new(0.1);
+            check_count_table(game, imitate, beta, start, seed, coloring, pool, config)
+        }
+
+        every_rule(&graphical, beta, &start, seed, &coloring, &pool, &config)?;
+        every_rule(&ising, beta, &start, seed, &coloring, &pool, &config)?;
     }
 }

@@ -38,6 +38,15 @@ pub trait Game {
         profile[player] = saved;
     }
 
+    /// The game's [`CountKernel`], when its utilities have the count form;
+    /// `None` (the default) otherwise. An engine handed a kernel may
+    /// tabulate update distributions by `(degree, ones, current strategy)`
+    /// instead of calling [`Game::utilities_for`] on every update.
+    #[inline]
+    fn count_kernel(&self) -> Option<&dyn CountKernel> {
+        None
+    }
+
     /// The profile space `S = S₁ × ⋯ × Sₙ` of the game.
     fn profile_space(&self) -> ProfileSpace {
         ProfileSpace::new(
@@ -59,6 +68,30 @@ pub trait Game {
     fn num_profiles(&self) -> usize {
         self.profile_space().size()
     }
+}
+
+/// The count form of a binary game's utilities: player `i`'s two utilities
+/// depend on the profile only through her *count row* `R_i`, and only
+/// through `(|R_i|, #{j ∈ R_i : x_j = 1})`. The graphical coordination
+/// games of Section 5 and the Ising model have it, with the neighbours as
+/// the row. A player of degree `d` then has at most `d + 1` utility pairs,
+/// hence at most `2·(d + 1)` update distributions at a fixed `β`.
+///
+/// Contract: every player has two strategies, on profiles of 0s and 1s
+/// `utilities_for(i, x, out)` writes exactly what
+/// `utilities_from_ones(R_i.len(), Σ_{j ∈ R_i} x_j, out)` writes, bit for
+/// bit, and `row_lengths` lists every `R_i.len()` once.
+pub trait CountKernel {
+    /// Player `i`'s count row `R_i`, as `u32` player ids.
+    fn count_row(&self, player: usize) -> &[u32];
+
+    /// The distinct lengths of the count rows, ascending: the degrees an
+    /// engine tabulates.
+    fn row_lengths(&self) -> &[u32];
+
+    /// The utilities `[u(0), u(1)]` of a player whose count row has
+    /// `degree` players, `ones` of them on strategy 1.
+    fn utilities_from_ones(&self, degree: usize, ones: usize, out: &mut [f64]);
 }
 
 /// Two exact integer counters a potential is computed from: the matched
@@ -193,6 +226,9 @@ impl<G: Game + ?Sized> Game for &G {
     fn utilities_for(&self, player: usize, profile: &mut [usize], out: &mut [f64]) {
         (**self).utilities_for(player, profile, out)
     }
+    fn count_kernel(&self) -> Option<&dyn CountKernel> {
+        (**self).count_kernel()
+    }
 }
 
 impl<G: PotentialGame + ?Sized> PotentialGame for &G {
@@ -241,6 +277,9 @@ impl<G: Game + ?Sized> Game for std::sync::Arc<G> {
     }
     fn utilities_for(&self, player: usize, profile: &mut [usize], out: &mut [f64]) {
         (**self).utilities_for(player, profile, out)
+    }
+    fn count_kernel(&self) -> Option<&dyn CountKernel> {
+        (**self).count_kernel()
     }
 }
 
@@ -350,5 +389,28 @@ mod tests {
         assert_eq!(toy.max_local_variation(), 2.0);
         assert_eq!(toy.min_potential(), 0.0);
         assert_eq!(toy.max_potential(), 3.0);
+    }
+
+    #[test]
+    fn ref_and_arc_impls_forward_the_count_kernel() {
+        // Generic, so `G` is the wrapper itself and its impl is the one
+        // called: a dropped forward falls back to the `None` default.
+        fn row_of<G: Game>(game: G) -> Option<Vec<u32>> {
+            game.count_kernel().map(|k| k.count_row(1).to_vec())
+        }
+        let game = crate::GraphicalCoordinationGame::new(
+            logit_graphs::GraphBuilder::path(3),
+            crate::CoordinationGame::from_deltas(2.0, 1.0),
+        );
+        let row = Some(vec![0, 2]);
+        assert_eq!(row_of(&game), row);
+        assert_eq!(row_of(std::sync::Arc::new(game.clone())), row);
+        let object: &dyn PotentialGame = &game;
+        assert_eq!(row_of(object), row);
+        assert_eq!(
+            row_of(&Toy),
+            None,
+            "games without the count form keep the default"
+        );
     }
 }

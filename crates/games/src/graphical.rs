@@ -16,7 +16,7 @@
 //! near `k* ≈ (n-1)·δ₀/(δ₀+δ₁) + ½`.
 
 use crate::coordination::CoordinationGame;
-use crate::game::{Game, PotentialGame, PotentialTally};
+use crate::game::{CountKernel, Game, PotentialGame, PotentialTally};
 use logit_graphs::CsrGraph;
 use std::sync::Arc;
 
@@ -98,6 +98,11 @@ impl Game for GraphicalCoordinationGame {
     fn utilities_for(&self, player: usize, profile: &mut [usize], out: &mut [f64]) {
         self.utilities_readonly(player, profile, out);
     }
+
+    #[inline]
+    fn count_kernel(&self) -> Option<&dyn CountKernel> {
+        Some(self)
+    }
 }
 
 impl GraphicalCoordinationGame {
@@ -114,11 +119,24 @@ impl GraphicalCoordinationGame {
         let row = self.csr.neighbors(player);
         self.utilities_from_ones(row.len(), ones_in(row, profile), out);
     }
+}
+
+/// The count row is the neighbour row.
+impl CountKernel for GraphicalCoordinationGame {
+    #[inline]
+    fn count_row(&self, player: usize) -> &[u32] {
+        self.csr.neighbors(player)
+    }
+
+    fn row_lengths(&self) -> &[u32] {
+        self.csr.degrees()
+    }
 
     /// The shared counting kernel: only `(degree, #neighbours on 1)` enter
-    /// the payoff sums, so every profile representation funnels through the
-    /// same float expressions — the bitwise-agreement anchor of the
-    /// relabelled byte engine.
+    /// the payoff sums, so every profile representation — and the engines'
+    /// tabulated update distributions — funnel through the same float
+    /// expressions: the bitwise-agreement anchor of the relabelled byte
+    /// engine and of the count table.
     #[inline]
     fn utilities_from_ones(&self, degree: usize, ones: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), 2);

@@ -19,7 +19,7 @@
 //! the logit update probabilities nor the Gibbs measure. Like the graphical
 //! game, the model holds its graph only as a shared `Arc<CsrGraph>`.
 
-use crate::game::{Game, PotentialGame, PotentialTally};
+use crate::game::{CountKernel, Game, PotentialGame, PotentialTally};
 use crate::graphical::ones_in;
 use logit_graphs::CsrGraph;
 use std::sync::Arc;
@@ -153,6 +153,11 @@ impl Game for IsingGame {
     fn utilities_for(&self, player: usize, profile: &mut [usize], out: &mut [f64]) {
         self.utilities_readonly(player, profile, out);
     }
+
+    #[inline]
+    fn count_kernel(&self) -> Option<&dyn CountKernel> {
+        Some(self)
+    }
 }
 
 impl IsingGame {
@@ -169,6 +174,18 @@ impl IsingGame {
     {
         let row = self.csr.neighbors(player);
         self.utilities_from_ones(row.len(), ones_in(row, profile), out);
+    }
+}
+
+/// The count row is the neighbour row.
+impl CountKernel for IsingGame {
+    #[inline]
+    fn count_row(&self, player: usize) -> &[u32] {
+        self.csr.neighbors(player)
+    }
+
+    fn row_lengths(&self) -> &[u32] {
+        self.csr.degrees()
     }
 
     /// Shared kernel: neighbour spin sum from the up-spin count, then the

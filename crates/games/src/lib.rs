@@ -55,7 +55,7 @@ pub use analysis::{
 pub use congestion::CongestionGame;
 pub use coordination::{CoordinationError, CoordinationGame};
 pub use dominant::AllZeroDominantGame;
-pub use game::{Game, PotentialGame, PotentialTally};
+pub use game::{CountKernel, Game, PotentialGame, PotentialTally};
 pub use graphical::GraphicalCoordinationGame;
 pub use ising::{IsingError, IsingGame};
 pub use local::{interaction_graph, LocalGame};

@@ -41,6 +41,8 @@ pub struct CsrGraph {
     /// Concatenated neighbour rows, ascending within each row
     /// (length `2m` — each undirected edge appears in both rows).
     targets: Vec<u32>,
+    /// The distinct vertex degrees, ascending.
+    degrees: Vec<u32>,
 }
 
 /// Why a [`Graph`] cannot be frozen into u32-indexed CSR form: one of the
@@ -121,10 +123,22 @@ impl CsrGraph {
             offsets.push(targets.len() as u32);
         }
         debug_assert_eq!(targets.len(), directed);
+        let mut seen = Vec::new();
+        for row in offsets.windows(2) {
+            let degree = (row[1] - row[0]) as usize;
+            if degree >= seen.len() {
+                seen.resize(degree + 1, false);
+            }
+            seen[degree] = true;
+        }
+        let degrees = (0..seen.len() as u32)
+            .filter(|&d| seen[d as usize])
+            .collect();
         Ok(Self {
             n,
             offsets,
             targets,
+            degrees,
         })
     }
 
@@ -198,7 +212,14 @@ impl CsrGraph {
 
     /// Maximum degree over all vertices (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        (0..self.n).map(|u| self.degree(u)).max().unwrap_or(0)
+        self.degrees.last().map_or(0, |&d| d as usize)
+    }
+
+    /// The distinct vertex degrees, ascending, recorded when the graph was
+    /// frozen.
+    #[inline]
+    pub fn degrees(&self) -> &[u32] {
+        &self.degrees
     }
 
     /// The bandwidth of the graph *in its current labelling*: the maximum
@@ -273,6 +294,10 @@ mod tests {
                 assert!(csr.neighbors(u).windows(2).all(|w| w[0] < w[1]));
             }
             assert!(csr.edges().eq(graph.edges()), "edge sequences differ");
+            let degrees: std::collections::BTreeSet<u32> = (0..graph.num_vertices())
+                .map(|u| graph.degree(u) as u32)
+                .collect();
+            assert!(csr.degrees().iter().eq(&degrees), "distinct degrees differ");
         }
     }
 

@@ -335,6 +335,34 @@ fn tight_pipeline_knobs_reach_both_job_modes_and_replay_bit_identically() {
 }
 
 #[test]
+fn a_beta_whose_utilities_overflow_runs_the_zero_noise_limit() {
+    // From all zeros on a δ₀ = 3, δ₁ = 1 ring, every revision has utilities
+    // [6, 0]: at β = 1e308 the logit weights overflow, and the update must
+    // take their β → ∞ limit (stay on 0), as β = 1e6 already does.
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
+    let addr = server.addr();
+    let job = |beta: &str| {
+        format!(
+            "game=graphical\ntopology=ring\nn=16\ndelta0=3.0\ndelta1=1.0\n\
+             rule=logit\nschedule=uniform\nmode=pipelined\nbeta={beta}\nsteps=400\n\
+             sample_every=100\nobservable=fraction1\nstart=zeros\nreplicas=2\nseed=5"
+        )
+    };
+    for beta in ["1e6", "1e308"] {
+        let text = job(beta);
+        match submit_job(addr, &text, None).expect("client io").0 {
+            ClientOutcome::Done(streamed) => {
+                assert_eq!(streamed.finals, vec![0.0, 0.0], "beta = {beta}");
+                assert_eq!(streamed.wire_text(), offline(&text).wire_text());
+            }
+            other => panic!("expected completion at beta = {beta}, got {other:?}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.internal_errors, 0);
+}
+
+#[test]
 fn jobs_on_one_description_share_its_csr_and_colouring() {
     let cache = ArtifactCache::new(4);
     let prepared = || prepare(JobSpec::parse(&base_job(1)).unwrap(), &cache).unwrap();
