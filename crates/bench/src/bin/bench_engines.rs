@@ -24,7 +24,7 @@ use logit_core::{
 use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame};
 use logit_graphs::{Coloring, Graph, GraphBuilder, VertexOrdering};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Binary-profile rings stop fitting a flat `usize` index past this size.
@@ -186,6 +186,44 @@ fn tempered_rows(rungs: usize, sizes: &[usize], steps: u64) -> String {
     format!(
         "  \"tempered\": {{\n    \"what\": \"TemperingEnsemble (Logit, K = {rungs} geometric ladder 0.5..1.5), per player-update, swap phase every n ticks, vs the K = 1 ladder through the same stack; the ratio is the orchestration-overhead invariant (swaps amortise to noise)\",\n    \"rows\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
+    )
+}
+
+/// Draw-cost row-set: ns per `next_u64` and per `gen::<f64>()` of the
+/// `ChaCha8Rng` stream every `Simulator` replica, tempering rung and server
+/// job draws from, with the refill kernel the dispatch chose on this host. Gated on the stream pin: the
+/// mixed-draw hash must equal `rand_chacha::MIXED_DRAW_HASH` in-process,
+/// so a kernel that changed a word can never emit a row.
+fn rng_rows(draws: u64) -> String {
+    assert_eq!(
+        rand_chacha::mixed_draw_hash(1_000_000),
+        rand_chacha::MIXED_DRAW_HASH,
+        "ChaCha8Rng no longer yields its pinned stream"
+    );
+    let kernel = rand_chacha::kernel();
+    let host_cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let clock = std::time::Instant::now();
+    let mut words = 0u64;
+    for _ in 0..draws {
+        words ^= rng.next_u64();
+    }
+    std::hint::black_box(words);
+    let ns_u64 = clock.elapsed().as_secs_f64() * 1e9 / draws as f64;
+    let clock = std::time::Instant::now();
+    let mut bits = 0u64;
+    for _ in 0..draws {
+        bits ^= rng.gen::<f64>().to_bits();
+    }
+    std::hint::black_box(bits);
+    let ns_f64 = clock.elapsed().as_secs_f64() * 1e9 / draws as f64;
+    eprintln!(
+        "rng: kernel = {kernel}, {ns_u64:.2} ns per next_u64, {ns_f64:.2} ns per gen::<f64>() over {draws} draws each"
+    );
+    format!(
+        "  \"rng\": {{\n    \"what\": \"ChaCha8Rng draw cost, one thread: ns per next_u64 and per gen::<f64>() over {draws} draws each; kernel is the eight-block refill kernel the run-time dispatch chose (avx2 or scalar). Emitted only after mixed_draw_hash(10^6) equals the pinned MIXED_DRAW_HASH in-process, so every stream still yields its pinned words\",\n    \"kernel\": \"{kernel}\",\n    \"host_cores\": {host_cores},\n    \"draws\": {draws},\n    \"ns_per_next_u64\": {ns_u64:.3},\n    \"ns_per_gen_f64\": {ns_f64:.3}\n  }}"
     )
 }
 
@@ -1153,6 +1191,10 @@ fn main() {
         "parity (n = {parity_n}, median of 5): legacy = {legacy:.3e}, engine = {engine:.3e}, ratio = {ratio:.3}"
     );
 
+    // Draw-cost rows: the ChaCha8 stream behind every replica ensemble,
+    // gated on its pinned hash.
+    let rng = rng_rows(if fast { 10_000_000 } else { 100_000_000 });
+
     // Tempered-engine rows: measured at the sizes where the ensemble is the
     // interesting tool (large-n in-place replicas; the tiny sizes only add
     // noise). The in-process ratio against the single profile engine is the
@@ -1186,7 +1228,7 @@ fn main() {
     let telemetry = json_escape(&logit_telemetry::global().render());
 
     println!(
-        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) on the ring game with its count kernel hidden, so it computes every update as the loop does, vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{tempered},\n{pipelined},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
+        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) on the ring game with its count kernel hidden, so it computes every update as the loop does, vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{rng},\n{tempered},\n{pipelined},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
         rule_sets.join(",\n")
     );
 }
