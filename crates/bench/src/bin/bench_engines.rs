@@ -256,9 +256,6 @@ fn median(mut values: Vec<f64>) -> f64 {
 ///    sequential sweep, so only measurement noise is tolerated away), and
 ///    the median same-round pooled/uniform ratio must clear the committed
 ///    1.5 band.
-///
-/// `wait_policy` and `pinned` record how the emitting host's pool waited
-/// and whether core pinning took effect.
 #[allow(clippy::too_many_arguments)]
 fn coloured_row<U: UpdateRule>(
     rule: U,
@@ -386,14 +383,12 @@ fn coloured_row<U: UpdateRule>(
         rule.name()
     );
 
-    let wait_policy = pool.wait_policy().name();
-    let pinned = pool.registry().pinned_count() > 0;
     eprintln!(
         "   coloured {:>17} n = {n}: uniform = {uniform:.3e}, seq sweep = {coloured_seq:.3e}, pooled({workers}) = {coloured_pooled:.3e}, pooled/uniform = {pooled_over_uniform:.3}, pooled/seq = {pooled_over_seq:.3} (best {best_pooled_over_seq:.3})",
         rule.name()
     );
     format!(
-        "        {{\"rule\": \"{}\", \"n\": {n}, \"degree\": {}, \"classes\": {classes}, \"workers\": {workers}, \"wait_policy\": \"{wait_policy}\", \"pinned\": {pinned}, \"uniform_updates_per_sec\": {uniform:.0}, \"coloured_seq_updates_per_sec\": {coloured_seq:.0}, \"coloured_pooled_updates_per_sec\": {coloured_pooled:.0}, \"pooled_over_uniform\": {pooled_over_uniform:.3}, \"pooled_over_seq\": {pooled_over_seq:.3}, \"best_pooled_over_seq\": {best_pooled_over_seq:.3}}}",
+        "        {{\"rule\": \"{}\", \"n\": {n}, \"degree\": {}, \"classes\": {classes}, \"workers\": {workers}, \"uniform_updates_per_sec\": {uniform:.0}, \"coloured_seq_updates_per_sec\": {coloured_seq:.0}, \"coloured_pooled_updates_per_sec\": {coloured_pooled:.0}, \"pooled_over_uniform\": {pooled_over_uniform:.3}, \"pooled_over_seq\": {pooled_over_seq:.3}, \"best_pooled_over_seq\": {best_pooled_over_seq:.3}}}",
         rule.name(),
         game.csr().max_degree()
     )
@@ -440,7 +435,7 @@ fn coloured_rows(steps: u64) -> String {
     ];
     let scaling = worker_scaling_rows(&game, &coloring, rounds, 2 * k);
     format!(
-        "  \"coloured\": {{\n    \"what\": \"coloured independent-set revision on a dense-degree circulant (n = {n}, degree {}, first-fit classes via the scale-aware coloring_for_game) vs per-player sequential stepping through the same engine; two in-process gates must pass before rows are emitted: bit-identity (one full colour round, pooled == sequential class sweep) and throughput (best pooled/seq over 5 interleaved rounds >= 1.0 — the persistent pool must not tax the sweep — and median pooled/uniform > 1.5). Committed invariants: the gates plus the ratios — pooled_over_uniform pins the coloured path beating per-player sequential stepping (the ascending class sweep streams the DRAM-resident adjacency where random-player stepping cache-misses, and counter-derived per-player draws replace stream draws; band to hold: > 1.5), pooled_over_seq pins the persistent-pool orchestration overhead; coloured_pooled additionally scales with cores (the emitting host resolved workers = {workers}; per-player sequential stepping cannot use more than one). wait_policy and pinned record the emitting pool's idle strategy and whether core pinning took effect\",\n    \"rows\": [\n{}\n    ]\n  }},\n{scaling}",
+        "  \"coloured\": {{\n    \"what\": \"coloured independent-set revision on a dense-degree circulant (n = {n}, degree {}, first-fit classes via the scale-aware coloring_for_game) vs per-player sequential stepping through the same engine; two in-process gates must pass before rows are emitted: bit-identity (one full colour round, pooled == sequential class sweep) and throughput (best pooled/seq over 5 interleaved rounds >= 1.0 — the persistent pool must not tax the sweep — and median pooled/uniform > 1.5). Committed invariants: the gates plus the ratios — pooled_over_uniform pins the coloured path beating per-player sequential stepping (the ascending class sweep streams the DRAM-resident adjacency where random-player stepping cache-misses, and counter-derived per-player draws replace stream draws; band to hold: > 1.5), pooled_over_seq pins the persistent-pool orchestration overhead; coloured_pooled additionally scales with cores (the emitting host resolved workers = {workers}; per-player sequential stepping cannot use more than one)\",\n    \"rows\": [\n{}\n    ]\n  }},\n{scaling}",
         2 * k,
         rows.join(",\n")
     )
@@ -505,13 +500,11 @@ fn worker_scaling_rows(
         };
 
         let pooled_over_seq = pooled_rate / seq_rate;
-        let pinned = pool.registry().pinned_count() > 0;
         eprintln!(
             "   scaling  workers = {workers}: seq = {seq_rate:.3e}, pooled = {pooled_rate:.3e}, pooled/seq = {pooled_over_seq:.3}"
         );
         rows.push(format!(
-            "        {{\"workers\": {workers}, \"wait_policy\": \"{}\", \"pinned\": {pinned}, \"coloured_seq_updates_per_sec\": {seq_rate:.0}, \"coloured_pooled_updates_per_sec\": {pooled_rate:.0}, \"pooled_over_seq\": {pooled_over_seq:.3}}}",
-            pool.wait_policy().name()
+            "        {{\"workers\": {workers}, \"coloured_seq_updates_per_sec\": {seq_rate:.0}, \"coloured_pooled_updates_per_sec\": {pooled_rate:.0}, \"pooled_over_seq\": {pooled_over_seq:.3}}}"
         ));
     }
     let host_cores = std::thread::available_parallelism()

@@ -1,6 +1,6 @@
 //! # logit-bench
 //!
-//! Experiment harness and criterion benchmarks.
+//! Experiment harness and throughput baselines.
 //!
 //! Every quantitative claim of the paper has an experiment (E1–E14, see
 //! `DESIGN.md` for the index). Each experiment is a library function in
@@ -8,9 +8,9 @@
 //! table), and a thin binary in `src/bin/` prints it; `run_all_experiments`
 //! regenerates the data behind `EXPERIMENTS.md` in one go.
 //!
-//! The criterion benches in `benches/` cover the hot kernels: chain
-//! construction, spectral analysis, exact mixing-time computation, simulation
-//! throughput, cutwidth and barrier computation.
+//! `bench_engines` emits the committed `BENCH_step_throughput.json` after
+//! its in-process gates pass, and `stream_hash` prints the cross-commit
+//! stream probe.
 
 pub mod experiments;
 pub mod table;

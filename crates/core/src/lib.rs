@@ -49,11 +49,11 @@
 //!   [`pipeline::CancelToken`]), bit-identical to the sequential path under
 //!   fixed seeds,
 //! * [`runtime`] — the persistent parallel runtime: a spawn-once
-//!   [`runtime::WorkerPool`] with a thread registry (worker ids, optional
-//!   Linux core pinning), spin/yield/park wait policies, epoch-tagged
-//!   chunk-stealing dispatch and per-tick barriers, plus the unified
-//!   [`runtime::RuntimeConfig`] worker-count knob shared by every parallel
-//!   path (coloured, pipelined, tempered, ensembles, sweeps, annealing),
+//!   [`runtime::WorkerPool`] whose idle workers yield, then park,
+//!   epoch-tagged chunk-stealing dispatch and per-tick barriers, plus the
+//!   unified [`runtime::RuntimeConfig`] (worker count, narrow-class
+//!   threshold, cache-block size) shared by every parallel path (coloured,
+//!   pipelined, tempered, ensembles, sweeps, annealing),
 //! * [`estimate`] — mixing-time measurement: exact (via `logit-markov`), spectral
 //!   bounds, and coupling-based upper estimates using the paper's couplings,
 //! * [`coupling`] — the maximal per-coordinate coupling of Theorem 3.6 / 4.2 and
@@ -105,7 +105,7 @@ pub use parallel::{
 };
 pub use pipeline::{CancelToken, OrderedSeriesReducer, PipelineConfig, PipelineConfigError};
 pub use rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
-pub use runtime::{RuntimeConfig, ThreadRegistry, WaitPolicy, WorkerEntry, WorkerPool};
+pub use runtime::{RuntimeConfig, WorkerPool};
 pub use schedules::{AllLogit, SelectionSchedule, SystematicSweep, UniformSingle};
 pub use simulate::{
     simulate_profile_trajectory, simulate_trajectory, EmpiricalLaw, EmptyLawError, EnsembleResult,

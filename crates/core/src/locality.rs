@@ -510,7 +510,6 @@ mod tests {
             workers: 3,
             min_class_size: 1,
             block_players: 4,
-            ..RuntimeConfig::default()
         };
         let pool = WorkerPool::new(&config);
 

@@ -626,38 +626,34 @@ mod tests {
 
     #[test]
     fn pooled_coloured_steps_match_both_existing_paths() {
-        use crate::runtime::WaitPolicy;
         let d = ring_dynamics(12, 1.3);
         let coloring = coloring_for_game(d.game());
         let seed = 0xC0DE;
-        for policy in WaitPolicy::ALL {
-            let config = RuntimeConfig {
-                workers: 3,
-                wait_policy: policy,
-                min_class_size: 0,
-                ..RuntimeConfig::default()
-            };
-            let pool = WorkerPool::new(&config);
-            let mut scratch = Scratch::for_game(d.game());
-            let mut staged = Vec::new();
-            let mut seq = vec![0usize; 12];
-            let mut pooled = vec![0usize; 12];
-            let mut seq_scratch = Scratch::for_game(d.game());
-            for t in 0..40u64 {
-                let moved_seq = d.step_coloured(&coloring, t, seed, &mut seq, &mut seq_scratch);
-                let moved_pooled = d.step_coloured_pooled(
-                    &coloring,
-                    t,
-                    seed,
-                    &mut pooled,
-                    &mut scratch,
-                    &mut staged,
-                    &pool,
-                    &config,
-                );
-                assert_eq!(seq, pooled, "pooled diverged at t = {t} ({policy:?})");
-                assert_eq!(moved_seq, moved_pooled);
-            }
+        let config = RuntimeConfig {
+            workers: 3,
+            min_class_size: 0,
+            ..RuntimeConfig::default()
+        };
+        let pool = WorkerPool::new(&config);
+        let mut scratch = Scratch::for_game(d.game());
+        let mut staged = Vec::new();
+        let mut seq = vec![0usize; 12];
+        let mut pooled = vec![0usize; 12];
+        let mut seq_scratch = Scratch::for_game(d.game());
+        for t in 0..40u64 {
+            let moved_seq = d.step_coloured(&coloring, t, seed, &mut seq, &mut seq_scratch);
+            let moved_pooled = d.step_coloured_pooled(
+                &coloring,
+                t,
+                seed,
+                &mut pooled,
+                &mut scratch,
+                &mut staged,
+                &pool,
+                &config,
+            );
+            assert_eq!(seq, pooled, "pooled diverged at t = {t}");
+            assert_eq!(moved_seq, moved_pooled);
         }
     }
 

@@ -99,7 +99,8 @@ use std::sync::Mutex;
 ///   default sampling rates a chunk carries at most a few samples.
 /// * `channel_capacity` — in-flight batches before senders block. This is
 ///   the backpressure bound: peak in-flight sample memory is
-///   `O(capacity · batch)` `f64`s, independent of the player count.
+///   `O(capacity · batch)` `f64`s, independent of the player count. At
+///   most [`MAX_CHANNEL_CAPACITY`](Self::MAX_CHANNEL_CAPACITY).
 ///
 /// The step-worker count is not a pipeline knob: it comes from the
 /// [`Simulator`]'s [`RuntimeConfig`](crate::runtime::RuntimeConfig)
@@ -111,7 +112,8 @@ use std::sync::Mutex;
 pub struct PipelineConfig {
     /// Ticks per worker chunk (≥ 1).
     pub chunk_ticks: u64,
-    /// Bounded-channel capacity in batches (≥ 1).
+    /// Bounded-channel capacity in batches
+    /// (1 ..= [`MAX_CHANNEL_CAPACITY`](Self::MAX_CHANNEL_CAPACITY)).
     pub channel_capacity: usize,
 }
 
@@ -134,6 +136,9 @@ pub enum PipelineConfigError {
     ZeroChunkTicks,
     /// `channel_capacity` was zero.
     ZeroChannelCapacity,
+    /// `channel_capacity` exceeded
+    /// [`PipelineConfig::MAX_CHANNEL_CAPACITY`].
+    ChannelCapacityTooLarge,
 }
 
 impl std::fmt::Display for PipelineConfigError {
@@ -143,6 +148,11 @@ impl std::fmt::Display for PipelineConfigError {
             PipelineConfigError::ZeroChannelCapacity => {
                 write!(f, "channel_capacity must be at least 1")
             }
+            PipelineConfigError::ChannelCapacityTooLarge => write!(
+                f,
+                "channel_capacity must be at most {}",
+                PipelineConfig::MAX_CHANNEL_CAPACITY
+            ),
         }
     }
 }
@@ -150,6 +160,13 @@ impl std::fmt::Display for PipelineConfigError {
 impl std::error::Error for PipelineConfigError {}
 
 impl PipelineConfig {
+    /// The largest accepted `channel_capacity`. The farm's bounded channel
+    /// allocates and writes every slot when it is created, before any
+    /// message is sent, and a failed allocation aborts the process rather
+    /// than panicking; a client-supplied capacity of 10⁹ would ask for tens
+    /// of gigabytes at once. The default is 64, so this leaves ample room.
+    pub const MAX_CHANNEL_CAPACITY: usize = 65_536;
+
     /// Checks the knobs without panicking — the admission-time counterpart
     /// of the entry-path `assert!`s, for callers (like a job server) that
     /// must turn a malformed configuration into a typed rejection rather
@@ -160,6 +177,9 @@ impl PipelineConfig {
         }
         if self.channel_capacity < 1 {
             return Err(PipelineConfigError::ZeroChannelCapacity);
+        }
+        if self.channel_capacity > Self::MAX_CHANNEL_CAPACITY {
+            return Err(PipelineConfigError::ChannelCapacityTooLarge);
         }
         Ok(())
     }
@@ -700,6 +720,15 @@ mod tests {
                     channel_capacity: 64,
                 },
             ),
+            // The largest accepted capacity is a usable setting, not only a
+            // bound.
+            (
+                2,
+                PipelineConfig {
+                    chunk_ticks: 16,
+                    channel_capacity: PipelineConfig::MAX_CHANNEL_CAPACITY,
+                },
+            ),
         ] {
             let sim = simulator_with_workers(42, 24, workers);
             let pipelined = sim
@@ -900,6 +929,21 @@ mod tests {
         let config = PipelineConfig {
             chunk_ticks: 8,
             channel_capacity: 0,
+        };
+        let _ = sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 10, 5, &obs, &config, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel_capacity must be at most")]
+    fn oversized_capacity_config_rejected_before_the_channel_is_built() {
+        // std's bounded channel writes every slot when it is created, so
+        // the entry path must refuse a capacity past the limit first.
+        let d = ring_dynamics(4);
+        let sim = Simulator::new(1, 2);
+        let obs = StrategyFraction::new(0, "zeros");
+        let config = PipelineConfig {
+            chunk_ticks: 8,
+            channel_capacity: PipelineConfig::MAX_CHANNEL_CAPACITY + 1,
         };
         let _ = sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 10, 5, &obs, &config, None);
     }
@@ -1151,9 +1195,8 @@ mod tests {
     #[test]
     fn farm_reuses_the_pool_across_many_runs_without_thread_churn() {
         // The whole point of the persistent pool: many short farm runs on
-        // one pool, registry stable, no respawns.
+        // one pool, one dispatch each, no respawns.
         let pool = test_pool(3);
-        let registry_size = pool.registry().len();
         for round in 0..50usize {
             let total = farm(
                 &pool,
@@ -1165,7 +1208,7 @@ mod tests {
             );
             assert_eq!(total, (0..6).map(|j| j + round).sum::<usize>());
         }
-        assert_eq!(pool.registry().len(), registry_size);
+        assert_eq!(pool.dispatches(), 50);
     }
 
     #[test]
@@ -1188,6 +1231,19 @@ mod tests {
             zero_capacity.try_validate(),
             Err(PipelineConfigError::ZeroChannelCapacity)
         );
+        let largest = PipelineConfig {
+            channel_capacity: PipelineConfig::MAX_CHANNEL_CAPACITY,
+            ..PipelineConfig::default()
+        };
+        assert_eq!(largest.try_validate(), Ok(()));
+        let huge_capacity = PipelineConfig {
+            channel_capacity: 1_000_000_000,
+            ..PipelineConfig::default()
+        };
+        assert_eq!(
+            huge_capacity.try_validate(),
+            Err(PipelineConfigError::ChannelCapacityTooLarge)
+        );
         // The typed errors render the exact strings the entry-path panics
         // (and their should_panic pins) rely on.
         assert_eq!(
@@ -1197,6 +1253,10 @@ mod tests {
         assert_eq!(
             PipelineConfigError::ZeroChannelCapacity.to_string(),
             "channel_capacity must be at least 1"
+        );
+        assert_eq!(
+            PipelineConfigError::ChannelCapacityTooLarge.to_string(),
+            "channel_capacity must be at most 65536"
         );
     }
 
@@ -1275,11 +1335,14 @@ mod tests {
     #[test]
     fn reseeded_simulators_share_one_pool_and_replay_bit_identically() {
         let d = ring_dynamics(6);
+        // The base's pool is never touched before `reseeded`: the server's
+        // executor forks every job off a fresh simulator the same way.
         let base = simulator_with_workers(1, 4, 2);
-        let shared_registry = base.pool().registry().entries();
         let job = base.reseeded(99, 12);
-        // Same threads, no respawn: the registry is the pool's identity.
-        assert_eq!(job.pool().registry().entries(), shared_registry);
+        assert!(
+            std::ptr::eq(base.pool(), job.pool()),
+            "a reseeded simulator must share its base's pool, not spawn its own"
+        );
         let obs = StrategyFraction::new(1, "adopters");
         let config = PipelineConfig::default();
         let served = job

@@ -2,8 +2,8 @@
 //! every tick, plus the configuration knobs shared by all parallel paths.
 //!
 //! This is the workspace's one parallel runtime, in the skeleton-library
-//! shape (spawn once, park on a wait policy, drive per-tick work through a
-//! claim counter and a completion barrier). Colour-class sweeps, the
+//! shape (spawn once, wait between dispatches, drive per-tick work through
+//! a claim counter and a completion barrier). Colour-class sweeps, the
 //! pipelined farm
 //! ([`Simulator::run_profiles_pipelined`](crate::Simulator::run_profiles_pipelined)),
 //! tempered runs ([`Simulator::run_tempered`](crate::Simulator::run_tempered)),
@@ -14,17 +14,16 @@
 //! governs every one of them:
 //!
 //! * [`RuntimeConfig`] — the single notion of "how many threads" (worker
-//!   count, wait policy, core pinning, narrow-class threshold), threaded
-//!   through [`Simulator`](crate::Simulator) and overridable from the
-//!   environment for benches (`LOGIT_WORKERS`, `LOGIT_WAIT_POLICY`,
-//!   `LOGIT_PIN_CORES`, `LOGIT_MIN_CLASS_SIZE`, `LOGIT_BLOCK_PLAYERS`).
+//!   count, narrow-class threshold, cache-block size), threaded through
+//!   [`Simulator`](crate::Simulator) and overridable from the environment
+//!   for benches (`LOGIT_WORKERS`, `LOGIT_MIN_CLASS_SIZE`,
+//!   `LOGIT_BLOCK_PLAYERS`).
 //! * [`WorkerPool`] — the persistent pool itself: chunked work
 //!   distribution ([`WorkerPool::run`], [`WorkerPool::for_each_chunk`]),
 //!   a concurrent caller lane for farm shapes
 //!   ([`WorkerPool::execute_with`]), per-dispatch barrier synchronisation,
-//!   and first-panic propagation.
-//! * [`ThreadRegistry`] — worker ids and pinning outcomes, observable so
-//!   tests can assert the pool neither leaks nor respawns threads.
+//!   and first-panic propagation. Idle workers yield the CPU between polls
+//!   for a bounded budget, then park on a condvar until the next dispatch.
 //!
 //! Work distribution is a shared atomic claim counter, so chunk→worker
 //! assignment is dynamic (idle workers steal whatever chunk is next); the
@@ -33,10 +32,8 @@
 //! sweep regardless of which worker executes which chunk.
 
 mod pool;
-mod registry;
 
 pub use pool::WorkerPool;
-pub use registry::{ThreadRegistry, WorkerEntry};
 
 /// Records that a warning for `var` has been emitted; returns `true` the
 /// first time a given variable name is seen in this process. Delegates to
@@ -57,59 +54,8 @@ fn warn_invalid_env(var: &str, value: &str) {
     logit_telemetry::warn_invalid_env(var, value);
 }
 
-/// How idle pool workers wait for the next dispatch. The policy sets how
-/// long a worker stays *hot* between dispatches; every policy escalates to
-/// parking on a condvar after a bounded idle window, so an idle pool never
-/// taxes the host no matter the policy.
-///
-/// * [`Spin`](WaitPolicy::Spin) — busy-wait (with a periodic `yield_now`
-///   safety valve) for ≈ a millisecond of idleness before parking. Lowest
-///   dispatch latency; right for dense back-to-back ticks where the pool
-///   is the only thing running.
-/// * [`Yield`](WaitPolicy::Yield) — `yield_now` between polls, parking
-///   after the idle budget. A good default: near-spin latency when cores
-///   are free, cooperative when the host is oversubscribed (including
-///   single-core CI).
-/// * [`Park`](WaitPolicy::Park) — block on the condvar immediately.
-///   Highest wake latency but zero idle CPU from the first moment; right
-///   for service-style workloads where dispatches are sparse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum WaitPolicy {
-    /// Busy-wait (with a periodic yield safety valve), then park.
-    Spin,
-    /// Yield the CPU between polls, then park.
-    #[default]
-    Yield,
-    /// Park on a condvar until a dispatch or shutdown wakes the worker.
-    Park,
-}
-
-impl WaitPolicy {
-    /// Stable lower-case name (used in bench JSON and env parsing).
-    pub fn name(self) -> &'static str {
-        match self {
-            WaitPolicy::Spin => "spin",
-            WaitPolicy::Yield => "yield",
-            WaitPolicy::Park => "park",
-        }
-    }
-
-    /// Parses the lower-case name emitted by [`name`](Self::name).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "spin" => Some(WaitPolicy::Spin),
-            "yield" => Some(WaitPolicy::Yield),
-            "park" => Some(WaitPolicy::Park),
-            _ => None,
-        }
-    }
-
-    /// All policies, for exhaustive test sweeps.
-    pub const ALL: [WaitPolicy; 3] = [WaitPolicy::Spin, WaitPolicy::Yield, WaitPolicy::Park];
-}
-
-/// The one shared notion of "how parallel": worker count, wait policy,
-/// pinning, and the narrow-class amortisation guard, read by every
+/// The one shared notion of "how parallel": worker count, the
+/// narrow-class amortisation guard and the cache-block size, read by every
 /// parallel path in the workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
@@ -117,11 +63,6 @@ pub struct RuntimeConfig {
     /// sweeps and replica fan-outs; pool participants for farm shapes).
     /// `0` means "one per available core".
     pub workers: usize,
-    /// How idle pool workers wait between dispatches.
-    pub wait_policy: WaitPolicy,
-    /// Pin each pool worker to a distinct core at spawn (Linux only;
-    /// silently a no-op elsewhere). See the registry for outcomes.
-    pub pin_cores: bool,
     /// Colour classes (or chunked work sets) smaller than this run inline
     /// on the calling thread: below the threshold, dispatch overhead beats
     /// any parallel win.
@@ -140,8 +81,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             workers: 0,
-            wait_policy: WaitPolicy::Yield,
-            pin_cores: false,
             min_class_size: 256,
             block_players: 32_768,
         }
@@ -151,9 +90,8 @@ impl Default for RuntimeConfig {
 impl RuntimeConfig {
     /// Reads the config from the environment, falling back to defaults for
     /// unset or unparseable variables: `LOGIT_WORKERS` (integer, 0 = auto),
-    /// `LOGIT_WAIT_POLICY` (`spin` | `yield` | `park`), `LOGIT_PIN_CORES`
-    /// (`1` | `true`), `LOGIT_MIN_CLASS_SIZE` (integer),
-    /// `LOGIT_BLOCK_PLAYERS` (integer, 0 = no cache blocking).
+    /// `LOGIT_MIN_CLASS_SIZE` (integer), `LOGIT_BLOCK_PLAYERS` (integer,
+    /// 0 = no cache blocking).
     pub fn from_env() -> Self {
         Self::from_lookup(|key| std::env::var(key).ok())
     }
@@ -202,24 +140,6 @@ impl RuntimeConfig {
             workers: knob(&lookup, &mut warn, "LOGIT_WORKERS", defaults.workers, |v| {
                 v.parse().ok()
             }),
-            wait_policy: knob(
-                &lookup,
-                &mut warn,
-                "LOGIT_WAIT_POLICY",
-                defaults.wait_policy,
-                WaitPolicy::parse,
-            ),
-            pin_cores: knob(
-                &lookup,
-                &mut warn,
-                "LOGIT_PIN_CORES",
-                defaults.pin_cores,
-                |v| match v {
-                    "1" | "true" | "TRUE" | "yes" => Some(true),
-                    "0" | "false" | "FALSE" | "no" | "" => Some(false),
-                    _ => None,
-                },
-            ),
             min_class_size: knob(
                 &lookup,
                 &mut warn,
@@ -305,20 +225,9 @@ mod tests {
     }
 
     #[test]
-    fn wait_policy_names_round_trip() {
-        for policy in WaitPolicy::ALL {
-            assert_eq!(WaitPolicy::parse(policy.name()), Some(policy));
-        }
-        assert_eq!(WaitPolicy::parse(" SPIN "), Some(WaitPolicy::Spin));
-        assert_eq!(WaitPolicy::parse("busy"), None);
-    }
-
-    #[test]
     fn env_lookup_parses_every_knob_and_falls_back_on_garbage() {
         let cfg = RuntimeConfig::from_lookup(lookup_from(&[
             ("LOGIT_WORKERS", "3"),
-            ("LOGIT_WAIT_POLICY", "park"),
-            ("LOGIT_PIN_CORES", "1"),
             ("LOGIT_MIN_CLASS_SIZE", "64"),
             ("LOGIT_BLOCK_PLAYERS", "4096"),
         ]));
@@ -326,8 +235,6 @@ mod tests {
             cfg,
             RuntimeConfig {
                 workers: 3,
-                wait_policy: WaitPolicy::Park,
-                pin_cores: true,
                 min_class_size: 64,
                 block_players: 4096,
             }
@@ -335,8 +242,6 @@ mod tests {
 
         let garbage = RuntimeConfig::from_lookup(lookup_from(&[
             ("LOGIT_WORKERS", "lots"),
-            ("LOGIT_WAIT_POLICY", "busy"),
-            ("LOGIT_PIN_CORES", "maybe"),
             ("LOGIT_BLOCK_PLAYERS", "a few"),
         ]));
         assert_eq!(garbage, RuntimeConfig::default());
@@ -351,8 +256,6 @@ mod tests {
         let cfg = RuntimeConfig::from_lookup_with(
             lookup_from(&[
                 ("LOGIT_WORKERS", "lots"),
-                ("LOGIT_WAIT_POLICY", "busy"),
-                ("LOGIT_PIN_CORES", "maybe"),
                 ("LOGIT_MIN_CLASS_SIZE", "64"),
                 ("LOGIT_BLOCK_PLAYERS", "a few"),
             ]),
@@ -371,8 +274,6 @@ mod tests {
             warnings,
             vec![
                 ("LOGIT_WORKERS".to_string(), "lots".to_string()),
-                ("LOGIT_WAIT_POLICY".to_string(), "busy".to_string()),
-                ("LOGIT_PIN_CORES".to_string(), "maybe".to_string()),
                 ("LOGIT_BLOCK_PLAYERS".to_string(), "a few".to_string()),
             ]
         );
@@ -382,17 +283,31 @@ mod tests {
     fn parseable_and_unset_env_values_never_warn() {
         let mut warned = 0usize;
         let cfg = RuntimeConfig::from_lookup_with(
-            lookup_from(&[
-                ("LOGIT_WORKERS", " 3 "),
-                ("LOGIT_WAIT_POLICY", "PARK"),
-                ("LOGIT_PIN_CORES", "no"),
-            ]),
+            lookup_from(&[("LOGIT_WORKERS", " 3 "), ("LOGIT_BLOCK_PLAYERS", "0")]),
             |_, _| warned += 1,
         );
         assert_eq!(warned, 0);
         assert_eq!(cfg.workers, 3);
-        assert_eq!(cfg.wait_policy, WaitPolicy::Park);
-        assert!(!cfg.pin_cores);
+        assert_eq!(cfg.block_players, 0);
+    }
+
+    #[test]
+    fn env_lookup_reads_exactly_the_three_knobs() {
+        // One variable per field and nothing else: any other `LOGIT_*`
+        // setting is never read, so it cannot change a run.
+        let asked = std::cell::RefCell::new(Vec::new());
+        let _ = RuntimeConfig::from_lookup(|key| {
+            asked.borrow_mut().push(key.to_string());
+            None
+        });
+        assert_eq!(
+            asked.into_inner(),
+            [
+                "LOGIT_WORKERS",
+                "LOGIT_MIN_CLASS_SIZE",
+                "LOGIT_BLOCK_PLAYERS"
+            ]
+        );
     }
 
     #[test]

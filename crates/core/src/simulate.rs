@@ -436,9 +436,9 @@ impl TemperedEnsembleResult {
 /// farm [`run_tempered`](Self::run_tempered) —
 /// goes through one persistent [`WorkerPool`](crate::runtime::WorkerPool)
 /// per simulator, spawned lazily on the first run and configured by the
-/// simulator's [`RuntimeConfig`](crate::runtime::RuntimeConfig) — worker
-/// counts, wait policy and pinning never affect results (the bit-identity
-/// contract), only throughput.
+/// simulator's [`RuntimeConfig`](crate::runtime::RuntimeConfig) — its
+/// settings never affect results (the bit-identity contract), only
+/// throughput.
 ///
 /// The pool takes one dispatch at a time (a second concurrent dispatch
 /// panics), so one `Simulator` — or clones and [`reseeded`](Self::reseeded)
@@ -457,8 +457,8 @@ impl Simulator {
     /// Creates a simulator with a master seed and a number of independent
     /// replicas. The parallel runtime is read from the environment
     /// ([`RuntimeConfig::from_env`](crate::runtime::RuntimeConfig::from_env):
-    /// `LOGIT_WORKERS`, `LOGIT_WAIT_POLICY`, `LOGIT_PIN_CORES`,
-    /// `LOGIT_MIN_CLASS_SIZE`), defaults when unset.
+    /// `LOGIT_WORKERS`, `LOGIT_MIN_CLASS_SIZE`, `LOGIT_BLOCK_PLAYERS`),
+    /// defaults when unset.
     pub fn new(seed: u64, replicas: usize) -> Self {
         Self::with_runtime(seed, replicas, crate::runtime::RuntimeConfig::from_env())
     }

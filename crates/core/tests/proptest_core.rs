@@ -707,9 +707,9 @@ proptest! {
 
     /// Coloured-engine bit-identity, the tentpole pin (satellite proptest):
     /// `step_coloured_pooled` (persistent worker pool) — frozen-profile
-    /// staged block, per-player RNG streams, any worker count, any wait
-    /// policy, any narrow-class threshold — walks exactly the trajectory of
-    /// the sequential in-place class sweep `step_coloured`, for every update
+    /// staged block, per-player RNG streams, any worker count, any
+    /// narrow-class threshold — walks exactly the trajectory of the
+    /// sequential in-place class sweep `step_coloured`, for every update
     /// rule on random graph topologies. This is the non-neighbours-commute
     /// argument made executable.
     #[test]
@@ -719,10 +719,9 @@ proptest! {
         p in 0.2f64..0.9,
         beta in 0.0f64..4.0,
         workers in 1usize..5,
-        policy_index in 0usize..3,
         min_class_size in 0usize..8,
     ) {
-        use logit_core::{RuntimeConfig, WaitPolicy, WorkerPool};
+        use logit_core::{RuntimeConfig, WorkerPool};
 
         let mut graph_rng = StdRng::seed_from_u64(seed);
         let graph = GraphBuilder::connected_erdos_renyi(n, p, &mut graph_rng, 20);
@@ -735,7 +734,6 @@ proptest! {
         // the worker count decides the chunk granularity of the rest.
         let config = RuntimeConfig {
             workers,
-            wait_policy: WaitPolicy::ALL[policy_index],
             min_class_size,
             ..RuntimeConfig::default()
         };
@@ -773,8 +771,8 @@ proptest! {
                 );
                 prop_assert_eq!(
                     &seq, &pooled,
-                    "pooled diverged at t = {} ({} workers, {} policy, threshold {})",
-                    t, workers, config.wait_policy.name(), config.min_class_size
+                    "pooled diverged at t = {} ({} workers, threshold {})",
+                    t, workers, config.min_class_size
                 );
                 prop_assert_eq!(moved_seq, moved_pooled);
             }
@@ -800,13 +798,12 @@ proptest! {
     /// Relabelled-engine bit-identity (memory-locality layer): the byte
     /// engine on the RCM-relabelled game — sequential
     /// (`step_coloured_bytes`) and pooled (`step_coloured_pooled_bytes`),
-    /// any worker count, any wait policy, any narrow-class threshold, any
-    /// cache-block size — replays the unrelabelled sequential class sweep
-    /// `step_coloured` exactly after the inverse permutation, for every
-    /// update rule on random connected topologies. This pins the whole
-    /// locality stack at once: colour-class transport through the
-    /// permutation, byte (SoA) utility kernels, original-id draw keys, and
-    /// blocked chunking.
+    /// any worker count, any narrow-class threshold, any cache-block size —
+    /// replays the unrelabelled sequential class sweep `step_coloured`
+    /// exactly after the inverse permutation, for every update rule on
+    /// random connected topologies. This pins the whole locality stack at
+    /// once: colour-class transport through the permutation, byte (SoA)
+    /// utility kernels, original-id draw keys, and blocked chunking.
     #[test]
     fn relabelled_csr_engine_is_bit_identical_to_the_unrelabelled_sweep(
         seed in 0u64..10_000,
@@ -814,11 +811,10 @@ proptest! {
         p in 0.2f64..0.9,
         beta in 0.0f64..4.0,
         workers in 1usize..5,
-        policy_index in 0usize..3,
         min_class_size in 0usize..8,
         block in 1usize..8,
     ) {
-        use logit_core::{LocalityLayout, RuntimeConfig, WaitPolicy, WorkerPool};
+        use logit_core::{LocalityLayout, RuntimeConfig, WorkerPool};
 
         let mut graph_rng = StdRng::seed_from_u64(seed);
         let graph = GraphBuilder::connected_erdos_renyi(n, p, &mut graph_rng, 20);
@@ -831,10 +827,8 @@ proptest! {
         let relabelled = GraphicalCoordinationGame::new(layout.relabel_graph(&graph), base);
         let config = RuntimeConfig {
             workers,
-            wait_policy: WaitPolicy::ALL[policy_index],
             min_class_size,
             block_players: block,
-            ..RuntimeConfig::default()
         };
         let pool = WorkerPool::new(&config);
 
@@ -886,8 +880,8 @@ proptest! {
                 layout.unpack_profile(&pooled, &mut unpacked);
                 prop_assert_eq!(
                     &unpacked, &reference_profile,
-                    "pooled byte sweep diverged at t = {} ({} workers, {} policy, block {})",
-                    t, config.workers, config.wait_policy.name(), config.block_players
+                    "pooled byte sweep diverged at t = {} ({} workers, block {})",
+                    t, config.workers, config.block_players
                 );
                 prop_assert_eq!(moved_ref, moved_seq);
                 prop_assert_eq!(moved_ref, moved_pooled);
@@ -1364,7 +1358,6 @@ proptest! {
             workers,
             min_class_size: 1,
             block_players: 2,
-            ..RuntimeConfig::default()
         };
         let pool = WorkerPool::new(&config);
 

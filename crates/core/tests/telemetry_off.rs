@@ -14,8 +14,7 @@ use logit_core::observables::PotentialObservable;
 use logit_core::parallel::coloring_for_game;
 use logit_core::rules::{Logit, MetropolisLogit};
 use logit_core::{
-    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, UniformSingle, WaitPolicy,
-    WorkerPool,
+    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, UniformSingle, WorkerPool,
 };
 use logit_games::{Game, GraphicalCoordinationGame, TablePotentialGame};
 use logit_graphs::GraphBuilder;
@@ -98,8 +97,8 @@ fn pipelined_runs_stay_bit_identical_with_the_env_switch_set() {
 }
 
 /// Fixed-seed bit-identity, coloured-pooled against the sequential class
-/// sweep, across wait policies — the same contract the proptests sweep,
-/// pinned here under the no-op build with the env switch set.
+/// sweep — the same contract the proptests sweep, pinned here under the
+/// no-op build with the env switch set.
 #[test]
 fn coloured_pooled_runs_stay_bit_identical_with_the_env_switch_set() {
     std::env::set_var("LOGIT_TELEMETRY", "1");
@@ -108,36 +107,33 @@ fn coloured_pooled_runs_stay_bit_identical_with_the_env_switch_set() {
     let game =
         GraphicalCoordinationGame::new(graph, logit_games::CoordinationGame::from_deltas(2.0, 1.0));
     let coloring = coloring_for_game(&game);
-    for policy in [WaitPolicy::Spin, WaitPolicy::Yield, WaitPolicy::Park] {
-        let config = RuntimeConfig {
-            workers: 3,
-            wait_policy: policy,
-            min_class_size: 0,
-            ..RuntimeConfig::default()
-        };
-        let pool = WorkerPool::new(&config);
-        let d = DynamicsEngine::with_rule(game.clone(), MetropolisLogit, 1.3);
-        let n = game.num_players();
-        let mut scratch = Scratch::for_game(&game);
-        let mut pooled_scratch = Scratch::for_game(&game);
-        let mut pooled_staged = Vec::new();
-        let mut seq = vec![0usize; n];
-        let mut pooled = vec![0usize; n];
-        for t in 0..2 * coloring.num_classes() as u64 + 3 {
-            let moved_seq = d.step_coloured(&coloring, t, 4242, &mut seq, &mut scratch);
-            let moved_pooled = d.step_coloured_pooled(
-                &coloring,
-                t,
-                4242,
-                &mut pooled,
-                &mut pooled_scratch,
-                &mut pooled_staged,
-                &pool,
-                &config,
-            );
-            assert_eq!(seq, pooled, "pooled diverged at t = {t} under {policy:?}");
-            assert_eq!(moved_seq, moved_pooled);
-        }
+    let config = RuntimeConfig {
+        workers: 3,
+        min_class_size: 0,
+        ..RuntimeConfig::default()
+    };
+    let pool = WorkerPool::new(&config);
+    let d = DynamicsEngine::with_rule(game.clone(), MetropolisLogit, 1.3);
+    let n = game.num_players();
+    let mut scratch = Scratch::for_game(&game);
+    let mut pooled_scratch = Scratch::for_game(&game);
+    let mut pooled_staged = Vec::new();
+    let mut seq = vec![0usize; n];
+    let mut pooled = vec![0usize; n];
+    for t in 0..2 * coloring.num_classes() as u64 + 3 {
+        let moved_seq = d.step_coloured(&coloring, t, 4242, &mut seq, &mut scratch);
+        let moved_pooled = d.step_coloured_pooled(
+            &coloring,
+            t,
+            4242,
+            &mut pooled,
+            &mut pooled_scratch,
+            &mut pooled_staged,
+            &pool,
+            &config,
+        );
+        assert_eq!(seq, pooled, "pooled diverged at t = {t}");
+        assert_eq!(moved_seq, moved_pooled);
     }
     assert_eq!(logit_telemetry::global().instrument_count(), 0);
 }

@@ -37,8 +37,8 @@ pub enum AdmissionError {
     /// The β-ladder description is malformed (zero rungs, non-increasing,
     /// non-finite endpoints, …).
     Ladder(LadderError),
-    /// The client-supplied pipeline knobs are invalid (zero
-    /// `chunk_ticks`/`channel_capacity`).
+    /// The client-supplied pipeline knobs are invalid (zero `chunk_ticks`,
+    /// or a `channel_capacity` of zero or above its limit).
     Pipeline(PipelineConfigError),
     /// The job queue is at capacity; retry later.
     QueueFull,

@@ -108,8 +108,9 @@ pub fn prepare(spec: JobSpec, cache: &ArtifactCache) -> Result<PreparedJob, Admi
     if let Some(channel_capacity) = spec.channel_capacity {
         config.channel_capacity = channel_capacity;
     }
-    // The boundary that used to be an `assert!` in the farm: a zero knob
-    // is now a typed `pipeline:` rejection.
+    // The boundary that used to be an `assert!` in the farm: a zero knob,
+    // or a channel capacity above its limit, is a typed `pipeline:`
+    // rejection.
     config.try_validate()?;
 
     Ok(PreparedJob {

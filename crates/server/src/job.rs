@@ -445,8 +445,9 @@ impl JobSpec {
 
         // Pipeline-farm overrides are passed through *unchecked* here:
         // `PipelineConfig::try_validate` in `prepare` owns the boundary, so
-        // a zero lands there as a typed `pipeline:` admission error rather
-        // than tripping the farm's `assert!`.
+        // a zero or an oversized capacity lands there as a typed `pipeline:`
+        // admission error rather than tripping the farm's `assert!` or
+        // allocating the channel.
         let chunk_ticks = f
             .take_opt("chunk_ticks")
             .map(|raw| {

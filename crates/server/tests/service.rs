@@ -9,10 +9,10 @@
 //! whole contract: the farm, the shared pool, the artifact cache and the
 //! queue must leave no fingerprints on results.
 
-use logit_core::{CancelToken, Simulator};
+use logit_core::{CancelToken, PipelineConfig, PipelineConfigError, Simulator};
 use logit_server::{
-    prepare, run_direct, run_prepared, submit_job, submit_raw, ArtifactCache, ClientOutcome,
-    JobSpec, RunningServer, ServerConfig, StatsSnapshot,
+    prepare, run_direct, run_prepared, submit_job, submit_raw, AdmissionError, ArtifactCache,
+    ClientOutcome, JobSpec, RunningServer, ServerConfig, StatsSnapshot,
 };
 use std::sync::Arc;
 use std::thread;
@@ -192,11 +192,15 @@ fn admission_rejects_each_malformed_layer_with_its_typed_code() {
     let msg = reject(ladder.into());
     assert!(msg.starts_with("ladder:"), "got `{msg}`");
     assert!(msg.contains("increase"));
-    // Pipeline layer (zero channel capacity).
-    assert!(reject(
-        format!("{}\nchannel_capacity=0", base_job(1)).replace("chunk_ticks=128\n", "")
-    )
-    .starts_with("pipeline:"));
+    // Pipeline layer (zero channel capacity, and one far above the limit:
+    // std's bounded channel would allocate every slot up front).
+    for capacity in ["0", "1000000000"] {
+        assert!(reject(
+            format!("{}\nchannel_capacity={capacity}", base_job(1))
+                .replace("chunk_ticks=128\n", "")
+        )
+        .starts_with("pipeline:"));
+    }
     // Size layer: sizes whose products wrap past 64 bits (rows·cols to 4,
     // 2k to 0) are rejected, not built as small graphs.
     for topology in [
@@ -214,7 +218,7 @@ fn admission_rejects_each_malformed_layer_with_its_typed_code() {
 
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 0);
-    assert_eq!(stats.rejected, 9);
+    assert_eq!(stats.rejected, 10);
     assert_eq!(stats.internal_errors, 0);
 }
 
@@ -369,6 +373,31 @@ fn jobs_on_one_description_share_its_csr_and_colouring() {
     let (a, b) = (prepared(), prepared());
     assert!(Arc::ptr_eq(&a.artifacts.csr, &b.artifacts.csr));
     assert!(Arc::ptr_eq(&a.artifacts.coloring, &b.artifacts.coloring));
+}
+
+#[test]
+fn admission_takes_the_channel_capacity_limit_and_rejects_one_more() {
+    // Admission only, nothing runs: the limit itself is a valid job
+    // setting, and one past it is a typed pipeline rejection before the
+    // job is queued (the farm's channel would allocate every slot).
+    let cache = ArtifactCache::new(4);
+    let admit = |capacity: usize| {
+        let text = format!("{}\nchannel_capacity={capacity}", base_job(1));
+        prepare(JobSpec::parse(&text).expect("test job parses"), &cache)
+    };
+    let limit = PipelineConfig::MAX_CHANNEL_CAPACITY;
+    let job = admit(limit).expect("the limit is admitted");
+    assert_eq!(job.config.channel_capacity, limit);
+    let err = admit(limit + 1)
+        .err()
+        .expect("one past the limit is rejected");
+    assert!(
+        matches!(
+            err,
+            AdmissionError::Pipeline(PipelineConfigError::ChannelCapacityTooLarge)
+        ),
+        "got {err:?}"
+    );
 }
 
 #[test]
