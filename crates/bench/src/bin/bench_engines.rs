@@ -13,7 +13,7 @@
 //! the rule is a monomorphised generic, not a dynamic dispatch).
 
 use logit_anneal::BetaLadder;
-use logit_core::observables::StrategyFraction;
+use logit_core::observables::{NamedObservable, StrategyFraction};
 use logit_core::parallel::{coloring_for_game, coloring_for_graph};
 use logit_core::rules::{Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 use logit_core::schedules::UniformSingle;
@@ -29,6 +29,9 @@ use rand_chacha::ChaCha8Rng;
 
 /// Binary-profile rings stop fitting a flat `usize` index past this size.
 const FLAT_LIMIT: usize = 63;
+
+/// Updates per measurement of the full run; `--fast` takes a tenth.
+const FULL_STEPS: u64 = 2_000_000;
 
 fn ring_game(n: usize) -> GraphicalCoordinationGame {
     GraphicalCoordinationGame::new(
@@ -394,7 +397,10 @@ fn coloured_row<U: UpdateRule>(
     )
 }
 
-fn coloured_rows(steps: u64) -> String {
+/// The coloured row-set. Both modes time the full run's legs: at
+/// `--fast`'s step count each timed leg would be one colour round, so a
+/// single scheduler hiccup decided the throughput gate.
+fn coloured_rows() -> String {
     // Large-n dense-degree instance: a circulant ring with 64 chords per
     // side (degree 128, adjacency ≈ 50 MB — far beyond cache). At this
     // size coloring_for_game picks first-fit greedy (O(n + m)): 80 classes
@@ -411,7 +417,7 @@ fn coloured_rows(steps: u64) -> String {
     let config = RuntimeConfig::from_env();
     let pool = WorkerPool::new(&config);
     let workers = config.resolved_workers();
-    let rounds = (steps / n as u64).max(2);
+    let rounds = FULL_STEPS / n as u64;
     let rows = [
         coloured_row(Logit, &game, &coloring, rounds, workers, &pool, &config),
         coloured_row(
@@ -512,6 +518,104 @@ fn worker_scaling_rows(
         .unwrap_or(1);
     format!(
         "  \"coloured_worker_scaling\": {{\n    \"what\": \"the pooled vs sequential coloured paths (Logit) at explicit worker counts on the same circulant (n = {n}, degree {degree}); recorded, not gated — worker counts above the emitting host's cores ({host_cores} here) oversubscribe, and the committed ratios document how gracefully the pool degrades (near-linear scaling is the expectation only up to the core count)\",\n    \"rows\": [\n{}\n    ]\n  }}",
+        rows.join(",\n")
+    )
+}
+
+/// One timed leg of the stateless table path: `updates` uniform
+/// `step_scheduled` ticks from all-zeros on the ChaCha stream of seed
+/// `seed`. Returns ns per update, the moves made and the final profile.
+fn stateless_leg(
+    d: &LogitDynamics<GraphicalCoordinationGame>,
+    seed: u64,
+    updates: u64,
+) -> (f64, u64, Vec<usize>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut scratch = Scratch::for_game(d.game());
+    let mut profile = vec![0usize; d.game().num_players()];
+    let mut moves = 0u64;
+    let clock = std::time::Instant::now();
+    for t in 0..updates {
+        moves += d.step_scheduled(&UniformSingle, t, &mut profile, &mut scratch, &mut rng) as u64;
+    }
+    let ns = clock.elapsed().as_secs_f64() * 1e9 / updates as f64;
+    (ns, moves, profile)
+}
+
+/// One timed leg of the word path: `Simulator::run_profiles` with one
+/// replica on one worker, whose stream is the one of seed `seed`, from
+/// all-zeros. Its one sample, at the last tick, reads 1 only if the profile
+/// equals `expected`, the stateless leg's final profile; the leg panics
+/// otherwise. Returns ns per update.
+fn word_leg(
+    d: &LogitDynamics<GraphicalCoordinationGame>,
+    seed: u64,
+    updates: u64,
+    expected: &[usize],
+) -> f64 {
+    let runtime = RuntimeConfig {
+        workers: 1,
+        ..RuntimeConfig::from_env()
+    };
+    let sim = Simulator::with_runtime(seed, 1, runtime);
+    let same = NamedObservable::new("same_profile", |x: &[usize]| {
+        f64::from(u8::from(x == expected))
+    });
+    let start = vec![0usize; expected.len()];
+    let clock = std::time::Instant::now();
+    let result = sim.run_profiles(d, &UniformSingle, &start, updates, updates, &same);
+    let ns = clock.elapsed().as_secs_f64() * 1e9 / updates as f64;
+    assert_eq!(
+        result.final_values,
+        vec![1.0],
+        "the word path left the stateless trajectory"
+    );
+    ns
+}
+
+/// The `words` row-set: ns per update of the stateless table path (a
+/// `step_scheduled` loop, which counts each player's neighbours on 1 at
+/// every update) against the word path (`run_profiles`, which keeps one
+/// neighbour-count word per player and reads a row only on a move), on one
+/// thread and one ChaCha stream. Graphical 2/1, logit, uniform selection,
+/// from all-zeros: a move-rich row and two null-dominated ones. Each row
+/// is the median of 5 interleaved rounds, and every word leg asserts
+/// in-process that it ends on the stateless leg's profile.
+fn word_rows(updates: u64) -> String {
+    let instances = [
+        ("ring", GraphBuilder::ring(100_000), 0.5),
+        ("ring", GraphBuilder::ring(100_000), 2.0),
+        ("torus", GraphBuilder::torus(316, 316), 1.0),
+    ];
+    let seed = 0x30D5;
+    let mut rows = Vec::new();
+    for (name, graph, beta) in instances {
+        let game = GraphicalCoordinationGame::new(graph, CoordinationGame::from_deltas(2.0, 1.0));
+        let n = game.num_players();
+        let d = LogitDynamics::new(game, beta);
+        let (mut stateless, mut words, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        let mut move_fraction = 0.0;
+        for _ in 0..5 {
+            let (ns, moves, expected) = stateless_leg(&d, seed, updates);
+            let word_ns = word_leg(&d, seed, updates, &expected);
+            move_fraction = moves as f64 / updates as f64;
+            stateless.push(ns);
+            words.push(word_ns);
+            ratios.push(ns / word_ns);
+        }
+        let (stateless, words, ratio) = (median(stateless), median(words), median(ratios));
+        eprintln!(
+            "   words {name:>5} n = {n} beta = {beta}: moves {move_fraction:.4}, stateless = {stateless:.1} ns, words = {words:.1} ns, stateless/words = {ratio:.2}"
+        );
+        rows.push(format!(
+            "        {{\"graph\": \"{name}\", \"n\": {n}, \"beta\": {beta}, \"move_fraction\": {move_fraction:.5}, \"stateless_ns_per_update\": {stateless:.2}, \"words_ns_per_update\": {words:.2}, \"stateless_over_words\": {ratio:.3}}}"
+        ));
+    }
+    let host_cores = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    format!(
+        "  \"words\": {{\n    \"what\": \"ns per update of the stateless table path (step_scheduled loop: counts the player's neighbours on 1 at every update) vs the word path (Simulator::run_profiles, 1 replica, 1 worker: one u32 neighbour-count word per player, a row read only on a move), same ChaCha seed, graphical 2/1, logit, uniform selection, from all-zeros, {updates} updates per leg; each ns figure is the median of 5 interleaved rounds and stateless_over_words the median same-round ratio; move_fraction is the share of updates that changed a strategy. In-process gate: every word leg ends on the stateless leg's final profile\",\n    \"host_cores\": {host_cores},\n    \"rows\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
     )
 }
@@ -1150,7 +1254,7 @@ fn main() {
     // run that produced them.
     logit_telemetry::enable();
     let fast = std::env::args().any(|a| a == "--fast");
-    let steps: u64 = if fast { 200_000 } else { 2_000_000 };
+    let steps: u64 = if fast { FULL_STEPS / 10 } else { FULL_STEPS };
     let sizes = [16usize, 48, 1_000, 10_000, 100_000];
 
     let rule_sets = [
@@ -1200,9 +1304,13 @@ fn main() {
     // pipeline can never emit a baseline.
     let pipelined = pipelined_rows(10_000, steps);
 
+    // Word rows: the ensembles' neighbour-count words against the
+    // stateless table path, gated on equal final profiles.
+    let words = word_rows(5 * steps);
+
     // Coloured independent-set rows: the parallel-revision engine paths on
     // a dense-degree circulant, gated on the in-process bit-identity check.
-    let coloured = coloured_rows(steps);
+    let coloured = coloured_rows();
 
     // Memory-locality rows: the RCM-relabelled CSR byte engine against the
     // pooled usize engine on label-shuffled circulants up to n = 10⁷,
@@ -1221,7 +1329,7 @@ fn main() {
     let telemetry = json_escape(&logit_telemetry::global().render());
 
     println!(
-        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) on the ring game with its count kernel hidden, so it computes every update as the loop does, vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{rng},\n{tempered},\n{pipelined},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
+        "{{\n  \"benchmark\": \"revision-dynamics step throughput, ring coordination game (delta0=1, delta1=2, beta=1.5)\",\n  \"engines\": {{\n    \"flat\": \"decode flat usize index, step, re-encode (capped at n = {FLAT_LIMIT} binary players)\",\n    \"profile\": \"in-place profile update with reused Scratch buffers\"\n  }},\n  \"steps_per_measurement\": {steps},\n  \"legacy_parity\": {{\n    \"what\": \"generic engine (Logit rule) on the ring game with its count kernel hidden, so it computes every update as the loop does, vs verbatim pre-refactor inline loop, same host, same process, n = {parity_n}, median of 5 interleaved rounds\",\n    \"legacy_steps_per_sec\": {legacy:.0},\n    \"engine_steps_per_sec\": {engine:.0},\n    \"engine_over_legacy\": {ratio:.3}\n  }},\n{rng},\n{tempered},\n{pipelined},\n{words},\n{coloured},\n{large_n},\n{service},\n  \"telemetry\": \"{telemetry}\",\n  \"rules\": [\n{}\n  ]\n}}",
         rule_sets.join(",\n")
     );
 }

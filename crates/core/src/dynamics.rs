@@ -35,16 +35,25 @@
 //! On a game with a [`CountKernel`] (the graphical coordination and Ising
 //! games) an update's distribution depends only on the player's degree,
 //! her neighbours on 1 and her own strategy. The engine then tabulates the
-//! distributions once, on first use, and every update path — both engines,
-//! every schedule, the coloured sweeps on `usize` and byte profiles, the
-//! farms and tempering — counts the neighbours on 1 and loads its entry
-//! instead of computing utilities and calling the rule. The entries are
-//! built by those same calls, so no result changes by a bit. Other games
-//! keep the per-update path, chosen at compile time.
+//! distributions once, on first use, and loads an entry instead of
+//! computing utilities and calling the rule. The entries are built by those
+//! same calls, so no result changes by a bit. Other games keep the
+//! per-update path, chosen at compile time.
+//!
+//! The stateless paths (both engines, every schedule, the coloured sweeps
+//! on `usize` and byte profiles) count the neighbours on 1 at each update.
+//! The ensembles (`Simulator::run_profiles`, the pipelined farm and every
+//! tempering rung) keep those counts instead: one `u32` word per player,
+//! `((start[d] + ones) << 1) | strategy`, which is the index of her entry
+//! in the table. An update loads the word, loads the entry and samples it
+//! on the same draw. Only a move reads the mover's row: she flips her low
+//! bit and every player in her row gains or loses 2. The profile is still
+//! written on each move, so observables read it as before, and the
+//! trajectory is the stateless one, draw for draw.
 
 use crate::rules::{Logit, UpdateRule};
 use crate::schedules::SelectionSchedule;
-use logit_games::{CountKernel, Game, PotentialGame, PotentialTally, ProfileSpace};
+use logit_games::{CountKernel, Game, PotentialGame, ProfileSpace};
 use logit_linalg::{CsrMatrix, Matrix};
 use logit_markov::MarkovChain;
 use rand::Rng;
@@ -84,16 +93,18 @@ impl Scratch {
     }
 
     /// Scratch pre-sized for `game`: avoids even the first-use allocations on
-    /// the single-player step paths. The schedule buffers (`players`,
-    /// `staged`) are sized for single-player ticks; a parallel block schedule
-    /// grows them to `n` on its first tick and they are recycled thereafter.
+    /// the single-player profile step paths. The schedule buffers
+    /// (`players`, `staged`) are sized for single-player ticks; a parallel
+    /// block schedule grows them to `n` on its first tick and they are
+    /// recycled thereafter. The decoded-profile buffer is left empty: only
+    /// the flat-index wrapper uses it, and it sizes it on first use, so the
+    /// ensembles' replicas and rungs do not each reserve `n` words for it.
     pub fn for_game<G: Game>(game: &G) -> Self {
         let m = game.max_strategies();
-        let n = game.num_players();
         Self {
             utils: Vec::with_capacity(m),
             probs: Vec::with_capacity(m),
-            profile: Vec::with_capacity(n),
+            profile: Vec::new(),
             players: Vec::with_capacity(1),
             staged: Vec::new(),
             staged_bytes: Vec::new(),
@@ -342,9 +353,10 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
     /// strategy already written into `profile`. A parallel block is applied
     /// one player at a time too, so each report sees a profile that differs
     /// from the previous one in the mover's coordinate only: a tally updated
-    /// from the mover's neighbourhood ([`PotentialGame::retally`]) stays
-    /// exact even when neighbours move in the same tick. Same RNG stream and
-    /// trajectory as the untracked call.
+    /// from the mover's count row, read off `profile`
+    /// ([`PotentialGame::retally`]), stays exact even when neighbours move
+    /// in the same tick. Same RNG stream and trajectory as the untracked
+    /// call.
     pub fn step_scheduled_tracked<S, R, F>(
         &self,
         schedule: &S,
@@ -400,34 +412,76 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
         moved
     }
 
-    /// Runs the schedule ticks `ticks` on `profile`. With a `tally`, every
-    /// applied move also goes to `retally`, which keeps it current; without
-    /// one this is the plain [`Self::step_scheduled`] loop.
+    /// The neighbour-count words of `profile` (see [`CountTable`]) on a
+    /// game with a [`CountKernel`], or `None` on any other game.
+    pub(crate) fn count_words(&self, profile: &[usize]) -> Option<Vec<u32>> {
+        let (kernel, table) = self.count_table()?;
+        Some(table.words(kernel, profile))
+    }
+
+    /// Runs the schedule ticks `ticks` on `profile`. Without `words` this
+    /// is the plain [`Self::step_scheduled`] loop. With them (the profile's
+    /// [`Self::count_words`]) an update loads the player's word and the
+    /// table entry it indexes, and only a move reads her count row: the
+    /// words and the profile take the move, and `on_move` hears
+    /// `(old strategy, degree, ones)` of the mover's row, what
+    /// [`PotentialGame::retally`] needs. Parallel blocks sample every
+    /// update against the frozen words, then apply the moves one at a time.
+    /// The draws and the trajectory are those of the loop without words.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn advance<S: SelectionSchedule, R: Rng + ?Sized>(
         &self,
         schedule: &S,
         ticks: std::ops::Range<u64>,
         profile: &mut [usize],
+        words: Option<&mut [u32]>,
         scratch: &mut Scratch,
         rng: &mut R,
-        tally: Option<&mut PotentialTally>,
-        retally: impl Fn(&mut PotentialTally, usize, usize, &[usize]),
+        mut on_move: impl FnMut(usize, usize, usize),
     ) {
-        match tally {
-            Some(tally) => {
-                for t in ticks {
-                    self.step_scheduled_tracked(schedule, t, profile, scratch, rng, |p, old, x| {
-                        retally(tally, p, old, x)
-                    });
-                }
+        let Some(words) = words else {
+            for t in ticks {
+                self.step_scheduled(schedule, t, profile, scratch, rng);
             }
-            None => {
-                for t in ticks {
-                    self.step_scheduled(schedule, t, profile, scratch, rng);
+            return;
+        };
+        let (kernel, table) = self
+            .count_table()
+            .expect("neighbour-count words are kept on count games only");
+        let n = profile.len();
+        debug_assert_eq!(words.len(), n, "one word per player");
+        let mut players = std::mem::take(&mut scratch.players);
+        let mut staged = std::mem::take(&mut scratch.staged);
+        for t in ticks {
+            schedule.select_players(t, n, rng, &mut players);
+            if schedule.parallel() {
+                staged.clear();
+                for &player in &players {
+                    staged.push(sample_index_from_uniform(
+                        table.entry(words[player]),
+                        rng.gen(),
+                    ));
+                }
+                for (&player, &strategy) in players.iter().zip(&staged) {
+                    if strategy != (words[player] & 1) as usize {
+                        let (old, degree, ones) = table.apply_move(kernel, player, profile, words);
+                        on_move(old, degree, ones);
+                    }
+                }
+            } else {
+                for &player in &players {
+                    let word = words[player];
+                    if sample_index_from_uniform(table.entry(word), rng.gen())
+                        != (word & 1) as usize
+                    {
+                        let (old, degree, ones) = table.apply_move(kernel, player, profile, words);
+                        on_move(old, degree, ones);
+                    }
                 }
             }
         }
+        scratch.players = players;
+        scratch.staged = staged;
     }
 
     /// One step of the flat-index chain using reusable scratch buffers:
@@ -644,6 +698,12 @@ impl<G: PotentialGame, U: UpdateRule> DynamicsEngine<G, U> {
 /// `utilities_from_ones` and then [`UpdateRule::fill_probs`], and
 /// `fill_probs` is a pure function of its arguments, so a table load has
 /// the bits of the computation it replaces.
+///
+/// Read as a flat array of distributions, `entries` is indexed by a
+/// player's *neighbour-count word* `((start[d] + ones) << 1) | strategy`.
+/// The layout depends on the degrees alone, not on `β` or the rule, so
+/// the words of one profile serve every engine on the game (the rungs of
+/// a tempering ladder swap them with their profiles).
 #[derive(Debug, Clone)]
 pub(crate) struct CountTable {
     /// `start[d]`: where degree `d`'s rows begin in `entries`, or
@@ -657,9 +717,17 @@ pub(crate) struct CountTable {
 impl CountTable {
     /// Builds the table in `O(Σ_d (d + 1))` time: the kernel lists its
     /// row lengths, so no player is visited.
+    ///
+    /// # Panics
+    /// Panics when the table has more than `2³¹` rows, so that a word
+    /// would not fit in a `u32`.
     fn build<U: UpdateRule>(kernel: &dyn CountKernel, rule: &U, beta: f64) -> Self {
         let degrees = kernel.row_lengths();
-        let total = degrees.iter().map(|&d| d as usize + 1).sum();
+        let total: usize = degrees.iter().map(|&d| d as usize + 1).sum();
+        assert!(
+            total <= 1 << 31,
+            "a count table of {total} rows has neighbour-count words that overflow u32"
+        );
         let top = degrees.last().map_or(0, |&d| d as usize + 1);
         // Degrees no player has start past the end.
         let mut start = vec![total; top];
@@ -695,9 +763,80 @@ impl CountTable {
         let row = kernel.count_row(player);
         let ones: usize = row.iter().map(|&j| profile[j as usize].into()).sum();
         debug_assert!(ones <= row.len(), "count profiles hold 0s and 1s");
-        let entry = &self.entries[self.start[row.len()] + ones][profile[player].into()];
+        let entry = self.entry(self.word(row.len(), ones, profile[player].into()));
         probs.clear();
         probs.extend_from_slice(entry);
+    }
+
+    /// The word of a player who plays `strategy` and whose count row has
+    /// `degree` players, `ones` of them on 1.
+    #[inline]
+    fn word(&self, degree: usize, ones: usize, strategy: usize) -> u32 {
+        debug_assert!(strategy < 2, "count profiles hold 0s and 1s");
+        (((self.start[degree] + ones) << 1) | strategy) as u32
+    }
+
+    /// The distribution a word indexes.
+    #[inline]
+    fn entry(&self, word: u32) -> &[f64; 2] {
+        &self.entries.as_flattened()[word as usize]
+    }
+
+    /// The words of every player on `profile`. Every player starts on the
+    /// more common strategy with her whole row on it, and each player on
+    /// the other one is then flipped. A profile on one strategy reads its
+    /// rows' lengths only.
+    fn words(&self, kernel: &dyn CountKernel, profile: &[usize]) -> Vec<u32> {
+        let common = usize::from(2 * profile.iter().sum::<usize>() > profile.len());
+        let mut words: Vec<u32> = (0..profile.len())
+            .map(|player| {
+                let degree = kernel.count_row(player).len();
+                self.word(degree, common * degree, common)
+            })
+            .collect();
+        for (player, &strategy) in profile.iter().enumerate() {
+            if strategy != common {
+                Self::flip(kernel, player, &mut words);
+            }
+        }
+        words
+    }
+
+    /// Flips `player`'s strategy in `words`: her low bit flips, and each
+    /// player in her count row (the rows are symmetric) gains or loses a
+    /// neighbour on 1, which is 2 in a word. Returns her word before the
+    /// flip and the length of her row.
+    #[inline]
+    fn flip(kernel: &dyn CountKernel, player: usize, words: &mut [u32]) -> (u32, usize) {
+        let word = words[player];
+        let row = kernel.count_row(player);
+        words[player] = word ^ 1;
+        if word & 1 == 0 {
+            for &j in row {
+                words[j as usize] += 2;
+            }
+        } else {
+            for &j in row {
+                words[j as usize] -= 2;
+            }
+        }
+        (word, row.len())
+    }
+
+    /// Moves `player` to her other strategy in `words` and `profile`.
+    /// Returns `(old strategy, degree, ones)` of her count row.
+    #[inline]
+    fn apply_move(
+        &self,
+        kernel: &dyn CountKernel,
+        player: usize,
+        profile: &mut [usize],
+        words: &mut [u32],
+    ) -> (usize, usize, usize) {
+        let (word, degree) = Self::flip(kernel, player, words);
+        let old = (word & 1) as usize;
+        profile[player] = old ^ 1;
+        (old, degree, (word >> 1) as usize - self.start[degree])
     }
 }
 
@@ -710,6 +849,7 @@ pub(crate) fn sample_index<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> usize
 /// explicitly — the coloured parallel-revision path derives one variate per
 /// `(player, tick)` from a counter hash instead of advancing a shared
 /// stream, which is what makes its update order unobservable.
+#[inline]
 pub(crate) fn sample_index_from_uniform(probs: &[f64], u: f64) -> usize {
     let mut acc = 0.0;
     for (i, &p) in probs.iter().enumerate() {
@@ -1093,6 +1233,29 @@ mod tests {
         assert!(LogitDynamics::new(WellGame::plateau(4, 1.0), 0.8)
             .count_table()
             .is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow u32")]
+    fn count_tables_whose_words_overflow_u32_are_rejected() {
+        // One degree of 2³¹ gives 2³¹ + 1 rows: the top word would need 33
+        // bits. The check runs before anything is allocated.
+        struct Huge;
+        impl CountKernel for Huge {
+            fn count_row(&self, _player: usize) -> &[u32] {
+                &[]
+            }
+            fn row_lengths(&self) -> &[u32] {
+                &[1 << 31]
+            }
+            fn utilities_from_ones(&self, _degree: usize, _ones: usize, out: &mut [f64]) {
+                out.fill(0.0);
+            }
+            fn rows_address(&self) -> *const () {
+                self.row_lengths().as_ptr().cast()
+            }
+        }
+        let _ = CountTable::build(&Huge, &Logit, 1.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::dynamics::DynamicsEngine;
 use crate::rules::UpdateRule;
 use crate::runtime::{RuntimeConfig, WorkerPool};
-use logit_games::{Game, PotentialGame, PotentialTally, ProfileSpace};
+use logit_games::{CountKernel, Game, PotentialGame, PotentialTally, ProfileSpace};
 use logit_linalg::stats::RunningStats;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,13 +32,15 @@ pub trait Observable {
 /// do not fit in a `usize`), so its streaming measurements go through this
 /// trait instead.
 ///
-/// An observable may also carry a [`PotentialTally`]: the profile
-/// ensembles ([`Simulator::run_profiles`](crate::simulate::Simulator::run_profiles)
+/// An observable may also carry a [`PotentialTally`] counted on the rows
+/// of a [`CountKernel`]. On a game whose kernel reads those same rows the
+/// profile ensembles
+/// ([`Simulator::run_profiles`](crate::simulate::Simulator::run_profiles)
 /// and its pipelined farm) then keep one per replica, update it at every
 /// applied move ([`retally`](Self::retally)) and read each sample from it
 /// ([`evaluate_tally`](Self::evaluate_tally)) in `O(1)`, bit for bit equal
-/// to `evaluate_profile`. The default keeps none, so samples are full
-/// evaluations.
+/// to `evaluate_profile`. On any other game, and by default, they keep
+/// none, so samples are full evaluations.
 pub trait ProfileObservable {
     /// Evaluates the observable at `profile`.
     fn evaluate_profile(&self, profile: &[usize]) -> f64;
@@ -52,19 +54,24 @@ pub trait ProfileObservable {
         None
     }
 
-    /// Updates `tally` after `player` moved from `old` to
-    /// `profile[player]` (see [`PotentialGame::retally`]).
+    /// The kernel whose count rows the tally is counted on. The ensembles
+    /// feed [`retally`](Self::retally) from the dynamics' own rows, so they
+    /// keep the tally only when the two kernels report the same
+    /// [`rows_address`](CountKernel::rows_address). `None` (the default)
+    /// keeps no tally.
+    fn count_kernel(&self) -> Option<&dyn CountKernel> {
+        None
+    }
+
+    /// Updates `tally` after a player moved from `old` to the other
+    /// strategy, given her count row's length `degree` and its `ones`,
+    /// which the ensembles read off her neighbour-count word in `O(1)`
+    /// (see [`PotentialGame::retally`]).
     ///
     /// # Panics
     /// The default panics: only an observable whose
     /// [`tally`](Self::tally) returns `Some` keeps one.
-    fn retally(
-        &self,
-        _tally: &mut PotentialTally,
-        _player: usize,
-        _old: usize,
-        _profile: &[usize],
-    ) {
+    fn retally(&self, _tally: &mut PotentialTally, _old: usize, _degree: usize, _ones: usize) {
         panic!("this observable keeps no tally");
     }
 
@@ -176,8 +183,11 @@ impl<G: PotentialGame> ProfileObservable for PotentialObservable<G> {
     fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
         self.game.tally(profile)
     }
-    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
-        self.game.retally(tally, player, old, profile)
+    fn count_kernel(&self) -> Option<&dyn CountKernel> {
+        self.game.count_kernel()
+    }
+    fn retally(&self, tally: &mut PotentialTally, old: usize, degree: usize, ones: usize) {
+        self.game.retally(tally, old, degree, ones)
     }
     fn evaluate_tally(&self, tally: &PotentialTally) -> f64 {
         self.game.potential_of_tally(tally)

@@ -79,7 +79,7 @@ use crate::observables::{ProfileObservable, SeriesAccumulator};
 use crate::rules::UpdateRule;
 use crate::runtime::WorkerPool;
 use crate::schedules::SelectionSchedule;
-use crate::simulate::{sample_times, ProfileEnsembleResult, Replica, Simulator};
+use crate::simulate::{sample_times, ProfileEnsembleResult, Replica, ReplicaStart, Simulator};
 use logit_games::Game;
 use logit_linalg::stats::RunningStats;
 use std::collections::BTreeMap;
@@ -553,6 +553,7 @@ impl Simulator {
         let workers = self.runtime().farm_workers(replicas);
         let seed = self.master_seed();
         let times_ref = &times;
+        let start = &ReplicaStart::new(dynamics, observable, start);
 
         let worker = |replica: usize, tx: &FarmSender<SampleBatch>| {
             // A cancelled job stops claiming work before seeding anything:

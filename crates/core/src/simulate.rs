@@ -112,18 +112,61 @@ pub(crate) fn replica_seed(seed: u64, replica: usize) -> u64 {
 }
 
 /// One replica of a profile ensemble: its profile, ChaCha stream, scratch
-/// buffers and clock, plus the observable's running tally when the
-/// observable carries one. [`Simulator::run_profiles`] and the pipelined
-/// farm's step workers both drive their replicas through it, so they step
-/// and sample alike.
+/// buffers and clock. On a game with a count kernel it also keeps the
+/// profile's neighbour-count words, one `u32` per player, so that an update
+/// loads one word and only a move reads a row, and the observable's running
+/// tally when the observable carries one. [`Simulator::run_profiles`] and
+/// the pipelined farm's step workers both drive their replicas through it,
+/// so they step and sample alike.
 pub(crate) struct Replica<'a, G: Game, U: UpdateRule, O> {
     dynamics: &'a DynamicsEngine<G, U>,
     observable: &'a O,
+    /// Written by moves only; observables read it.
     profile: Vec<usize>,
+    /// See [`DynamicsEngine::count_words`]; `None` on other games.
+    words: Option<Vec<u32>>,
+    /// Kept only next to words, which give `retally` the mover's counts.
     tally: Option<PotentialTally>,
     scratch: Scratch,
     rng: ChaCha8Rng,
     t: u64,
+}
+
+/// What every replica of a run starts from: the start profile and, on a
+/// game with a count kernel, its neighbour-count words and the
+/// observable's tally of it, when the observable counts the same rows.
+/// They are counted once per run, and each replica copies them.
+pub(crate) struct ReplicaStart<'s> {
+    profile: &'s [usize],
+    words: Option<Vec<u32>>,
+    tally: Option<PotentialTally>,
+}
+
+impl<'s> ReplicaStart<'s> {
+    pub(crate) fn new<G: Game, U: UpdateRule, O: ProfileObservable>(
+        dynamics: &DynamicsEngine<G, U>,
+        observable: &O,
+        profile: &'s [usize],
+    ) -> Self {
+        let words = dynamics.count_words(profile);
+        // A move feeds `retally` the mover's counts off the dynamics' words,
+        // which are exact for the observable's tally only on its own rows.
+        let tally = match (
+            &words,
+            dynamics.game().count_kernel(),
+            observable.count_kernel(),
+        ) {
+            (Some(_), Some(ours), Some(its)) if ours.rows_address() == its.rows_address() => {
+                observable.tally(profile)
+            }
+            _ => None,
+        };
+        Self {
+            profile,
+            words,
+            tally,
+        }
+    }
 }
 
 impl<'a, G: Game, U: UpdateRule, O: ProfileObservable> Replica<'a, G, U, O> {
@@ -132,32 +175,38 @@ impl<'a, G: Game, U: UpdateRule, O: ProfileObservable> Replica<'a, G, U, O> {
     pub(crate) fn new(
         dynamics: &'a DynamicsEngine<G, U>,
         observable: &'a O,
-        start: &[usize],
+        start: &ReplicaStart,
         seed: u64,
         replica: usize,
     ) -> Self {
         Self {
             dynamics,
             observable,
-            profile: start.to_vec(),
-            tally: observable.tally(start),
+            profile: start.profile.to_vec(),
+            words: start.words.clone(),
+            tally: start.tally,
             scratch: Scratch::for_game(dynamics.game()),
             rng: ChaCha8Rng::seed_from_u64(replica_seed(seed, replica)),
             t: 0,
         }
     }
 
-    /// Steps the replica to tick `target`, keeping its tally current.
+    /// Steps the replica to tick `target`, keeping its words and its tally
+    /// current.
     pub(crate) fn advance_to<S: SelectionSchedule>(&mut self, schedule: &S, target: u64) {
-        let observable = self.observable;
+        let (observable, tally) = (self.observable, &mut self.tally);
         self.dynamics.advance(
             schedule,
             self.t..target,
             &mut self.profile,
+            self.words.as_deref_mut(),
             &mut self.scratch,
             &mut self.rng,
-            self.tally.as_mut(),
-            |tally, player, old, profile| observable.retally(tally, player, old, profile),
+            |old, degree, ones| {
+                if let Some(tally) = tally.as_mut() {
+                    observable.retally(tally, old, degree, ones);
+                }
+            },
         );
         self.t = self.t.max(target);
     }
@@ -588,11 +637,13 @@ impl Simulator {
     /// `steps` ticks of `schedule` with its own deterministic ChaCha stream
     /// and reused [`Scratch`] buffers, and records `observable` every
     /// `sample_every` ticks (plus at the final tick), so the transient is
-    /// observed as it unfolds instead of final states only. An observable
-    /// that carries a tally ([`ProfileObservable::tally`], e.g. the
-    /// potential of a graphical or Ising game) is kept current at every
-    /// applied move and each sample reads it in `O(1)`, with the bits of a
-    /// full evaluation.
+    /// observed as it unfolds instead of final states only. On a game with
+    /// a count kernel each replica keeps one neighbour-count word per
+    /// player: an update loads its word, and only a move reads a row. An
+    /// observable that carries a tally ([`ProfileObservable::tally`], e.g.
+    /// the potential of a graphical or Ising game) is then kept current in
+    /// `O(1)` at every applied move and each sample reads it in `O(1)`,
+    /// with the bits of a full evaluation.
     ///
     /// A tick is one [`SelectionSchedule`] tick: a single player for the
     /// sequential schedules (the paper's chain is
@@ -623,10 +674,11 @@ impl Simulator {
         assert!(sample_every >= 1, "sampling period must be at least 1");
 
         let times = sample_times(steps, sample_every);
+        let start = ReplicaStart::new(dynamics, observable, start);
 
         let mut per_replica: Vec<Vec<f64>> = vec![Vec::new(); self.replicas];
         self.for_each_replica(&mut per_replica, |replica, slot| {
-            let mut run = Replica::new(dynamics, observable, start, self.seed, replica);
+            let mut run = Replica::new(dynamics, observable, &start, self.seed, replica);
             *slot = times
                 .iter()
                 .map(|&target| {
@@ -1392,6 +1444,174 @@ mod tests {
                 sample_rounds.iter().map(|&r| r * sweep_ticks).collect::<Vec<_>>()
             );
         }
+    }
+
+    /// Steps replica 0 of a potential-observable run one tick at a time
+    /// next to a stateless `step_scheduled` loop on the same stream, and
+    /// checks after every tick that the replica's profile is the loop's,
+    /// that its words are a fresh count of that profile, and that its
+    /// tally is the full count, with the potential bit for bit.
+    fn check_words_under<G, U, S>(
+        dynamics: &DynamicsEngine<G, U>,
+        schedule: &S,
+        start: &[usize],
+        seed: u64,
+        ticks: u64,
+    ) -> Result<(), proptest::TestCaseError>
+    where
+        G: PotentialGame,
+        U: UpdateRule,
+        S: SelectionSchedule,
+    {
+        use crate::observables::PotentialObservable;
+        let game = dynamics.game();
+        let observable = PotentialObservable::new(game);
+        let first = ReplicaStart::new(dynamics, &observable, start);
+        let mut run = Replica::new(dynamics, &observable, &first, seed, 0);
+        let mut plain = start.to_vec();
+        let mut scratch = Scratch::for_game(game);
+        let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(seed, 0));
+        for t in 0..ticks {
+            run.advance_to(schedule, t + 1);
+            dynamics.step_scheduled(schedule, t, &mut plain, &mut scratch, &mut rng);
+            let at = format!("{} at t = {t}", schedule.name());
+            proptest::prop_assert_eq!(&run.profile, &plain, "{}", at);
+            let words = run.words.as_ref().expect("count games keep words");
+            let recounted = dynamics
+                .count_words(&plain)
+                .expect("count games have a table");
+            proptest::prop_assert_eq!(words, &recounted, "{}", at);
+            for (word, &x) in words.iter().zip(&plain) {
+                proptest::prop_assert_eq!((word & 1) as usize, x, "{}", at);
+            }
+            proptest::prop_assert_eq!(run.tally, game.tally(&plain), "{}", at);
+            proptest::prop_assert_eq!(
+                run.sample().to_bits(),
+                game.potential(&plain).to_bits(),
+                "{}",
+                at
+            );
+        }
+        Ok(())
+    }
+
+    fn check_words_for_every_schedule<G, U>(
+        game: &G,
+        rule: U,
+        beta: f64,
+        start: &[usize],
+        seed: u64,
+    ) -> Result<(), proptest::TestCaseError>
+    where
+        G: PotentialGame + logit_games::LocalGame + Clone,
+        U: UpdateRule,
+    {
+        use crate::parallel::{ColouredBlocks, RandomBlock};
+        use crate::schedules::{AllLogit, SystematicSweep};
+        let d = DynamicsEngine::with_rule(game.clone(), rule, beta);
+        let n = start.len();
+        check_words_under(&d, &UniformSingle, start, seed, 4 * n as u64)?;
+        check_words_under(&d, &SystematicSweep, start, seed, 4 * n as u64)?;
+        check_words_under(&d, &AllLogit, start, seed, 8)?;
+        check_words_under(&d, &ColouredBlocks::for_game(game), start, seed, 16)?;
+        check_words_under(&d, &RandomBlock::new(n.div_ceil(2)), start, seed, 8)
+    }
+
+    fn check_words_for_every_rule<G>(
+        game: &G,
+        beta: f64,
+        start: &[usize],
+        seed: u64,
+    ) -> Result<(), proptest::TestCaseError>
+    where
+        G: PotentialGame + logit_games::LocalGame + Clone,
+    {
+        use crate::rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse};
+        check_words_for_every_schedule(game, Logit, beta, start, seed)?;
+        check_words_for_every_schedule(game, MetropolisLogit, beta, start, seed)?;
+        check_words_for_every_schedule(game, NoisyBestResponse::new(0.15), beta, start, seed)?;
+        check_words_for_every_schedule(game, Fermi, beta, start, seed)?;
+        check_words_for_every_schedule(game, ImitateBetter::new(0.1), beta, start, seed)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The ensembles' neighbour-count words against the stateless
+        /// engine: under every rule and every schedule (uniform, sweep,
+        /// all-logit, coloured blocks, random block), on graphical games
+        /// with non-dyadic payoffs and Ising games with a field, over
+        /// random graphs with isolated players and mixed degrees, from
+        /// random starts, a replica walks the `step_scheduled` trajectory
+        /// and keeps words and a tally that equal fresh counts after every
+        /// tick.
+        #[test]
+        fn replica_words_track_the_stateless_engine_for_every_rule_and_schedule(
+            seed in 0u64..10_000,
+            n in 1usize..14,
+            p in 0.0f64..0.7,
+            beta in 0.0f64..3.0,
+            payoff in 0.01f64..3.0,
+            field in -1.0f64..1.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let graph = GraphBuilder::erdos_renyi(n, p, &mut rng);
+            let start: Vec<usize> = (0..n).map(|_| rng.gen_range(0..2usize)).collect();
+            let base = CoordinationGame::new(1.3 + payoff, 0.7 + payoff / 3.0, 0.1 * payoff, 0.2);
+            let graphical = GraphicalCoordinationGame::new(graph.clone(), base);
+            check_words_for_every_rule(&graphical, beta, &start, seed)?;
+            let ising = logit_games::IsingGame::new(graph, 0.5 + payoff, field);
+            check_words_for_every_rule(&ising, beta, &start, seed)?;
+        }
+    }
+
+    #[test]
+    fn games_without_a_count_kernel_keep_no_words_and_no_tally() {
+        use crate::observables::PotentialObservable;
+        let game = WellGame::plateau(4, 1.0);
+        let d = LogitDynamics::new(game.clone(), 0.8);
+        let obs = PotentialObservable::new(game);
+        let run = Replica::new(&d, &obs, &ReplicaStart::new(&d, &obs, &[0; 4]), 1, 0);
+        assert!(run.words.is_none());
+        assert!(run.tally.is_none());
+    }
+
+    /// A move feeds the observable's `retally` from the dynamics' words, so
+    /// a potential observable whose game counts other rows (another graph,
+    /// or the same edges built into a second graph) keeps no tally and
+    /// samples full evaluations on both runners. One on a clone of the
+    /// game, which shares its graph, keeps its tally.
+    #[test]
+    fn observables_counting_other_rows_evaluate_every_sample() {
+        use crate::observables::{NamedObservable, PotentialObservable};
+        let base = CoordinationGame::from_deltas(2.0137, 1.0);
+        let ring = GraphicalCoordinationGame::new(GraphBuilder::ring(12), base);
+        let d = LogitDynamics::new(ring.clone(), 0.3);
+        let start: Vec<usize> = (0..12).map(|i| usize::from(i % 3 == 0)).collect();
+        let sim = Simulator::new(11, 3);
+        let config = PipelineConfig {
+            chunk_ticks: 7,
+            channel_capacity: 2,
+        };
+        let bytes = |r: &ProfileEnsembleResult| format!("{:?} {:?}", r.series, r.final_values);
+        let torus = GraphicalCoordinationGame::new(GraphBuilder::torus(3, 4), base);
+        let rebuilt = GraphicalCoordinationGame::new(GraphBuilder::ring(12), base);
+        let ising = logit_games::IsingGame::new(GraphBuilder::path(12), 0.7, 0.3);
+        let others: [&(dyn PotentialGame + Sync); 3] = [&torus, &rebuilt, &ising];
+        for other in others {
+            let tallied = PotentialObservable::new(other);
+            let full = NamedObservable::new("potential", |x: &[usize]| other.potential(x));
+            let reference = sim.run_profiles(&d, &UniformSingle, &start, 300, 1, &full);
+            let sequential = sim.run_profiles(&d, &UniformSingle, &start, 300, 1, &tallied);
+            let farmed = sim
+                .run_profiles_pipelined(&d, &UniformSingle, &start, 300, 1, &tallied, &config, None)
+                .expect("uncancelled runs complete");
+            assert_eq!(bytes(&reference), bytes(&sequential));
+            assert_eq!(bytes(&reference), bytes(&farmed));
+            assert!(ReplicaStart::new(&d, &tallied, &start).tally.is_none());
+        }
+        let shared = PotentialObservable::new(ring.clone());
+        assert!(ReplicaStart::new(&d, &shared, &start).tally.is_some());
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! * **swap phases** — adjacent replica pairs `(i, i+1)` propose to exchange
 //!   their *states*, accepted with the Metropolis probability
 //!   `min(1, e^{(β_i − β_{i+1})(Φ(x_i) − Φ(x_{i+1}))})` on the games'
-//!   potential hook. A game that keeps a [`PotentialTally`] (graphical
-//!   coordination and Ising games) has one per replica, updated at every
-//!   applied move of the sweep and swapped along with its profile, so each
-//!   `Φ(x_i)` is read in `O(1)` with the bits of a full evaluation.
+//!   potential hook. A game with a count kernel and a [`PotentialTally`]
+//!   (graphical coordination and Ising games) keeps one tally per replica,
+//!   updated at every applied move of the sweep and swapped along with its
+//!   profile, so each `Φ(x_i)` is read in `O(1)` with the bits of a full
+//!   evaluation.
 //!
 //! The swap acceptance is exactly the Metropolis ratio for the product Gibbs
 //! measure `Π_k e^{−β_k Φ(x_k)}`, so each component kernel — the tensor sweep
@@ -28,10 +29,12 @@
 //! closed-form Markov-chain theory in the proptest harness.
 //!
 //! Everything stays monomorphised over `G`, `U` and the schedule: the sweep
-//! phase is the same hot loop as the single-chain engine (plus an `O(deg)`
-//! tally update per applied move where the game keeps tallies), and the
-//! swap phase costs `O(K)` per round with tallies, `K` full potential
-//! evaluations without.
+//! phase is the same hot loop as the ensembles' replicas. On a count game
+//! each rung keeps its profile's neighbour-count words, so an update loads
+//! one word, and an applied move updates the mover's row of words and the
+//! tally in `O(1)` from her word. Words do not depend on β, so a swap
+//! exchanges them with the profiles. The swap phase costs `O(K)` per round
+//! with tallies, `K` full potential evaluations without.
 
 use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::rules::UpdateRule;
@@ -140,10 +143,11 @@ impl SwapCounters {
     }
 }
 
-/// The mutable side of a tempering run: one strategy profile, potential
-/// tally (where the game keeps one), scratch buffer and RNG stream per
-/// replica, a dedicated swap RNG, the shared schedule clock and the swap
-/// diagnostics.
+/// The mutable side of a tempering run: one strategy profile,
+/// neighbour-count words and potential tally (on a count game), scratch
+/// buffer and RNG stream per replica, a dedicated swap RNG, the shared
+/// schedule clock and the swap diagnostics. A swap exchanges two rungs'
+/// profiles, words and tallies together.
 ///
 /// Replica `k`'s stream is derived exactly like `Simulator`'s replica
 /// streams, and the swap RNG is a separate stream — so a `K = 1` ladder
@@ -152,6 +156,7 @@ impl SwapCounters {
 #[derive(Debug, Clone)]
 pub struct TemperingState {
     profiles: Vec<Vec<usize>>,
+    words: Vec<Option<Vec<u32>>>,
     tallies: Vec<Option<PotentialTally>>,
     scratches: Vec<Scratch>,
     rngs: Vec<ChaCha8Rng>,
@@ -269,9 +274,9 @@ fn swap_stream_seed(seed: u64) -> u64 {
 
 impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
     /// Initialises a run: every replica starts from a copy of `start` (and
-    /// of its potential tally, where the game keeps one), with per-replica
-    /// RNG streams and a separate swap stream derived from `seed` the same
-    /// way `Simulator` derives replica streams.
+    /// of its neighbour-count words and potential tally, on a count game),
+    /// with per-replica RNG streams and a separate swap stream derived from
+    /// `seed` the same way `Simulator` derives replica streams.
     pub fn init_state(&self, start: &[usize], seed: u64) -> TemperingState {
         let game = self.game();
         assert_eq!(
@@ -286,9 +291,14 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
             );
         }
         let k = self.num_replicas();
+        // Every rung's table has the same layout, so one set of words
+        // serves them all.
+        let words = self.engines[0].count_words(start);
+        let tally = words.as_ref().and_then(|_| game.tally(start));
         TemperingState {
             profiles: vec![start.to_vec(); k],
-            tallies: vec![game.tally(start); k],
+            words: vec![words; k],
+            tallies: vec![tally; k],
             scratches: (0..k).map(|_| Scratch::for_game(game)).collect(),
             rngs: (0..k)
                 .map(|r| ChaCha8Rng::seed_from_u64(crate::simulate::replica_seed(seed, r)))
@@ -332,14 +342,19 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
         );
         let game = self.game();
         for (i, engine) in self.engines.iter().enumerate() {
+            let tally = &mut state.tallies[i];
             engine.advance(
                 schedule,
                 state.tick..state.tick + sweep_ticks,
                 &mut state.profiles[i],
+                state.words[i].as_deref_mut(),
                 &mut state.scratches[i],
                 &mut state.rngs[i],
-                state.tallies[i].as_mut(),
-                |tally, player, old, profile| game.retally(tally, player, old, profile),
+                |old, degree, ones| {
+                    if let Some(tally) = tally.as_mut() {
+                        game.retally(tally, old, degree, ones);
+                    }
+                },
             );
         }
         state.tick += sweep_ticks;
@@ -380,6 +395,7 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
             }
             if accept {
                 state.profiles.swap(pair, pair + 1);
+                state.words.swap(pair, pair + 1);
                 state.tallies.swap(pair, pair + 1);
                 accepted += 1;
             } else {
@@ -677,6 +693,59 @@ mod tests {
             let ens = TemperingEnsemble::new(WellGame::plateau(6, 2.0), Logit, &ladder);
             replay_swaps_with_full_evaluations(&ens, &UniformSingle, &[0; 6], seed, 60, 3);
         }
+    }
+
+    /// Runs `rounds` rounds and checks after each round's swaps that
+    /// every rung's words and tally are fresh counts of its own profile.
+    fn check_rung_words<G: PotentialGame, S: SelectionSchedule>(
+        ens: &TemperingEnsemble<G, Logit>,
+        schedule: &S,
+        start: &[usize],
+        seed: u64,
+        rounds: u64,
+    ) {
+        let mut state = ens.init_state(start, seed);
+        let mut accepted = 0;
+        for round in 0..rounds {
+            accepted += ens.round(schedule, &mut state, 5);
+            for r in 0..ens.num_replicas() {
+                let profile = state.profile(r);
+                assert_eq!(
+                    state.words[r],
+                    ens.engine(r).count_words(profile),
+                    "rung {r}, round {round}"
+                );
+                assert_eq!(
+                    state.tallies[r],
+                    ens.game().tally(profile),
+                    "rung {r}, round {round}"
+                );
+            }
+        }
+        assert!(accepted > 0, "the ladder should swap");
+    }
+
+    #[test]
+    fn every_rung_keeps_the_words_and_tally_of_its_own_profile() {
+        // Swaps carry words and tallies with their profiles, so no rung
+        // steps on another rung's counts.
+        let graph = GraphBuilder::circulant(24, 3);
+        let ladder = [0.2, 0.7, 1.5, 3.0];
+        let start: Vec<usize> = (0..24).map(|i| (i * 7 / 5) % 2).collect();
+        let coord =
+            GraphicalCoordinationGame::new(graph.clone(), CoordinationGame::from_deltas(0.7, 1.3));
+        let ising = logit_games::IsingGame::new(graph, 0.3, -0.1);
+        for seed in [3, 41] {
+            let ens = TemperingEnsemble::new(coord.clone(), Logit, &ladder);
+            check_rung_words(&ens, &UniformSingle, &start, seed, 40);
+            check_rung_words(&ens, &crate::schedules::AllLogit, &start, seed, 40);
+            let ens = TemperingEnsemble::new(ising.clone(), Logit, &ladder);
+            check_rung_words(&ens, &SystematicSweep, &start, seed, 40);
+        }
+        // A game without a count kernel keeps neither.
+        let state = well_ensemble(&[0.5, 1.0]).init_state(&[0; 4], 1);
+        assert!(state.words.iter().all(Option::is_none));
+        assert!(state.tallies.iter().all(Option::is_none));
     }
 
     #[test]

@@ -994,7 +994,8 @@ fn coloured_blocks_and_their_clones_share_one_colouring() {
 }
 
 /// Steps `engine` through `ticks` ticks of `schedule` twice from `start`,
-/// once untracked and once keeping the game's tally with `retally`, and
+/// once untracked and once keeping the game's tally with `retally` (fed
+/// the mover's count-row length and ones, read off the profile), and
 /// checks after every tick that the trajectories agree, that the tally is
 /// the full count of the profile, and that its potential is
 /// `potential(profile)` bit for bit.
@@ -1011,6 +1012,9 @@ where
     S: SelectionSchedule,
 {
     let game = engine.game();
+    let kernel = game
+        .count_kernel()
+        .expect("graph games expose a count kernel");
     let mut profile = start.to_vec();
     let mut plain = start.to_vec();
     let mut tally = game.tally(start).expect("graph games keep a tally");
@@ -1025,7 +1029,11 @@ where
             &mut profile,
             &mut scratch,
             &mut rng,
-            |p, old, x| game.retally(&mut tally, p, old, x),
+            |p, old, x| {
+                let row = kernel.count_row(p);
+                let ones = row.iter().map(|&j| x[j as usize]).sum();
+                game.retally(&mut tally, old, row.len(), ones)
+            },
         );
         engine.step_scheduled(schedule, t, &mut plain, &mut plain_scratch, &mut plain_rng);
         prop_assert_eq!(

@@ -80,7 +80,11 @@ pub trait Game {
 /// Contract: every player has two strategies, on profiles of 0s and 1s
 /// `utilities_for(i, x, out)` writes exactly what
 /// `utilities_from_ones(R_i.len(), Σ_{j ∈ R_i} x_j, out)` writes, bit for
-/// bit, and `row_lengths` lists every `R_i.len()` once.
+/// bit, and `row_lengths` lists every `R_i.len()` once. Rows are
+/// symmetric (`j` is in `R_i` as often as `i` is in `R_j`) and no player
+/// is in her own row: an ensemble that keeps every player's count of ones
+/// updates all the counts a move changes by walking the mover's own row,
+/// and the mover's own count does not change.
 pub trait CountKernel {
     /// Player `i`'s count row `R_i`, as `u32` player ids.
     fn count_row(&self, player: usize) -> &[u32];
@@ -92,6 +96,12 @@ pub trait CountKernel {
     /// The utilities `[u(0), u(1)]` of a player whose count row has
     /// `degree` players, `ones` of them on strategy 1.
     fn utilities_from_ones(&self, degree: usize, ones: usize, out: &mut [f64]);
+
+    /// The address of the storage the count rows are read from: kernels
+    /// that report one address have the same rows, and kernels with other
+    /// rows report another. The graph games return their shared graph's,
+    /// so every game built on one `Arc<CsrGraph>` reports the same rows.
+    fn rows_address(&self) -> *const ();
 }
 
 /// Two exact integer counters a potential is computed from: the matched
@@ -118,25 +128,24 @@ pub trait PotentialGame: Game {
 
     /// The [`PotentialTally`] of `profile`, for games whose potential is
     /// computed from one; `None` (the default) means the game keeps no
-    /// tally and its potential is tracked by full evaluation.
+    /// tally and its potential is tracked by full evaluation. A game that
+    /// keeps one also has a [`CountKernel`], whose rows give
+    /// [`retally`](Self::retally) its inputs.
     fn tally(&self, _profile: &[usize]) -> Option<PotentialTally> {
         None
     }
 
-    /// Updates `tally` after `player` moved from `old` to the different
-    /// strategy `profile[player]` (already written), reading only the
-    /// mover's neighbourhood: `O(deg)` instead of a full count.
+    /// Updates `tally` after a player moved from `old` to the other
+    /// strategy. `degree` is the length of her count row
+    /// ([`CountKernel::count_row`]) and `ones` how many in it play 1.
+    /// Neither changes when she moves, since no player is in her own row,
+    /// so the ensembles read both from her neighbour-count word: `O(1)`,
+    /// with no row read.
     ///
     /// # Panics
     /// The default panics: only a game whose [`tally`](Self::tally)
     /// returns `Some` keeps one.
-    fn retally(
-        &self,
-        _tally: &mut PotentialTally,
-        _player: usize,
-        _old: usize,
-        _profile: &[usize],
-    ) {
+    fn retally(&self, _tally: &mut PotentialTally, _old: usize, _degree: usize, _ones: usize) {
         panic!("this game keeps no potential tally");
     }
 
@@ -238,8 +247,8 @@ impl<G: PotentialGame + ?Sized> PotentialGame for &G {
     fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
         (**self).tally(profile)
     }
-    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
-        (**self).retally(tally, player, old, profile)
+    fn retally(&self, tally: &mut PotentialTally, old: usize, degree: usize, ones: usize) {
+        (**self).retally(tally, old, degree, ones)
     }
     fn potential_of_tally(&self, tally: &PotentialTally) -> f64 {
         (**self).potential_of_tally(tally)
@@ -290,8 +299,8 @@ impl<G: PotentialGame + ?Sized> PotentialGame for std::sync::Arc<G> {
     fn tally(&self, profile: &[usize]) -> Option<PotentialTally> {
         (**self).tally(profile)
     }
-    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
-        (**self).retally(tally, player, old, profile)
+    fn retally(&self, tally: &mut PotentialTally, old: usize, degree: usize, ones: usize) {
+        (**self).retally(tally, old, degree, ones)
     }
     fn potential_of_tally(&self, tally: &PotentialTally) -> f64 {
         (**self).potential_of_tally(tally)

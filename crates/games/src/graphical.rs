@@ -7,8 +7,9 @@
 //! `φ(0,0) = -δ₀`, `φ(1,1) = -δ₁` and mismatched edges give 0 (eq. 11), it is
 //! computed from two exact counts as `Φ(x) = -(c₀₀·δ₀ + c₁₁·δ₁)`, where
 //! `c₀₀` and `c₁₁` are the edges matched on 0 and on 1. The counts form a
-//! [`PotentialTally`] that a move updates from the mover's neighbour row
-//! alone. The game holds the graph only as a shared `Arc<CsrGraph>`.
+//! [`PotentialTally`] that a move updates from the mover's degree and
+//! neighbours on 1 alone. The game holds the graph only as a shared
+//! `Arc<CsrGraph>`.
 //!
 //! The crate also exposes the closed-form clique potential used by Theorem 5.5:
 //! on the clique the potential only depends on the number `k` of players playing
@@ -132,6 +133,10 @@ impl CountKernel for GraphicalCoordinationGame {
         self.csr.degrees()
     }
 
+    fn rows_address(&self) -> *const () {
+        Arc::as_ptr(&self.csr).cast()
+    }
+
     /// The shared counting kernel: only `(degree, #neighbours on 1)` enter
     /// the payoff sums, so every profile representation — and the engines'
     /// tabulated update distributions — funnel through the same float
@@ -162,10 +167,9 @@ impl PotentialGame for GraphicalCoordinationGame {
         Some(self.count(profile))
     }
 
-    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
-        let row = self.csr.neighbors(player);
-        let ones = ones_in(row, profile) as i64;
-        let zeros = row.len() as i64 - ones;
+    fn retally(&self, tally: &mut PotentialTally, old: usize, degree: usize, ones: usize) {
+        let ones = ones as i64;
+        let zeros = degree as i64 - ones;
         let [c00, c11] = &mut tally.0;
         if old == 0 {
             *c00 -= zeros;

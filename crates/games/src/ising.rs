@@ -11,8 +11,8 @@
 //! with ferromagnetic coupling `J > 0` and external field `h`. The exact
 //! potential (cost convention) is `Φ(x) = -J·Σ_{(u,v) ∈ E} σ_u σ_v - h·Σ_i σ_i`,
 //! computed from two exact integers, the spin-product sum and the up-spin
-//! count: the [`PotentialTally`] a move updates from the mover's neighbour
-//! row alone.
+//! count: the [`PotentialTally`] a move updates from the mover's degree
+//! and up-spin neighbours alone.
 //!
 //! With `h = 0` this is, up to a constant per-edge shift, the graphical
 //! coordination game with `δ₀ = δ₁ = 2J` — the constant shift changes neither
@@ -188,6 +188,10 @@ impl CountKernel for IsingGame {
         self.csr.degrees()
     }
 
+    fn rows_address(&self) -> *const () {
+        Arc::as_ptr(&self.csr).cast()
+    }
+
     /// Shared kernel: neighbour spin sum from the up-spin count, then the
     /// two candidate utilities.
     #[inline]
@@ -208,9 +212,8 @@ impl PotentialGame for IsingGame {
         Some(self.count(profile))
     }
 
-    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
-        let row = self.csr.neighbors(player);
-        let neighbour_sum = 2 * ones_in(row, profile) as i64 - row.len() as i64;
+    fn retally(&self, tally: &mut PotentialTally, old: usize, degree: usize, ones: usize) {
+        let neighbour_sum = 2 * ones as i64 - degree as i64;
         // The mover's spin flips from `2·old − 1`: each of her bonds
         // changes sign, and an up-spin is lost or gained.
         let old_spin = 2 * old as i64 - 1;

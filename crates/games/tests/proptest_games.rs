@@ -163,6 +163,68 @@ proptest! {
     }
 }
 
+/// Checks the count-row contract of `game`'s kernel, and that `retally`
+/// from a mover's `(degree, ones)` turns the tally of `profile` into the
+/// tally of the profile with that player flipped, for every player.
+fn check_count_rows<G: PotentialGame>(game: &G, profile: &[usize]) -> Result<(), TestCaseError> {
+    let kernel = game
+        .count_kernel()
+        .expect("graph games expose a count kernel");
+    let n = game.num_players();
+    let mut lengths: Vec<u32> = (0..n).map(|i| kernel.count_row(i).len() as u32).collect();
+    lengths.sort_unstable();
+    lengths.dedup();
+    prop_assert_eq!(kernel.row_lengths(), &lengths[..]);
+    for i in 0..n {
+        let row = kernel.count_row(i);
+        for &j in row {
+            let j = j as usize;
+            prop_assert!(i != j, "player {} is in her own row", i);
+            let twice = |a: usize, b: usize| {
+                kernel
+                    .count_row(a)
+                    .iter()
+                    .filter(|&&k| k as usize == b)
+                    .count()
+            };
+            prop_assert_eq!(twice(i, j), twice(j, i), "rows of {} and {} disagree", i, j);
+        }
+        let ones = row.iter().map(|&j| profile[j as usize]).sum();
+        let mut tally = game.tally(profile).expect("graph games keep a tally");
+        game.retally(&mut tally, profile[i], row.len(), ones);
+        let mut flipped = profile.to_vec();
+        flipped[i] ^= 1;
+        prop_assert_eq!(Some(tally), game.tally(&flipped), "player {}", i);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Both count-kernel implementors meet the row contract the
+    /// neighbour-count words rely on, on random graphs with isolated
+    /// players and mixed degrees: rows are symmetric and loop-free, and
+    /// the row lengths are listed once each. A tally moved by `retally`
+    /// from the mover's degree and ones is the full count after the move.
+    #[test]
+    fn count_rows_are_symmetric_and_retally_is_exact(
+        seed in 0u64..10_000,
+        n in 1usize..24,
+        p in 0.0f64..0.7,
+        d0 in 0.1f64..3.0,
+        d1 in 0.1f64..3.0,
+        field in -1.0f64..1.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = GraphBuilder::erdos_renyi(n, p, &mut rng);
+        let profile: Vec<usize> = (0..n).map(|_| rand::Rng::gen_range(&mut rng, 0..2usize)).collect();
+        let coord = GraphicalCoordinationGame::new(graph.clone(), CoordinationGame::from_deltas(d0, d1));
+        check_count_rows(&coord, &profile)?;
+        check_count_rows(&IsingGame::new(graph, 0.8, field), &profile)?;
+    }
+}
+
 /// Graph games built on a shared CSR keep sharing it through `clone()`.
 #[test]
 fn graph_games_and_their_clones_share_one_csr() {
@@ -177,4 +239,29 @@ fn graph_games_and_their_clones_share_one_csr() {
     ] {
         assert!(std::ptr::eq(game_csr, &*csr));
     }
+}
+
+/// `rows_address` names the rows a count kernel reads: the graph games
+/// report their shared CSR, so games and clones on one graph agree (an
+/// ensemble may feed one's tally from the other's neighbour counts), and a
+/// second build of the same graph, or another graph, does not.
+#[test]
+fn count_kernels_report_the_rows_they_read() {
+    let csr: Arc<CsrGraph> = GraphBuilder::torus(3, 4).into();
+    let coord = GraphicalCoordinationGame::new(Arc::clone(&csr), CoordinationGame::symmetric(1.0));
+    let ising = IsingGame::new(Arc::clone(&csr), 0.5, 0.2);
+    let address = |game: &dyn Game| {
+        game.count_kernel()
+            .expect("graph games have a count kernel")
+            .rows_address()
+    };
+    let shared = Arc::as_ptr(&csr).cast::<()>();
+    for game in [&coord as &dyn Game, &coord.clone(), &ising, &ising.clone()] {
+        assert_eq!(address(game), shared);
+    }
+    let rebuilt =
+        GraphicalCoordinationGame::new(GraphBuilder::torus(3, 4), CoordinationGame::symmetric(1.0));
+    let other = IsingGame::new(GraphBuilder::ring(12), 0.5, 0.2);
+    assert_ne!(address(&rebuilt), shared);
+    assert_ne!(address(&other), shared);
 }

@@ -35,7 +35,8 @@ use logit_core::{
     UniformSingle, UpdateRule,
 };
 use logit_games::{
-    CoordinationGame, GraphicalCoordinationGame, IsingGame, PotentialGame, PotentialTally,
+    CoordinationGame, CountKernel, GraphicalCoordinationGame, IsingGame, PotentialGame,
+    PotentialTally,
 };
 use logit_graphs::{CsrGraph, GraphBuilder};
 use logit_linalg::stats::RunningStats;
@@ -187,10 +188,16 @@ impl<G: PotentialGame> ProfileObservable for JobObservable<G> {
             JobObservable::Potential(o) => o.tally(profile),
         }
     }
-    fn retally(&self, tally: &mut PotentialTally, player: usize, old: usize, profile: &[usize]) {
+    fn count_kernel(&self) -> Option<&dyn CountKernel> {
         match self {
-            JobObservable::Fraction(o) => o.retally(tally, player, old, profile),
-            JobObservable::Potential(o) => o.retally(tally, player, old, profile),
+            JobObservable::Fraction(o) => o.count_kernel(),
+            JobObservable::Potential(o) => o.count_kernel(),
+        }
+    }
+    fn retally(&self, tally: &mut PotentialTally, old: usize, degree: usize, ones: usize) {
+        match self {
+            JobObservable::Fraction(o) => o.retally(tally, old, degree, ones),
+            JobObservable::Potential(o) => o.retally(tally, old, degree, ones),
         }
     }
     fn evaluate_tally(&self, tally: &PotentialTally) -> f64 {

@@ -32,6 +32,13 @@
 //! the result streams. A panic anywhere in a job is caught by the
 //! executor's `catch_unwind` backstop and surfaces as an `ERROR` frame on
 //! that connection only.
+//!
+//! ## Memory
+//!
+//! Whenever the executor finds the queue empty, it returns the free pages
+//! of every malloc arena to the kernel before it sleeps (`malloc_trim` on
+//! glibc), so the resident set tracks the jobs the server holds rather
+//! than every job it has run.
 
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::error::AdmissionError;
@@ -46,7 +53,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
@@ -257,7 +264,19 @@ impl RunningServer {
 }
 
 fn executor_loop(queue_rx: Receiver<ExecRequest>, base: Simulator, stats: &ServerStats) {
-    while let Ok(req) = queue_rx.recv() {
+    loop {
+        let req = match queue_rx.try_recv() {
+            Ok(req) => req,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                // Idle: hand back what the last jobs freed before sleeping.
+                release_free_heap();
+                match queue_rx.recv() {
+                    Ok(req) => req,
+                    Err(_) => break,
+                }
+            }
+        };
         telemetry().queue_depth.add(-1.0);
         let sim = base.reseeded(req.job.spec.seed, req.job.spec.replicas);
         let exec_span = telemetry().job_exec_ns.span();
@@ -289,6 +308,28 @@ fn executor_loop(queue_rx: Receiver<ExecRequest>, base: Simulator, stats: &Serve
         let _ = req.outcome_tx.send(outcome);
     }
 }
+
+/// Returns the free pages of every malloc arena to the kernel. glibc keeps
+/// what a thread frees in that thread's arena and gives little of it back
+/// on its own, so without this the server's resident set would grow with
+/// the jobs it has run (their artifacts, replicas and frames, each made on
+/// whichever handler, worker or executor thread ran it) rather than track
+/// the jobs it holds.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_free_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+    }
+    // SAFETY: `malloc_trim` takes no pointers, locks each arena while it
+    // trims it, and only releases pages that hold no live allocation.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+/// Other allocators keep their own release policy.
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_free_heap() {}
 
 fn listener_loop(
     listener: TcpListener,
