@@ -18,8 +18,8 @@ use logit_core::parallel::{coloring_for_game, coloring_for_graph};
 use logit_core::rules::{Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 use logit_core::schedules::UniformSingle;
 use logit_core::{
-    DynamicsEngine, LocalityLayout, LogitDynamics, PipelineConfig, RuntimeConfig, Scratch,
-    Simulator, TemperingEnsemble, WorkerPool,
+    DynamicsEngine, LocalityLayout, LogitDynamics, RuntimeConfig, Scratch, Simulator,
+    TemperingEnsemble, WorkerPool,
 };
 use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame};
 use logit_graphs::{Coloring, Graph, GraphBuilder, VertexOrdering};
@@ -953,10 +953,11 @@ fn large_n_rows(steps: u64, full: bool) -> String {
 }
 
 /// Aggregate stepping throughput of a replica ensemble through either the
-/// sequential `run_profiles` path (end-of-run fold) or the pipelined
-/// farm/reducer stages (streamed, order-restoring fold). Both evaluate the
-/// observable on the threads that step, so the gap is the farm's channel
-/// and reducer cost.
+/// sequential `run_profiles` path (every replica at once, end-of-run fold)
+/// or the farmed runner (whole replicas claimed per dispatch, or waves of
+/// replicas in segments, folded after each segment). Both evaluate the
+/// observable on the threads that step, so the gap is the cost of the
+/// dispatches and the per-segment fold.
 /// Returns the rate and the full result so the caller can pin the
 /// bit-identity contract in-process.
 fn ensemble_steps_per_sec<U: UpdateRule>(
@@ -980,7 +981,6 @@ fn ensemble_steps_per_sec<U: UpdateRule>(
             steps_per_replica,
             sample_every,
             &observable,
-            &PipelineConfig::default(),
             None,
         )
         .expect("uncancelled runs complete")
@@ -1075,7 +1075,7 @@ fn pipelined_rows(n: usize, steps: u64) -> String {
         pipelined_row(NoisyBestResponse::new(0.1), n, replicas, steps_per_replica),
     ];
     format!(
-        "  \"pipelined\": {{\n    \"what\": \"Simulator::run_profiles_pipelined (farm of step workers -> bounded channels -> streamed observable reducer) vs run_profiles through the same engine, {replicas} replicas, StrategyFraction sampled 8x per run; bit-identity of the final observable values and every per-time series statistic is asserted in-process every round, and the committed per-rule ratio is the invariant (stepping throughput must stay within 10% of the sequential baseline while reduction runs off the stepping threads)\",\n    \"rows\": [\n{}\n    ]\n  }}",
+        "  \"pipelined\": {{\n    \"what\": \"Simulator::run_profiles_pipelined (resumable segments of at most SEGMENT_UPDATES updates per replica over waves of farm_workers(replicas) live replicas, one pool dispatch per segment, samples folded in replica order on the caller after each segment; here every replica's whole run fits in a segment, so each dispatch runs whole replicas claimed one at a time by farm_workers(replicas) participants, at most that many live) vs run_profiles through the same engine, {replicas} replicas, StrategyFraction sampled 8x per run; bit-identity of the final observable values and every per-time series statistic is asserted in-process every round, and the committed per-rule ratio is the invariant (stepping throughput must stay within 10% of the sequential baseline)\",\n    \"rows\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
     )
 }
@@ -1298,10 +1298,10 @@ fn main() {
     // committed invariant.
     let tempered = tempered_rows(4, &[1_000, 10_000, 100_000], steps);
 
-    // Pipelined-ensemble rows: the farm/reducer stages against the
+    // Pipelined-ensemble rows: the farmed runner's segments against the
     // sequential ensemble, per rule, at a size where a sample's evaluation
     // costs real time. Bit-identity is asserted inside, so a diverging
-    // pipeline can never emit a baseline.
+    // runner can never emit a baseline.
     let pipelined = pipelined_rows(10_000, steps);
 
     // Word rows: the ensembles' neighbour-count words against the

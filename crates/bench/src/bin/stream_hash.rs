@@ -1,7 +1,9 @@
 //! Cross-commit stream probe: runs a fixed matrix of service jobs through
 //! `prepare` + the farmed `run_prepared` and through `run_direct`, asserts
-//! the two streams agree byte for byte on every job, and prints one FNV-1a
-//! hash over all of them.
+//! the two streams agree byte for byte on every job, submits the whole
+//! matrix to an in-process server from two concurrent clients and asserts
+//! every served stream agrees too, and prints one FNV-1a hash over the
+//! farmed streams.
 //!
 //! The matrix is 5 job kinds (uniform, sweep, all-logit and coloured
 //! pipelined jobs, and tempered jobs) × logit / Metropolis / noisy best
@@ -11,10 +13,13 @@
 //! cycling through 0.05 / 0.4 / 1.3 / 6.0. The cycle steps once more at
 //! each new game, so every game meets every β on each graph from each
 //! start. At β = 0.05 a large share of revisions move; a tempered job's
-//! ladder runs from `min(0.2, β/2)` to β.
+//! ladder runs from `min(0.2, β/2)` to β. Two long jobs close the matrix,
+//! each more than three segments of work per replica (2²⁰ player
+//! updates a segment): a coloured profile job and a tempered job, so the
+//! farmed runner and the server resume both kinds between segments.
 //!
 //! Run it on two commits of one host to show a change left every stream
-//! alone: equal hashes mean equal wire bytes for all 360 jobs. The hash is
+//! alone: equal hashes mean equal wire bytes for all 362 jobs. The hash is
 //! not a constant to pin across hosts, because `exp` comes from the system
 //! libm and its last ulp may differ between them.
 //!
@@ -23,7 +28,10 @@
 //! ```
 
 use logit_core::{CancelToken, Simulator};
-use logit_server::{fnv1a, prepare, run_direct, run_prepared, ArtifactCache, JobSpec};
+use logit_server::{
+    fnv1a, prepare, run_direct, run_prepared, submit_job, ArtifactCache, ClientOutcome, JobSpec,
+    RunningServer, ServerConfig,
+};
 
 const KINDS: [&str; 5] = ["uniform", "sweep", "all", "coloured", "tempered"];
 const RULES: [&str; 3] = ["rule=logit", "rule=metropolis", "rule=nbr\nnoise=0.1"];
@@ -39,6 +47,19 @@ const GRAPHS: [&str; 2] = [
 ];
 const STARTS: [&str; 2] = ["zeros", "ones"];
 const BETAS: [f64; 4] = [0.05, 0.4, 1.3, 6.0];
+/// Jobs of more than three segments per replica: a coloured job of 40,000
+/// ticks on the circulant (600 players in at most 7 colour classes, so at
+/// least 3.4M updates per replica), and a tempered job of 1,400 rounds of
+/// 4 rungs × 600 ticks (3.36M updates per ensemble).
+const LONG_JOBS: [&str; 2] = [
+    "game=graphical\ndelta0=2.0137\ndelta1=1.0\ntopology=circulant\nn=600\nk=3\n\
+     start=zeros\nrule=logit\nschedule=coloured\nmode=pipelined\nbeta=0.4\nsteps=40000\n\
+     sample_every=1000\nreplicas=3\nobservable=potential\nseed=1592852225",
+    "game=ising\ncoupling=0.7\nfield=0.3\ntopology=torus\nrows=12\ncols=20\nstart=ones\n\
+     rule=metropolis\nschedule=uniform\nmode=tempered\nladder=geometric\nbeta_min=0.2\n\
+     beta_max=1.3\nrungs=4\nrounds=1400\nsweep_ticks=600\nsample_every=50\nreplicas=2\n\
+     observable=potential\nseed=1592852226",
+];
 
 /// The description of job `index` of the matrix.
 fn job_text(
@@ -68,39 +89,86 @@ fn job_text(
 }
 
 fn main() {
-    let cache = ArtifactCache::new(GAMES.len() * GRAPHS.len());
-    // One pool for every farmed job, as the server's executor holds.
-    let base = Simulator::new(0, 1);
-    let mut wire = String::new();
-    let mut jobs = 0;
+    let mut texts = Vec::new();
     for kind in KINDS {
         for rule in RULES {
             for observable in OBSERVABLES {
                 for game in GAMES {
                     for graph in GRAPHS {
                         for start in STARTS {
-                            let text = job_text(jobs, kind, rule, observable, game, graph, start);
-                            let spec = JobSpec::parse(&text).expect("matrix jobs parse");
-                            let job = prepare(spec, &cache).expect("matrix jobs pass admission");
-                            let sim = base.reseeded(job.spec.seed, job.spec.replicas);
-                            let farmed = run_prepared(&sim, &job, &CancelToken::new())
-                                .expect("an uncancelled job completes");
-                            let direct = run_direct(&job);
-                            assert_eq!(
-                                farmed.wire_text(),
-                                direct.wire_text(),
-                                "farmed and direct streams differ on job {jobs}:\n{text}"
-                            );
-                            wire.push_str(&farmed.wire_text());
-                            jobs += 1;
+                            let index = texts.len();
+                            texts.push(job_text(index, kind, rule, observable, game, graph, start));
                         }
                     }
                 }
             }
         }
     }
+    texts.extend(LONG_JOBS.map(String::from));
+
+    let cache = ArtifactCache::new(GAMES.len() * GRAPHS.len());
+    // One pool for every farmed job, as the server's executor holds.
+    let base = Simulator::new(0, 1);
+    let mut wire = String::new();
+    let mut directs = Vec::new();
+    for (index, text) in texts.iter().enumerate() {
+        let spec = JobSpec::parse(text).expect("matrix jobs parse");
+        let job = prepare(spec, &cache).expect("matrix jobs pass admission");
+        let sim = base.reseeded(job.spec.seed, job.spec.replicas);
+        let farmed =
+            run_prepared(&sim, &job, &CancelToken::new()).expect("an uncancelled job completes");
+        let direct = run_direct(&job);
+        assert_eq!(
+            farmed.wire_text(),
+            direct.wire_text(),
+            "farmed and direct streams differ on job {index}:\n{text}"
+        );
+        wire.push_str(&farmed.wire_text());
+        directs.push(direct.wire_text());
+    }
+
+    // The served leg: two clients submit alternate jobs concurrently, so
+    // the executor interleaves their segments.
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind a local port");
+    let addr = server.addr();
+    let clients: Vec<_> = (0..2)
+        .map(|client| {
+            let texts: Vec<(usize, String)> = texts
+                .iter()
+                .cloned()
+                .enumerate()
+                .filter(|(index, _)| index % 2 == client)
+                .collect();
+            std::thread::spawn(move || {
+                texts
+                    .into_iter()
+                    .map(|(index, text)| {
+                        let (outcome, _) = submit_job(addr, &text, None).expect("client io");
+                        (index, outcome)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for client in clients {
+        for (index, outcome) in client.join().expect("client thread") {
+            match outcome {
+                ClientOutcome::Done(served) => assert_eq!(
+                    served.wire_text(),
+                    directs[index],
+                    "served and direct streams differ on job {index}:\n{}",
+                    texts[index]
+                ),
+                other => panic!("job {index} did not complete: {other:?}"),
+            }
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.completed as usize, texts.len());
+
     println!(
-        "stream_hash: {jobs} jobs, farmed == direct on every job, combined hash {:016x}",
+        "stream_hash: {} jobs, farmed == served == direct on every job, combined hash {:016x}",
+        texts.len(),
         fnv1a(wire.as_bytes())
     );
 }

@@ -445,7 +445,7 @@ pub fn e10_ring(fast: bool) -> String {
 /// reports wall-clock throughput in steps/sec. The full grid simulates
 /// `n = 10⁵` players for 10⁷ total steps.
 pub fn e11_large_ring(fast: bool) -> String {
-    use logit_core::{PipelineConfig, UniformSingle};
+    use logit_core::UniformSingle;
     let sizes: &[usize] = if fast {
         &[1_000, 10_000]
     } else {
@@ -489,9 +489,9 @@ pub fn e11_large_ring(fast: bool) -> String {
             &observable,
         );
         let seconds = clock.elapsed().as_secs_f64();
-        // The same workload through the pipelined farm/reducer stages: the
-        // result must be bit-identical (same seeds, order-restoring reducer),
-        // so the in-process assertion doubles as an acceptance check.
+        // The same workload through the farmed runner's segments: the result
+        // must be bit-identical (same seeds, replica-order fold), so the
+        // in-process assertion doubles as an acceptance check.
         let pipe_clock = std::time::Instant::now();
         let pipelined = sim
             .run_profiles_pipelined(
@@ -501,7 +501,6 @@ pub fn e11_large_ring(fast: bool) -> String {
                 steps,
                 sample_every,
                 &observable,
-                &PipelineConfig::default(),
                 None,
             )
             .expect("uncancelled runs complete");

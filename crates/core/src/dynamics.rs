@@ -42,7 +42,7 @@
 //!
 //! The stateless paths (both engines, every schedule, the coloured sweeps
 //! on `usize` and byte profiles) count the neighbours on 1 at each update.
-//! The ensembles (`Simulator::run_profiles`, the pipelined farm and every
+//! The ensembles (`Simulator::run_profiles`, the farmed runner and every
 //! tempering rung) keep those counts instead: one `u32` word per player,
 //! `((start[d] + ones) << 1) | strategy`, which is the index of her entry
 //! in the table. An update loads the word, loads the entry and samples it
@@ -785,12 +785,19 @@ impl CountTable {
     /// The words of every player on `profile`. Every player starts on the
     /// more common strategy with her whole row on it, and each player on
     /// the other one is then flipped. A profile on one strategy reads its
-    /// rows' lengths only.
+    /// rows' lengths only, all from one [`CountKernel::row_offsets`] call.
     fn words(&self, kernel: &dyn CountKernel, profile: &[usize]) -> Vec<u32> {
         let common = usize::from(2 * profile.iter().sum::<usize>() > profile.len());
-        let mut words: Vec<u32> = (0..profile.len())
-            .map(|player| {
-                let degree = kernel.count_row(player).len();
+        let offsets = kernel.row_offsets();
+        assert_eq!(
+            offsets.len(),
+            profile.len() + 1,
+            "the count rows cover a different player count"
+        );
+        let mut words: Vec<u32> = offsets
+            .windows(2)
+            .map(|row| {
+                let degree = (row[1] - row[0]) as usize;
                 self.word(degree, common * degree, common)
             })
             .collect();
@@ -1247,6 +1254,9 @@ mod tests {
             }
             fn row_lengths(&self) -> &[u32] {
                 &[1 << 31]
+            }
+            fn row_offsets(&self) -> &[u32] {
+                &[0]
             }
             fn utilities_from_ones(&self, _degree: usize, _ones: usize, out: &mut [f64]) {
                 out.fill(0.0);

@@ -42,10 +42,11 @@
 //!   executor, each taking the selection schedule explicitly —
 //!   `run_profiles` (sequential reference), `run_profiles_pipelined` (farm)
 //!   and `run_tempered` (tempered farm),
-//! * [`pipeline`] — the PPL-style pipelined ensemble runner: a farm of step
-//!   workers feeding one streamed, order-restoring observable reducer
-//!   through a bounded channel
-//!   ([`simulate::Simulator::run_profiles_pipelined`], cancellable through a
+//! * [`pipeline`] — the farmed ensemble runner: resumable, time-major
+//!   segments over waves of replicas ([`pipeline::ProfileRun`],
+//!   [`pipeline::TemperedRun`]; looped to completion by
+//!   [`simulate::Simulator::run_profiles_pipelined`] and
+//!   [`simulate::Simulator::run_tempered`], cancellable through a
 //!   [`pipeline::CancelToken`]), bit-identical to the sequential path under
 //!   fixed seeds,
 //! * [`runtime`] — the persistent parallel runtime: a spawn-once
@@ -103,7 +104,7 @@ pub use observables::{
 pub use parallel::{
     coloring_for_game, coloring_for_graph, player_tick_seed, ColouredBlocks, RandomBlock,
 };
-pub use pipeline::{CancelToken, OrderedSeriesReducer, PipelineConfig, PipelineConfigError};
+pub use pipeline::{CancelToken, ProfileRun, TemperedRun, SEGMENT_UPDATES};
 pub use rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse, UpdateRule};
 pub use runtime::{RuntimeConfig, WorkerPool};
 pub use schedules::{AllLogit, SelectionSchedule, SystematicSweep, UniformSingle};

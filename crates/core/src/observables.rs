@@ -36,7 +36,9 @@ pub trait Observable {
 /// of a [`CountKernel`]. On a game whose kernel reads those same rows the
 /// profile ensembles
 /// ([`Simulator::run_profiles`](crate::simulate::Simulator::run_profiles)
-/// and its pipelined farm) then keep one per replica, update it at every
+/// and its farmed runner, and every tempering rung of
+/// [`Simulator::run_tempered`](crate::simulate::Simulator::run_tempered))
+/// then keep one per replica, update it at every
 /// applied move ([`retally`](Self::retally)) and read each sample from it
 /// ([`evaluate_tally`](Self::evaluate_tally)) in `O(1)`, bit for bit equal
 /// to `evaluate_profile`. On any other game, and by default, they keep
@@ -262,14 +264,13 @@ impl ProfileObservable for StrategyFraction {
 /// replica (keyed by replica index, so the final values come out in
 /// replica order whatever order the replicas report in).
 ///
-/// This is the accumulator the pipelined ensemble runner
-/// ([`crate::pipeline`]) folds into on its calling thread: the step workers
-/// evaluate the observable and stream the values, the reducer only orders
-/// and records them. The order of [`record`](Self::record) calls *within
+/// This is the accumulator the farmed ensemble runner
+/// ([`crate::pipeline`]) folds into on its calling thread after each
+/// segment: the threads that step evaluate the observable, the caller only
+/// records the values. The order of [`record`](Self::record) calls *within
 /// one time index* determines the floating-point association of the
-/// Welford moments, which is why the bit-identical pipelined path feeds it
-/// through an order-restoring frontier
-/// ([`OrderedSeriesReducer`](crate::pipeline::OrderedSeriesReducer)).
+/// Welford moments, which is why the bit-identical farmed path records
+/// each time's values in replica order, wave after wave.
 #[derive(Debug, Clone)]
 pub struct SeriesAccumulator {
     series: Vec<RunningStats>,

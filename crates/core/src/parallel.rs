@@ -18,8 +18,8 @@
 //!   updates.
 //!
 //! Both are ordinary [`SelectionSchedule`]s, so they plug into everything
-//! downstream unchanged — `step_scheduled`, `run_profiles`, the pipelined
-//! farm, `run_tempered`, sweeps, annealing.
+//! downstream unchanged — `step_scheduled`, `run_profiles`, the farmed
+//! runner, `run_tempered`, sweeps, annealing.
 //!
 //! On top of the schedule seam sits the genuinely parallel engine path,
 //! [`DynamicsEngine::step_coloured_pooled`]: a whole colour class is updated
@@ -120,6 +120,10 @@ impl SelectionSchedule for RandomBlock {
         true
     }
 
+    fn updates_in(&self, ticks: std::ops::Range<u64>, _num_players: usize) -> u64 {
+        ticks.end.saturating_sub(ticks.start) * self.k as u64
+    }
+
     fn name(&self) -> &'static str {
         "random_block"
     }
@@ -182,6 +186,22 @@ impl SelectionSchedule for ColouredBlocks {
 
     fn parallel(&self) -> bool {
         true
+    }
+
+    /// Whole rounds revise every player once; a partial round revises its
+    /// classes.
+    fn updates_in(&self, ticks: std::ops::Range<u64>, num_players: usize) -> u64 {
+        let classes = self.coloring.num_classes() as u64;
+        let before = |t: u64| {
+            let partial: u64 = (0..(t % classes) as usize)
+                .map(|c| self.coloring.class(c).len() as u64)
+                .sum();
+            t / classes * num_players as u64 + partial
+        };
+        if classes == 0 || ticks.end <= ticks.start {
+            return 0;
+        }
+        before(ticks.end) - before(ticks.start)
     }
 
     fn name(&self) -> &'static str {
@@ -847,7 +867,6 @@ mod tests {
     #[test]
     fn random_block_runs_through_the_scheduled_engine_at_large_n() {
         use crate::observables::StrategyFraction;
-        use crate::pipeline::PipelineConfig;
         use crate::simulate::Simulator;
         let game = GraphicalCoordinationGame::new(
             GraphBuilder::ring(400),
@@ -862,10 +881,9 @@ mod tests {
         let result = sim.run_profiles(&d, &schedule, &start, 200, 50, &obs);
         assert_eq!(result.final_values.len(), 4);
         assert!(result.law().mean() > 0.1, "risk-dominant zeros spread");
-        // And the pipelined farm path is bit-identical through the same schedule.
-        let config = PipelineConfig::default();
+        // And the farmed runner is bit-identical through the same schedule.
         let pipelined = sim
-            .run_profiles_pipelined(&d, &schedule, &start, 200, 50, &obs, &config, None)
+            .run_profiles_pipelined(&d, &schedule, &start, 200, 50, &obs, None)
             .expect("uncancelled runs complete");
         assert_eq!(result.final_values, pipelined.final_values);
     }
@@ -873,7 +891,6 @@ mod tests {
     #[test]
     fn coloured_blocks_run_through_simulator_pipeline_and_tempering() {
         use crate::observables::PotentialObservable;
-        use crate::pipeline::PipelineConfig;
         use crate::simulate::Simulator;
         use crate::tempering::TemperingEnsemble;
         let game = GraphicalCoordinationGame::new(
@@ -885,10 +902,9 @@ mod tests {
         let sim = Simulator::new(17, 8);
         let obs = PotentialObservable::new(game.clone());
         let start = vec![0usize; 9];
-        let config = PipelineConfig::default();
         let sequential = sim.run_profiles(&d, &schedule, &start, 30, 10, &obs);
         let pipelined = sim
-            .run_profiles_pipelined(&d, &schedule, &start, 30, 10, &obs, &config, None)
+            .run_profiles_pipelined(&d, &schedule, &start, 30, 10, &obs, None)
             .expect("uncancelled runs complete");
         assert_eq!(sequential.final_values, pipelined.final_values);
         assert_eq!(sequential.times, pipelined.times);
@@ -896,11 +912,11 @@ mod tests {
         // too, so even the coloured engine paths exist on the rungs).
         let ensemble = TemperingEnsemble::new(game, Logit, &[0.5, 1.0]);
         let tempered = sim
-            .run_tempered(&ensemble, &schedule, &start, 10, 3, 5, &obs, &config, None)
+            .run_tempered(&ensemble, &schedule, &start, 10, 3, 5, &obs, None)
             .expect("uncancelled runs complete");
         assert_eq!(tempered.final_values.len(), 8);
         let again = sim
-            .run_tempered(&ensemble, &schedule, &start, 10, 3, 5, &obs, &config, None)
+            .run_tempered(&ensemble, &schedule, &start, 10, 3, 5, &obs, None)
             .expect("uncancelled runs complete");
         assert_eq!(tempered.final_values, again.final_values);
     }

@@ -1,206 +1,113 @@
-//! PPL-style pipelined ensemble runner: a farm of step workers feeding a
-//! streamed, order-restoring reducer.
+//! The farmed ensemble runner: resumable segments over waves of replicas.
 //!
-//! [`Simulator::run_profiles`](crate::simulate::Simulator::run_profiles)
-//! runs every replica to the end and folds statistics after an end-of-run
-//! barrier. This module restructures the ensemble as a pipeline of stages,
-//! the farm shape of the parallel-pipeline (PPL) libraries: the heavy,
-//! stateless work stays in the replicated workers and the collector only
-//! orders and folds.
+//! [`Simulator::run_profiles`] runs every replica to the end and folds the
+//! samples after an end-of-run barrier. This module runs the same replicas
+//! *time-major*, a few milliseconds at a time, so that a caller can stop
+//! between any two steps of the run, interleave other work, and hand out
+//! each sample time as soon as every replica has passed it.
 //!
 //! ```text
-//!  emitter                 step workers                reducer
-//!  (atomic replica        (one seeded ChaCha           (the calling thread)
-//!   counter)               stream per replica)
-//!     │   claim next   ┌──────────────────┐  bounded   ┌──────────────────┐
-//!     ├───────────────▶│ advance engine in │  channel   │ fold f64 samples │
-//!     │                │ fixed tick chunks,├───────────▶│ in replica order │
-//!     ├───────────────▶│ read the          │  batches   │ into RunningStats│
-//!     │                │ observable at     │            │                  │
-//!     └───────────────▶│ sample times      │            │                  │
-//!                      └──────────────────┘            └──────────────────┘
+//!   wave 0: replicas 0..w          wave 1: replicas w..2w         …
+//!   ┌─────────┬─────────┬─────┐    ┌─────────┬─────────┬─────┐
+//!   │ segment │ segment │  …  │ ─▶ │ segment │ segment │  …  │ ─▶ …
+//!   └─────────┴─────────┴─────┘    └─────────┴─────────┴─────┘
+//!        │ one pool dispatch: every live replica advances the same
+//!        │ whole ticks and reads the observable at the sample times
+//!        ▼ inside them
+//!   caller: folds the segment's samples in replica order; once the
+//!   last wave passes a sample time, that time is complete
+//!
+//!   or, when a replica's whole run fits in a segment:
+//!   ┌──────────────────────────────────────────────┐
+//!   │ replicas first..first+k, each run whole,      │ one pool dispatch;
+//!   │ claimed one at a time by w participants       │ its times complete
+//!   └──────────────────────────────────────────────┘ with the last replica
 //! ```
 //!
-//! * **Emitter** — a shared atomic counter; workers claim replica indices as
-//!   they free up (work-stealing over replicas, like the `Simulator`'s
-//!   [`run_profiles`](crate::simulate::Simulator::run_profiles) fan-out but
-//!   with streaming output instead of one slot per replica).
-//! * **Step workers** — threads of the [`Simulator`]'s persistent
-//!   [`WorkerPool`] (spawned once, reused across runs — not per-run thread
-//!   spawns). Each claims a replica, seeds the *same* deterministic ChaCha
-//!   stream the sequential path derives, and advances the monomorphised
-//!   [`DynamicsEngine`] hot loop in fixed-size tick chunks. At sample times
-//!   it reads the observable and appends the `f64` to the chunk's sample
-//!   batch: from the replica's running tally when the observable carries
-//!   one ([`ProfileObservable::tally`]; the potential of the graphical and
-//!   Ising games, `O(1)` per sample, updated at every applied move), else
-//!   by evaluating it on its own profile. At chunk boundaries the batch is
-//!   pushed through a **bounded** channel (backpressure: a slow reducer
-//!   throttles the workers instead of letting samples pile up unboundedly).
-//! * **Reducer** — the calling thread, which drains the channel *while
-//!   replicas are still running* and offers each value to an
-//!   [`OrderedSeriesReducer`], which folds it into [`SeriesAccumulator`]
-//!   statistics. It evaluates nothing, so it keeps pace with the workers
-//!   instead of letting the bounded channel fill and throttle them. There
-//!   is no end-of-run barrier.
+//! * **Waves.** A run keeps at most
+//!   [`RuntimeConfig::farm_workers`](crate::runtime::RuntimeConfig::farm_workers)
+//!   replicas live: replicas `0..w`, then `w..2w`, and so on. A replica's
+//!   state (profile, neighbour-count words, tally, scratch, ChaCha stream)
+//!   is built on the pool at its wave's first segment and dropped when the
+//!   wave ends, so memory stays at one wave whatever the replica count.
+//! * **Segments.** A segment advances every live replica (or tempering
+//!   ensemble) by the same number of whole ticks (whole rounds for
+//!   tempered runs) on one pool dispatch, the caller stepping one replica
+//!   itself. Its length is derived from the run: as many ticks as fit in
+//!   [`SEGMENT_UPDATES`] player updates per replica
+//!   ([`SelectionSchedule::updates_in`]), and at least one. A segment ends
+//!   when its slowest lane does.
+//! * **Whole replicas.** When a replica's whole run fits in the budget, a
+//!   segment instead runs the next `w` × ⌊budget / run⌋ replicas whole on
+//!   one dispatch: the pool's claim counter hands them out one at a time
+//!   to at most `w` participants, so at most `w` are live, a participant
+//!   runs about one budget of updates, and one that finishes a replica
+//!   claims the next instead of waiting for a wave's slowest lane.
+//! * **Fold.** After the dispatch the caller folds the segment's samples
+//!   into a [`SeriesAccumulator`], per sample time in replica order.
+//!   Replicas are folded in replica order, wave after wave or dispatch
+//!   after dispatch, so every time's moments see the replica-major fold of
+//!   the sequential path.
 //!
-//! **Bit-identity contract.** The pipelined runner is pinned to produce
-//! exactly the bytes of the sequential path: replica streams use the same
-//! seed derivation and consume randomness identically (evaluation draws
-//! nothing), the observable is the same deterministic function of the same
-//! profile whichever thread runs it (a tally holds exact integers, so
-//! reading it gives the bits of a full evaluation), and the
-//! [`OrderedSeriesReducer`] restores strict replica order per recorded time
-//! before touching the Welford accumulators — so chunking, channel
-//! capacity, worker count and arrival order are all unobservable in the
-//! result. The proptest harness asserts this for every rule × schedule
-//! combination.
+//! **Bit-identity contract.** A replica (rung) draws from the stream the
+//! sequential path derives for it, steps the same monomorphised
+//! [`DynamicsEngine`] loop and reads the observable the same way (from its
+//! tally when it keeps one, which holds exact integers), and the fold
+//! order is the sequential one. So the segment length, the wave width,
+//! whole-replica dispatches and the worker count are unobservable in the
+//! result: the runner produces
+//! exactly the bytes of [`Simulator::run_profiles`], which the tests
+//! assert for every rule × schedule and every budget from one tick to the
+//! whole run.
 //!
-//! The rule/schedule seam stays a monomorphised generic end-to-end: workers
-//! call the same `step_scheduled` loop as the sequential path, with the
-//! schedule passed explicitly (the paper's chain is
-//! [`UniformSingle`](crate::schedules::UniformSingle)), no `dyn` anywhere on
-//! the hot path.
-//!
-//! **Entry points.** [`Simulator::run_profiles_pipelined`] farms profile
-//! ensembles and [`Simulator::run_tempered`] farms tempering ensembles; both
-//! take a [`PipelineConfig`] and an optional [`CancelToken`], and return
-//! `None` only when that token was cancelled.
-//!
-//! **One path.** The farm has one transport (a bounded
-//! `std::sync::mpsc::sync_channel`), one chunking policy (fixed
-//! [`PipelineConfig::chunk_ticks`]) and one reducer (the
-//! [`OrderedSeriesReducer`]); [`PipelineConfig`] sizes the chunks and the
-//! channel and nothing else. A message carries `f64` samples only, so
-//! in-flight sample memory is `O(capacity · batch)` whatever the game size.
+//! **Entry points.** [`ProfileRun`] and [`TemperedRun`] are the resumable
+//! runs: build one, call `segment` until `is_done`, then `finish`. The job
+//! server's executor interleaves its jobs through them one segment at a
+//! time. [`Simulator::run_profiles_pipelined`] and
+//! [`Simulator::run_tempered`] loop over them to completion, checking an
+//! optional [`CancelToken`] before every segment, and return `None` only
+//! when it was cancelled.
 
 use crate::dynamics::DynamicsEngine;
 use crate::observables::{ProfileObservable, SeriesAccumulator};
 use crate::rules::UpdateRule;
-use crate::runtime::WorkerPool;
 use crate::schedules::SelectionSchedule;
-use crate::simulate::{sample_times, ProfileEnsembleResult, Replica, ReplicaStart, Simulator};
-use logit_games::Game;
+use crate::simulate::{
+    ensemble_seed, sample_times, validate_start_profile, ProfileEnsembleResult, Replica,
+    ReplicaStart, Simulator, TemperedEnsembleResult,
+};
+use crate::tempering::{SwapStats, TemperingEnsemble, TemperingState};
+use logit_games::{Game, PotentialGame};
 use logit_linalg::stats::RunningStats;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
 
-/// Tuning knobs of the pipelined runner. The defaults are safe everywhere;
-/// neither affects the result (the bit-identity contract), only
-/// throughput and memory.
+/// Player updates a segment may take per replica (per tempering ensemble,
+/// every rung counted); a segment always takes at least one tick or round.
 ///
-/// * `chunk_ticks` — engine ticks a worker advances a replica between
-///   channel flushes. Larger chunks amortise channel traffic (one send per
-///   chunk that contains a sample time); smaller chunks smooth reducer
-///   utilisation. Keep it well above the per-tick cost crossover: at the
-///   default sampling rates a chunk carries at most a few samples.
-/// * `channel_capacity` — in-flight batches before senders block. This is
-///   the backpressure bound: peak in-flight sample memory is
-///   `O(capacity · batch)` `f64`s, independent of the player count. At
-///   most [`MAX_CHANNEL_CAPACITY`](Self::MAX_CHANNEL_CAPACITY).
-///
-/// The step-worker count is not a pipeline knob: it comes from the
-/// [`Simulator`]'s [`RuntimeConfig`](crate::runtime::RuntimeConfig)
-/// (`workers`, capped at the replica count), the same notion of "how many
-/// threads" the coloured and tempered paths use. Those workers step and
-/// evaluate the observable; the calling thread runs the reducer in
-/// addition.
-#[derive(Debug, Clone)]
-pub struct PipelineConfig {
-    /// Ticks per worker chunk (≥ 1).
-    pub chunk_ticks: u64,
-    /// Bounded-channel capacity in batches
-    /// (1 ..= [`MAX_CHANNEL_CAPACITY`](Self::MAX_CHANNEL_CAPACITY)).
-    pub channel_capacity: usize,
-}
+/// At about 20 ns per update this is about 20 ms of one core, which is
+/// what a short job waits for at most behind a running segment. On a
+/// 2-core host the job server's heavy coloured job (2²⁰ players, about
+/// 175,000 revisions per tick) runs 5 ticks per segment and its heavy
+/// tempered job (8 rungs × 16,384 players per round) 8 rounds, about
+/// 16–18 ms each. Every replica of the offline and short served workloads
+/// (at most 4·10⁵ updates each) runs whole, two or more per participant of
+/// a dispatch. Against 2¹⁸ and 2¹⁹ on the heavy served
+/// workload, the longer segment costs the short jobs waiting behind heavy
+/// ones latency (a probe's median 5.2, 8.6 and 19.8 ms) but gives the
+/// heavy jobs back throughput the more frequent short jobs take (−21%,
+/// −13% to −16% and −11% against the unsegmented runner); 2¹⁹ read past
+/// −15% over ten paired runs, so the segment is 2²⁰ (see `CHANGES.md`).
+pub const SEGMENT_UPDATES: u64 = 1 << 20;
 
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self {
-            chunk_ticks: 4096,
-            channel_capacity: 64,
-        }
-    }
-}
-
-/// Why a [`PipelineConfig`] was rejected. The service layer admits jobs
-/// carrying client-supplied pipeline knobs, so the validation that used to
-/// live only in `assert!`s is also available as a typed error a server can
-/// return instead of panicking a shared worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineConfigError {
-    /// `chunk_ticks` was zero.
-    ZeroChunkTicks,
-    /// `channel_capacity` was zero.
-    ZeroChannelCapacity,
-    /// `channel_capacity` exceeded
-    /// [`PipelineConfig::MAX_CHANNEL_CAPACITY`].
-    ChannelCapacityTooLarge,
-}
-
-impl std::fmt::Display for PipelineConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineConfigError::ZeroChunkTicks => write!(f, "chunk_ticks must be at least 1"),
-            PipelineConfigError::ZeroChannelCapacity => {
-                write!(f, "channel_capacity must be at least 1")
-            }
-            PipelineConfigError::ChannelCapacityTooLarge => write!(
-                f,
-                "channel_capacity must be at most {}",
-                PipelineConfig::MAX_CHANNEL_CAPACITY
-            ),
-        }
-    }
-}
-
-impl std::error::Error for PipelineConfigError {}
-
-impl PipelineConfig {
-    /// The largest accepted `channel_capacity`. The farm's bounded channel
-    /// allocates and writes every slot when it is created, before any
-    /// message is sent, and a failed allocation aborts the process rather
-    /// than panicking; a client-supplied capacity of 10⁹ would ask for tens
-    /// of gigabytes at once. The default is 64, so this leaves ample room.
-    pub const MAX_CHANNEL_CAPACITY: usize = 65_536;
-
-    /// Checks the knobs without panicking — the admission-time counterpart
-    /// of the entry-path `assert!`s, for callers (like a job server) that
-    /// must turn a malformed configuration into a typed rejection rather
-    /// than a panic.
-    pub fn try_validate(&self) -> Result<(), PipelineConfigError> {
-        if self.chunk_ticks < 1 {
-            return Err(PipelineConfigError::ZeroChunkTicks);
-        }
-        if self.channel_capacity < 1 {
-            return Err(PipelineConfigError::ZeroChannelCapacity);
-        }
-        if self.channel_capacity > Self::MAX_CHANNEL_CAPACITY {
-            return Err(PipelineConfigError::ChannelCapacityTooLarge);
-        }
-        Ok(())
-    }
-
-    pub(crate) fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-}
-
-/// A shareable cancellation flag for farm runs: clone it, hand one clone
+/// A shareable cancellation flag for farmed runs: clone it, hand one clone
 /// to [`Simulator::run_profiles_pipelined`] or [`Simulator::run_tempered`]
-/// and keep the other; [`cancel`](CancelToken::cancel) from any thread makes
-/// the farm's workers stop claiming work at their next chunk (or tempering
-/// round) boundary — the emitter drains the remaining replicas as no-ops —
-/// and the run return `None` instead of a result.
+/// and keep the other; [`cancel`](CancelToken::cancel) from any thread
+/// makes the run stop before its next segment and return `None` instead
+/// of a result.
 ///
-/// Cancellation is cooperative and chunk-granular: a worker mid-chunk
-/// finishes the chunk (or round) it is stepping first. Cancelling an
-/// already-finished run is a no-op on the workers but still makes the
+/// Cancellation is cooperative and segment-granular: a segment in flight
+/// finishes first. Cancelling an already-finished run still makes the
 /// runner report `None` — "cancelled" wins over "completed" whenever both
 /// raced, so callers see one consistent outcome.
 #[derive(Debug, Clone, Default)]
@@ -225,306 +132,570 @@ impl CancelToken {
     }
 }
 
-/// One worker→reducer message: observable samples of a single replica at
-/// consecutive recorded times, evaluated during one tick chunk.
-pub(crate) struct SampleBatch {
-    /// The replica (or tempering-ensemble) index the samples belong to.
-    pub(crate) replica: usize,
-    /// Index into the recorded-times grid of `values[0]`; entry `j` is the
-    /// sample at recorded time `first_sample + j`.
-    pub(crate) first_sample: usize,
-    /// The observable values, in sample order.
-    pub(crate) values: Vec<f64>,
+/// One live replica (or tempering ensemble) of a wave and the samples it
+/// took in the current segment.
+struct Lane<L> {
+    /// Built at the lane's first segment, on the thread that steps it.
+    state: Option<L>,
+    samples: Vec<f64>,
 }
 
-impl SampleBatch {
-    /// Offers every value of the batch to `reducer`, in sample order.
-    pub(crate) fn offer_to(&self, reducer: &mut OrderedSeriesReducer) {
-        for (j, &value) in self.values.iter().enumerate() {
-            reducer.offer(self.first_sample + j, self.replica, value);
-        }
-    }
-}
-
-/// One farm-channel message: either a worker payload or a job-completion
-/// marker. The reducer exits after observing one [`FarmMsg::JobDone`] per
-/// job, so farm termination never depends on channel disconnection (the
-/// farm's sender outlives the reduction).
-pub(crate) enum FarmMsg<M> {
-    /// A worker-produced message.
-    Payload(M),
-    /// One job (panicked, skipped or completed) has finished.
-    JobDone,
-}
-
-/// The sending half handed to farm workers: wraps the payload in
-/// [`FarmMsg::Payload`] so workers cannot forge completion markers.
-pub(crate) struct FarmSender<M: Send> {
-    tx: SyncSender<FarmMsg<M>>,
-    telemetry: FarmTelemetry,
-}
-
-impl<M: Send> FarmSender<M> {
-    /// Sends one payload to the reducer; `Err` means the reducer hung up
-    /// (the worker should stop producing).
-    pub(crate) fn send(&self, message: M) -> Result<(), M> {
-        let sent = self.tx.send(FarmMsg::Payload(message)).map_err(|e| {
-            match e.0 {
-                FarmMsg::Payload(m) => m,
-                // We only ever send Payload here.
-                FarmMsg::JobDone => unreachable!("payload send returned a marker"),
-            }
-        });
-        if sent.is_ok() {
-            self.telemetry.batches_sent.inc();
-            self.telemetry.in_flight.add(1.0);
-        }
-        sent
-    }
-}
-
-/// Farm-channel instruments, registered once per [`farm`] call and cloned
-/// (Arc-cheap, per job — never per message) into each sender. Zero-sized
-/// without the `telemetry` feature.
-#[derive(Clone)]
-struct FarmTelemetry {
-    /// `pipeline.batches_sent` — payloads accepted by the channel
-    /// (completion markers are not payloads).
-    batches_sent: logit_telemetry::Counter,
-    /// `pipeline.channel_in_flight` — payloads sent but not yet consumed
-    /// by the reducer: the live channel occupancy.
-    in_flight: logit_telemetry::Gauge,
-    /// `pipeline.reducer_lag` — occupancy observed at each consume: the
-    /// backlog the reducer was behind by when it picked up a payload.
-    reducer_lag: logit_telemetry::Histogram,
-}
-
-impl FarmTelemetry {
-    fn register() -> Self {
-        let registry = logit_telemetry::global();
-        FarmTelemetry {
-            batches_sent: registry.counter("pipeline.batches_sent"),
-            in_flight: registry.gauge("pipeline.channel_in_flight"),
-            reducer_lag: registry.histogram("pipeline.reducer_lag"),
-        }
-    }
-}
-
-/// The receiving half handed to the reducer: iterates worker payloads and
-/// ends (returns `None`) once every job has reported done.
-pub(crate) struct FarmReceiver<M: Send> {
-    rx: Receiver<FarmMsg<M>>,
-    jobs_remaining: usize,
-    telemetry: FarmTelemetry,
-}
-
-impl<M: Send> Iterator for FarmReceiver<M> {
-    type Item = M;
-
-    fn next(&mut self) -> Option<M> {
-        while self.jobs_remaining > 0 {
-            match self.rx.recv() {
-                Ok(FarmMsg::Payload(message)) => {
-                    // The occupancy *before* this consume is the backlog
-                    // the reducer was behind by. Guarded so the disabled
-                    // path never even loads the gauge cell.
-                    if logit_telemetry::enabled() {
-                        self.telemetry
-                            .reducer_lag
-                            .record(self.telemetry.in_flight.value());
-                        self.telemetry.in_flight.add(-1.0);
-                    }
-                    return Some(message);
-                }
-                Ok(FarmMsg::JobDone) => self.jobs_remaining -= 1,
-                // Defensive: the farm keeps a sender alive for the whole
-                // reduction, so disconnection before the last JobDone
-                // cannot happen.
-                Err(_) => return None,
-            }
-        }
-        None
-    }
-}
-
-/// The farm stage driver: dispatches `jobs` jobs to up to `workers` of the
-/// persistent pool's threads (claimed through the pool's chunk-stealing
-/// counter — no per-run thread spawns) that push messages into a bounded
-/// channel, while `reduce` drains the channel on the calling thread
-/// concurrently. Returns the reducer's result once every worker has
-/// finished and the channel is drained.
-///
-/// A worker returns `false` when the reducer hung up (its sends fail); the
-/// farm then skips the remaining jobs. Every job — completed, skipped or
-/// panicked — posts exactly one [`FarmMsg::JobDone`], so the reducer's exit
-/// is count-based and can never deadlock on a truncated stream. Panic
-/// propagation favours root causes: a panicking worker's payload is
-/// re-raised on the caller ahead of the reducer's own (typically
-/// consequent, e.g. "incomplete reduction") panic; a panicking reducer
-/// lets workers drain out and is then re-raised itself.
-pub(crate) fn farm<M, W, F, R>(
-    pool: &WorkerPool,
-    jobs: usize,
-    workers: usize,
-    capacity: usize,
-    worker: W,
-    reduce: F,
-) -> R
-where
-    M: Send,
-    W: Fn(usize, &FarmSender<M>) -> bool + Sync,
-    F: FnOnce(FarmReceiver<M>) -> R,
-{
-    assert!(jobs >= 1, "farm needs at least one job");
-    assert!(capacity >= 1, "channel capacity must be at least 1");
-    let (tx, rx) = sync_channel::<FarmMsg<M>>(capacity);
-    let telemetry = FarmTelemetry::register();
-    let stop = AtomicBool::new(false);
-    let worker_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    let job_fn = |job: usize| {
-        if !stop.load(Ordering::Relaxed) {
-            let sender = FarmSender {
-                tx: tx.clone(),
-                telemetry: telemetry.clone(),
-            };
-            match catch_unwind(AssertUnwindSafe(|| worker(job, &sender))) {
-                Ok(true) => {}
-                // The reducer hung up: stop claiming real work, drain the
-                // remaining jobs as no-ops.
-                Ok(false) => stop.store(true, Ordering::Relaxed),
-                Err(payload) => {
-                    stop.store(true, Ordering::Relaxed);
-                    let mut slot = worker_panic.lock().expect("panic slot poisoned");
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
-            }
-        }
-        // Exactly one completion marker per job, whatever happened above:
-        // the reducer's exit counts these. A failed send means the reducer
-        // is gone, and with it the need for the marker.
-        let _ = tx.send(FarmMsg::JobDone);
-    };
-
-    let reduced = pool.execute_with(jobs, workers, &job_fn, || {
-        catch_unwind(AssertUnwindSafe(|| {
-            reduce(FarmReceiver {
-                rx,
-                jobs_remaining: jobs,
-                telemetry: telemetry.clone(),
-            })
-        }))
-    });
-
-    if let Some(payload) = worker_panic.lock().expect("panic slot poisoned").take() {
-        resume_unwind(payload);
-    }
-    match reduced {
-        Ok(result) => result,
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-/// Order-restoring streaming frontier in front of a
-/// [`SeriesAccumulator`]: accepts `(sample, replica, value)` triples in
-/// **any** arrival order and folds them in strict replica order per recorded
-/// time, buffering early arrivals in per-time pending maps.
-///
-/// Welford's update is not associative in floating point, so the fold order
-/// *is* the bytes of the resulting moments; this frontier makes the
-/// pipelined fold replay exactly the sequential replica-major fold, which is
-/// what turns "statistically equivalent" into "bit-identical". Memory is
-/// bounded by the out-of-order window (at most one pending value per replica
-/// per time, in practice a few chunks' worth).
-#[derive(Debug)]
-pub struct OrderedSeriesReducer {
+/// The wave and segment bookkeeping both resumable runs share. Positions
+/// are in *units*: ticks for profile runs, rounds for tempered runs.
+struct Waves<L> {
+    /// Shares the caller's pool; carries the master seed and replica count.
+    sim: Simulator,
+    /// Replicas per wave.
+    width: usize,
+    /// The recorded-times grid, in units; its last entry ends the run.
+    times: Vec<u64>,
+    /// The live wave, or empty before a wave's first segment.
+    lanes: Vec<Lane<L>>,
+    /// The first replica of the live wave.
+    first: usize,
+    /// Units the live wave has advanced.
+    at: u64,
+    /// The next recorded time the live wave samples.
+    next: usize,
+    /// Recorded times every replica has passed.
+    completed: usize,
     acc: SeriesAccumulator,
-    next_replica: Vec<usize>,
-    pending: Vec<BTreeMap<usize, f64>>,
-    replicas: usize,
+    /// Player updates per lane per segment.
+    budget: u64,
+    /// `pipeline.reducer_lag`: segments whose samples wait unfolded when
+    /// the caller folds one. Always 0, since each segment is folded right
+    /// after its dispatch; the name is the one the channel farm recorded
+    /// its backlog under, so its readers see the lag of the runner that
+    /// replaced it.
+    lag: logit_telemetry::Histogram,
 }
 
-impl OrderedSeriesReducer {
-    /// A frontier over `num_times` recorded times and `replicas` replicas.
-    pub fn new(num_times: usize, replicas: usize) -> Self {
-        assert!(replicas >= 1, "need at least one replica");
+impl<L: Send> Waves<L> {
+    fn new(sim: &Simulator, times: Vec<u64>) -> Self {
+        // Spawn the pool before cloning, so the clone shares it.
+        let _ = sim.pool();
         Self {
-            acc: SeriesAccumulator::new(num_times),
-            next_replica: vec![0; num_times],
-            pending: vec![BTreeMap::new(); num_times],
-            replicas,
+            width: sim.runtime().farm_workers(sim.replicas()),
+            acc: SeriesAccumulator::new(times.len()),
+            sim: sim.clone(),
+            times,
+            lanes: Vec::new(),
+            first: 0,
+            at: 0,
+            next: 0,
+            completed: 0,
+            budget: SEGMENT_UPDATES,
+            lag: logit_telemetry::global().histogram("pipeline.reducer_lag"),
         }
     }
 
-    /// Offers one sample; folds it now if `replica` is the next expected one
-    /// at that time (then drains any unblocked pending successors), buffers
-    /// it otherwise.
+    fn end(&self) -> u64 {
+        *self.times.last().expect("a run records at least its end")
+    }
+
+    fn is_done(&self) -> bool {
+        self.first >= self.sim.replicas()
+    }
+
+    fn wave_len(&self) -> usize {
+        self.width.min(self.sim.replicas() - self.first)
+    }
+
+    /// Player updates left to run, given a lane's updates over a range of
+    /// units.
+    fn remaining(&self, updates: impl Fn(Range<u64>) -> u64) -> u64 {
+        if self.is_done() {
+            return 0;
+        }
+        let live = self.wave_len() as u64;
+        let later = (self.sim.replicas() - self.first) as u64 - live;
+        live.saturating_mul(updates(self.at..self.end()))
+            .saturating_add(later.saturating_mul(updates(0..self.end())))
+    }
+
+    /// Runs the next segment on the pool and returns the recorded times it
+    /// completed; `updates` gives a lane's player updates over a range of
+    /// units. Between waves, when a replica's whole run fits in the budget,
+    /// the segment runs replicas whole ([`whole_replicas`]); otherwise it
+    /// advances the live wave ([`advance_wave`]), starting one if none is
+    /// live.
     ///
-    /// # Panics
-    /// Panics on out-of-range indices or a duplicate `(sample, replica)`
-    /// offer.
-    pub fn offer(&mut self, sample: usize, replica: usize, value: f64) {
-        assert!(replica < self.replicas, "replica index out of range");
-        let next = &mut self.next_replica[sample];
-        assert!(
-            replica >= *next,
-            "replica {replica} already folded at sample {sample}"
-        );
-        if replica == *next {
-            self.acc.record(sample, replica, value);
-            *next += 1;
-            while let Some(v) = self.pending[sample].remove(next) {
-                self.acc.record(sample, *next, v);
-                *next += 1;
+    /// A lane is built for its replica (`build`), advanced to every
+    /// recorded time (`advance`) and sampled there (`sample`). A lane that
+    /// reaches the end is consumed by `finish` on the thread that stepped
+    /// it, and what that returns goes to `retire` on the caller, in replica
+    /// order.
+    ///
+    /// [`whole_replicas`]: Self::whole_replicas
+    /// [`advance_wave`]: Self::advance_wave
+    fn segment<R: Send>(
+        &mut self,
+        updates: impl Fn(Range<u64>) -> u64,
+        build: impl Fn(usize) -> L + Sync,
+        advance: impl Fn(&mut L, u64) + Sync,
+        sample: impl Fn(&L) -> f64 + Sync,
+        finish: impl Fn(L) -> R + Sync,
+        retire: impl FnMut(R),
+    ) -> Range<usize> {
+        assert!(!self.is_done(), "the run is already complete");
+        self.lag.record(0.0);
+        let whole = updates(0..self.end()).max(1);
+        if self.lanes.is_empty() && whole <= self.budget {
+            let fit = usize::try_from(self.budget / whole).unwrap_or(usize::MAX);
+            let count = fit
+                .saturating_mul(self.width)
+                .min(self.sim.replicas() - self.first);
+            return self.whole_replicas(count, build, advance, sample, finish, retire);
+        }
+        let stop = self.segment_end(&updates);
+        self.advance_wave(stop, build, advance, sample, finish, retire)
+    }
+
+    /// Where the next segment ends: the furthest unit whose updates from
+    /// `at` fit in the budget, and at least one unit on.
+    fn segment_end(&self, updates: impl Fn(Range<u64>) -> u64) -> u64 {
+        let (mut fits, mut over) = (self.at + 1, self.end());
+        if updates(self.at..over) <= self.budget {
+            return over;
+        }
+        while over - fits > 1 {
+            let mid = fits + (over - fits) / 2;
+            if updates(self.at..mid) <= self.budget {
+                fits = mid;
+            } else {
+                over = mid;
             }
-        } else {
-            let prev = self.pending[sample].insert(replica, value);
-            assert!(
-                prev.is_none(),
-                "duplicate offer for replica {replica} at sample {sample}"
+        }
+        fits
+    }
+
+    /// Runs replicas `first..first + count` from start to end on one
+    /// dispatch. The pool hands them out one at a time to at most `width`
+    /// participants, so at most `width` are live and a participant that
+    /// finishes one claims the next, where a wave would wait for its
+    /// slowest lane. `count` is `width` times the whole runs that fit in
+    /// the budget, so a participant runs about one budget of updates, as a
+    /// lane of a wave does. The samples wait in one buffer per replica (a
+    /// unit holds at most one sample, so at most `width` budgets of values
+    /// in all) and are folded in replica order after the dispatch.
+    fn whole_replicas<R: Send>(
+        &mut self,
+        count: usize,
+        build: impl Fn(usize) -> L + Sync,
+        advance: impl Fn(&mut L, u64) + Sync,
+        sample: impl Fn(&L) -> f64 + Sync,
+        finish: impl Fn(L) -> R + Sync,
+        mut retire: impl FnMut(R),
+    ) -> Range<usize> {
+        let (first, times) = (self.first, &self.times);
+        let mut runs: Vec<Option<(Vec<f64>, R)>> = (0..count).map(|_| None).collect();
+        self.sim
+            .pool()
+            .for_each_chunk(&mut runs, 1, self.width, &|i, run: &mut [_]| {
+                let mut state = build(first + i);
+                let samples = times
+                    .iter()
+                    .map(|&t| {
+                        advance(&mut state, t);
+                        sample(&state)
+                    })
+                    .collect();
+                run[0] = Some((samples, finish(state)));
+            });
+        let runs: Vec<_> = runs
+            .into_iter()
+            .map(|r| r.expect("every claimed replica ran"))
+            .collect();
+        for k in 0..self.times.len() {
+            for (i, (samples, _)) in runs.iter().enumerate() {
+                self.acc.record(k, first + i, samples[k]);
+            }
+        }
+        for (_, finished) in runs {
+            retire(finished);
+        }
+        self.first += count;
+        let from = self.completed;
+        if self.is_done() {
+            self.completed = self.times.len();
+        }
+        from..self.completed
+    }
+
+    /// Advances the live wave to unit `stop` on one dispatch, starting the
+    /// next wave if none is live: every lane runs to each recorded time up
+    /// to `stop` and samples there, then on to `stop`. The samples are
+    /// folded in replica order. A wave that reaches the end retires its
+    /// lanes in replica order and makes room for the next.
+    fn advance_wave<R: Send>(
+        &mut self,
+        stop: u64,
+        build: impl Fn(usize) -> L + Sync,
+        advance: impl Fn(&mut L, u64) + Sync,
+        sample: impl Fn(&L) -> f64 + Sync,
+        finish: impl Fn(L) -> R + Sync,
+        mut retire: impl FnMut(R),
+    ) -> Range<usize> {
+        if self.lanes.is_empty() {
+            self.lanes = (0..self.wave_len())
+                .map(|_| Lane {
+                    state: None,
+                    samples: Vec::new(),
+                })
+                .collect();
+        }
+        let first = self.first;
+        let pending = &self.times[self.next..];
+        let sampled = pending.partition_point(|&t| t <= stop);
+        let sample_at = &pending[..sampled];
+        self.sim
+            .pool()
+            .for_each_chunk(
+                &mut self.lanes,
+                1,
+                self.width,
+                &|i, lane: &mut [Lane<L>]| {
+                    let lane = &mut lane[0];
+                    let state = lane.state.get_or_insert_with(|| build(first + i));
+                    for &t in sample_at {
+                        advance(state, t);
+                        lane.samples.push(sample(state));
+                    }
+                    advance(state, stop);
+                },
             );
+        for k in 0..sampled {
+            for (i, lane) in self.lanes.iter().enumerate() {
+                self.acc.record(self.next + k, first + i, lane.samples[k]);
+            }
+        }
+        for lane in &mut self.lanes {
+            lane.samples.clear();
+        }
+        self.next += sampled;
+        self.at = stop;
+        let from = self.completed;
+        if first + self.lanes.len() == self.sim.replicas() {
+            self.completed = self.next;
+        }
+        if stop == self.end() {
+            for lane in self.lanes.drain(..) {
+                retire(finish(
+                    lane.state.expect("every lane of a finished wave ran"),
+                ));
+            }
+            self.first += self.width;
+            self.at = 0;
+            self.next = 0;
+        }
+        from..self.completed
+    }
+}
+
+/// A resumable profile-ensemble run: the segments of
+/// [`Simulator::run_profiles_pipelined`], one call at a time.
+///
+/// The run borrows nothing between calls. Every call takes the dynamics,
+/// schedule and observable, which must be the same on every call (their
+/// state and the run's belong together, as for a resumed computation).
+/// Its result is bit-identical to [`Simulator::run_profiles`] on the
+/// simulator it was built from, however the calls are spaced.
+pub struct ProfileRun {
+    waves: Waves<Replica>,
+    /// The start profile, until the first segment counts its words.
+    start: Vec<usize>,
+    counted: Option<ReplicaStart<'static>>,
+    steps: u64,
+    sample_every: u64,
+    name: String,
+}
+
+impl ProfileRun {
+    /// A run of `sim`'s replicas (its seed, replica count and pool) from
+    /// `start` for `steps` ticks, sampling `observable` every
+    /// `sample_every` ticks and at the last. Builds no replica: the first
+    /// [`segment`](Self::segment) does.
+    ///
+    /// # Panics
+    /// On a start profile the game cannot hold, zero steps or a zero
+    /// sampling period.
+    pub fn new<G: Game, U: UpdateRule, O: ProfileObservable>(
+        sim: &Simulator,
+        dynamics: &DynamicsEngine<G, U>,
+        start: &[usize],
+        steps: u64,
+        sample_every: u64,
+        observable: &O,
+    ) -> Self {
+        validate_start_profile(dynamics.game(), start);
+        assert!(steps >= 1, "need at least one step");
+        assert!(sample_every >= 1, "sampling period must be at least 1");
+        Self {
+            waves: Waves::new(sim, sample_times(steps, sample_every)),
+            start: start.to_vec(),
+            counted: None,
+            steps,
+            sample_every,
+            name: observable.name().to_string(),
         }
     }
 
-    /// Number of samples folded into the accumulator so far (pending buffered
-    /// samples not included).
-    pub fn folded(&self) -> usize {
-        self.next_replica.iter().sum()
+    /// Caps a segment at `updates` player updates per replica instead of
+    /// [`SEGMENT_UPDATES`], so tests can cut a run anywhere.
+    #[cfg(test)]
+    pub(crate) fn with_segment_updates(mut self, updates: u64) -> Self {
+        self.waves.budget = updates;
+        self
     }
 
-    /// Finishes the reduction.
+    /// Runs one segment and returns the indices of the recorded times it
+    /// completed: [`times`](Self::times) and [`series`](Self::series) hold
+    /// their final values from now on.
     ///
     /// # Panics
-    /// Panics when any `(sample, replica)` cell was never offered — a
-    /// partial stream means a worker died or a batch went missing.
-    pub fn finish(self) -> SeriesAccumulator {
+    /// When the run [is done](Self::is_done). A panic of the dynamics or
+    /// the observable on any replica is re-raised here, and leaves the run
+    /// unusable.
+    pub fn segment<G, U, S, O>(
+        &mut self,
+        dynamics: &DynamicsEngine<G, U>,
+        schedule: &S,
+        observable: &O,
+    ) -> Range<usize>
+    where
+        G: Game + Sync,
+        U: UpdateRule,
+        S: SelectionSchedule,
+        O: ProfileObservable + Sync,
+    {
+        let n = dynamics.game().num_players();
+        let start = &*self.counted.get_or_insert_with(|| {
+            ReplicaStart::new(dynamics, observable, std::mem::take(&mut self.start))
+        });
+        let seed = self.waves.sim.master_seed();
+        self.waves.segment(
+            |ticks| schedule.updates_in(ticks, n),
+            |replica| Replica::new(dynamics, start, seed, replica),
+            |replica, t| replica.advance_to(dynamics, schedule, observable, t),
+            |replica| replica.sample(observable),
+            drop,
+            |()| (),
+        )
+    }
+
+    /// Whether every replica has run to the end.
+    pub fn is_done(&self) -> bool {
+        self.waves.is_done()
+    }
+
+    /// Player updates left to run under `schedule` on `num_players`
+    /// players, over every replica.
+    pub fn remaining_updates<S: SelectionSchedule>(&self, schedule: &S, num_players: usize) -> u64 {
+        self.waves
+            .remaining(|ticks| schedule.updates_in(ticks, num_players))
+    }
+
+    /// The recorded times, in ticks.
+    pub fn times(&self) -> &[u64] {
+        &self.waves.times
+    }
+
+    /// Statistics across replicas at each recorded time; final for the
+    /// times the segments so far completed.
+    pub fn series(&self) -> &[RunningStats] {
+        self.waves.acc.series()
+    }
+
+    /// The result of a finished run.
+    ///
+    /// # Panics
+    /// When the run is not [done](Self::is_done).
+    pub fn finish(self) -> ProfileEnsembleResult {
+        assert!(self.is_done(), "the run has segments left");
+        let replicas = self.waves.sim.replicas();
+        let (series, final_values) = self.waves.acc.into_series_and_finals();
+        ProfileEnsembleResult {
+            replicas,
+            steps: self.steps,
+            sample_every: self.sample_every,
+            name: self.name,
+            times: self.waves.times,
+            series,
+            final_values,
+        }
+    }
+}
+
+/// A resumable tempered run: the segments of [`Simulator::run_tempered`],
+/// one call at a time, on the terms of [`ProfileRun`]. Each of the
+/// simulator's replicas is one tempering ensemble, and a segment advances
+/// every live ensemble by the same whole rounds.
+pub struct TemperedRun {
+    waves: Waves<TemperingState>,
+    start: Vec<usize>,
+    rounds: u64,
+    sweep_ticks: u64,
+    /// The recorded times in engine ticks (round boundaries).
+    ticks: Vec<u64>,
+    swap_stats: SwapStats,
+    rungs: usize,
+    name: String,
+}
+
+impl TemperedRun {
+    /// A run of `sim`'s replicas as tempering ensembles from `start`, for
+    /// `rounds` rounds of `sweep_ticks` ticks, sampling `observable` on the
+    /// cold rung every `sample_every` rounds and at the last. Builds no
+    /// ensemble: the first [`segment`](Self::segment) does.
+    ///
+    /// # Panics
+    /// On a start profile the game cannot hold, zero rounds, zero ticks per
+    /// round or a zero sampling period.
+    pub fn new<G: PotentialGame, U: UpdateRule, O: ProfileObservable>(
+        sim: &Simulator,
+        ensemble: &TemperingEnsemble<G, U>,
+        start: &[usize],
+        rounds: u64,
+        sweep_ticks: u64,
+        sample_every: u64,
+        observable: &O,
+    ) -> Self {
+        validate_start_profile(ensemble.game(), start);
+        assert!(rounds >= 1, "need at least one round");
+        assert!(sweep_ticks >= 1, "need at least one tick per round");
         assert!(
-            self.next_replica.iter().all(|&n| n == self.replicas),
-            "reduction is incomplete: not every replica reported every sample"
+            sample_every >= 1,
+            "sampling period must be at least 1 round"
         );
-        self.acc
+        let rounds_grid = sample_times(rounds, sample_every);
+        let rungs = ensemble.num_replicas();
+        Self {
+            ticks: rounds_grid.iter().map(|&r| r * sweep_ticks).collect(),
+            waves: Waves::new(sim, rounds_grid),
+            start: start.to_vec(),
+            rounds,
+            sweep_ticks,
+            swap_stats: SwapStats::new(rungs.saturating_sub(1)),
+            rungs,
+            name: observable.name().to_string(),
+        }
+    }
+
+    /// Player updates of one ensemble over a range of rounds: every rung
+    /// runs every tick.
+    fn ensemble_updates<'s, S: SelectionSchedule>(
+        &self,
+        schedule: &'s S,
+        num_players: usize,
+    ) -> impl Fn(Range<u64>) -> u64 + 's {
+        let (rungs, sweep_ticks) = (self.rungs as u64, self.sweep_ticks);
+        move |rounds| {
+            let ticks = rounds.start * sweep_ticks..rounds.end * sweep_ticks;
+            rungs.saturating_mul(schedule.updates_in(ticks, num_players))
+        }
+    }
+
+    /// Caps a segment at `updates` player updates per ensemble instead of
+    /// [`SEGMENT_UPDATES`], so tests can cut a run anywhere.
+    #[cfg(test)]
+    pub(crate) fn with_segment_updates(mut self, updates: u64) -> Self {
+        self.waves.budget = updates;
+        self
+    }
+
+    /// Runs one segment and returns the indices of the recorded times it
+    /// completed, as [`ProfileRun::segment`] does.
+    ///
+    /// # Panics
+    /// When the run [is done](Self::is_done).
+    pub fn segment<G, U, S, O>(
+        &mut self,
+        ensemble: &TemperingEnsemble<G, U>,
+        schedule: &S,
+        observable: &O,
+    ) -> Range<usize>
+    where
+        G: PotentialGame + Send + Sync,
+        U: UpdateRule,
+        S: SelectionSchedule,
+        O: ProfileObservable + Sync,
+    {
+        let updates = self.ensemble_updates(schedule, ensemble.game().num_players());
+        let (start, seed, sweep_ticks) =
+            (&self.start, self.waves.sim.master_seed(), self.sweep_ticks);
+        let swap_stats = &mut self.swap_stats;
+        self.waves.segment(
+            updates,
+            |e| ensemble.init_observed(start, ensemble_seed(seed, e), observable),
+            |state, round| {
+                while state.tick() < round * sweep_ticks {
+                    ensemble.observed_round(schedule, state, sweep_ticks, observable);
+                }
+            },
+            |state| state.cold_sample(observable),
+            |state| state.swap_stats().clone(),
+            |stats| swap_stats.merge(&stats),
+        )
+    }
+
+    /// Whether every ensemble has run to the end.
+    pub fn is_done(&self) -> bool {
+        self.waves.is_done()
+    }
+
+    /// Player updates left to run under `schedule` on `num_players`
+    /// players, over every rung of every ensemble.
+    pub fn remaining_updates<S: SelectionSchedule>(&self, schedule: &S, num_players: usize) -> u64 {
+        self.waves
+            .remaining(self.ensemble_updates(schedule, num_players))
+    }
+
+    /// The recorded times, in engine ticks per rung.
+    pub fn times(&self) -> &[u64] {
+        &self.ticks
+    }
+
+    /// Statistics of the cold-rung observable across ensembles at each
+    /// recorded time; final for the times the segments so far completed.
+    pub fn series(&self) -> &[RunningStats] {
+        self.waves.acc.series()
+    }
+
+    /// The result of a finished run.
+    ///
+    /// # Panics
+    /// When the run is not [done](Self::is_done).
+    pub fn finish(self) -> TemperedEnsembleResult {
+        assert!(self.is_done(), "the run has segments left");
+        let ensembles = self.waves.sim.replicas();
+        let (series, final_values) = self.waves.acc.into_series_and_finals();
+        TemperedEnsembleResult {
+            ensembles,
+            replicas_per_ensemble: self.rungs,
+            rounds: self.rounds,
+            sweep_ticks: self.sweep_ticks,
+            name: self.name,
+            times: self.ticks,
+            series,
+            final_values,
+            swap_stats: self.swap_stats,
+        }
     }
 }
 
 impl Simulator {
-    /// The pipelined counterpart of
-    /// [`run_profiles`](Simulator::run_profiles): same replicas, same seeds,
-    /// same schedule, same result — but run as pipeline stages (see the
-    /// [module docs](crate::pipeline)): the step workers read the
-    /// observable where they step (from the replica's tally when it carries
-    /// one) and stream `f64` samples, and the calling thread folds them in
-    /// replica order as replicas finish chunks, with no end-of-run barrier. `config` sizes the chunks and the channel; it
-    /// affects throughput and memory only, never the result.
+    /// The farmed counterpart of
+    /// [`run_profiles`](Simulator::run_profiles): same replicas, same
+    /// seeds, same schedule, same result, run in resumable segments over
+    /// waves of replicas (see the [module docs](crate::pipeline)): a
+    /// [`ProfileRun`] looped to completion.
     ///
     /// Bit-identical to `run_profiles` under fixed seeds: same
     /// `EmpiricalLaw` samples, same `RunningStats` bytes (asserted by the
     /// test harness for every rule × schedule combination).
     ///
-    /// Returns `None` only when `cancel` was cancelled (see [`CancelToken`];
-    /// a cancelled run is the *only* way a partial stream is legal), so a
-    /// run without a token always returns `Some`.
+    /// `cancel` is checked before every segment. Returns `None` only when
+    /// it was cancelled, so a run without a token always returns `Some`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_profiles_pipelined<G, U, S, O>(
         &self,
@@ -534,7 +705,6 @@ impl Simulator {
         steps: u64,
         sample_every: u64,
         observable: &O,
-        config: &PipelineConfig,
         cancel: Option<&CancelToken>,
     ) -> Option<ProfileEnsembleResult>
     where
@@ -543,94 +713,72 @@ impl Simulator {
         S: SelectionSchedule,
         O: ProfileObservable + Sync,
     {
-        crate::simulate::validate_start_profile(dynamics.game(), start);
-        assert!(steps >= 1, "need at least one step");
-        assert!(sample_every >= 1, "sampling period must be at least 1");
-        config.validate();
-
-        let times = sample_times(steps, sample_every);
-        let replicas = self.replicas();
-        let workers = self.runtime().farm_workers(replicas);
-        let seed = self.master_seed();
-        let times_ref = &times;
-        let start = &ReplicaStart::new(dynamics, observable, start);
-
-        let worker = |replica: usize, tx: &FarmSender<SampleBatch>| {
-            // A cancelled job stops claiming work before seeding anything:
-            // returning `false` trips the farm's stop flag, so the emitter
-            // drains every remaining replica as a no-op.
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                return false;
+        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+        let mut run = ProfileRun::new(self, dynamics, start, steps, sample_every, observable);
+        while !run.is_done() {
+            if cancelled() {
+                return None;
             }
-            // The sequential path's replica: same stream, same stepping,
-            // same sampling, so bit-identity starts at the seed.
-            let mut run = Replica::new(dynamics, observable, start, seed, replica);
-            let mut next_sample = 0usize;
-            let mut t = 0u64;
-            while t < steps {
-                if cancel.is_some_and(|c| c.is_cancelled()) {
-                    // Mid-replica cancellation: abandon the stream at a
-                    // chunk boundary. The reducer tolerates the partial
-                    // stream because the token explains it.
-                    return false;
-                }
-                let chunk_end = (t + config.chunk_ticks).min(steps);
-                let first_sample = next_sample;
-                let mut values = Vec::new();
-                while next_sample < times_ref.len() && times_ref[next_sample] <= chunk_end {
-                    run.advance_to(schedule, times_ref[next_sample]);
-                    values.push(run.sample());
-                    next_sample += 1;
-                }
-                run.advance_to(schedule, chunk_end);
-                t = chunk_end;
-                if !values.is_empty() {
-                    let send = tx.send(SampleBatch {
-                        replica,
-                        first_sample,
-                        values,
-                    });
-                    if send.is_err() {
-                        // The reducer died; stop stepping, let its panic
-                        // surface through the farm.
-                        return false;
-                    }
-                }
-            }
-            true
-        };
+            run.segment(dynamics, schedule, observable);
+        }
+        (!cancelled()).then(|| run.finish())
+    }
 
-        let reduced: Option<(Vec<RunningStats>, Vec<f64>)> = farm(
-            self.pool(),
-            replicas,
-            workers,
-            config.channel_capacity,
-            worker,
-            |rx| {
-                let mut reducer = OrderedSeriesReducer::new(times_ref.len(), replicas);
-                for batch in rx {
-                    batch.offer_to(&mut reducer);
-                }
-                // "Cancelled" wins over "completed": even a stream that
-                // happens to be whole is discarded once the token is set,
-                // so racing callers observe one outcome.
-                if cancel.is_some_and(|c| c.is_cancelled()) {
-                    return None;
-                }
-                Some(reducer.finish().into_series_and_finals())
-            },
-        );
-
-        let (series, final_values) = reduced?;
-        Some(ProfileEnsembleResult {
-            replicas,
-            steps,
+    /// Runs independent replica-exchange ensembles on the farm — the
+    /// tempering analogue of
+    /// [`run_profiles_pipelined`](Self::run_profiles_pipelined): a
+    /// [`TemperedRun`] looped to completion.
+    ///
+    /// Each of the simulator's `replicas` entries becomes one *tempering
+    /// ensemble* (a full β-ladder of `ensemble.num_replicas()` chains) with
+    /// its own deterministic stream family derived from the master seed. Every
+    /// ensemble starts all rungs from a copy of `start`, runs `rounds`
+    /// tempering rounds of `sweep_ticks` ticks each under `schedule`, and
+    /// `observable` is read on the **cold** rung every `sample_every`
+    /// rounds (plus at the final round): from the rung's tally when the
+    /// observable counts the dynamics' rows (every rung keeps one, swapped
+    /// with its profile), else by evaluating the cold profile. Swap
+    /// diagnostics are pooled across ensembles.
+    ///
+    /// A segment advances every live ensemble by the same whole rounds;
+    /// `cancel` is checked before every segment, as on the profile runner:
+    /// `None` means cancelled, so a run without a token always returns
+    /// `Some`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_tempered<G, U, S, O>(
+        &self,
+        ensemble: &TemperingEnsemble<G, U>,
+        schedule: &S,
+        start: &[usize],
+        rounds: u64,
+        sweep_ticks: u64,
+        sample_every: u64,
+        observable: &O,
+        cancel: Option<&CancelToken>,
+    ) -> Option<TemperedEnsembleResult>
+    where
+        G: PotentialGame + Send + Sync,
+        U: UpdateRule,
+        S: SelectionSchedule,
+        O: ProfileObservable + Sync,
+    {
+        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+        let mut run = TemperedRun::new(
+            self,
+            ensemble,
+            start,
+            rounds,
+            sweep_ticks,
             sample_every,
-            name: observable.name().to_string(),
-            times,
-            series,
-            final_values,
-        })
+            observable,
+        );
+        while !run.is_done() {
+            if cancelled() {
+                return None;
+            }
+            run.segment(ensemble, schedule, observable);
+        }
+        (!cancelled()).then(|| run.finish())
     }
 }
 
@@ -638,15 +786,18 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::dynamics::LogitDynamics;
-    use crate::observables::{PotentialObservable, StrategyFraction};
-    use crate::rules::{MetropolisLogit, NoisyBestResponse};
+    use crate::observables::{NamedObservable, PotentialObservable, StrategyFraction};
+    use crate::parallel::{ColouredBlocks, RandomBlock};
+    use crate::rules::{Logit, MetropolisLogit, NoisyBestResponse};
     use crate::runtime::RuntimeConfig;
     use crate::schedules::{AllLogit, SystematicSweep, UniformSingle};
-    use logit_games::{CoordinationGame, GraphicalCoordinationGame, WellGame};
+    use logit_games::{CoordinationGame, GraphicalCoordinationGame, TablePotentialGame, WellGame};
     use logit_graphs::GraphBuilder;
+    use rand::SeedableRng;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Mutex;
 
-    /// A `Simulator` with an explicit worker count (the knob that used to
-    /// live on `PipelineConfig`).
+    /// A `Simulator` with an explicit worker count.
     fn simulator_with_workers(seed: u64, replicas: usize, workers: usize) -> Simulator {
         Simulator::with_runtime(
             seed,
@@ -658,12 +809,31 @@ mod tests {
         )
     }
 
-    /// A small pool for driving `farm` directly in tests.
-    fn test_pool(workers: usize) -> WorkerPool {
-        WorkerPool::new(&RuntimeConfig {
-            workers,
-            ..RuntimeConfig::default()
-        })
+    /// A profile run driven to the end under a segment budget of `budget`
+    /// player updates per replica.
+    #[allow(clippy::too_many_arguments)]
+    fn segmented<G, U, S, O>(
+        sim: &Simulator,
+        d: &DynamicsEngine<G, U>,
+        schedule: &S,
+        start: &[usize],
+        steps: u64,
+        sample_every: u64,
+        obs: &O,
+        budget: u64,
+    ) -> ProfileEnsembleResult
+    where
+        G: Game + Sync,
+        U: UpdateRule,
+        S: SelectionSchedule,
+        O: ProfileObservable + Sync,
+    {
+        let mut run =
+            ProfileRun::new(sim, d, start, steps, sample_every, obs).with_segment_updates(budget);
+        while !run.is_done() {
+            run.segment(d, schedule, obs);
+        }
+        run.finish()
     }
 
     /// Bitwise equality of two ensemble results — the bit-identity contract.
@@ -694,48 +864,26 @@ mod tests {
     #[test]
     fn pipelined_default_path_is_bit_identical_across_configs() {
         let d = ring_dynamics(6);
-        let sim = Simulator::new(42, 24);
         let obs = StrategyFraction::new(1, "adopters");
-        let sequential = sim.run_profiles(&d, &UniformSingle, &[0; 6], 205, 50, &obs);
-        // Chunking, capacity and worker count are unobservable in the result.
-        for (workers, config) in [
-            (0, PipelineConfig::default()),
-            (
-                1,
-                PipelineConfig {
-                    chunk_ticks: 1,
-                    channel_capacity: 1,
-                },
-            ),
-            (
-                3,
-                PipelineConfig {
-                    chunk_ticks: 7,
-                    channel_capacity: 2,
-                },
-            ),
-            (
-                0,
-                PipelineConfig {
-                    chunk_ticks: 1_000_000,
-                    channel_capacity: 64,
-                },
-            ),
-            // The largest accepted capacity is a usable setting, not only a
-            // bound.
-            (
-                2,
-                PipelineConfig {
-                    chunk_ticks: 16,
-                    channel_capacity: PipelineConfig::MAX_CHANNEL_CAPACITY,
-                },
-            ),
+        let sequential =
+            Simulator::new(42, 24).run_profiles(&d, &UniformSingle, &[0; 6], 205, 50, &obs);
+        // Worker count (hence wave width) and segment budget are
+        // unobservable in the result, from one tick per segment to the
+        // whole run in one.
+        for (workers, budget) in [
+            (0, SEGMENT_UPDATES),
+            (1, 1),
+            (3, 7),
+            (0, 1_000_000),
+            (2, 16),
         ] {
             let sim = simulator_with_workers(42, 24, workers);
-            let pipelined = sim
-                .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 205, 50, &obs, &config, None)
-                .expect("uncancelled runs complete");
+            let pipelined = segmented(&sim, &d, &UniformSingle, &[0; 6], 205, 50, &obs, budget);
             assert_results_identical(&sequential, &pipelined);
+            let looped = sim
+                .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 205, 50, &obs, None)
+                .expect("uncancelled runs complete");
+            assert_results_identical(&sequential, &looped);
         }
     }
 
@@ -744,22 +892,17 @@ mod tests {
         let d = ring_dynamics(5);
         let sim = simulator_with_workers(9, 16, 2);
         let obs = StrategyFraction::new(0, "zeros");
-        let config = PipelineConfig {
-            chunk_ticks: 13,
-            channel_capacity: 3,
-        };
         let seq_sweep = sim.run_profiles(&d, &SystematicSweep, &[1; 5], 77, 20, &obs);
-        let pipe_sweep = sim
-            .run_profiles_pipelined(&d, &SystematicSweep, &[1; 5], 77, 20, &obs, &config, None)
-            .expect("uncancelled runs complete");
+        let pipe_sweep = segmented(&sim, &d, &SystematicSweep, &[1; 5], 77, 20, &obs, 13);
         assert_results_identical(&seq_sweep, &pipe_sweep);
 
+        // All-logit ticks revise 5 players: a budget of 12 updates is two
+        // ticks per segment, and one of 3 still takes a whole tick.
         let seq_block = sim.run_profiles(&d, &AllLogit, &[1; 5], 40, 10, &obs);
-        let default = PipelineConfig::default();
-        let pipe_block = sim
-            .run_profiles_pipelined(&d, &AllLogit, &[1; 5], 40, 10, &obs, &default, None)
-            .expect("uncancelled runs complete");
-        assert_results_identical(&seq_block, &pipe_block);
+        for budget in [3, 12, SEGMENT_UPDATES] {
+            let pipe_block = segmented(&sim, &d, &AllLogit, &[1; 5], 40, 10, &obs, budget);
+            assert_results_identical(&seq_block, &pipe_block);
+        }
     }
 
     #[test]
@@ -770,53 +913,28 @@ mod tests {
         );
         let sim = simulator_with_workers(3, 12, 2);
         let obs = PotentialObservable::new(game.clone());
-        let config = PipelineConfig {
-            chunk_ticks: 11,
-            channel_capacity: 2,
-        };
         let start = [0; 5];
 
-        let logit = DynamicsEngine::with_rule(game.clone(), crate::rules::Logit, 0.9);
+        let logit = DynamicsEngine::with_rule(game.clone(), Logit, 0.9);
         assert_results_identical(
             &sim.run_profiles(&logit, &UniformSingle, &start, 60, 25, &obs),
-            &sim.run_profiles_pipelined(
-                &logit,
-                &UniformSingle,
-                &start,
-                60,
-                25,
-                &obs,
-                &config,
-                None,
-            )
-            .expect("uncancelled runs complete"),
+            &segmented(&sim, &logit, &UniformSingle, &start, 60, 25, &obs, 11),
         );
         let metro = DynamicsEngine::with_rule(game.clone(), MetropolisLogit, 0.9);
         assert_results_identical(
             &sim.run_profiles(&metro, &UniformSingle, &start, 60, 25, &obs),
-            &sim.run_profiles_pipelined(
-                &metro,
-                &UniformSingle,
-                &start,
-                60,
-                25,
-                &obs,
-                &config,
-                None,
-            )
-            .expect("uncancelled runs complete"),
+            &segmented(&sim, &metro, &UniformSingle, &start, 60, 25, &obs, 11),
         );
         let nbr = DynamicsEngine::with_rule(game, NoisyBestResponse::new(0.2), 0.9);
         assert_results_identical(
             &sim.run_profiles(&nbr, &UniformSingle, &start, 60, 25, &obs),
-            &sim.run_profiles_pipelined(&nbr, &UniformSingle, &start, 60, 25, &obs, &config, None)
-                .expect("uncancelled runs complete"),
+            &segmented(&sim, &nbr, &UniformSingle, &start, 60, 25, &obs, 11),
         );
     }
 
     #[test]
     fn pipelined_runner_streams_beyond_flat_index_capacity() {
-        // 400 binary players: no flat index exists; the farm streams fine.
+        // 400 binary players: no flat index exists; the runner streams fine.
         let game = GraphicalCoordinationGame::new(
             GraphBuilder::ring(400),
             CoordinationGame::from_deltas(3.0, 1.0),
@@ -825,258 +943,283 @@ mod tests {
         let sim = Simulator::new(17, 6);
         let obs = StrategyFraction::new(0, "zeros");
         let start = vec![1usize; 400];
-        let config = PipelineConfig::default();
         let sequential = sim.run_profiles(&d, &UniformSingle, &start, 8_000, 2_000, &obs);
         let pipelined = sim
-            .run_profiles_pipelined(
-                &d,
-                &UniformSingle,
-                &start,
-                8_000,
-                2_000,
-                &obs,
-                &config,
-                None,
-            )
+            .run_profiles_pipelined(&d, &UniformSingle, &start, 8_000, 2_000, &obs, None)
             .expect("uncancelled runs complete");
         assert_results_identical(&sequential, &pipelined);
         assert!(pipelined.law().mean() > 0.2);
     }
 
     #[test]
-    fn ordered_reducer_is_arrival_order_invariant() {
-        // 3 times x 4 replicas, folded forwards vs in a scrambled order.
-        let values = |sample: usize, replica: usize| (sample * 10 + replica) as f64 * 0.3 - 1.0;
-        let mut forward = OrderedSeriesReducer::new(3, 4);
-        for replica in 0..4 {
-            for sample in 0..3 {
-                forward.offer(sample, replica, values(sample, replica));
-            }
-        }
-        let mut scrambled = OrderedSeriesReducer::new(3, 4);
-        for (sample, replica) in [
-            (2, 3),
-            (0, 1),
-            (1, 2),
-            (0, 0),
-            (2, 0),
-            (1, 0),
-            (0, 3),
-            (0, 2),
-            (2, 1),
-            (1, 3),
-            (1, 1),
-            (2, 2),
-        ] {
-            scrambled.offer(sample, replica, values(sample, replica));
-        }
-        assert_eq!(forward.folded(), 12);
-        assert_eq!(scrambled.folded(), 12);
-        let fwd = forward.finish();
-        let scr = scrambled.finish();
-        assert_eq!(fwd.final_values(), scr.final_values());
-        for (a, b) in fwd.series().iter().zip(scr.series()) {
-            assert_eq!(a.count(), b.count());
-            assert_eq!(a.mean(), b.mean());
-            assert_eq!(a.variance(), b.variance());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "incomplete")]
-    fn ordered_reducer_rejects_partial_streams() {
-        let mut reducer = OrderedSeriesReducer::new(2, 2);
-        reducer.offer(0, 0, 1.0);
-        let _ = reducer.finish();
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate offer")]
-    fn ordered_reducer_rejects_duplicate_pending_offers() {
-        let mut reducer = OrderedSeriesReducer::new(1, 3);
-        reducer.offer(0, 2, 1.0);
-        reducer.offer(0, 2, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already folded")]
-    fn ordered_reducer_rejects_refolding_a_consumed_replica() {
-        let mut reducer = OrderedSeriesReducer::new(1, 3);
-        reducer.offer(0, 0, 1.0);
-        reducer.offer(0, 0, 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_ticks")]
-    fn zero_chunk_config_rejected() {
-        let d = ring_dynamics(4);
-        let sim = Simulator::new(1, 2);
-        let obs = StrategyFraction::new(0, "zeros");
-        let config = PipelineConfig {
-            chunk_ticks: 0,
-            channel_capacity: 1,
-        };
-        let _ = sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 10, 5, &obs, &config, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "channel_capacity")]
-    fn zero_capacity_config_rejected_loudly() {
-        // The silent `.max(1)` clamp is gone: a zero capacity fails the
-        // entry-path validation instead of being quietly papered over.
-        let d = ring_dynamics(4);
-        let sim = Simulator::new(1, 2);
-        let obs = StrategyFraction::new(0, "zeros");
-        let config = PipelineConfig {
-            chunk_ticks: 8,
-            channel_capacity: 0,
-        };
-        let _ = sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 10, 5, &obs, &config, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "channel_capacity must be at most")]
-    fn oversized_capacity_config_rejected_before_the_channel_is_built() {
-        // std's bounded channel writes every slot when it is created, so
-        // the entry path must refuse a capacity past the limit first.
-        let d = ring_dynamics(4);
-        let sim = Simulator::new(1, 2);
-        let obs = StrategyFraction::new(0, "zeros");
-        let config = PipelineConfig {
-            chunk_ticks: 8,
-            channel_capacity: PipelineConfig::MAX_CHANNEL_CAPACITY + 1,
-        };
-        let _ = sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 10, 5, &obs, &config, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "channel capacity must be at least 1")]
-    fn the_farm_itself_rejects_a_zero_capacity_channel() {
-        let pool = test_pool(1);
-        let _ = farm(
-            &pool,
-            1,
-            1,
-            0,
-            |job, tx: &FarmSender<usize>| tx.send(job).is_ok(),
-            |rx| rx.sum::<usize>(),
-        );
-    }
-
-    #[test]
     fn dense_sampling_preserves_bit_identity() {
-        // sample_every = 1 evaluates the observable after every tick and
-        // puts the most samples through the channel; the results must not
-        // notice.
+        // sample_every = 1 reads the observable after every tick, so every
+        // segment carries samples; the results must not notice.
         let d = ring_dynamics(6);
         let sim = simulator_with_workers(77, 12, 2);
         let obs = StrategyFraction::new(1, "adopters");
         let sequential = sim.run_profiles(&d, &UniformSingle, &[0; 6], 120, 1, &obs);
-        for config in [
-            PipelineConfig::default(),
-            PipelineConfig {
-                chunk_ticks: 3,
-                channel_capacity: 1,
-            },
-        ] {
-            let pipelined = sim
-                .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 120, 1, &obs, &config, None)
-                .expect("uncancelled runs complete");
+        for budget in [SEGMENT_UPDATES, 3] {
+            let pipelined = segmented(&sim, &d, &UniformSingle, &[0; 6], 120, 1, &obs, budget);
             assert_results_identical(&sequential, &pipelined);
         }
     }
 
-    #[test]
-    fn both_farms_evaluate_every_sample_on_the_step_workers() {
-        // The stage split: step workers evaluate the observable where they
-        // step, the calling thread only orders and folds. Every evaluation
-        // logs the thread it ran on: there must be one per (replica,
-        // recorded time) and none on the caller, whatever the worker count.
-        use crate::tempering::TemperingEnsemble;
-        let game = WellGame::plateau(4, 2.0);
-        let d = LogitDynamics::new(game.clone(), 0.9);
-        let ensemble = TemperingEnsemble::new(game, crate::rules::Logit, &[0.4, 1.2, 2.4]);
-        let caller = std::thread::current().id();
-        let threads = Mutex::new(Vec::new());
-        let counting = crate::observables::NamedObservable::new("counting", |p: &[usize]| {
-            threads
-                .lock()
-                .expect("thread log poisoned")
-                .push(std::thread::current().id());
-            p[0] as f64
-        });
-        let evaluations = || std::mem::take(&mut *threads.lock().expect("thread log poisoned"));
-        let config = PipelineConfig {
-            chunk_ticks: 5,
-            channel_capacity: 2,
-        };
-        let replicas = 6;
-        for workers in 1..=3 {
-            let sim = simulator_with_workers(11, replicas, workers);
-            let farmed = sim
-                .run_profiles_pipelined(
-                    &d,
-                    &UniformSingle,
-                    &[0; 4],
-                    40,
-                    10,
-                    &counting,
-                    &config,
-                    None,
-                )
-                .expect("uncancelled runs complete");
-            let ran_on = evaluations();
-            assert_eq!(ran_on.len(), replicas * farmed.times.len());
-            assert!(
-                ran_on.iter().all(|&id| id != caller),
-                "the profile farm evaluated on the calling thread ({workers} workers)"
-            );
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-            let tempered = sim
-                .run_tempered(
-                    &ensemble,
-                    &UniformSingle,
-                    &[0; 4],
-                    12,
-                    4,
-                    5,
-                    &counting,
-                    &config,
-                    None,
-                )
-                .expect("uncancelled runs complete");
-            let ran_on = evaluations();
-            assert_eq!(ran_on.len(), replicas * tempered.times.len());
-            assert!(
-                ran_on.iter().all(|&id| id != caller),
-                "the tempered farm evaluated on the calling thread ({workers} workers)"
-            );
+        /// Segmentation is unobservable: a profile run cut into segments of
+        /// any budget, from one tick per segment to the whole run in one,
+        /// produces exactly the `EmpiricalLaw` samples and `RunningStats`
+        /// bytes of `run_profiles`, for every update rule × selection
+        /// schedule, under fixed per-replica seeds, whatever the worker
+        /// count — including replica counts that do not divide into
+        /// waves evenly.
+        #[test]
+        fn pipelined_ensembles_are_bit_identical_for_every_rule_and_schedule(
+            seed in 0u64..10_000,
+            beta in 0.0f64..3.0,
+            budget_ticks in 1u64..40,
+            workers in 1usize..5,
+            replicas in 1usize..6,
+        ) {
+            use proptest::prop_assert_eq;
+            let mut game_rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let game = TablePotentialGame::random(vec![2, 3, 2], 2.0, &mut game_rng);
+            let obs = PotentialObservable::new(game.clone());
+            let start = [0usize, 0, 0];
+            let bytes = |r: &ProfileEnsembleResult| {
+                format!("{:?} {:?} {:?}", r.times, r.series, r.final_values)
+            };
+
+            fn check_rule<U: UpdateRule>(
+                game: &TablePotentialGame,
+                rule: U,
+                beta: f64,
+                sim: &Simulator,
+                obs: &PotentialObservable<TablePotentialGame>,
+                budget_ticks: u64,
+                bytes: &dyn Fn(&ProfileEnsembleResult) -> String,
+            ) -> Result<(), proptest::TestCaseError> {
+                let d = DynamicsEngine::with_rule(game.clone(), rule, beta);
+                let start = [0usize, 0, 0];
+                let n = 3;
+                // A budget of `budget_ticks` ticks, in each schedule's own
+                // updates per tick; 40 and more is the whole run.
+                let cases: [(u64, u64, u64); 2] = [(33, 10, 1), (21, 7, n)];
+                let (steps, every, per_tick) = cases[0];
+                prop_assert_eq!(
+                    bytes(&sim.run_profiles(&d, &UniformSingle, &start, steps, every, obs)),
+                    bytes(&segmented(sim, &d, &UniformSingle, &start, steps, every, obs, budget_ticks * per_tick))
+                );
+                prop_assert_eq!(
+                    bytes(&sim.run_profiles(&d, &SystematicSweep, &start, steps, every, obs)),
+                    bytes(&segmented(sim, &d, &SystematicSweep, &start, steps, every, obs, budget_ticks * per_tick))
+                );
+                let (steps, every, per_tick) = cases[1];
+                prop_assert_eq!(
+                    bytes(&sim.run_profiles(&d, &AllLogit, &start, steps, every, obs)),
+                    bytes(&segmented(sim, &d, &AllLogit, &start, steps, every, obs, budget_ticks * per_tick))
+                );
+                let block = RandomBlock::new(2);
+                prop_assert_eq!(
+                    bytes(&sim.run_profiles(&d, &block, &start, 33, 10, obs)),
+                    bytes(&segmented(sim, &d, &block, &start, 33, 10, obs, budget_ticks * 2))
+                );
+                // Classes of 2 and 1 players: a budget may end a segment
+                // mid-round.
+                let coloured = ColouredBlocks::new(logit_graphs::Coloring::from_colors(vec![0, 1, 0]));
+                prop_assert_eq!(
+                    bytes(&sim.run_profiles(&d, &coloured, &start, 21, 7, obs)),
+                    bytes(&segmented(sim, &d, &coloured, &start, 21, 7, obs, budget_ticks))
+                );
+                Ok(())
+            }
+
+            for replicas in [replicas, 16] {
+                let runtime = RuntimeConfig { workers, ..RuntimeConfig::default() };
+                let sim = Simulator::with_runtime(seed ^ 0x9192, replicas, runtime);
+                check_rule(&game, Logit, beta, &sim, &obs, budget_ticks, &bytes)?;
+                check_rule(&game, MetropolisLogit, beta, &sim, &obs, budget_ticks, &bytes)?;
+                check_rule(&game, NoisyBestResponse::new(0.15), beta, &sim, &obs, budget_ticks, &bytes)?;
+                // The loop the server's callers use, with a live token.
+                let d = DynamicsEngine::with_rule(game.clone(), Logit, beta);
+                let token = CancelToken::new();
+                prop_assert_eq!(
+                    bytes(&sim.run_profiles(&d, &UniformSingle, &start, 33, 10, &obs)),
+                    bytes(&sim
+                        .run_profiles_pipelined(&d, &UniformSingle, &start, 33, 10, &obs, Some(&token))
+                        .expect("an uncancelled token lets the run complete"))
+                );
+            }
         }
     }
 
     #[test]
+    fn both_runners_evaluate_every_sample_exactly_once() {
+        // Every (replica, recorded time) is read once, inside its
+        // segment's dispatch, whatever the worker count and however the
+        // run is cut; the fold evaluates nothing.
+        use crate::tempering::TemperingEnsemble;
+        let game = WellGame::plateau(4, 2.0);
+        let d = LogitDynamics::new(game.clone(), 0.9);
+        let ensemble = TemperingEnsemble::new(game, Logit, &[0.4, 1.2, 2.4]);
+        let evaluated = Mutex::new(0usize);
+        let counting = NamedObservable::new("counting", |p: &[usize]| {
+            *evaluated.lock().expect("count poisoned") += 1;
+            p[0] as f64
+        });
+        let evaluations = || std::mem::take(&mut *evaluated.lock().expect("count poisoned"));
+        let replicas = 6;
+        for workers in 1..=3 {
+            let sim = simulator_with_workers(11, replicas, workers);
+            let farmed = segmented(&sim, &d, &UniformSingle, &[0; 4], 40, 10, &counting, 5);
+            assert_eq!(evaluations(), replicas * farmed.times.len());
+
+            let mut run = TemperedRun::new(&sim, &ensemble, &[0; 4], 12, 4, 5, &counting)
+                .with_segment_updates(3 * 4 * 2);
+            while !run.is_done() {
+                run.segment(&ensemble, &UniformSingle, &counting);
+            }
+            let tempered = run.finish();
+            assert_eq!(evaluations(), replicas * tempered.times.len());
+        }
+    }
+
+    #[test]
+    fn segments_keep_one_wave_live_and_complete_times_as_the_last_wave_passes() {
+        // 5 replicas on 2 workers: waves of 2, 2 and 1. Only the last wave
+        // completes recorded times, in order, and at most one wave lives.
+        let d = ring_dynamics(8);
+        let obs = StrategyFraction::new(1, "adopters");
+        let sim = simulator_with_workers(5, 5, 2);
+        let mut run = ProfileRun::new(&sim, &d, &[0; 8], 90, 10, &obs).with_segment_updates(25);
+        let mut completed = 0;
+        let mut segments = 0;
+        while !run.is_done() {
+            let newly = run.segment(&d, &UniformSingle, &obs);
+            segments += 1;
+            assert!(run.waves.lanes.len() <= 2, "more than one wave live");
+            assert_eq!(newly.start, completed, "times complete in order");
+            if segments <= 2 * 4 {
+                assert!(newly.is_empty(), "an early wave completed a time");
+            }
+            completed = newly.end;
+        }
+        // Each wave takes ⌈90 / 25⌉ = 4 segments.
+        assert_eq!(segments, 3 * 4);
+        assert_eq!(completed, run.times().len());
+        let streamed = run.finish();
+        assert_results_identical(
+            &sim.run_profiles(&d, &UniformSingle, &[0; 8], 90, 10, &obs),
+            &streamed,
+        );
+    }
+
+    #[test]
+    fn whole_replicas_keep_at_most_a_wave_live_and_fold_in_replica_order() {
+        // 7 replicas on 2 workers, a whole run of 4 units (one update each)
+        // and a budget of 8: a dispatch runs 2 whole replicas per worker,
+        // claimed one at a time, so the run takes dispatches of 4 and 3,
+        // never holds more than 2 replicas, completes every time with the
+        // last, and folds and retires in replica order.
+        use std::sync::atomic::AtomicUsize;
+        struct Live<'a> {
+            replica: usize,
+            at: u64,
+            live: &'a AtomicUsize,
+        }
+        impl Drop for Live<'_> {
+            fn drop(&mut self) {
+                self.live.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let (live, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let sim = simulator_with_workers(3, 7, 2);
+        let mut waves = Waves::new(&sim, vec![2, 4]);
+        waves.budget = 8;
+        let mut retired = Vec::new();
+        let mut completed = Vec::new();
+        while !waves.is_done() {
+            let left = waves.remaining(|units| units.end - units.start);
+            let first = waves.first;
+            completed.push(waves.segment(
+                |units| units.end - units.start,
+                |replica| {
+                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                    most.fetch_max(now, Ordering::SeqCst);
+                    Live {
+                        replica,
+                        at: 0,
+                        live: &live,
+                    }
+                },
+                |lane, t| lane.at = t,
+                |lane| (lane.replica * 10) as f64 + lane.at as f64,
+                |lane| lane.replica,
+                |replica| retired.push(replica),
+            ));
+            let ran = (waves.first - first) as u64;
+            assert_eq!(
+                waves.remaining(|units| units.end - units.start),
+                left - ran * 4
+            );
+        }
+        assert_eq!(completed, vec![0..0, 0..2]);
+        assert_eq!(retired, (0..7).collect::<Vec<_>>());
+        assert!(most.load(Ordering::SeqCst) <= 2, "more than a wave live");
+        assert_eq!(live.load(Ordering::SeqCst), 0);
+        let (series, finals) = waves.acc.into_series_and_finals();
+        let expected: Vec<f64> = (0..7).map(|r| (r * 10) as f64 + 4.0).collect();
+        assert_eq!(finals, expected);
+        let mut at_two = RunningStats::new();
+        (0..7).for_each(|r| at_two.push((r * 10) as f64 + 2.0));
+        assert_eq!(format!("{:?}", series[0]), format!("{at_two:?}"));
+    }
+
+    #[test]
+    fn farm_streams_every_message_and_reduces_on_the_caller() {
+        // One wave: every segment completes the recorded times it passed,
+        // and a completed time's statistics are already the final ones.
+        let d = ring_dynamics(10);
+        let obs = StrategyFraction::new(1, "adopters");
+        let sim = simulator_with_workers(8, 3, 3);
+        let whole = sim.run_profiles(&d, &UniformSingle, &[0; 10], 200, 15, &obs);
+        let mut run = ProfileRun::new(&sim, &d, &[0; 10], 200, 15, &obs).with_segment_updates(40);
+        let mut streamed = Vec::new();
+        while !run.is_done() {
+            for k in run.segment(&d, &UniformSingle, &obs) {
+                streamed.push((run.times()[k], format!("{:?}", run.series()[k])));
+            }
+        }
+        let expected: Vec<_> = whole
+            .times
+            .iter()
+            .zip(&whole.series)
+            .map(|(&t, s)| (t, format!("{s:?}")))
+            .collect();
+        assert_eq!(streamed, expected);
+    }
+
+    #[test]
     fn an_observable_panic_surfaces_with_its_own_message_from_both_farms() {
-        // A panicking observable kills a step worker mid-stream. Both farms
-        // must re-raise the observable's own message, not the reducer's
-        // consequent "reduction is incomplete", and leave the pool usable.
+        // A panicking observable kills a lane mid-segment. Both runners
+        // must re-raise the observable's own message and leave the pool
+        // usable.
         use crate::tempering::TemperingEnsemble;
         use std::sync::atomic::AtomicUsize;
         let game = WellGame::plateau(4, 2.0);
         let d = LogitDynamics::new(game.clone(), 0.9);
-        let ensemble = TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.4, 1.2, 2.4]);
+        let ensemble = TemperingEnsemble::new(game.clone(), Logit, &[0.4, 1.2, 2.4]);
         let sim = simulator_with_workers(13, 8, 2);
         let calls = AtomicUsize::new(0);
-        let faulty = crate::observables::NamedObservable::new("faulty", |p: &[usize]| {
+        let faulty = NamedObservable::new("faulty", |p: &[usize]| {
             let call = calls.fetch_add(1, Ordering::Relaxed);
             if call == 5 {
                 panic!("observable failed at evaluation {call}");
             }
             p[0] as f64
         });
-        let config = PipelineConfig {
-            chunk_ticks: 3,
-            channel_capacity: 1,
-        };
         let message = |payload: Box<dyn std::any::Any + Send>| {
             payload
                 .downcast_ref::<String>()
@@ -1085,24 +1228,14 @@ mod tests {
         };
 
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 40, 5, &faulty, &config, None)
+            sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 40, 5, &faulty, None)
         }));
         let payload = caught.expect_err("the observable panic must propagate");
         assert_eq!(message(payload), "observable failed at evaluation 5");
 
         calls.store(0, Ordering::Relaxed);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            sim.run_tempered(
-                &ensemble,
-                &UniformSingle,
-                &[0; 4],
-                12,
-                4,
-                1,
-                &faulty,
-                &config,
-                None,
-            )
+            sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 12, 4, 1, &faulty, None)
         }));
         let payload = caught.expect_err("the observable panic must propagate");
         assert_eq!(message(payload), "observable failed at evaluation 5");
@@ -1111,154 +1244,70 @@ mod tests {
         let obs = PotentialObservable::new(game);
         let sequential = sim.run_profiles(&d, &UniformSingle, &[0; 4], 40, 5, &obs);
         let farmed = sim
-            .run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 40, 5, &obs, &config, None)
+            .run_profiles_pipelined(&d, &UniformSingle, &[0; 4], 40, 5, &obs, None)
             .expect("uncancelled runs complete");
         assert_results_identical(&sequential, &farmed);
     }
 
     #[test]
-    fn farm_streams_every_message_and_reduces_on_the_caller() {
-        let pool = test_pool(4);
-        let sum = farm(
-            &pool,
-            100,
-            4,
-            8,
-            |job, tx: &FarmSender<usize>| tx.send(job * job).is_ok(),
-            |rx| rx.sum::<usize>(),
-        );
-        assert_eq!(sum, (0..100).map(|j| j * j).sum::<usize>());
-    }
-
-    #[test]
-    fn farm_propagates_the_reducer_panic_after_workers_drain() {
-        // A dying reducer must not deadlock blocked senders, and its panic —
-        // the root cause — must reach the caller.
-        let pool = test_pool(2);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            farm(
-                &pool,
-                50,
-                2,
-                1,
-                |job, tx: &FarmSender<usize>| tx.send(job).is_ok(),
-                |mut rx| {
-                    let first = rx.next();
-                    panic!("reducer rejected {first:?}");
-                },
-            )
-        }));
-        let payload = caught.expect_err("the reducer panic must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            message.contains("reducer rejected"),
-            "expected the reducer's own panic, got {message:?}"
-        );
-    }
-
-    #[test]
     fn farm_propagates_a_worker_panic_as_the_root_cause() {
-        // A dying worker truncates the stream; the reducer's incomplete-fold
-        // panic must not mask the worker's payload.
-        let pool = test_pool(2);
+        // A replica of the last dispatch dies mid-run, after two dispatches
+        // ran whole: its own payload reaches the caller of `segment` (not a
+        // consequent bookkeeping panic), and the next run on the same pool
+        // is whole.
+        use std::sync::atomic::AtomicUsize;
+        let d = ring_dynamics(6);
+        let sim = simulator_with_workers(21, 6, 2);
+        let calls = AtomicUsize::new(0);
+        // A budget of one whole run: 2 whole replicas per dispatch, 3
+        // samples per replica, so calls 0..12 are the first two dispatches.
+        let faulty = NamedObservable::new("faulty", |p: &[usize]| {
+            if calls.fetch_add(1, Ordering::Relaxed) == 13 {
+                panic!("a replica of the last wave exploded");
+            }
+            p[0] as f64
+        });
+        let mut run = ProfileRun::new(&sim, &d, &[0; 6], 30, 10, &faulty).with_segment_updates(30);
+        run.segment(&d, &UniformSingle, &faulty);
+        run.segment(&d, &UniformSingle, &faulty);
+        assert_eq!(run.waves.first, 4, "two dispatches ran whole");
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            farm(
-                &pool,
-                4,
-                2,
-                2,
-                |job, _tx: &FarmSender<usize>| {
-                    if job == 1 {
-                        panic!("worker {job} exploded");
-                    }
-                    true
-                },
-                |rx| {
-                    let drained: Vec<usize> = rx.collect();
-                    panic!("stream truncated after {} messages", drained.len());
-                },
-            )
+            run.segment(&d, &UniformSingle, &faulty)
         }));
-        let payload = caught.expect_err("the worker panic must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(
-            message.contains("worker 1 exploded"),
-            "expected the worker's panic as root cause, got {message:?}"
+        let payload = caught.expect_err("the lane panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("a replica of the last wave exploded")
+        );
+        let obs = StrategyFraction::new(1, "adopters");
+        assert_results_identical(
+            &sim.run_profiles(&d, &UniformSingle, &[0; 6], 30, 10, &obs),
+            &sim.run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 30, 10, &obs, None)
+                .expect("uncancelled runs complete"),
         );
     }
 
     #[test]
     fn farm_reuses_the_pool_across_many_runs_without_thread_churn() {
-        // The whole point of the persistent pool: many short farm runs on
-        // one pool, one dispatch each, no respawns.
-        let pool = test_pool(3);
-        for round in 0..50usize {
-            let total = farm(
-                &pool,
-                6,
-                3,
-                4,
-                move |job, tx: &FarmSender<usize>| tx.send(job + round).is_ok(),
-                |rx| rx.sum::<usize>(),
+        // Many short runs on one pool, one dispatch per segment of a wave
+        // of two, no respawns.
+        let d = ring_dynamics(6);
+        let obs = StrategyFraction::new(1, "adopters");
+        let base = simulator_with_workers(1, 1, 2);
+        let pool = base.pool();
+        for round in 0..50u64 {
+            let job = base.reseeded(round, 4);
+            let mut run = ProfileRun::new(&job, &d, &[0; 6], 60, 20, &obs).with_segment_updates(30);
+            while !run.is_done() {
+                run.segment(&d, &UniformSingle, &obs);
+            }
+            assert_results_identical(
+                &Simulator::new(round, 4).run_profiles(&d, &UniformSingle, &[0; 6], 60, 20, &obs),
+                &run.finish(),
             );
-            assert_eq!(total, (0..6).map(|j| j + round).sum::<usize>());
         }
-        assert_eq!(pool.dispatches(), 50);
-    }
-
-    #[test]
-    fn try_validate_reports_typed_errors_and_validate_still_panics() {
-        let good = PipelineConfig::default();
-        assert_eq!(good.try_validate(), Ok(()));
-        let zero_chunk = PipelineConfig {
-            chunk_ticks: 0,
-            ..PipelineConfig::default()
-        };
-        assert_eq!(
-            zero_chunk.try_validate(),
-            Err(PipelineConfigError::ZeroChunkTicks)
-        );
-        let zero_capacity = PipelineConfig {
-            channel_capacity: 0,
-            ..PipelineConfig::default()
-        };
-        assert_eq!(
-            zero_capacity.try_validate(),
-            Err(PipelineConfigError::ZeroChannelCapacity)
-        );
-        let largest = PipelineConfig {
-            channel_capacity: PipelineConfig::MAX_CHANNEL_CAPACITY,
-            ..PipelineConfig::default()
-        };
-        assert_eq!(largest.try_validate(), Ok(()));
-        let huge_capacity = PipelineConfig {
-            channel_capacity: 1_000_000_000,
-            ..PipelineConfig::default()
-        };
-        assert_eq!(
-            huge_capacity.try_validate(),
-            Err(PipelineConfigError::ChannelCapacityTooLarge)
-        );
-        // The typed errors render the exact strings the entry-path panics
-        // (and their should_panic pins) rely on.
-        assert_eq!(
-            PipelineConfigError::ZeroChunkTicks.to_string(),
-            "chunk_ticks must be at least 1"
-        );
-        assert_eq!(
-            PipelineConfigError::ZeroChannelCapacity.to_string(),
-            "channel_capacity must be at least 1"
-        );
-        assert_eq!(
-            PipelineConfigError::ChannelCapacityTooLarge.to_string(),
-            "channel_capacity must be at most 65536"
-        );
+        // Two waves of two segments each per run.
+        assert_eq!(pool.dispatches(), 50 * 2 * 2);
     }
 
     #[test]
@@ -1275,60 +1324,48 @@ mod tests {
             1_000,
             100,
             &obs,
-            &PipelineConfig::default(),
             Some(&cancel),
         );
         assert!(
             result.is_none(),
             "a cancelled run must not produce a result"
         );
+        assert_eq!(sim.pool().dispatches(), 0, "nothing was stepped");
     }
 
     #[test]
     fn mid_run_cancellation_ends_the_farm_cleanly() {
-        // Tiny chunks so workers hit the cancellation check often; the
-        // token is tripped by the reducer side-channel after the first
-        // batch lands, which is guaranteed to be mid-run because replicas
-        // far outnumber workers.
+        // The token is tripped by the first sample, in the first segment.
+        // A whole run is a sixteenth of the budget, so a dispatch runs 16
+        // whole replicas per worker, 32 of the 64: the run has replicas
+        // left, and it must stop before the next dispatch.
         let d = ring_dynamics(6);
         let sim = simulator_with_workers(7, 64, 2);
         let cancel = CancelToken::new();
         let trip = cancel.clone();
-        let obs = crate::observables::NamedObservable::new("tripwire", move |p: &[usize]| {
+        let obs = NamedObservable::new("tripwire", move |p: &[usize]| {
             trip.cancel();
             p[0] as f64
         });
-        let config = PipelineConfig {
-            chunk_ticks: 2,
-            channel_capacity: 2,
-        };
+        let steps = SEGMENT_UPDATES / 16;
         let result = sim.run_profiles_pipelined(
             &d,
             &UniformSingle,
             &[0; 6],
-            400,
-            10,
+            steps,
+            steps / 4,
             &obs,
-            &config,
             Some(&cancel),
         );
         assert!(result.is_none());
-        // The pool survives the cancelled farm: the next run is normal and
+        assert_eq!(sim.pool().dispatches(), 1, "one segment ran");
+        // The pool survives the cancelled run: the next run is normal and
         // bit-identical to the sequential path.
         let obs = StrategyFraction::new(1, "adopters");
         let sequential = sim.run_profiles(&d, &UniformSingle, &[0; 6], 120, 30, &obs);
         let fresh = CancelToken::new();
         let rerun = sim
-            .run_profiles_pipelined(
-                &d,
-                &UniformSingle,
-                &[0; 6],
-                120,
-                30,
-                &obs,
-                &config,
-                Some(&fresh),
-            )
+            .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 120, 30, &obs, Some(&fresh))
             .expect("uncancelled rerun completes");
         assert_results_identical(&sequential, &rerun);
     }
@@ -1345,9 +1382,8 @@ mod tests {
             "a reseeded simulator must share its base's pool, not spawn its own"
         );
         let obs = StrategyFraction::new(1, "adopters");
-        let config = PipelineConfig::default();
         let served = job
-            .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 150, 30, &obs, &config, None)
+            .run_profiles_pipelined(&d, &UniformSingle, &[0; 6], 150, 30, &obs, None)
             .expect("uncancelled runs complete");
         // The offline replay contract: a fresh Simulator with the job's
         // seed and replica count reproduces the served bytes.
@@ -1358,109 +1394,113 @@ mod tests {
 
     #[test]
     fn pipelined_tempered_runs_match_their_sequential_contract() {
-        // `run_tempered` is routed through the same farm/reducer stages; its
-        // existing tests pin reproducibility, this one pins the stage plumbing
-        // on a multi-rung ladder end to end.
+        // `run_tempered` loops a `TemperedRun`; its proptest pins it against
+        // a sequential replay, this one pins the plumbing on a multi-rung
+        // ladder end to end.
         use crate::tempering::TemperingEnsemble;
         let game = WellGame::plateau(4, 2.0);
-        let ensemble = TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.4, 1.2, 2.4]);
+        let ensemble = TemperingEnsemble::new(game.clone(), Logit, &[0.4, 1.2, 2.4]);
         let sim = Simulator::new(31, 10);
         let obs = PotentialObservable::new(game);
-        let run = |sim: &Simulator, config: &PipelineConfig| {
-            sim.run_tempered(
-                &ensemble,
-                &UniformSingle,
-                &[0; 4],
-                12,
-                4,
-                5,
-                &obs,
-                config,
-                None,
-            )
-            .expect("uncancelled runs complete")
+        let run = |sim: &Simulator| {
+            sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 12, 4, 5, &obs, None)
+                .expect("uncancelled runs complete")
         };
-        let a = run(&sim, &PipelineConfig::default());
-        let b = run(&sim, &PipelineConfig::default());
+        let a = run(&sim);
+        let b = run(&sim);
         assert_eq!(a.final_values, b.final_values);
         assert_eq!(a.swap_stats, b.swap_stats);
         assert_eq!(a.times, vec![20, 40, 48]);
         assert!(a.series.iter().all(|s| s.count() == 10));
-        // Explicit pipeline knobs — and a different worker count — cannot
-        // change the tempered result either.
-        let tight = PipelineConfig {
-            chunk_ticks: 1,
-            channel_capacity: 1,
-        };
-        let c = run(&simulator_with_workers(31, 10, 1), &tight);
+        // One round per segment, and one worker, cannot change the
+        // tempered result either.
+        let one = simulator_with_workers(31, 10, 1);
+        let mut cut =
+            TemperedRun::new(&one, &ensemble, &[0; 4], 12, 4, 5, &obs).with_segment_updates(1);
+        while !cut.is_done() {
+            cut.segment(&ensemble, &UniformSingle, &obs);
+        }
+        let c = cut.finish();
         assert_eq!(a.final_values, c.final_values);
         assert_eq!(a.swap_stats, c.swap_stats);
-        for (sa, sc) in a.series.iter().zip(&c.series) {
-            assert_eq!(sa.count(), sc.count());
-            assert_eq!(sa.mean(), sc.mean());
-            assert_eq!(sa.variance(), sc.variance());
-        }
+        assert_eq!(format!("{:?}", a.series), format!("{:?}", c.series));
     }
 
     #[test]
     fn mid_run_cancellation_ends_the_tempered_farm_cleanly() {
-        // The observable trips the token on the first cold-replica sample,
-        // which lands after round 1 of the first ensemble while many
-        // rounds and ensembles remain: the workers must stop between
-        // rounds and the run must report `None`.
+        // The observable trips the token on the first cold-rung sample,
+        // in the first segment, while ensembles remain: an ensemble's whole
+        // run (3 rungs × 4 ticks a round) is half the budget, so a dispatch
+        // runs 4 of the 16. The run must stop before its next segment and
+        // report `None`.
         use crate::tempering::TemperingEnsemble;
         let game = WellGame::plateau(4, 2.0);
-        let ensemble = TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.4, 1.2, 2.4]);
+        let ensemble = TemperingEnsemble::new(game.clone(), Logit, &[0.4, 1.2, 2.4]);
         let sim = simulator_with_workers(5, 16, 2);
         let cancel = CancelToken::new();
         let trip = cancel.clone();
-        let tripwire =
-            crate::observables::NamedObservable::new("tripwire", move |p: &[usize]| {
-                trip.cancel();
-                p[0] as f64
-            });
-        let config = PipelineConfig {
-            chunk_ticks: 1,
-            channel_capacity: 1,
-        };
+        let tripwire = NamedObservable::new("tripwire", move |p: &[usize]| {
+            trip.cancel();
+            p[0] as f64
+        });
+        let rounds = SEGMENT_UPDATES / 24;
         let cancelled = sim.run_tempered(
             &ensemble,
             &UniformSingle,
             &[0; 4],
-            400,
+            rounds,
             4,
-            1,
+            rounds / 4,
             &tripwire,
-            &config,
             Some(&cancel),
         );
         assert!(cancelled.is_none());
-        // The pool survives the cancelled farm: the same simulator's next
+        assert_eq!(sim.pool().dispatches(), 1, "one segment ran");
+        // The pool survives the cancelled run: the same simulator's next
         // run equals a fresh simulator's.
         let obs = PotentialObservable::new(game);
         let run = |sim: &Simulator| {
-            sim.run_tempered(
-                &ensemble,
-                &UniformSingle,
-                &[0; 4],
-                30,
-                4,
-                10,
-                &obs,
-                &config,
-                None,
-            )
-            .expect("uncancelled runs complete")
+            sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 30, 4, 10, &obs, None)
+                .expect("uncancelled runs complete")
         };
         let rerun = run(&sim);
         let fresh = run(&simulator_with_workers(5, 16, 2));
         assert_eq!(rerun.times, fresh.times);
         assert_eq!(rerun.final_values, fresh.final_values);
         assert_eq!(rerun.swap_stats, fresh.swap_stats);
-        for (sa, sb) in rerun.series.iter().zip(&fresh.series) {
-            assert_eq!(sa.count(), sb.count());
-            assert_eq!(sa.mean(), sb.mean());
-            assert_eq!(sa.variance(), sb.variance());
+        assert_eq!(format!("{:?}", rerun.series), format!("{:?}", fresh.series));
+    }
+
+    #[test]
+    fn remaining_updates_count_down_to_zero_by_each_segment() {
+        // The work a run reports left falls by exactly the updates each
+        // segment ran: all-logit ticks of 8 players, 3 replicas in waves
+        // of 2 and 1, and tempered ensembles of 3 rungs.
+        let d = ring_dynamics(8);
+        let obs = StrategyFraction::new(1, "adopters");
+        let sim = simulator_with_workers(2, 3, 2);
+        let mut run = ProfileRun::new(&sim, &d, &[0; 8], 10, 5, &obs).with_segment_updates(24);
+        let total = run.remaining_updates(&AllLogit, 8);
+        assert_eq!(total, 3 * 10 * 8);
+        let mut left = total;
+        while !run.is_done() {
+            let live = run.waves.wave_len() as u64;
+            let at = run.waves.at;
+            run.segment(&d, &AllLogit, &obs);
+            let stepped = if run.waves.at == 0 {
+                10 - at
+            } else {
+                run.waves.at - at
+            };
+            left -= live * stepped * 8;
+            assert_eq!(run.remaining_updates(&AllLogit, 8), left);
         }
+        assert_eq!(left, 0);
+
+        use crate::tempering::TemperingEnsemble;
+        let game = WellGame::plateau(4, 2.0);
+        let ensemble = TemperingEnsemble::new(game, Logit, &[0.4, 1.2, 2.4]);
+        let run = TemperedRun::new(&sim, &ensemble, &[0; 4], 7, 5, 2, &obs);
+        assert_eq!(run.remaining_updates(&SystematicSweep, 4), 3 * 3 * 7 * 5);
     }
 }

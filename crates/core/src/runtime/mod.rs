@@ -4,7 +4,7 @@
 //! This is the workspace's one parallel runtime, in the skeleton-library
 //! shape (spawn once, wait between dispatches, drive per-tick work through
 //! a claim counter and a completion barrier). Colour-class sweeps, the
-//! pipelined farm
+//! farmed runner's segments
 //! ([`Simulator::run_profiles_pipelined`](crate::Simulator::run_profiles_pipelined)),
 //! tempered runs ([`Simulator::run_tempered`](crate::Simulator::run_tempered)),
 //! the replica ensembles ([`Simulator::run`](crate::Simulator::run),
@@ -19,10 +19,9 @@
 //!   for benches (`LOGIT_WORKERS`, `LOGIT_MIN_CLASS_SIZE`,
 //!   `LOGIT_BLOCK_PLAYERS`).
 //! * [`WorkerPool`] — the persistent pool itself: chunked work
-//!   distribution ([`WorkerPool::run`], [`WorkerPool::for_each_chunk`]),
-//!   a concurrent caller lane for farm shapes
-//!   ([`WorkerPool::execute_with`]), per-dispatch barrier synchronisation,
-//!   and first-panic propagation. Idle workers yield the CPU between polls
+//!   distribution ([`WorkerPool::run`], [`WorkerPool::for_each_chunk`]) on
+//!   the caller plus the pool's workers, per-dispatch barrier
+//!   synchronisation, and first-panic propagation. Idle workers yield the CPU between polls
 //!   for a bounded budget, then park on a condvar until the next dispatch.
 //!
 //! Work distribution is a shared atomic claim counter, so chunk→worker
@@ -204,8 +203,9 @@ impl RuntimeConfig {
         }
     }
 
-    /// Pool-participant count for a farm of `jobs` independent jobs (the
-    /// caller runs the reducer, so it is not counted here).
+    /// Replicas the farmed runner keeps live for a run of `jobs`
+    /// independent replicas (or tempering ensembles): one wave, stepped by
+    /// the caller plus the pool's workers, one replica each.
     pub fn farm_workers(&self, jobs: usize) -> usize {
         self.resolved_workers().min(jobs).max(1)
     }

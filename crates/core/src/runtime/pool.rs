@@ -7,8 +7,9 @@
 //! publishes one *job* (a chunked closure) through an epoch-tagged claim
 //! counter, workers steal chunks from the shared counter until none
 //! remain, and the caller blocks on a completion barrier. It is the
-//! workspace's only parallel runtime: colour-class sweeps, the pipelined
-//! farm, replica ensembles and parameter sweeps all dispatch through it.
+//! workspace's only parallel runtime: colour-class sweeps, the farmed
+//! ensemble runner's segments, replica ensembles and parameter sweeps all
+//! dispatch through it.
 //!
 //! # Protocol
 //!
@@ -367,35 +368,7 @@ impl WorkerPool {
         let job = self.install(chunks, helpers, f);
         self.shared.work_chunks(&job);
         self.barrier(chunks as u64);
-        self.finish(None);
-    }
-
-    /// Dispatches `chunks` invocations of `f` to up to `limit` pool
-    /// workers while the *caller* concurrently runs `caller_work` (the
-    /// farm shape: workers step, the caller reduces). Returns
-    /// `caller_work`'s result once both it and every chunk are done.
-    ///
-    /// Panic priority matches [`run`](Self::run): a chunk panic is re-raised first
-    /// (root cause), then the caller's own panic.
-    pub fn execute_with<F, C, R>(&self, chunks: usize, limit: usize, f: &F, caller_work: C) -> R
-    where
-        F: Fn(usize) + Sync,
-        C: FnOnce() -> R,
-    {
-        assert!(chunks > 0, "execute_with requires at least one chunk");
-        // `WorkerPool::new` spawns at least one worker, so there is always
-        // a pool participant to run the chunks while the caller reduces.
-        let participants = limit.max(1).min(self.workers()).min(chunks);
-        let _dispatch_span = self.shared.telemetry.dispatch_ns.span();
-        let job = self.install(chunks, participants, f);
-        debug_assert_eq!(job.chunks, chunks as u64);
-        let result = catch_unwind(AssertUnwindSafe(caller_work));
-        self.barrier(chunks as u64);
-        self.finish(result.as_ref().err().map(|_| ()));
-        match result {
-            Ok(value) => value,
-            Err(payload) => resume_unwind(payload),
-        }
+        self.finish();
     }
 
     /// Chunked mutable iteration: splits `items` into consecutive chunks
@@ -493,9 +466,8 @@ impl WorkerPool {
     }
 
     /// Clears the dispatch guard and re-raises the first chunk panic, if
-    /// any. `caller_panicked` suppresses nothing — chunk panics always
-    /// win — it only exists to document the priority at the call site.
-    fn finish(&self, caller_panicked: Option<()>) {
+    /// any.
+    fn finish(&self) {
         self.shared.active.store(false, Ordering::Release);
         let payload = self
             .shared
@@ -506,7 +478,6 @@ impl WorkerPool {
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
-        let _ = caller_panicked;
     }
 }
 
@@ -538,7 +509,6 @@ unsafe fn chunk_trampoline<F: Fn(usize) + Sync>(data: *const (), chunk: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc::sync_channel;
 
     fn pool_with(workers: usize) -> WorkerPool {
         WorkerPool::new(&RuntimeConfig {
@@ -643,44 +613,6 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 16);
     }
 
-    #[test]
-    fn execute_with_runs_the_caller_concurrently_with_the_chunks() {
-        let pool = pool_with(2);
-        let (tx, rx) = sync_channel::<usize>(4);
-        let total: usize = pool.execute_with(
-            10,
-            2,
-            &|chunk| {
-                tx.send(chunk).expect("reducer alive");
-            },
-            || rx.iter().take(10).sum(),
-        );
-        assert_eq!(total, (0..10).sum::<usize>());
-    }
-
-    #[test]
-    fn execute_with_prioritises_the_chunk_panic_over_the_callers() {
-        let pool = pool_with(2);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.execute_with(
-                4,
-                2,
-                &|c| {
-                    if c == 1 {
-                        panic!("worker root cause");
-                    }
-                },
-                || panic!("caller panic"),
-            )
-        }));
-        let payload = caught.expect_err("some panic must propagate");
-        assert_eq!(
-            payload.downcast_ref::<&str>().copied(),
-            Some("worker root cause"),
-            "the chunk panic is the root cause and must win"
-        );
-    }
-
     /// Runs `body` on a thread of its own and fails if it has not
     /// finished within a minute, so a hung dispatch fails its test instead
     /// of stalling the suite.
@@ -700,27 +632,22 @@ mod tests {
 
     #[test]
     fn one_seat_dispatches_never_lose_their_seat() {
-        // `execute_with` with one seat: only the admitted worker runs the
-        // chunk, so a seat taken by a worker that then leaves without
-        // claiming hangs the caller. Six workers contend for the slot lock
-        // on every dispatch, so back-to-back dispatches keep handing it to
-        // a worker that slept through the previous job while the next one
-        // is installed; fresh pools add workers that start late
-        // (construction does not wait for them).
+        // Two chunks and one helper seat: the chunks wait for each other,
+        // so the job completes only if the admitted worker claims the chunk
+        // the caller leaves, and a seat taken by a worker that then leaves
+        // without claiming hangs the caller. Six workers contend for the
+        // slot lock on every dispatch, so back-to-back dispatches keep
+        // handing it to a worker that slept through the previous job while
+        // the next one is installed; fresh pools add workers that start
+        // late (construction does not wait for them).
         within_deadline("a one-seat dispatch", || {
+            let both_running = std::sync::Barrier::new(2);
             for _ in 0..20 {
                 let pool = pool_with(6);
                 for _ in 0..5_000 {
-                    let ran = AtomicUsize::new(0);
-                    pool.execute_with(
-                        1,
-                        1,
-                        &|_| {
-                            ran.fetch_add(1, Ordering::Relaxed);
-                        },
-                        || (),
-                    );
-                    assert_eq!(ran.load(Ordering::Relaxed), 1);
+                    pool.run(2, 2, &|_| {
+                        both_running.wait();
+                    });
                 }
             }
         });
@@ -730,20 +657,16 @@ mod tests {
     fn workers_that_start_after_a_dispatch_still_join_it() {
         // Construction does not wait for the workers, so a pool's first
         // dispatch often lands before some of them run. Every chunk here
-        // waits until all three are running at once: the job completes
-        // only if each worker, however late it starts, takes its seat.
+        // waits until the caller and both workers are running at once: the
+        // job completes only if each worker, however late it starts, takes
+        // its seat.
         within_deadline("a first dispatch that needs every worker", || {
             for _ in 0..20 {
-                let pool = pool_with(3);
+                let pool = pool_with(2);
                 let all_running = std::sync::Barrier::new(3);
-                pool.execute_with(
-                    3,
-                    3,
-                    &|_| {
-                        all_running.wait();
-                    },
-                    || (),
-                );
+                pool.run(3, 3, &|_| {
+                    all_running.wait();
+                });
             }
         });
     }
@@ -802,10 +725,13 @@ mod tests {
     fn nested_dispatch_is_rejected() {
         let pool = pool_with(2);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.execute_with(2, 1, &|_| {}, || {
-                // Dispatching from the caller lane while a job is active
-                // must trip the guard rather than corrupt the claim word.
-                pool.run(4, 2, &|_| {});
+            pool.run(2, 2, &|chunk| {
+                // Dispatching from inside a chunk, on the caller or on a
+                // worker, must trip the guard rather than corrupt the
+                // claim word.
+                if chunk == 0 {
+                    pool.run(4, 2, &|_| {});
+                }
             })
         }));
         assert!(caught.is_err(), "concurrent dispatch must panic");

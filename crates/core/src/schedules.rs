@@ -21,6 +21,7 @@
 //! [`crate::parallel`].
 
 use rand::Rng;
+use std::ops::Range;
 
 /// A selection schedule: which players revise at tick `t`, and how the
 /// updates within a tick compose.
@@ -42,6 +43,11 @@ pub trait SelectionSchedule: std::fmt::Debug + Clone + Send + Sync {
     fn parallel(&self) -> bool {
         false
     }
+
+    /// Player updates the ticks `ticks` revise on `num_players` players,
+    /// without drawing: what the ensembles size their segments by and the
+    /// job server ranks jobs by.
+    fn updates_in(&self, ticks: Range<u64>, num_players: usize) -> u64;
 
     /// Short identifier used in reports and benchmark rows.
     fn name(&self) -> &'static str;
@@ -67,6 +73,10 @@ impl SelectionSchedule for UniformSingle {
         out.push(rng.gen_range(0..num_players));
     }
 
+    fn updates_in(&self, ticks: Range<u64>, _num_players: usize) -> u64 {
+        ticks.end.saturating_sub(ticks.start)
+    }
+
     fn name(&self) -> &'static str {
         "uniform_single"
     }
@@ -87,6 +97,10 @@ impl SelectionSchedule for SystematicSweep {
     ) {
         out.clear();
         out.push((t % num_players as u64) as usize);
+    }
+
+    fn updates_in(&self, ticks: Range<u64>, _num_players: usize) -> u64 {
+        ticks.end.saturating_sub(ticks.start)
     }
 
     fn name(&self) -> &'static str {
@@ -117,6 +131,10 @@ impl SelectionSchedule for AllLogit {
 
     fn parallel(&self) -> bool {
         true
+    }
+
+    fn updates_in(&self, ticks: Range<u64>, num_players: usize) -> u64 {
+        ticks.end.saturating_sub(ticks.start) * num_players as u64
     }
 
     fn name(&self) -> &'static str {

@@ -17,8 +17,8 @@
 //!   [`SelectionSchedule`] instead of touching final states only. Its farm
 //!   counterpart [`Simulator::run_profiles_pipelined`] and the tempered farm
 //!   [`Simulator::run_tempered`] take the same arguments in the same order,
-//!   plus a [`PipelineConfig`](crate::pipeline::PipelineConfig) and an
-//!   optional [`CancelToken`](crate::pipeline::CancelToken),
+//!   plus an optional [`CancelToken`](crate::pipeline::CancelToken); both
+//!   loop over the resumable runs of [`crate::pipeline`],
 //! * [`EmpiricalLaw`] — the empirical distribution of an observable across
 //!   replicas, the `|S|`-free replacement for the per-state empirical vector,
 //! * empirical-distribution and observable tracking used by the experiments to
@@ -34,6 +34,7 @@ use logit_linalg::Vector;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 
 /// Simulates a single trajectory of `steps` transitions starting from the flat
 /// state index `start`, returning every visited state (including the start, so
@@ -115,12 +116,13 @@ pub(crate) fn replica_seed(seed: u64, replica: usize) -> u64 {
 /// buffers and clock. On a game with a count kernel it also keeps the
 /// profile's neighbour-count words, one `u32` per player, so that an update
 /// loads one word and only a move reads a row, and the observable's running
-/// tally when the observable carries one. [`Simulator::run_profiles`] and
-/// the pipelined farm's step workers both drive their replicas through it,
-/// so they step and sample alike.
-pub(crate) struct Replica<'a, G: Game, U: UpdateRule, O> {
-    dynamics: &'a DynamicsEngine<G, U>,
-    observable: &'a O,
+/// tally when the observable carries one. It borrows nothing: the run that
+/// owns it passes the dynamics, schedule and observable to every call, so
+/// a replica can be parked between segments.
+/// [`Simulator::run_profiles`] and the farmed runner
+/// ([`crate::pipeline`]) both drive their replicas through it, so they
+/// step and sample alike.
+pub(crate) struct Replica {
     /// Written by moves only; observables read it.
     profile: Vec<usize>,
     /// See [`DynamicsEngine::count_words`]; `None` on other games.
@@ -135,9 +137,11 @@ pub(crate) struct Replica<'a, G: Game, U: UpdateRule, O> {
 /// What every replica of a run starts from: the start profile and, on a
 /// game with a count kernel, its neighbour-count words and the
 /// observable's tally of it, when the observable counts the same rows.
-/// They are counted once per run, and each replica copies them.
+/// They are counted once per run, and each replica copies them. The
+/// profile is borrowed by a run that ends within the call and owned by a
+/// resumable one.
 pub(crate) struct ReplicaStart<'s> {
-    profile: &'s [usize],
+    profile: Cow<'s, [usize]>,
     words: Option<Vec<u32>>,
     tally: Option<PotentialTally>,
 }
@@ -146,18 +150,15 @@ impl<'s> ReplicaStart<'s> {
     pub(crate) fn new<G: Game, U: UpdateRule, O: ProfileObservable>(
         dynamics: &DynamicsEngine<G, U>,
         observable: &O,
-        profile: &'s [usize],
+        profile: impl Into<Cow<'s, [usize]>>,
     ) -> Self {
-        let words = dynamics.count_words(profile);
+        let profile = profile.into();
+        let words = dynamics.count_words(&profile);
         // A move feeds `retally` the mover's counts off the dynamics' words,
         // which are exact for the observable's tally only on its own rows.
-        let tally = match (
-            &words,
-            dynamics.game().count_kernel(),
-            observable.count_kernel(),
-        ) {
-            (Some(_), Some(ours), Some(its)) if ours.rows_address() == its.rows_address() => {
-                observable.tally(profile)
+        let tally = match words {
+            Some(_) if counts_the_same_rows(dynamics.game(), observable) => {
+                observable.tally(&profile)
             }
             _ => None,
         };
@@ -169,19 +170,28 @@ impl<'s> ReplicaStart<'s> {
     }
 }
 
-impl<'a, G: Game, U: UpdateRule, O: ProfileObservable> Replica<'a, G, U, O> {
+/// Whether `observable` counts its tally on the rows `game`'s dynamics
+/// keep words for, so that a move's `(degree, ones)` retallies it exactly.
+pub(crate) fn counts_the_same_rows<G: Game, O: ProfileObservable + ?Sized>(
+    game: &G,
+    observable: &O,
+) -> bool {
+    match (game.count_kernel(), observable.count_kernel()) {
+        (Some(ours), Some(its)) => ours.rows_address() == its.rows_address(),
+        _ => false,
+    }
+}
+
+impl Replica {
     /// Replica `replica` of a run with master seed `seed`, at tick 0 on a
     /// copy of `start`.
-    pub(crate) fn new(
-        dynamics: &'a DynamicsEngine<G, U>,
-        observable: &'a O,
+    pub(crate) fn new<G: Game, U: UpdateRule>(
+        dynamics: &DynamicsEngine<G, U>,
         start: &ReplicaStart,
         seed: u64,
         replica: usize,
     ) -> Self {
         Self {
-            dynamics,
-            observable,
             profile: start.profile.to_vec(),
             words: start.words.clone(),
             tally: start.tally,
@@ -193,9 +203,20 @@ impl<'a, G: Game, U: UpdateRule, O: ProfileObservable> Replica<'a, G, U, O> {
 
     /// Steps the replica to tick `target`, keeping its words and its tally
     /// current.
-    pub(crate) fn advance_to<S: SelectionSchedule>(&mut self, schedule: &S, target: u64) {
-        let (observable, tally) = (self.observable, &mut self.tally);
-        self.dynamics.advance(
+    pub(crate) fn advance_to<G, U, S, O>(
+        &mut self,
+        dynamics: &DynamicsEngine<G, U>,
+        schedule: &S,
+        observable: &O,
+        target: u64,
+    ) where
+        G: Game,
+        U: UpdateRule,
+        S: SelectionSchedule,
+        O: ProfileObservable,
+    {
+        let tally = &mut self.tally;
+        dynamics.advance(
             schedule,
             self.t..target,
             &mut self.profile,
@@ -212,10 +233,10 @@ impl<'a, G: Game, U: UpdateRule, O: ProfileObservable> Replica<'a, G, U, O> {
     }
 
     /// The observable now: read from the tally when there is one.
-    pub(crate) fn sample(&self) -> f64 {
+    pub(crate) fn sample<O: ProfileObservable>(&self, observable: &O) -> f64 {
         match &self.tally {
-            Some(tally) => self.observable.evaluate_tally(tally),
-            None => self.observable.evaluate_profile(&self.profile),
+            Some(tally) => observable.evaluate_tally(tally),
+            None => observable.evaluate_profile(&self.profile),
         }
     }
 }
@@ -480,9 +501,9 @@ impl TemperedEnsembleResult {
 /// Reproducible parallel ensemble simulator.
 ///
 /// Every parallel run — the replica ensembles of [`run`](Self::run) and
-/// [`run_profiles`](Self::run_profiles), the pipelined farm
-/// [`run_profiles_pipelined`](Self::run_profiles_pipelined), the tempered
-/// farm [`run_tempered`](Self::run_tempered) —
+/// [`run_profiles`](Self::run_profiles), the segments of the farmed
+/// [`run_profiles_pipelined`](Self::run_profiles_pipelined) and
+/// [`run_tempered`](Self::run_tempered) —
 /// goes through one persistent [`WorkerPool`](crate::runtime::WorkerPool)
 /// per simulator, spawned lazily on the first run and configured by the
 /// simulator's [`RuntimeConfig`](crate::runtime::RuntimeConfig) — its
@@ -632,7 +653,7 @@ impl Simulator {
     }
 
     /// Runs every replica in place over strategy profiles — the large-`n`
-    /// entry point and the sequential reference the pipelined farm is
+    /// entry point and the sequential reference the farmed runner is
     /// pinned against. Each replica starts from a copy of `start`, advances
     /// `steps` ticks of `schedule` with its own deterministic ChaCha stream
     /// and reused [`Scratch`] buffers, and records `observable` every
@@ -678,12 +699,12 @@ impl Simulator {
 
         let mut per_replica: Vec<Vec<f64>> = vec![Vec::new(); self.replicas];
         self.for_each_replica(&mut per_replica, |replica, slot| {
-            let mut run = Replica::new(dynamics, observable, &start, self.seed, replica);
+            let mut run = Replica::new(dynamics, &start, self.seed, replica);
             *slot = times
                 .iter()
                 .map(|&target| {
-                    run.advance_to(schedule, target);
-                    run.sample()
+                    run.advance_to(dynamics, schedule, observable, target);
+                    run.sample(observable)
                 })
                 .collect();
         });
@@ -708,159 +729,6 @@ impl Simulator {
             series,
             final_values,
         }
-    }
-
-    /// Runs independent replica-exchange ensembles on the farm — the
-    /// tempering analogue of
-    /// [`run_profiles_pipelined`](Self::run_profiles_pipelined).
-    ///
-    /// Each of the simulator's `replicas` entries becomes one *tempering
-    /// ensemble* (a full β-ladder of `ensemble.num_replicas()` chains) with
-    /// its own deterministic stream family derived from the master seed. Every
-    /// ensemble starts all rungs from a copy of `start`, runs `rounds`
-    /// tempering rounds of `sweep_ticks` ticks each under `schedule`, and
-    /// `observable` is evaluated on the **cold** replica's profile every
-    /// `sample_every` rounds (plus at the final round). Swap diagnostics are
-    /// pooled across ensembles.
-    ///
-    /// Routed through the same farm/reducer stages as the pipelined profile
-    /// runner ([`crate::pipeline`]): each ensemble's worker evaluates the
-    /// observable on its cold profile at every sample round and streams the
-    /// value through a bounded channel as the rounds unfold, and the calling
-    /// thread only folds those values in ensemble order — streamed, no
-    /// end-of-run barrier. Of `config` only `channel_capacity` applies (it
-    /// bounds the samples in flight): the round structure already chunks
-    /// the stream at sample rounds, so `chunk_ticks` has no effect, and the
-    /// worker count comes from the simulator's
-    /// [`RuntimeConfig`](crate::runtime::RuntimeConfig). Neither affects the
-    /// result.
-    ///
-    /// `cancel` works as on the profile farm, checked before seeding and
-    /// before every round: `None` means cancelled, so a run without a token
-    /// always returns `Some`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_tempered<G, U, S, O>(
-        &self,
-        ensemble: &crate::tempering::TemperingEnsemble<G, U>,
-        schedule: &S,
-        start: &[usize],
-        rounds: u64,
-        sweep_ticks: u64,
-        sample_every: u64,
-        observable: &O,
-        config: &crate::pipeline::PipelineConfig,
-        cancel: Option<&crate::pipeline::CancelToken>,
-    ) -> Option<TemperedEnsembleResult>
-    where
-        G: logit_games::PotentialGame + Send + Sync,
-        U: UpdateRule,
-        S: SelectionSchedule,
-        O: ProfileObservable + Sync,
-    {
-        use crate::pipeline::{farm, FarmSender, OrderedSeriesReducer, SampleBatch};
-
-        assert!(rounds >= 1, "need at least one round");
-        assert!(sweep_ticks >= 1, "need at least one tick per round");
-        assert!(
-            sample_every >= 1,
-            "sampling period must be at least 1 round"
-        );
-        config.validate();
-
-        let sample_rounds = sample_times(rounds, sample_every);
-        let sample_rounds_ref = &sample_rounds;
-        let workers = self.runtime.farm_workers(self.replicas);
-
-        // Cold-replica samples stream through the shared stage type; the
-        // swap diagnostics ride behind them once per ensemble.
-        enum TemperMsg {
-            Batch(SampleBatch),
-            Stats {
-                ensemble: usize,
-                stats: crate::tempering::SwapStats,
-            },
-        }
-
-        let cancelled = || cancel.is_some_and(|c| c.is_cancelled());
-        let worker = |e: usize, tx: &FarmSender<TemperMsg>| {
-            // A cancelled run stops before seeding and between rounds:
-            // returning `false` trips the farm's stop flag, so the emitter
-            // drains every remaining ensemble as a no-op.
-            if cancelled() {
-                return false;
-            }
-            let mut state = ensemble.init_state(start, ensemble_seed(self.seed, e));
-            let mut r = 0u64;
-            for (k, &target) in sample_rounds_ref.iter().enumerate() {
-                while r < target {
-                    if cancelled() {
-                        return false;
-                    }
-                    ensemble.round(schedule, &mut state, sweep_ticks);
-                    r += 1;
-                }
-                let send = tx.send(TemperMsg::Batch(SampleBatch {
-                    replica: e,
-                    first_sample: k,
-                    values: vec![observable.evaluate_profile(state.cold_profile())],
-                }));
-                if send.is_err() {
-                    // The reducer died; stop sweeping, let its panic
-                    // surface through the farm.
-                    return false;
-                }
-            }
-            tx.send(TemperMsg::Stats {
-                ensemble: e,
-                stats: state.swap_stats().clone(),
-            })
-            .is_ok()
-        };
-
-        let (acc, per_ensemble_stats) = farm(
-            self.pool(),
-            self.replicas,
-            workers,
-            config.channel_capacity,
-            worker,
-            |rx| {
-                let mut reducer = OrderedSeriesReducer::new(sample_rounds_ref.len(), self.replicas);
-                let mut stats: Vec<Option<crate::tempering::SwapStats>> = vec![None; self.replicas];
-                for msg in rx {
-                    match msg {
-                        TemperMsg::Batch(batch) => batch.offer_to(&mut reducer),
-                        TemperMsg::Stats { ensemble, stats: s } => {
-                            stats[ensemble] = Some(s);
-                        }
-                    }
-                }
-                // As on the profile farm, a set token discards even a
-                // whole stream, so racing callers observe one outcome.
-                if cancelled() {
-                    return None;
-                }
-                Some((reducer.finish(), stats))
-            },
-        )?;
-
-        let (series, final_values) = acc.into_series_and_finals();
-        let mut swap_stats =
-            crate::tempering::SwapStats::new(ensemble.num_replicas().saturating_sub(1));
-        for stats in per_ensemble_stats {
-            swap_stats.merge(&stats.expect("every ensemble reports swap stats"));
-        }
-
-        Some(TemperedEnsembleResult {
-            ensembles: self.replicas,
-            replicas_per_ensemble: ensemble.num_replicas(),
-            rounds,
-            sweep_ticks,
-            name: observable.name().to_string(),
-            times: sample_rounds.iter().map(|&r| r * sweep_ticks).collect(),
-            series,
-            final_values,
-            swap_stats,
-        })
     }
 
     /// Convenience: runs the ensemble and reports the total variation distance of
@@ -911,7 +779,6 @@ mod tests {
     use super::*;
     use crate::dynamics::LogitDynamics;
     use crate::gibbs::gibbs_distribution;
-    use crate::pipeline::PipelineConfig;
     use crate::schedules::UniformSingle;
     use logit_games::{CoordinationGame, GraphicalCoordinationGame, PotentialGame, WellGame};
     use logit_graphs::GraphBuilder;
@@ -1294,20 +1161,9 @@ mod tests {
         let ensemble = TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.4, 1.2, 2.4]);
         let sim = Simulator::new(31, 24);
         let obs = PotentialObservable::new(game);
-        let config = PipelineConfig::default();
         let run = || {
-            sim.run_tempered(
-                &ensemble,
-                &UniformSingle,
-                &[0; 4],
-                25,
-                4,
-                10,
-                &obs,
-                &config,
-                None,
-            )
-            .expect("uncancelled runs complete")
+            sim.run_tempered(&ensemble, &UniformSingle, &[0; 4], 25, 4, 10, &obs, None)
+                .expect("uncancelled runs complete")
         };
         let result = run();
         assert_eq!(result.ensembles, 24);
@@ -1338,19 +1194,8 @@ mod tests {
             TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.3, 1.0, beta_cold]);
         let sim = Simulator::new(8, 400);
         let obs = PotentialObservable::new(game.clone());
-        let config = PipelineConfig::default();
         let result = sim
-            .run_tempered(
-                &ensemble,
-                &UniformSingle,
-                &[0; 4],
-                150,
-                4,
-                150,
-                &obs,
-                &config,
-                None,
-            )
+            .run_tempered(&ensemble, &UniformSingle, &[0; 4], 150, 4, 150, &obs, None)
             .expect("uncancelled runs complete");
         let expected = crate::gibbs::expected_potential(&game, beta_cold);
         let mean = result.law().mean();
@@ -1365,38 +1210,40 @@ mod tests {
 
         /// The tempered farm against a sequential replay: each ensemble
         /// runs `init_state` and `round` in order on the caller, the
-        /// observable is read off `cold_profile` at every sample round, and
-        /// the values are pushed replica-major into plain `RunningStats`.
-        /// Worker count and channel capacity must not move a byte.
+        /// observable is evaluated on `cold_profile` at every sample round,
+        /// and the values are pushed replica-major into plain
+        /// `RunningStats`. Worker count (so wave width), ensemble count
+        /// (waves that do not divide evenly) and segment budget (from one
+        /// round per segment to the whole run) must not move a byte, and
+        /// neither may the farm's reading of the cold rung's tally.
         #[test]
         fn tempered_farm_matches_a_sequential_replay(
             seed in 0u64..10_000,
             workers in 1usize..5,
-            channel_capacity in 1usize..6,
+            ensembles in 1usize..8,
+            budget_rounds in 1u64..13,
         ) {
             use crate::observables::PotentialObservable;
+            use crate::pipeline::TemperedRun;
             use crate::tempering::{SwapStats, TemperingEnsemble};
             // A hot ladder on a ring keeps the cold rung wandering over
             // many potential levels, so the folded moments depend on the
             // order of the values.
             let game = GraphicalCoordinationGame::new(
                 GraphBuilder::ring(6),
-                CoordinationGame::from_deltas(2.0, 1.0),
+                CoordinationGame::from_deltas(2.0137, 1.0),
             );
             let ensemble =
                 TemperingEnsemble::new(game.clone(), crate::rules::Logit, &[0.1, 0.4, 0.9]);
             let obs = PotentialObservable::new(game);
-            let (ensembles, rounds, sweep_ticks, sample_every) = (7, 11, 3, 4);
+            let (rounds, sweep_ticks, sample_every) = (11, 3, 4);
             let start = [0; 6];
             let runtime = crate::runtime::RuntimeConfig {
                 workers,
                 ..crate::runtime::RuntimeConfig::default()
             };
-            let config = PipelineConfig {
-                channel_capacity,
-                ..PipelineConfig::default()
-            };
-            let farmed = Simulator::with_runtime(seed, ensembles, runtime)
+            let sim = Simulator::with_runtime(seed, ensembles, runtime);
+            let looped = sim
                 .run_tempered(
                     &ensemble,
                     &UniformSingle,
@@ -1405,10 +1252,16 @@ mod tests {
                     sweep_ticks,
                     sample_every,
                     &obs,
-                    &config,
                     None,
                 )
                 .expect("uncancelled runs complete");
+            // Every round revises 3 rungs x 3 ticks.
+            let mut cut = TemperedRun::new(&sim, &ensemble, &start, rounds, sweep_ticks, sample_every, &obs)
+                .with_segment_updates(budget_rounds * 9);
+            while !cut.is_done() {
+                cut.segment(&ensemble, &UniformSingle, &obs);
+            }
+            let cut = cut.finish();
 
             let sample_rounds = sample_times(rounds, sample_every);
             let mut series = vec![RunningStats::new(); sample_rounds.len()];
@@ -1433,16 +1286,18 @@ mod tests {
 
             // `Debug` prints every Welford field in round-trip precision,
             // so equal strings are equal bytes.
-            proptest::prop_assert_eq!(format!("{:?}", farmed.series), format!("{:?}", series));
-            proptest::prop_assert_eq!(
-                format!("{:?}", farmed.final_values),
-                format!("{:?}", final_values)
-            );
-            proptest::prop_assert_eq!(farmed.swap_stats, swap_stats);
-            proptest::prop_assert_eq!(
-                farmed.times,
-                sample_rounds.iter().map(|&r| r * sweep_ticks).collect::<Vec<_>>()
-            );
+            for farmed in [&looped, &cut] {
+                proptest::prop_assert_eq!(format!("{:?}", farmed.series), format!("{:?}", series));
+                proptest::prop_assert_eq!(
+                    format!("{:?}", farmed.final_values),
+                    format!("{:?}", final_values)
+                );
+                proptest::prop_assert_eq!(&farmed.swap_stats, &swap_stats);
+                proptest::prop_assert_eq!(
+                    &farmed.times,
+                    &sample_rounds.iter().map(|&r| r * sweep_ticks).collect::<Vec<_>>()
+                );
+            }
         }
     }
 
@@ -1466,13 +1321,13 @@ mod tests {
         use crate::observables::PotentialObservable;
         let game = dynamics.game();
         let observable = PotentialObservable::new(game);
-        let first = ReplicaStart::new(dynamics, &observable, start);
-        let mut run = Replica::new(dynamics, &observable, &first, seed, 0);
+        let first = ReplicaStart::new(dynamics, &observable, start.to_vec());
+        let mut run = Replica::new(dynamics, &first, seed, 0);
         let mut plain = start.to_vec();
         let mut scratch = Scratch::for_game(game);
         let mut rng = ChaCha8Rng::seed_from_u64(replica_seed(seed, 0));
         for t in 0..ticks {
-            run.advance_to(schedule, t + 1);
+            run.advance_to(dynamics, schedule, &observable, t + 1);
             dynamics.step_scheduled(schedule, t, &mut plain, &mut scratch, &mut rng);
             let at = format!("{} at t = {t}", schedule.name());
             proptest::prop_assert_eq!(&run.profile, &plain, "{}", at);
@@ -1486,7 +1341,7 @@ mod tests {
             }
             proptest::prop_assert_eq!(run.tally, game.tally(&plain), "{}", at);
             proptest::prop_assert_eq!(
-                run.sample().to_bits(),
+                run.sample(&observable).to_bits(),
                 game.potential(&plain).to_bits(),
                 "{}",
                 at
@@ -1571,7 +1426,7 @@ mod tests {
         let game = WellGame::plateau(4, 1.0);
         let d = LogitDynamics::new(game.clone(), 0.8);
         let obs = PotentialObservable::new(game);
-        let run = Replica::new(&d, &obs, &ReplicaStart::new(&d, &obs, &[0; 4]), 1, 0);
+        let run = Replica::new(&d, &ReplicaStart::new(&d, &obs, vec![0; 4]), 1, 0);
         assert!(run.words.is_none());
         assert!(run.tally.is_none());
     }
@@ -1579,21 +1434,22 @@ mod tests {
     /// A move feeds the observable's `retally` from the dynamics' words, so
     /// a potential observable whose game counts other rows (another graph,
     /// or the same edges built into a second graph) keeps no tally and
-    /// samples full evaluations on both runners. One on a clone of the
-    /// game, which shares its graph, keeps its tally.
+    /// samples full evaluations on every runner, the tempered one's rungs
+    /// included. One on a clone of the game, which shares its graph, keeps
+    /// its tally.
     #[test]
     fn observables_counting_other_rows_evaluate_every_sample() {
         use crate::observables::{NamedObservable, PotentialObservable};
+        use crate::tempering::TemperingEnsemble;
         let base = CoordinationGame::from_deltas(2.0137, 1.0);
         let ring = GraphicalCoordinationGame::new(GraphBuilder::ring(12), base);
         let d = LogitDynamics::new(ring.clone(), 0.3);
+        let ensemble = TemperingEnsemble::new(ring.clone(), crate::rules::Logit, &[0.1, 0.3, 0.7]);
         let start: Vec<usize> = (0..12).map(|i| usize::from(i % 3 == 0)).collect();
         let sim = Simulator::new(11, 3);
-        let config = PipelineConfig {
-            chunk_ticks: 7,
-            channel_capacity: 2,
-        };
         let bytes = |r: &ProfileEnsembleResult| format!("{:?} {:?}", r.series, r.final_values);
+        let tempered_bytes =
+            |r: &TemperedEnsembleResult| format!("{:?} {:?}", r.series, r.final_values);
         let torus = GraphicalCoordinationGame::new(GraphBuilder::torus(3, 4), base);
         let rebuilt = GraphicalCoordinationGame::new(GraphBuilder::ring(12), base);
         let ising = logit_games::IsingGame::new(GraphBuilder::path(12), 0.7, 0.3);
@@ -1604,14 +1460,31 @@ mod tests {
             let reference = sim.run_profiles(&d, &UniformSingle, &start, 300, 1, &full);
             let sequential = sim.run_profiles(&d, &UniformSingle, &start, 300, 1, &tallied);
             let farmed = sim
-                .run_profiles_pipelined(&d, &UniformSingle, &start, 300, 1, &tallied, &config, None)
+                .run_profiles_pipelined(&d, &UniformSingle, &start, 300, 1, &tallied, None)
                 .expect("uncancelled runs complete");
             assert_eq!(bytes(&reference), bytes(&sequential));
             assert_eq!(bytes(&reference), bytes(&farmed));
-            assert!(ReplicaStart::new(&d, &tallied, &start).tally.is_none());
+            assert!(ReplicaStart::new(&d, &tallied, start.clone())
+                .tally
+                .is_none());
+            let tempered = |obs: &dyn Fn() -> TemperedEnsembleResult| tempered_bytes(&obs());
+            assert_eq!(
+                tempered(&|| sim
+                    .run_tempered(&ensemble, &UniformSingle, &start, 40, 6, 1, &full, None)
+                    .expect("uncancelled runs complete")),
+                tempered(&|| sim
+                    .run_tempered(&ensemble, &UniformSingle, &start, 40, 6, 1, &tallied, None)
+                    .expect("uncancelled runs complete")),
+            );
+            let state = ensemble.init_observed(&start, 1, &tallied);
+            assert!(state.observed.iter().all(Option::is_none));
         }
         let shared = PotentialObservable::new(ring.clone());
-        assert!(ReplicaStart::new(&d, &shared, &start).tally.is_some());
+        assert!(ReplicaStart::new(&d, &shared, start.clone())
+            .tally
+            .is_some());
+        let state = ensemble.init_observed(&start, 1, &shared);
+        assert!(state.observed.iter().all(Option::is_some));
     }
 
     #[test]

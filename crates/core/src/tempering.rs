@@ -37,6 +37,7 @@
 //! with tallies, `K` full potential evaluations without.
 
 use crate::dynamics::{DynamicsEngine, Scratch};
+use crate::observables::ProfileObservable;
 use crate::rules::UpdateRule;
 use crate::schedules::SelectionSchedule;
 use logit_games::{Game, PotentialGame, PotentialTally};
@@ -146,8 +147,11 @@ impl SwapCounters {
 /// The mutable side of a tempering run: one strategy profile,
 /// neighbour-count words and potential tally (on a count game), scratch
 /// buffer and RNG stream per replica, a dedicated swap RNG, the shared
-/// schedule clock and the swap diagnostics. A swap exchanges two rungs'
-/// profiles, words and tallies together.
+/// schedule clock and the swap diagnostics. A farmed run
+/// ([`Simulator::run_tempered`](crate::Simulator::run_tempered)) also
+/// keeps its observable's tally per rung when the observable counts the
+/// dynamics' rows. A swap exchanges two rungs' profiles, words and tallies
+/// together.
 ///
 /// Replica `k`'s stream is derived exactly like `Simulator`'s replica
 /// streams, and the swap RNG is a separate stream — so a `K = 1` ladder
@@ -158,6 +162,8 @@ pub struct TemperingState {
     profiles: Vec<Vec<usize>>,
     words: Vec<Option<Vec<u32>>>,
     tallies: Vec<Option<PotentialTally>>,
+    /// The sampled observable's tally per rung, or all `None`.
+    pub(crate) observed: Vec<Option<PotentialTally>>,
     scratches: Vec<Scratch>,
     rngs: Vec<ChaCha8Rng>,
     swap_rng: ChaCha8Rng,
@@ -188,6 +194,29 @@ impl TemperingState {
     /// Swap diagnostics accumulated so far.
     pub fn swap_stats(&self) -> &SwapStats {
         &self.stats
+    }
+
+    /// `observable` on the coldest rung: read from its tally when the
+    /// state keeps one ([`TemperingEnsemble::init_observed`]), else
+    /// evaluated on the cold profile.
+    pub(crate) fn cold_sample<O: ProfileObservable>(&self, observable: &O) -> f64 {
+        match self.observed.last() {
+            Some(Some(tally)) => observable.evaluate_tally(tally),
+            _ => observable.evaluate_profile(self.cold_profile()),
+        }
+    }
+}
+
+/// The observable of a round that samples nothing: it keeps no tally, so
+/// no move reaches it.
+struct Unobserved;
+
+impl ProfileObservable for Unobserved {
+    fn evaluate_profile(&self, _profile: &[usize]) -> f64 {
+        unreachable!("an unobserved round samples nothing")
+    }
+    fn name(&self) -> &str {
+        "unobserved"
     }
 }
 
@@ -299,6 +328,7 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
             profiles: vec![start.to_vec(); k],
             words: vec![words; k],
             tallies: vec![tally; k],
+            observed: vec![None; k],
             scratches: (0..k).map(|_| Scratch::for_game(game)).collect(),
             rngs: (0..k)
                 .map(|r| ChaCha8Rng::seed_from_u64(crate::simulate::replica_seed(seed, r)))
@@ -308,6 +338,26 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
             stats: SwapStats::new(k.saturating_sub(1)),
             counters: (k > 1 && logit_telemetry::enabled()).then(|| SwapCounters::register(k - 1)),
         }
+    }
+
+    /// [`init_state`](Self::init_state) for a run that samples
+    /// `observable` on its cold rung: when the observable counts the
+    /// dynamics' own rows, every rung also keeps the observable's tally,
+    /// retallied at each of its moves and swapped with its profile, so a
+    /// sample reads it in `O(1)` ([`TemperingState::cold_sample`]).
+    pub(crate) fn init_observed<O: ProfileObservable>(
+        &self,
+        start: &[usize],
+        seed: u64,
+        observable: &O,
+    ) -> TemperingState {
+        let mut state = self.init_state(start, seed);
+        if state.words[0].is_some()
+            && crate::simulate::counts_the_same_rows(self.game(), observable)
+        {
+            state.observed = vec![observable.tally(start); self.num_replicas()];
+        }
+        state
     }
 
     /// The Metropolis swap acceptance for adjacent pair `(i, i+1)` given the
@@ -334,6 +384,19 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
         state: &mut TemperingState,
         sweep_ticks: u64,
     ) -> usize {
+        self.observed_round(schedule, state, sweep_ticks, &Unobserved)
+    }
+
+    /// [`round`](Self::round) on a state from
+    /// [`init_observed`](Self::init_observed): each move also retallies
+    /// the rung's tally of `observable`.
+    pub(crate) fn observed_round<S: SelectionSchedule, O: ProfileObservable>(
+        &self,
+        schedule: &S,
+        state: &mut TemperingState,
+        sweep_ticks: u64,
+        observable: &O,
+    ) -> usize {
         let k = self.num_replicas();
         assert_eq!(
             state.profiles.len(),
@@ -342,7 +405,7 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
         );
         let game = self.game();
         for (i, engine) in self.engines.iter().enumerate() {
-            let tally = &mut state.tallies[i];
+            let (tally, observed) = (&mut state.tallies[i], &mut state.observed[i]);
             engine.advance(
                 schedule,
                 state.tick..state.tick + sweep_ticks,
@@ -353,6 +416,9 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
                 |old, degree, ones| {
                     if let Some(tally) = tally.as_mut() {
                         game.retally(tally, old, degree, ones);
+                    }
+                    if let Some(observed) = observed.as_mut() {
+                        observable.retally(observed, old, degree, ones);
                     }
                 },
             );
@@ -397,6 +463,7 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
                 state.profiles.swap(pair, pair + 1);
                 state.words.swap(pair, pair + 1);
                 state.tallies.swap(pair, pair + 1);
+                state.observed.swap(pair, pair + 1);
                 accepted += 1;
             } else {
                 phi_lo = phi_hi;

@@ -490,150 +490,6 @@ proptest! {
         }
     }
 
-    /// Pipelined-runner bit-identity, satellite check (the PR-3 K = 1 ladder
-    /// contract style): `run_profiles_pipelined` produces exactly the same
-    /// `EmpiricalLaw` samples and `RunningStats` bytes as `run_profiles` —
-    /// for every update rule × selection schedule combination, under fixed
-    /// per-replica seeds, whatever the chunking, channel capacity and worker
-    /// count of the pipeline.
-    #[test]
-    fn pipelined_ensembles_are_bit_identical_for_every_rule_and_schedule(
-        seed in 0u64..10_000,
-        beta in 0.0f64..3.0,
-        chunk_ticks in 1u64..40,
-        channel_capacity in 1usize..6,
-        workers in 1usize..5,
-    ) {
-        use logit_core::{PipelineConfig, RuntimeConfig};
-
-        let mut game_rng = StdRng::seed_from_u64(seed);
-        let game = TablePotentialGame::random(vec![2, 3, 2], 2.0, &mut game_rng);
-        // Worker count now lives on the Simulator's RuntimeConfig (the farm
-        // draws its participants from the persistent pool).
-        let runtime = RuntimeConfig { workers, ..RuntimeConfig::default() };
-        let sim = Simulator::with_runtime(seed ^ 0x9192, 16, runtime);
-        let obs = PotentialObservable::new(game.clone());
-        let config = PipelineConfig { chunk_ticks, channel_capacity };
-
-        fn assert_identical(
-            a: &logit_core::ProfileEnsembleResult,
-            b: &logit_core::ProfileEnsembleResult,
-        ) -> Result<(), TestCaseError> {
-            prop_assert_eq!(&a.times, &b.times);
-            // Exactly the same EmpiricalLaw samples...
-            prop_assert_eq!(&a.final_values, &b.final_values);
-            prop_assert!(a.law().ks_distance(&b.law()) == 0.0);
-            // ...and exactly the same RunningStats, byte for byte.
-            for (sa, sb) in a.series.iter().zip(&b.series) {
-                prop_assert_eq!(sa.count(), sb.count());
-                prop_assert_eq!(sa.mean(), sb.mean());
-                prop_assert_eq!(sa.variance(), sb.variance());
-                prop_assert_eq!(sa.min(), sb.min());
-                prop_assert_eq!(sa.max(), sb.max());
-            }
-            Ok(())
-        }
-
-        fn check_rule<U: UpdateRule>(
-            game: &TablePotentialGame,
-            rule: U,
-            beta: f64,
-            sim: &Simulator,
-            obs: &PotentialObservable<TablePotentialGame>,
-            config: &logit_core::PipelineConfig,
-        ) -> Result<(), TestCaseError> {
-            let d = DynamicsEngine::with_rule(game.clone(), rule, beta);
-            let start = [0usize, 0, 0];
-            // The paper's uniform single-player schedule, farmed with a live
-            // (never cancelled) token: the call shape the job server uses.
-            let token = logit_core::CancelToken::new();
-            assert_identical(
-                &sim.run_profiles(&d, &UniformSingle, &start, 33, 10, obs),
-                &sim.run_profiles_pipelined(&d, &UniformSingle, &start, 33, 10, obs, config, Some(&token))
-                    .expect("an uncancelled token lets the run complete"),
-            )?;
-            // Every other schedule through the same tick path.
-            assert_identical(
-                &sim.run_profiles(&d, &SystematicSweep, &start, 33, 10, obs),
-                &sim.run_profiles_pipelined(&d, &SystematicSweep, &start, 33, 10, obs, config, None)
-                    .expect("uncancelled runs complete"),
-            )?;
-            assert_identical(
-                &sim.run_profiles(&d, &AllLogit, &start, 21, 7, obs),
-                &sim.run_profiles_pipelined(&d, &AllLogit, &start, 21, 7, obs, config, None)
-                    .expect("uncancelled runs complete"),
-            )?;
-            // The coloured-revision block schedules ride the same seam.
-            let block = RandomBlock::new(2);
-            assert_identical(
-                &sim.run_profiles(&d, &block, &start, 33, 10, obs),
-                &sim.run_profiles_pipelined(&d, &block, &start, 33, 10, obs, config, None)
-                    .expect("uncancelled runs complete"),
-            )?;
-            let coloured = ColouredBlocks::new(logit_graphs::Coloring::from_colors(vec![0, 1, 0]));
-            assert_identical(
-                &sim.run_profiles(&d, &coloured, &start, 21, 7, obs),
-                &sim.run_profiles_pipelined(&d, &coloured, &start, 21, 7, obs, config, None)
-                    .expect("uncancelled runs complete"),
-            )?;
-            Ok(())
-        }
-
-        check_rule(&game, Logit, beta, &sim, &obs, &config)?;
-        check_rule(&game, MetropolisLogit, beta, &sim, &obs, &config)?;
-        check_rule(&game, logit_core::NoisyBestResponse::new(0.15), beta, &sim, &obs, &config)?;
-    }
-
-    /// Reducer partition invariance, satellite check: folding observable
-    /// sample batches in *any* chunking/arrival order through the
-    /// order-restoring `OrderedSeriesReducer` yields exactly (bitwise) the
-    /// `RunningStats` and final values of a one-shot replica-major fold.
-    #[test]
-    fn streamed_reduction_is_partition_invariant(
-        seed in 0u64..10_000,
-        replicas in 1usize..9,
-        num_times in 1usize..6,
-    ) {
-        use logit_core::{OrderedSeriesReducer, SeriesAccumulator};
-
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7A57);
-        let values: Vec<Vec<f64>> = (0..replicas)
-            .map(|_| (0..num_times).map(|_| rng.gen_range(-10.0..10.0)).collect())
-            .collect();
-
-        // One-shot reference: the sequential replica-major fold of
-        // `run_profiles` (per recorded time, replicas in index order).
-        let mut one_shot = SeriesAccumulator::new(num_times);
-        for (replica, row) in values.iter().enumerate() {
-            for (sample, &v) in row.iter().enumerate() {
-                one_shot.record(sample, replica, v);
-            }
-        }
-
-        // Arbitrary arrival order through the ordered frontier: shuffle all
-        // (sample, replica) cells and offer them one by one.
-        let mut cells: Vec<(usize, usize)> = (0..num_times)
-            .flat_map(|k| (0..replicas).map(move |r| (k, r)))
-            .collect();
-        for i in (1..cells.len()).rev() {
-            cells.swap(i, rng.gen_range(0..i + 1));
-        }
-        let mut reducer = OrderedSeriesReducer::new(num_times, replicas);
-        for &(sample, replica) in &cells {
-            reducer.offer(sample, replica, values[replica][sample]);
-        }
-        let streamed = reducer.finish();
-        prop_assert_eq!(streamed.final_values(), one_shot.final_values());
-        for (a, b) in streamed.series().iter().zip(one_shot.series()) {
-            // Bitwise: the frontier replays the exact sequential fold order.
-            prop_assert_eq!(a.count(), b.count());
-            prop_assert_eq!(a.mean(), b.mean());
-            prop_assert_eq!(a.variance(), b.variance());
-            prop_assert_eq!(a.min(), b.min());
-            prop_assert_eq!(a.max(), b.max());
-        }
-    }
-
     /// Schedule update-set invariants, extended to the coloured
     /// parallel-revision schedules (satellite check): `RandomBlock(k)`
     /// selects exactly `k` distinct in-range players per tick and moves no
@@ -1128,10 +984,12 @@ proptest! {
         check_tally_for_every_rule_and_schedule(&zero_field, &start, beta, seed)?;
     }
 
-    /// Samples read from a tally are full evaluations: on both runners the
+    /// Samples read from a tally are full evaluations: on every runner the
     /// tallied potential observable gives the bytes of an observable that
     /// evaluates `potential(profile)` at every sample, for every schedule,
-    /// whatever the farm's chunking, channel and worker count.
+    /// whatever the farm's worker count — the sequential ensemble, the
+    /// farmed profile runner, and the tempered runner, whose rungs keep
+    /// the observable's tally and swap it with their profiles.
     #[test]
     fn tallied_samples_equal_full_evaluations_on_both_runners(
         seed in 0u64..10_000,
@@ -1139,17 +997,15 @@ proptest! {
         d0 in 0.1f64..3.0,
         d1 in 0.1f64..3.0,
         field in -1.0f64..1.0,
-        chunk_ticks in 1u64..40,
         workers in 1usize..4,
     ) {
-        use logit_core::{NamedObservable, PipelineConfig, RuntimeConfig};
+        use logit_core::{NamedObservable, RuntimeConfig, TemperingEnsemble};
 
-        fn check<G: PotentialGame + logit_games::LocalGame + Clone + Sync, S: SelectionSchedule>(
+        fn check<G: PotentialGame + logit_games::LocalGame + Clone + Send + Sync, S: SelectionSchedule>(
             game: &G,
             schedule: &S,
             beta: f64,
             sim: &Simulator,
-            config: &PipelineConfig,
         ) -> Result<(), TestCaseError> {
             let d = LogitDynamics::new(game.clone(), beta);
             let start = vec![0usize; game.num_players()];
@@ -1158,31 +1014,43 @@ proptest! {
             let reference = sim.run_profiles(&d, schedule, &start, 40, 3, &full);
             let sequential = sim.run_profiles(&d, schedule, &start, 40, 3, &tallied);
             let farmed = sim
-                .run_profiles_pipelined(&d, schedule, &start, 40, 3, &tallied, config, None)
+                .run_profiles_pipelined(&d, schedule, &start, 40, 3, &tallied, None)
                 .expect("uncancelled runs complete");
             let bytes = |r: &logit_core::ProfileEnsembleResult| format!("{:?} {:?}", r.series, r.final_values);
             prop_assert_eq!(bytes(&reference), bytes(&sequential), "{}", schedule.name());
             prop_assert_eq!(bytes(&reference), bytes(&farmed), "{}", schedule.name());
+            let ladder = [beta * 0.3, beta * 0.6 + 0.01, beta + 0.02];
+            let ensemble = TemperingEnsemble::new(game.clone(), Logit, &ladder);
+            let tempered = |obs: &dyn Fn() -> logit_core::TemperedEnsembleResult| {
+                let r = obs();
+                format!("{:?} {:?} {:?}", r.series, r.final_values, r.swap_stats)
+            };
+            prop_assert_eq!(
+                tempered(&|| sim.run_tempered(&ensemble, schedule, &start, 12, 3, 2, &full, None)
+                    .expect("uncancelled runs complete")),
+                tempered(&|| sim.run_tempered(&ensemble, schedule, &start, 12, 3, 2, &tallied, None)
+                    .expect("uncancelled runs complete")),
+                "tempered {}", schedule.name()
+            );
             Ok(())
         }
 
         let runtime = RuntimeConfig { workers, ..RuntimeConfig::default() };
         let sim = Simulator::with_runtime(seed, 6, runtime);
-        let config = PipelineConfig { chunk_ticks, channel_capacity: 2 };
         let graph = GraphBuilder::circulant(10, 2);
         let coord = GraphicalCoordinationGame::new(
             graph.clone(),
             logit_games::CoordinationGame::from_deltas(d0, d1),
         );
         let ising = logit_games::IsingGame::new(graph, 0.7, field);
-        check(&coord, &UniformSingle, beta, &sim, &config)?;
-        check(&coord, &SystematicSweep, beta, &sim, &config)?;
-        check(&coord, &AllLogit, beta, &sim, &config)?;
-        check(&coord, &ColouredBlocks::for_game(&coord), beta, &sim, &config)?;
-        check(&ising, &UniformSingle, beta, &sim, &config)?;
-        check(&ising, &SystematicSweep, beta, &sim, &config)?;
-        check(&ising, &AllLogit, beta, &sim, &config)?;
-        check(&ising, &ColouredBlocks::for_game(&ising), beta, &sim, &config)?;
+        check(&coord, &UniformSingle, beta, &sim)?;
+        check(&coord, &SystematicSweep, beta, &sim)?;
+        check(&coord, &AllLogit, beta, &sim)?;
+        check(&coord, &ColouredBlocks::for_game(&coord), beta, &sim)?;
+        check(&ising, &UniformSingle, beta, &sim)?;
+        check(&ising, &SystematicSweep, beta, &sim)?;
+        check(&ising, &AllLogit, beta, &sim)?;
+        check(&ising, &ColouredBlocks::for_game(&ising), beta, &sim)?;
     }
 }
 

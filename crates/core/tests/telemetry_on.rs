@@ -11,8 +11,7 @@ use logit_core::observables::PotentialObservable;
 use logit_core::parallel::coloring_for_game;
 use logit_core::rules::{Logit, MetropolisLogit};
 use logit_core::{
-    DynamicsEngine, PipelineConfig, RuntimeConfig, Scratch, Simulator, TemperingEnsemble,
-    UniformSingle, WorkerPool,
+    DynamicsEngine, RuntimeConfig, Scratch, Simulator, TemperingEnsemble, UniformSingle, WorkerPool,
 };
 use logit_games::{CoordinationGame, Game, GraphicalCoordinationGame, TablePotentialGame};
 use logit_graphs::GraphBuilder;
@@ -27,8 +26,8 @@ fn live_recording_observes_without_steering() {
     assert!(logit_telemetry::enable(), "feature builds honour enable()");
     assert!(logit_telemetry::enabled());
 
-    // Pipelined ensembles stay bit-identical to the sequential run while
-    // the farm records batch counts and channel occupancy.
+    // Farmed ensembles stay bit-identical to the sequential run while the
+    // pool records a dispatch span per segment.
     let mut rng = StdRng::seed_from_u64(2024);
     let game = TablePotentialGame::random(vec![2, 3, 2], 2.0, &mut rng);
     let runtime = RuntimeConfig {
@@ -37,15 +36,11 @@ fn live_recording_observes_without_steering() {
     };
     let sim = Simulator::with_runtime(2024 ^ 0x9192, 16, runtime);
     let obs = PotentialObservable::new(game.clone());
-    let config = PipelineConfig {
-        chunk_ticks: 7,
-        channel_capacity: 3,
-    };
     let d = DynamicsEngine::with_rule(game.clone(), Logit, 1.1);
     let start = [0usize, 0, 0];
     let sequential = sim.run_profiles(&d, &UniformSingle, &start, 33, 10, &obs);
     let pipelined = sim
-        .run_profiles_pipelined(&d, &UniformSingle, &start, 33, 10, &obs, &config, None)
+        .run_profiles_pipelined(&d, &UniformSingle, &start, 33, 10, &obs, None)
         .expect("uncancelled runs complete");
     assert_eq!(sequential.times, pipelined.times);
     assert_eq!(sequential.final_values, pipelined.final_values);
@@ -93,11 +88,7 @@ fn live_recording_observes_without_steering() {
     // Both layers must have left their instrument families behind.
     assert!(logit_telemetry::global().instrument_count() > 0);
     let snapshot = logit_telemetry::global().render();
-    for family in [
-        "runtime_dispatch_ns",
-        "pipeline_batches_sent",
-        "pipeline_channel_in_flight",
-    ] {
+    for family in ["runtime_dispatch_ns", "runtime_chunks_stolen"] {
         assert!(
             snapshot.contains(family),
             "live registry must carry `{family}`; snapshot:\n{snapshot}"
@@ -164,7 +155,6 @@ fn per_pair_swap_counters_add_up_to_the_merged_swap_stats() {
             8,
             10,
             &PotentialObservable::new(game),
-            &PipelineConfig::default(),
             None,
         )
         .expect("uncancelled runs complete");

@@ -93,6 +93,12 @@ pub trait CountKernel {
     /// engine tabulates.
     fn row_lengths(&self) -> &[u32];
 
+    /// Where each count row starts, plus the end of the last: player
+    /// `i`'s row has `offsets[i + 1] - offsets[i]` players (`n + 1`
+    /// entries in all). An engine reads every row's length from it in one
+    /// call instead of one [`count_row`](Self::count_row) per player.
+    fn row_offsets(&self) -> &[u32];
+
     /// The utilities `[u(0), u(1)]` of a player whose count row has
     /// `degree` players, `ones` of them on strategy 1.
     fn utilities_from_ones(&self, degree: usize, ones: usize, out: &mut [f64]);

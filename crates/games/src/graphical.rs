@@ -133,6 +133,10 @@ impl CountKernel for GraphicalCoordinationGame {
         self.csr.degrees()
     }
 
+    fn row_offsets(&self) -> &[u32] {
+        self.csr.offsets()
+    }
+
     fn rows_address(&self) -> *const () {
         Arc::as_ptr(&self.csr).cast()
     }

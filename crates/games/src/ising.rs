@@ -188,6 +188,10 @@ impl CountKernel for IsingGame {
         self.csr.degrees()
     }
 
+    fn row_offsets(&self) -> &[u32] {
+        self.csr.offsets()
+    }
+
     fn rows_address(&self) -> *const () {
         Arc::as_ptr(&self.csr).cast()
     }

@@ -175,6 +175,14 @@ fn check_count_rows<G: PotentialGame>(game: &G, profile: &[usize]) -> Result<(),
     lengths.sort_unstable();
     lengths.dedup();
     prop_assert_eq!(kernel.row_lengths(), &lengths[..]);
+    let offsets = kernel.row_offsets();
+    prop_assert_eq!(offsets.len(), n + 1);
+    for i in 0..n {
+        prop_assert_eq!(
+            (offsets[i + 1] - offsets[i]) as usize,
+            kernel.count_row(i).len()
+        );
+    }
     for i in 0..n {
         let row = kernel.count_row(i);
         for &j in row {
@@ -204,8 +212,9 @@ proptest! {
 
     /// Both count-kernel implementors meet the row contract the
     /// neighbour-count words rely on, on random graphs with isolated
-    /// players and mixed degrees: rows are symmetric and loop-free, and
-    /// the row lengths are listed once each. A tally moved by `retally`
+    /// players and mixed degrees: rows are symmetric and loop-free, the
+    /// row lengths are listed once each, and the row offsets give every
+    /// row's length. A tally moved by `retally`
     /// from the mover's degree and ones is the full count after the move.
     #[test]
     fn count_rows_are_symmetric_and_retally_is_exact(

@@ -161,6 +161,14 @@ impl CsrGraph {
         &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 
+    /// The row offsets: the row of `u` is
+    /// `offsets()[u]..offsets()[u + 1]` of the target array (`n + 1`
+    /// entries, monotone, starting at 0).
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Degree of `u`.
     #[inline]
     pub fn degree(&self, u: usize) -> usize {

@@ -59,7 +59,7 @@ fn job_text(seed: u64, kind: &str) -> String {
         "graphical-uniform" => format!(
             "game=graphical\ntopology=ring\nn=24\ndelta0=2.0\ndelta1=1.0\n\
              rule=logit\nschedule=uniform\nmode=pipelined\nbeta=1.2\nsteps=6000\n\
-             sample_every=500\nobservable=fraction1\nreplicas=8\nseed={seed}\nchunk_ticks=256"
+             sample_every=500\nobservable=fraction1\nreplicas=8\nseed={seed}"
         ),
         "ising-sweep" => format!(
             "game=ising\ntopology=torus\nrows=5\ncols=5\ncoupling=0.7\n\
@@ -120,12 +120,12 @@ fn self_test() {
         ));
     }
     let cancel_client = {
-        // Deliberately long (3M steps, small chunks) so the cancel lands
-        // mid-run and the farm's chunk-granular token check is exercised.
+        // Deliberately long (3M steps, several segments per replica) so the
+        // cancel lands mid-run and the executor's check before every
+        // segment is exercised.
         let text = "game=graphical\ntopology=ring\nn=64\ndelta0=2.0\ndelta1=1.0\n\
                     rule=logit\nschedule=uniform\nmode=pipelined\nbeta=1.2\nsteps=3000000\n\
-                    sample_every=100000\nobservable=fraction1\nreplicas=8\nseed=99\n\
-                    chunk_ticks=64"
+                    sample_every=100000\nobservable=fraction1\nreplicas=8\nseed=99"
             .to_string();
         thread::spawn(move || submit_job(addr, &text, Some(0)).expect("cancel client io"))
     };
@@ -171,8 +171,8 @@ fn self_test() {
         ClientOutcome::Cancelled(points) => {
             println!("  cancel: clean CANCELLED after {} points", points.len());
         }
-        // The farm may finish the job before the cancel lands; a complete
-        // stream is also a clean end.
+        // The job may finish before the cancel lands; a complete stream is
+        // also a clean end.
         ClientOutcome::Done(_) => println!("  cancel: job outran the cancel (clean DONE)"),
         other => panic!("cancel: expected Cancelled or Done, got {other:?}"),
     }
@@ -234,7 +234,11 @@ fn self_test() {
     if logit_telemetry::enabled() {
         // Feature builds running with LOGIT_TELEMETRY=1 must also carry
         // non-empty per-job latency histograms in the same snapshot.
-        for family in ["server_job_wall_ns", "server_job_exec_ns"] {
+        for family in [
+            "server_job_wall_ns",
+            "server_job_wait_ns",
+            "server_job_exec_ns",
+        ] {
             let count = samples.get(&format!("{family}_count")).copied();
             assert!(
                 count.unwrap_or(0.0) >= 1.0,

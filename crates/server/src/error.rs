@@ -5,8 +5,7 @@
 //! ([`CsrGraph::try_from_graph`](logit_graphs::CsrGraph::try_from_graph),
 //! [`BetaLadder::try_geometric`](logit_anneal::BetaLadder::try_geometric),
 //! [`CoordinationGame::try_new`](logit_games::CoordinationGame::try_new),
-//! [`IsingGame::try_new`](logit_games::IsingGame::try_new),
-//! [`PipelineConfig::try_validate`](logit_core::PipelineConfig::try_validate));
+//! [`IsingGame::try_new`](logit_games::IsingGame::try_new));
 //! this enum is where their typed errors — plus the server's own field and
 //! limit checks — converge into one value a client can read off a
 //! `REJECTED` frame. A malformed job must never panic a pool worker: the
@@ -14,7 +13,6 @@
 //! `catch_unwind` backstop for anything that slips through.
 
 use logit_anneal::LadderError;
-use logit_core::PipelineConfigError;
 use logit_games::{CoordinationError, IsingError};
 use logit_graphs::CsrIndexError;
 use std::fmt;
@@ -37,9 +35,6 @@ pub enum AdmissionError {
     /// The β-ladder description is malformed (zero rungs, non-increasing,
     /// non-finite endpoints, …).
     Ladder(LadderError),
-    /// The client-supplied pipeline knobs are invalid (zero `chunk_ticks`,
-    /// or a `channel_capacity` of zero or above its limit).
-    Pipeline(PipelineConfigError),
     /// The job queue is at capacity; retry later.
     QueueFull,
     /// The connection violated the framing protocol.
@@ -58,7 +53,6 @@ impl AdmissionError {
             AdmissionError::Ising(_) => "ising",
             AdmissionError::Csr(_) => "csr",
             AdmissionError::Ladder(_) => "ladder",
-            AdmissionError::Pipeline(_) => "pipeline",
             AdmissionError::QueueFull => "queue-full",
             AdmissionError::Protocol(_) => "protocol",
         }
@@ -81,7 +75,6 @@ impl fmt::Display for AdmissionError {
             AdmissionError::Ising(e) => write!(f, "{}: {e}", self.code()),
             AdmissionError::Csr(e) => write!(f, "{}: {e}", self.code()),
             AdmissionError::Ladder(e) => write!(f, "{}: {e}", self.code()),
-            AdmissionError::Pipeline(e) => write!(f, "{}: {e}", self.code()),
             AdmissionError::QueueFull => {
                 write!(
                     f,
@@ -117,12 +110,6 @@ impl From<CsrIndexError> for AdmissionError {
 impl From<LadderError> for AdmissionError {
     fn from(e: LadderError) -> Self {
         AdmissionError::Ladder(e)
-    }
-}
-
-impl From<PipelineConfigError> for AdmissionError {
-    fn from(e: PipelineConfigError) -> Self {
-        AdmissionError::Pipeline(e)
     }
 }
 

@@ -4,21 +4,24 @@
 //! description through the library crates' fallible `try_*` constructors —
 //! [`CsrGraph::try_from_graph`], [`CoordinationGame::try_new`],
 //! [`IsingGame::try_new`], [`BetaLadder::try_geometric`] /
-//! [`BetaLadder::try_linear`], [`PipelineConfig::try_validate`] — sharing
-//! the expensive derived artifacts through the content-addressed
+//! [`BetaLadder::try_linear`] — sharing the expensive derived artifacts
+//! through the content-addressed
 //! [`ArtifactCache`]. Anything that survives `prepare` can run on the shared
 //! pool without tripping a boundary `assert!`. Jobs run on the cached
 //! artifacts by reference: the game holds an `Arc::clone` of the cached CSR
 //! and a coloured schedule one of the cached colouring, so no job copies a
 //! graph.
 //!
-//! [`run_prepared`] drives the job on the farm of a given [`Simulator`]
-//! (the server's pool-sharing one), honouring a [`CancelToken`] in both job
-//! modes; [`run_direct`] replays the same job on a *fresh* simulator the way
-//! an offline user would. The two produce bit-identical [`StreamedResult`]s
-//! — the service's reproducibility contract, enforced by the tests and the
-//! bench gate. Both run every job kind through one generic runner, one arm
-//! per selection schedule.
+//! A job runs as a resumable [`ProfileRun`] or [`TemperedRun`], one
+//! segment at a time: the server's executor interleaves its jobs that way,
+//! and [`run_prepared`] drives one job to completion on a given
+//! [`Simulator`] (the server's pool-sharing one), checking a
+//! [`CancelToken`] before every segment. [`run_direct`] replays the same
+//! job on a *fresh* simulator the way an offline user would, on the
+//! sequential engine for profile jobs. The two produce bit-identical
+//! [`StreamedResult`]s — the service's reproducibility contract, enforced
+//! by the tests and the bench gate. Both reach every job kind through one
+//! generic dispatch, one arm per game, rule and selection schedule.
 
 use crate::cache::{ArtifactCache, GameArtifacts};
 use crate::error::AdmissionError;
@@ -30,9 +33,9 @@ use crate::protocol::{SeriesPoint, StreamedResult};
 use logit_anneal::BetaLadder;
 use logit_core::{
     coloring_for_graph, AllLogit, CancelToken, ColouredBlocks, DynamicsEngine, Logit,
-    MetropolisLogit, NoisyBestResponse, PipelineConfig, PotentialObservable, ProfileObservable,
-    SelectionSchedule, Simulator, StrategyFraction, SystematicSweep, TemperingEnsemble,
-    UniformSingle, UpdateRule,
+    MetropolisLogit, NoisyBestResponse, PotentialObservable, ProfileObservable, ProfileRun,
+    SelectionSchedule, Simulator, StrategyFraction, SystematicSweep, TemperedRun,
+    TemperingEnsemble, UniformSingle, UpdateRule,
 };
 use logit_games::{
     CoordinationGame, CountKernel, GraphicalCoordinationGame, IsingGame, PotentialGame,
@@ -40,6 +43,7 @@ use logit_games::{
 };
 use logit_graphs::{CsrGraph, GraphBuilder};
 use logit_linalg::stats::RunningStats;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A job that has passed both admission stages and holds its shared
@@ -53,8 +57,6 @@ pub struct PreparedJob {
     pub betas: Option<Arc<Vec<f64>>>,
     /// Whether the artifacts came out of the cache.
     pub cache_hit: bool,
-    /// The validated pipeline-farm configuration.
-    pub config: PipelineConfig,
 }
 
 /// Builds every derived object the job needs, funnelling each library
@@ -102,24 +104,11 @@ pub fn prepare(spec: JobSpec, cache: &ArtifactCache) -> Result<PreparedJob, Admi
         }
     };
 
-    let mut config = PipelineConfig::default();
-    if let Some(chunk_ticks) = spec.chunk_ticks {
-        config.chunk_ticks = chunk_ticks;
-    }
-    if let Some(channel_capacity) = spec.channel_capacity {
-        config.channel_capacity = channel_capacity;
-    }
-    // The boundary that used to be an `assert!` in the farm: a zero knob,
-    // or a channel capacity above its limit, is a typed `pipeline:`
-    // rejection.
-    config.try_validate()?;
-
     Ok(PreparedJob {
         spec,
         artifacts,
         betas,
         cache_hit,
-        config,
     })
 }
 
@@ -216,200 +205,351 @@ fn start_profile(spec: &JobSpec) -> Vec<usize> {
     }
 }
 
-/// Packs one ensemble's series and final values into the wire-level result
-/// (shared by the profile and tempered modes).
-fn to_stream(
-    name: String,
-    times: &[u64],
-    series: &[RunningStats],
-    finals: Vec<f64>,
-) -> StreamedResult {
-    let points = times
-        .iter()
-        .zip(series)
-        .map(|(&t, s)| SeriesPoint {
-            t,
-            count: s.count(),
-            mean: s.mean(),
-            variance: s.variance(),
-            min: s.min(),
-            max: s.max(),
+/// The wire points of recorded times `completed` (shared by the profile
+/// and tempered modes).
+fn points(times: &[u64], series: &[RunningStats], completed: Range<usize>) -> Vec<SeriesPoint> {
+    completed
+        .map(|k| {
+            let s = &series[k];
+            SeriesPoint {
+                t: times[k],
+                count: s.count(),
+                mean: s.mean(),
+                variance: s.variance(),
+                min: s.min(),
+                max: s.max(),
+            }
         })
-        .collect();
-    StreamedResult {
-        name,
-        points,
-        finals,
+        .collect()
+}
+
+/// A started job, resumable one segment at a time: what the server's
+/// executor interleaves.
+pub(crate) trait JobRun: Send {
+    /// Runs one segment and returns the points of the recorded times it
+    /// completed, in order.
+    fn segment(&mut self) -> Vec<SeriesPoint>;
+
+    /// Whether every replica has run to the end.
+    fn is_done(&self) -> bool;
+
+    /// Player updates left to run.
+    fn remaining_updates(&self) -> u64;
+
+    /// The observable's name and every replica's final value.
+    fn finish(self: Box<Self>) -> (String, Vec<f64>);
+}
+
+/// A profile job: its engine, schedule and observable, and its run.
+struct ProfileJob<G: PotentialGame, U: UpdateRule, S> {
+    dynamics: DynamicsEngine<G, U>,
+    schedule: S,
+    observable: JobObservable<G>,
+    run: ProfileRun,
+}
+
+impl<G, U, S> JobRun for ProfileJob<G, U, S>
+where
+    G: PotentialGame + Send + Sync,
+    U: UpdateRule,
+    S: SelectionSchedule,
+{
+    fn segment(&mut self) -> Vec<SeriesPoint> {
+        let completed = self
+            .run
+            .segment(&self.dynamics, &self.schedule, &self.observable);
+        points(self.run.times(), self.run.series(), completed)
+    }
+
+    fn is_done(&self) -> bool {
+        self.run.is_done()
+    }
+
+    fn remaining_updates(&self) -> u64 {
+        let n = self.dynamics.game().num_players();
+        self.run.remaining_updates(&self.schedule, n)
+    }
+
+    fn finish(self: Box<Self>) -> (String, Vec<f64>) {
+        let result = self.run.finish();
+        (result.name, result.final_values)
     }
 }
 
+/// A tempered job: its ladder, schedule and observable, and its run.
+struct TemperedJob<G: PotentialGame, U: UpdateRule, S> {
+    ensemble: TemperingEnsemble<G, U>,
+    schedule: S,
+    observable: JobObservable<G>,
+    run: TemperedRun,
+}
+
+impl<G, U, S> JobRun for TemperedJob<G, U, S>
+where
+    G: PotentialGame + Send + Sync,
+    U: UpdateRule,
+    S: SelectionSchedule,
+{
+    fn segment(&mut self) -> Vec<SeriesPoint> {
+        let completed = self
+            .run
+            .segment(&self.ensemble, &self.schedule, &self.observable);
+        points(self.run.times(), self.run.series(), completed)
+    }
+
+    fn is_done(&self) -> bool {
+        self.run.is_done()
+    }
+
+    fn remaining_updates(&self) -> u64 {
+        let n = self.ensemble.game().num_players();
+        self.run.remaining_updates(&self.schedule, n)
+    }
+
+    fn finish(self: Box<Self>) -> (String, Vec<f64>) {
+        let result = self.run.finish();
+        (result.name, result.final_values)
+    }
+}
+
+/// Starts a prepared job on `sim` — the server's pool-sharing simulator,
+/// reseeded with the job's seed and replicas: builds its engine and run,
+/// but no replica (the first segment does).
+pub(crate) fn start(sim: &Simulator, job: &PreparedJob) -> Box<dyn JobRun> {
+    dispatch(job, Start { sim })
+}
+
 /// Runs a prepared job on `sim` — the server's pool-sharing simulator —
-/// on the farm, honouring `cancel`. Returns `None` when the job was
-/// cancelled before completing.
-///
-/// Both modes check the token cooperatively: pipelined jobs at every
-/// worker chunk boundary, tempered jobs before every tempering round, so a
-/// cancel stops the run within one chunk or round. A cancel that lands
-/// after execution has finished is left to the server's streaming loop.
+/// one segment after another, checking `cancel` before every segment.
+/// Returns `None` when the job was cancelled before completing.
 pub fn run_prepared(
     sim: &Simulator,
     job: &PreparedJob,
     cancel: &CancelToken,
 ) -> Option<StreamedResult> {
+    let mut run = start(sim, job);
+    let mut points = Vec::new();
+    while !run.is_done() {
+        if cancel.is_cancelled() {
+            return None;
+        }
+        points.extend(run.segment());
+    }
     if cancel.is_cancelled() {
         return None;
     }
-    dispatch_game(sim, job, Some(cancel))
+    let (name, finals) = run.finish();
+    Some(StreamedResult {
+        name,
+        points,
+        finals,
+    })
 }
 
 /// Replays a prepared job the way an offline user would: a fresh
-/// [`Simulator`] with the job's seed and replicas, no farm cancellation.
-/// Bit-identical to the streamed result of [`run_prepared`] by the
-/// pipelined ≡ sequential contract of the engines.
+/// [`Simulator`] with the job's seed and replicas, no cancellation, and
+/// the *sequential* engine for profile jobs
+/// ([`Simulator::run_profiles`]); tempered jobs run
+/// [`Simulator::run_tempered`]. Bit-identical to the streamed result of
+/// [`run_prepared`] by the farmed ≡ sequential contract of the engines.
 pub fn run_direct(job: &PreparedJob) -> StreamedResult {
-    let sim = Simulator::new(job.spec.seed, job.spec.replicas);
-    dispatch_game(&sim, job, None).expect("uncancelled direct runs always complete")
+    dispatch(
+        job,
+        Direct {
+            sim: Simulator::new(job.spec.seed, job.spec.replicas),
+        },
+    )
 }
 
-/// Builds the job's game on the cached CSR, then dispatches on its rule.
-fn dispatch_game(
-    sim: &Simulator,
-    job: &PreparedJob,
-    cancel: Option<&CancelToken>,
-) -> Option<StreamedResult> {
+/// What to do with a fully monomorphised job: game, rule and schedule
+/// chosen.
+trait Visit {
+    type Out;
+    fn visit<G, U, S>(self, job: &PreparedJob, game: G, rule: U, schedule: S) -> Self::Out
+    where
+        G: PotentialGame + Clone + Send + Sync + 'static,
+        U: UpdateRule + Clone + 'static,
+        S: SelectionSchedule + 'static;
+}
+
+/// Builds the job's game on the cached CSR, then its rule and schedule.
+fn dispatch<V: Visit>(job: &PreparedJob, visit: V) -> V::Out {
     let csr = Arc::clone(&job.artifacts.csr);
     match job.spec.game {
         GameFamily::Graphical { delta0, delta1 } => {
             let base = CoordinationGame::try_from_deltas(delta0, delta1)
                 .expect("payoffs were validated at admission");
-            let game = GraphicalCoordinationGame::new(csr, base);
-            dispatch_rule(sim, job, game, cancel)
+            dispatch_rule(job, GraphicalCoordinationGame::new(csr, base), visit)
         }
         GameFamily::Ising { coupling, field } => {
             let game = IsingGame::try_new(csr, coupling, field)
                 .expect("payoffs were validated at admission");
-            dispatch_rule(sim, job, game, cancel)
+            dispatch_rule(job, game, visit)
         }
     }
 }
 
-fn dispatch_rule<G>(
-    sim: &Simulator,
-    job: &PreparedJob,
-    game: G,
-    cancel: Option<&CancelToken>,
-) -> Option<StreamedResult>
+fn dispatch_rule<G, V>(job: &PreparedJob, game: G, visit: V) -> V::Out
 where
-    G: PotentialGame + Clone + Send + Sync,
+    G: PotentialGame + Clone + Send + Sync + 'static,
+    V: Visit,
 {
     match job.spec.rule {
-        RuleKind::Logit => Runner { game, rule: Logit }.run(sim, job, cancel),
-        RuleKind::Metropolis => Runner {
-            game,
-            rule: MetropolisLogit,
+        RuleKind::Logit => dispatch_schedule(job, game, Logit, visit),
+        RuleKind::Metropolis => dispatch_schedule(job, game, MetropolisLogit, visit),
+        RuleKind::Nbr { noise } => {
+            dispatch_schedule(job, game, NoisyBestResponse::new(noise), visit)
         }
-        .run(sim, job, cancel),
-        RuleKind::Nbr { noise } => Runner {
-            game,
-            rule: NoisyBestResponse::new(noise),
-        }
-        .run(sim, job, cancel),
     }
 }
 
-/// A fully monomorphised job: game and rule chosen.
-struct Runner<G, U> {
-    game: G,
-    rule: U,
-}
-
-impl<G, U> Runner<G, U>
+fn dispatch_schedule<G, U, V>(job: &PreparedJob, game: G, rule: U, visit: V) -> V::Out
 where
-    G: PotentialGame + Clone + Send + Sync,
-    U: UpdateRule + Clone,
+    G: PotentialGame + Clone + Send + Sync + 'static,
+    U: UpdateRule + Clone + 'static,
+    V: Visit,
 {
-    fn run(
-        &self,
-        sim: &Simulator,
-        job: &PreparedJob,
-        cancel: Option<&CancelToken>,
-    ) -> Option<StreamedResult> {
-        match job.spec.schedule {
-            ScheduleKind::Uniform => self.run_schedule(sim, job, &UniformSingle, cancel),
-            ScheduleKind::Sweep => self.run_schedule(sim, job, &SystematicSweep, cancel),
-            ScheduleKind::All => self.run_schedule(sim, job, &AllLogit, cancel),
-            ScheduleKind::Coloured => {
-                let schedule = ColouredBlocks::new(Arc::clone(&job.artifacts.coloring));
-                self.run_schedule(sim, job, &schedule, cancel)
-            }
+    match job.spec.schedule {
+        ScheduleKind::Uniform => visit.visit(job, game, rule, UniformSingle),
+        ScheduleKind::Sweep => visit.visit(job, game, rule, SystematicSweep),
+        ScheduleKind::All => visit.visit(job, game, rule, AllLogit),
+        ScheduleKind::Coloured => {
+            let schedule = ColouredBlocks::new(Arc::clone(&job.artifacts.coloring));
+            visit.visit(job, game, rule, schedule)
         }
     }
+}
 
-    /// Runs the job under `schedule` in either mode. With a token the job
-    /// runs on the farm; without one (the [`run_direct`] replay) a
-    /// pipelined job runs the *sequential* engine instead — the service's
-    /// reproducibility gate leans on the pipelined ≡ sequential
-    /// bit-identity contract rather than re-running the farm.
-    fn run_schedule<S: SelectionSchedule>(
-        &self,
-        sim: &Simulator,
-        job: &PreparedJob,
-        schedule: &S,
-        cancel: Option<&CancelToken>,
-    ) -> Option<StreamedResult> {
+/// The job's β-ladder as an ensemble of rungs sharing its game.
+fn tempering_ensemble<G, U>(job: &PreparedJob, game: G, rule: U) -> TemperingEnsemble<G, U>
+where
+    G: PotentialGame,
+    U: UpdateRule,
+{
+    let betas = job
+        .betas
+        .as_ref()
+        .expect("tempered jobs carry their ladder");
+    TemperingEnsemble::new(game, rule, betas.as_slice())
+}
+
+/// Visits into a started, resumable job.
+struct Start<'a> {
+    sim: &'a Simulator,
+}
+
+impl Visit for Start<'_> {
+    type Out = Box<dyn JobRun>;
+
+    fn visit<G, U, S>(self, job: &PreparedJob, game: G, rule: U, schedule: S) -> Box<dyn JobRun>
+    where
+        G: PotentialGame + Clone + Send + Sync + 'static,
+        U: UpdateRule + Clone + 'static,
+        S: SelectionSchedule + 'static,
+    {
         let spec = &job.spec;
-        let observable = JobObservable::new(spec.observable, &self.game);
+        let observable = JobObservable::new(spec.observable, &game);
         let start = start_profile(spec);
         match spec.mode {
             ModeKind::Pipelined { beta, steps } => {
-                let dynamics =
-                    DynamicsEngine::with_rule(self.game.clone(), self.rule.clone(), beta);
-                let r = match cancel {
-                    Some(_) => sim.run_profiles_pipelined(
-                        &dynamics,
-                        schedule,
-                        &start,
-                        steps,
-                        spec.sample_every,
-                        &observable,
-                        &job.config,
-                        cancel,
-                    )?,
-                    None => sim.run_profiles(
-                        &dynamics,
-                        schedule,
-                        &start,
-                        steps,
-                        spec.sample_every,
-                        &observable,
-                    ),
-                };
-                Some(to_stream(r.name, &r.times, &r.series, r.final_values))
+                let dynamics = DynamicsEngine::with_rule(game, rule, beta);
+                let run = ProfileRun::new(
+                    self.sim,
+                    &dynamics,
+                    &start,
+                    steps,
+                    spec.sample_every,
+                    &observable,
+                );
+                Box::new(ProfileJob {
+                    dynamics,
+                    schedule,
+                    observable,
+                    run,
+                })
             }
             ModeKind::Tempered {
                 rounds,
                 sweep_ticks,
                 ..
             } => {
-                let betas = job
-                    .betas
-                    .as_ref()
-                    .expect("tempered jobs carry their ladder");
-                let ensemble =
-                    TemperingEnsemble::new(self.game.clone(), self.rule.clone(), betas.as_slice());
-                let r = sim.run_tempered(
+                let ensemble = tempering_ensemble(job, game, rule);
+                let run = TemperedRun::new(
+                    self.sim,
                     &ensemble,
-                    schedule,
                     &start,
                     rounds,
                     sweep_ticks,
                     spec.sample_every,
                     &observable,
-                    &job.config,
-                    cancel,
-                )?;
-                Some(to_stream(r.name, &r.times, &r.series, r.final_values))
+                );
+                Box::new(TemperedJob {
+                    ensemble,
+                    schedule,
+                    observable,
+                    run,
+                })
             }
+        }
+    }
+}
+
+/// Visits into the offline replay of a job.
+struct Direct {
+    sim: Simulator,
+}
+
+impl Visit for Direct {
+    type Out = StreamedResult;
+
+    fn visit<G, U, S>(self, job: &PreparedJob, game: G, rule: U, schedule: S) -> StreamedResult
+    where
+        G: PotentialGame + Clone + Send + Sync + 'static,
+        U: UpdateRule + Clone + 'static,
+        S: SelectionSchedule + 'static,
+    {
+        let spec = &job.spec;
+        let observable = JobObservable::new(spec.observable, &game);
+        let start = start_profile(spec);
+        let (name, times, series, finals) = match spec.mode {
+            ModeKind::Pipelined { beta, steps } => {
+                let dynamics = DynamicsEngine::with_rule(game, rule, beta);
+                let r = self.sim.run_profiles(
+                    &dynamics,
+                    &schedule,
+                    &start,
+                    steps,
+                    spec.sample_every,
+                    &observable,
+                );
+                (r.name, r.times, r.series, r.final_values)
+            }
+            ModeKind::Tempered {
+                rounds,
+                sweep_ticks,
+                ..
+            } => {
+                let ensemble = tempering_ensemble(job, game, rule);
+                let r = self
+                    .sim
+                    .run_tempered(
+                        &ensemble,
+                        &schedule,
+                        &start,
+                        rounds,
+                        sweep_ticks,
+                        spec.sample_every,
+                        &observable,
+                        None,
+                    )
+                    .expect("uncancelled direct runs always complete");
+                (r.name, r.times, r.series, r.final_values)
+            }
+        };
+        StreamedResult {
+            name,
+            points: points(&times, &series, 0..times.len()),
+            finals,
         }
     }
 }

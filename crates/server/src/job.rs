@@ -151,10 +151,6 @@ pub struct JobSpec {
     pub replicas: usize,
     pub seed: u64,
     pub sample_every: u64,
-    /// Optional pipeline-farm chunk override (ticks per worker chunk).
-    pub chunk_ticks: Option<u64>,
-    /// Optional pipeline-farm channel-capacity override.
-    pub channel_capacity: Option<usize>,
 }
 
 fn bad(field: &'static str, reason: impl Into<String>) -> AdmissionError {
@@ -443,30 +439,6 @@ impl JobSpec {
         }
         let seed = f.take_u64("seed")?;
 
-        // Pipeline-farm overrides are passed through *unchecked* here:
-        // `PipelineConfig::try_validate` in `prepare` owns the boundary, so
-        // a zero or an oversized capacity lands there as a typed `pipeline:`
-        // admission error rather than tripping the farm's `assert!` or
-        // allocating the channel.
-        let chunk_ticks = f
-            .take_opt("chunk_ticks")
-            .map(|raw| {
-                raw.parse::<u64>()
-                    .map_err(|_| bad("chunk_ticks", format!("`{raw}` is not an unsigned integer")))
-            })
-            .transpose()?;
-        let channel_capacity = f
-            .take_opt("channel_capacity")
-            .map(|raw| {
-                raw.parse::<usize>().map_err(|_| {
-                    bad(
-                        "channel_capacity",
-                        format!("`{raw}` is not an unsigned integer"),
-                    )
-                })
-            })
-            .transpose()?;
-
         f.finish()?;
         Ok(JobSpec {
             game,
@@ -479,8 +451,6 @@ impl JobSpec {
             replicas,
             seed,
             sample_every,
-            chunk_ticks,
-            channel_capacity,
         })
     }
 
@@ -567,7 +537,6 @@ mod tests {
             }
         );
         assert_eq!(spec.start, StartKind::Zeros);
-        assert!(spec.chunk_ticks.is_none());
     }
 
     #[test]
@@ -577,6 +546,12 @@ mod tests {
 
         let unknown = JobSpec::parse(&format!("{}\nwat=1", base_job()));
         assert_eq!(unknown.unwrap_err().code(), "unknown-field");
+        // The segment length is derived from the job, so the grammar has
+        // no farm knobs.
+        for key in ["chunk_ticks=64", "channel_capacity=8"] {
+            let knob = JobSpec::parse(&format!("{}\n{key}", base_job()));
+            assert_eq!(knob.unwrap_err().code(), "unknown-field");
+        }
 
         let dup = JobSpec::parse(&format!("{}\ngame=ising", base_job()));
         assert_eq!(dup.unwrap_err().code(), "protocol");

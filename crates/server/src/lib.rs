@@ -8,8 +8,9 @@
 //! sample grid — submitted over a length-prefixed TCP protocol
 //! ([`protocol`]). Admission validates the description into typed
 //! [`AdmissionError`]s ([`job`], [`exec::prepare`]); accepted jobs are
-//! queued onto the single shared [`WorkerPool`](logit_core::WorkerPool)
-//! behind the pipeline farm ([`server`]), with derived artifacts
+//! queued for one executor that interleaves them a segment at a time on
+//! the single shared [`WorkerPool`](logit_core::WorkerPool) ([`server`]),
+//! streaming each sample point as it completes, with derived artifacts
 //! (CSR interaction graphs, colourings, β-ladders) shared across tenants
 //! through a content-hash-keyed LRU cache ([`cache`]).
 //!
@@ -18,8 +19,8 @@
 //! stream carries `f64`s as IEEE-754 bit patterns, each job runs under its
 //! own seed on a forked simulator, and [`run_direct`] — a fresh
 //! [`Simulator`](logit_core::Simulator) plus the same description —
-//! reproduces the streamed frames byte for byte, cancellations and
-//! concurrent tenants notwithstanding. The integration tests and the
+//! reproduces the streamed frames byte for byte, however the executor
+//! interleaved the job with concurrent tenants' jobs. The integration tests and the
 //! `service` benchmark rows gate on exactly this equality.
 
 pub mod cache;

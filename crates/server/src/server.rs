@@ -5,13 +5,30 @@
 //! One listener thread accepts TCP connections and spawns a handler thread
 //! per connection. Handlers run *admission* ([`JobSpec::parse`] +
 //! [`prepare`]) and push accepted jobs onto a bounded queue; a single
-//! **executor** thread drains the queue and drives each job on the shared
-//! [`Simulator`] — the [`WorkerPool`](logit_core::WorkerPool) enforces
-//! one-dispatch-at-a-time (`install` asserts against concurrent dispatch),
-//! so serialising execution is a correctness requirement, not a
-//! simplification. Batching therefore happens at the queue: many tenants
-//! admit and enqueue concurrently, the pool crunches jobs back-to-back
-//! without respawning threads.
+//! **executor** thread drives every job on the shared [`Simulator`]'s pool
+//! — the [`WorkerPool`](logit_core::WorkerPool) takes one dispatch at a
+//! time (`install` asserts against concurrent dispatch), so one thread
+//! issues them all.
+//!
+//! The executor interleaves its jobs one *segment* at a time
+//! ([`logit_core::pipeline`]): a segment advances every live replica of one
+//! job by a few milliseconds of work. It holds at most
+//! `MAX_STARTED_JOBS` = 4 started jobs; later arrivals wait in the queue
+//! in FIFO order. Starting a job, as the executor takes it off the queue,
+//! builds its engine and run; its replicas are built only when its first
+//! segment runs. Before every segment the executor takes new arrivals off
+//! the queue, then runs the held job with the fewest player updates left
+//! (ties to the earlier admission; a run counts its own work from the
+//! start), so a short job waits out one segment rather than a whole heavy
+//! job. A job passed over `AGING_PASSES` = 8 times in a row runs
+//! next, so a long job cannot starve.
+//!
+//! The points a segment completes go to the job's handler at once, over an
+//! unbounded per-job channel (a job has at most
+//! [`MAX_SAMPLES`](crate::job::limits::MAX_SAMPLES) points, so it holds at
+//! most that many), and the handler writes each SERIES frame as it
+//! arrives, then FINAL and DONE after the last segment. A slow or vanished
+//! client never blocks the executor.
 //!
 //! ## Reproducibility
 //!
@@ -19,30 +36,40 @@
 //! fork sharing the pool but carrying the *job's* seed, so any stream can
 //! be replayed offline by `Simulator::new(seed, replicas)` plus the same
 //! description ([`run_direct`](crate::exec::run_direct)); the streamed
-//! frames are bit-identical.
+//! frames are bit-identical, however the job's segments were interleaved
+//! with other jobs'.
 //!
 //! ## Cancellation
 //!
 //! A per-job [`CancelToken`] is created at admission. A watcher thread per
 //! connection turns a [`CANCEL`] frame — or the client vanishing — into
-//! `token.cancel()`; the farm observes it at chunk granularity (pipelined
-//! jobs) or round granularity (tempered jobs) and the handler finishes the
-//! stream with a `CANCELLED` frame instead of `FINAL`/`DONE`. A cancel that
-//! lands after execution finished is caught between SERIES frames while
-//! the result streams. A panic anywhere in a job is caught by the
-//! executor's `catch_unwind` backstop and surfaces as an `ERROR` frame on
-//! that connection only.
+//! `token.cancel()`. The executor sees it before the job's next segment
+//! and drops the job; the handler, which also checks the token before
+//! every SERIES frame, ends the stream with exactly one `CANCELLED` frame.
+//! The client keeps the points already sent: a prefix of the job's
+//! [`run_direct`](crate::exec::run_direct) series. Every segment runs
+//! under its own `catch_unwind`, so a panic ends only its own job, with an
+//! `ERROR` frame on that connection.
+//!
+//! ## Time account
+//!
+//! With the `telemetry` feature recording, each job's wall time from
+//! ACCEPTED to its terminal frame (`server.job_wall_ns`) splits into
+//! `server.job_wait_ns` (from ACCEPTED to its first segment, plus every
+//! interval it sat parked between its segments), `server.job_exec_ns`
+//! (the sum of its own segments) and `server.job_stream_ns` (the frames
+//! written after its last segment).
 //!
 //! ## Memory
 //!
-//! Whenever the executor finds the queue empty, it returns the free pages
-//! of every malloc arena to the kernel before it sleeps (`malloc_trim` on
-//! glibc), so the resident set tracks the jobs the server holds rather
-//! than every job it has run.
+//! Whenever the executor holds no job and finds the queue empty, it
+//! returns the free pages of every malloc arena to the kernel before it
+//! sleeps (`malloc_trim` on glibc), so the resident set tracks the jobs
+//! the server holds rather than every job it has run.
 
 use crate::cache::{ArtifactCache, CacheStats};
 use crate::error::AdmissionError;
-use crate::exec::{prepare, run_prepared, PreparedJob};
+use crate::exec::{prepare, start, JobRun, PreparedJob};
 use crate::job::JobSpec;
 use crate::protocol::{
     read_frame, write_frame, SeriesPoint, StreamedResult, ACCEPTED, CANCEL, CANCELLED, DONE, ERROR,
@@ -53,10 +80,25 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
+};
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Jobs the executor holds at once, each started. A started job keeps one
+/// wave of replicas live (up to 2²⁰ players each, about 12 bytes per
+/// player with their words), so this bounds the replica memory the
+/// executor holds; four leave room for short jobs beside a few long ones
+/// without letting the queue's tail build state.
+const MAX_STARTED_JOBS: usize = 4;
+
+/// Segments in a row a held job may be passed over before it runs next,
+/// whatever its remaining work. At about 20 ms per segment a long job then
+/// waits at most about 160 ms between its own segments, so a stream of
+/// short jobs cannot starve it.
+const AGING_PASSES: u32 = 8;
 
 /// Tunables of one server instance.
 #[derive(Debug, Clone)]
@@ -116,9 +158,13 @@ struct ServerTelemetry {
     /// `server.job_wall_ns` — ACCEPTED frame to terminal frame: queue
     /// wait + execution + streaming, as the client experiences it.
     job_wall_ns: logit_telemetry::Histogram,
-    /// `server.job_exec_ns` — the executor's `run_prepared` alone.
+    /// `server.job_wait_ns` — ACCEPTED to the job's first segment, plus
+    /// every interval it sat parked between its segments.
+    job_wait_ns: logit_telemetry::Histogram,
+    /// `server.job_exec_ns` — the sum of the job's own segments.
     job_exec_ns: logit_telemetry::Histogram,
-    /// `server.job_stream_ns` — writing the result frames back out.
+    /// `server.job_stream_ns` — the frames written after the job's last
+    /// segment.
     job_stream_ns: logit_telemetry::Histogram,
 }
 
@@ -130,6 +176,7 @@ fn telemetry() -> &'static ServerTelemetry {
         ServerTelemetry {
             queue_depth: registry.gauge("server.queue_depth"),
             job_wall_ns: registry.histogram("server.job_wall_ns"),
+            job_wait_ns: registry.histogram("server.job_wait_ns"),
             job_exec_ns: registry.histogram("server.job_exec_ns"),
             job_stream_ns: registry.histogram("server.job_stream_ns"),
         }
@@ -162,22 +209,51 @@ fn snapshot(stats: &ServerStats, cache: &ArtifactCache) -> StatsSnapshot {
 }
 
 /// One queued unit of work: everything the executor needs plus the
-/// channel the handler waits on.
+/// channel the handler streams from.
 struct ExecRequest {
     job: PreparedJob,
     cancel: CancelToken,
-    outcome_tx: SyncSender<ExecOutcome>,
+    events: Sender<JobEvent>,
+    /// When the job was accepted: its wall and wait clocks start here.
+    accepted: Instant,
 }
 
-/// What the executor reports back to the waiting handler.
-enum ExecOutcome {
-    /// The job ran to completion.
-    Finished(Box<StreamedResult>),
-    /// The farm observed the cancel token and drained cleanly.
+/// What the executor reports to the waiting handler, in order: the points
+/// of each segment as it completes them, then one terminal event carrying
+/// the moment the job's last segment ended.
+enum JobEvent {
+    /// A recorded time every replica has passed.
+    Point(SeriesPoint),
+    /// The job ran to completion: its FINAL payload (no points).
+    Finished(Box<StreamedResult>, Instant),
+    /// The executor saw the cancel token before a segment.
+    Cancelled(Instant),
+    /// A segment panicked; the pool survived (chunk panics are contained
+    /// per dispatch).
+    Panicked(String, Instant),
+}
+
+/// A job the executor holds: its request, its started run, and its
+/// account.
+struct Held {
+    request: ExecRequest,
+    /// Its engine and run; the first segment builds its replicas.
+    run: Box<dyn JobRun>,
+    /// Admission order, for ties.
+    order: u64,
+    /// Segments run for other jobs since this one last ran.
+    passed: u32,
+    /// When the job last stopped running (or was started).
+    parked: Instant,
+    wait: Duration,
+    exec: Duration,
+}
+
+/// How a job's execution ended, for the outcome counters.
+enum Ended {
+    Completed,
     Cancelled,
-    /// The `catch_unwind` backstop caught a panic; the pool survived
-    /// (worker panics are contained per job).
-    Panicked(String),
+    Panicked,
 }
 
 /// A running server bound to a local port. Dropping it without calling
@@ -264,49 +340,181 @@ impl RunningServer {
 }
 
 fn executor_loop(queue_rx: Receiver<ExecRequest>, base: Simulator, stats: &ServerStats) {
+    let mut held: Vec<Held> = Vec::new();
+    let mut admitted = 0u64;
+    let mut open = true;
     loop {
-        let req = match queue_rx.try_recv() {
-            Ok(req) => req,
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => {
-                // Idle: hand back what the last jobs freed before sleeping.
-                release_free_heap();
-                match queue_rx.recv() {
-                    Ok(req) => req,
-                    Err(_) => break,
+        while open && held.len() < MAX_STARTED_JOBS {
+            match queue_rx.try_recv() {
+                Ok(request) => {
+                    held.extend(hold(request, admitted, &base, stats));
+                    admitted += 1;
                 }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => open = false,
             }
-        };
-        telemetry().queue_depth.add(-1.0);
-        let sim = base.reseeded(req.job.spec.seed, req.job.spec.replicas);
-        let exec_span = telemetry().job_exec_ns.span();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            run_prepared(&sim, &req.job, &req.cancel)
-        }));
-        drop(exec_span);
-        let outcome = match run {
-            Ok(Some(result)) => {
-                stats.completed.fetch_add(1, Ordering::Relaxed);
-                ExecOutcome::Finished(Box::new(result))
+        }
+        // A cancelled job ends now, not when it next would run.
+        while let Some(i) = held.iter().position(|h| h.request.cancel.is_cancelled()) {
+            end_job(held.swap_remove(i), Ended::Cancelled, stats);
+        }
+        if held.is_empty() {
+            if !open {
+                break;
             }
-            Ok(None) => {
-                stats.cancelled.fetch_add(1, Ordering::Relaxed);
-                ExecOutcome::Cancelled
+            // Idle: hand back what the last jobs freed before sleeping.
+            release_free_heap();
+            match queue_rx.recv() {
+                Ok(request) => {
+                    held.extend(hold(request, admitted, &base, stats));
+                    admitted += 1;
+                }
+                Err(_) => break,
             }
-            Err(panic) => {
-                stats.internal_errors.fetch_add(1, Ordering::Relaxed);
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".into());
-                ExecOutcome::Panicked(msg)
-            }
-        };
-        // The handler may have vanished (client dropped mid-run); that is
-        // its problem, not the executor's.
-        let _ = req.outcome_tx.send(outcome);
+            continue;
+        }
+        let next = pick_next(&held);
+        for (i, job) in held.iter_mut().enumerate() {
+            job.passed = if i == next { 0 } else { job.passed + 1 };
+        }
+        if let Some(ended) = run_segment(&mut held[next]) {
+            end_job(held.swap_remove(next), ended, stats);
+        }
     }
+}
+
+/// Takes a job off the queue and starts it on a fork of `base` carrying
+/// the job's seed (its engine and run; the first segment builds its
+/// replicas), under its own `catch_unwind`: a panic ends the job here,
+/// with `ERROR`.
+fn hold(request: ExecRequest, order: u64, base: &Simulator, stats: &ServerStats) -> Option<Held> {
+    telemetry().queue_depth.add(-1.0);
+    let started = Instant::now();
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let spec = &request.job.spec;
+        start(&base.reseeded(spec.seed, spec.replicas), &request.job)
+    }));
+    let parked = Instant::now();
+    let (wait, exec) = (started - request.accepted, parked - started);
+    match run {
+        Ok(run) => Some(Held {
+            request,
+            run,
+            order,
+            passed: 0,
+            parked,
+            wait,
+            exec,
+        }),
+        Err(panic) => {
+            let msg = panic_message(&*panic);
+            let _ = request.events.send(JobEvent::Panicked(msg, parked));
+            stats.internal_errors.fetch_add(1, Ordering::Relaxed);
+            record_account(wait, exec);
+            None
+        }
+    }
+}
+
+/// The held job to run next: one passed over [`AGING_PASSES`] times in a
+/// row, else the one with the fewest player updates left; ties go to the
+/// earlier admission.
+fn pick_next(held: &[Held]) -> usize {
+    let aged = held
+        .iter()
+        .enumerate()
+        .filter(|(_, job)| job.passed >= AGING_PASSES)
+        .max_by_key(|(_, job)| (job.passed, std::cmp::Reverse(job.order)));
+    let (next, _) = aged
+        .or_else(|| {
+            held.iter()
+                .enumerate()
+                .min_by_key(|(_, job)| (job.run.remaining_updates(), job.order))
+        })
+        .expect("the executor holds a job");
+    next
+}
+
+/// Runs one segment of `job` under its own `catch_unwind`, sends the
+/// points it completed, and returns how the job ended if this was its last
+/// segment.
+fn run_segment(job: &mut Held) -> Option<Ended> {
+    let started = Instant::now();
+    job.wait += started - job.parked;
+    let run = &mut job.run;
+    let segment = catch_unwind(AssertUnwindSafe(|| (run.segment(), run.is_done())));
+    let ended = Instant::now();
+    job.exec += ended - started;
+    job.parked = ended;
+    let events = &job.request.events;
+    match segment {
+        Ok((points, done)) => {
+            for point in points {
+                // The handler may have vanished (client dropped mid-run);
+                // its cancel token then ends the job before the next
+                // segment.
+                let _ = events.send(JobEvent::Point(point));
+            }
+            done.then_some(Ended::Completed)
+        }
+        Err(panic) => {
+            let msg = panic_message(&*panic);
+            let _ = events.send(JobEvent::Panicked(msg, Instant::now()));
+            Some(Ended::Panicked)
+        }
+    }
+}
+
+/// The message of a caught panic payload.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".into())
+}
+
+/// Counts how a held job ended, records its account, and sends its
+/// terminal event (a panic's went out with it).
+fn end_job(job: Held, ended: Ended, stats: &ServerStats) {
+    let now = Instant::now();
+    let Held {
+        request,
+        run,
+        parked,
+        mut wait,
+        exec,
+        ..
+    } = job;
+    let events = &request.events;
+    match ended {
+        Ended::Completed => {
+            stats.completed.fetch_add(1, Ordering::Relaxed);
+            let (name, finals) = run.finish();
+            let result = StreamedResult {
+                name,
+                points: Vec::new(),
+                finals,
+            };
+            let _ = events.send(JobEvent::Finished(Box::new(result), parked));
+        }
+        Ended::Cancelled => {
+            // It sat parked until the cancel was seen.
+            wait += now - parked;
+            stats.cancelled.fetch_add(1, Ordering::Relaxed);
+            let _ = events.send(JobEvent::Cancelled(now));
+        }
+        Ended::Panicked => {
+            stats.internal_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    record_account(wait, exec);
+}
+
+/// Records the wait and execution time of a job whose execution ended.
+fn record_account(wait: Duration, exec: Duration) {
+    telemetry().job_wait_ns.record(wait.as_nanos() as f64);
+    telemetry().job_exec_ns.record(exec.as_nanos() as f64);
 }
 
 /// Returns the free pages of every malloc arena to the kernel. glibc keeps
@@ -429,11 +637,13 @@ fn handle_connection(
     );
 
     let cancel = CancelToken::new();
-    let (outcome_tx, outcome_rx) = sync_channel::<ExecOutcome>(1);
+    let (events_tx, events) = channel::<JobEvent>();
+    let accepted = Instant::now();
     let request = ExecRequest {
         job,
         cancel: cancel.clone(),
-        outcome_tx,
+        events: events_tx,
+        accepted,
     };
     // Reserve the queue slot *before* ACCEPTED goes out.
     match queue_tx.try_send(request) {
@@ -445,7 +655,7 @@ fn handle_connection(
                 REJECTED,
                 &AdmissionError::QueueFull.to_string(),
             )?;
-            // Drop the request (and its outcome channel) without running.
+            // Drop the request (and its event channel) without running.
             drop(req);
             return stream.shutdown(Shutdown::Both);
         }
@@ -458,9 +668,6 @@ fn handle_connection(
     }
 
     stats.accepted.fetch_add(1, Ordering::Relaxed);
-    // Wall clock as the client experiences it: from the moment the job is
-    // accepted to its terminal frame (queue wait + execution + stream).
-    let wall_span = telemetry().job_wall_ns.span();
     write_frame(&mut stream, ACCEPTED, &accepted_meta)?;
 
     // Watcher: turns a CANCEL frame — or the client vanishing — into a
@@ -488,39 +695,54 @@ fn handle_connection(
             })?
     };
 
-    // Wait for the executor, then stream.
-    let outcome = outcome_rx
-        .recv()
-        .unwrap_or_else(|_| ExecOutcome::Panicked("executor hung up".into()));
-    let write_result = match outcome {
-        ExecOutcome::Finished(result) => stream_result(&mut stream, &result, &cancel),
-        ExecOutcome::Cancelled => write_frame(&mut stream, CANCELLED, ""),
-        ExecOutcome::Panicked(msg) => write_frame(&mut stream, ERROR, &format!("internal: {msg}")),
-    };
-    drop(wall_span);
+    let write_result = stream_events(&mut stream, &events, &cancel);
+    // Wall clock as the client experiences it: from the moment the job was
+    // accepted to its terminal frame (waiting, execution and streaming).
+    telemetry()
+        .job_wall_ns
+        .record(accepted.elapsed().as_nanos() as f64);
     // Closing both halves unblocks the watcher's read.
     let _ = stream.shutdown(Shutdown::Both);
     let _ = watcher.join();
     write_result
 }
 
-/// Streams a finished series, checking the cancel token between frames:
-/// execution is over, so this catches cancels that land after it, while
-/// the frames stream. The job already counts as completed.
-fn stream_result(
+/// Writes each SERIES frame as the executor completes its point, then the
+/// terminal frames. The token is checked before every SERIES frame, so a
+/// cancel that lands while points stream ends the stream with one
+/// CANCELLED frame even when the executor has already run the job out.
+/// The frames written after the job's last segment are its stream time.
+fn stream_events(
     stream: &mut TcpStream,
-    result: &StreamedResult,
+    events: &Receiver<JobEvent>,
     cancel: &CancelToken,
 ) -> io::Result<()> {
-    let _stream_span = telemetry().job_stream_ns.span();
-    for point in &result.points {
-        if cancel.is_cancelled() {
-            return write_frame(stream, CANCELLED, "");
+    let terminal = |stream: &mut TcpStream, kind: u8, payload: &str, since: Instant| {
+        let written = write_frame(stream, kind, payload);
+        telemetry()
+            .job_stream_ns
+            .record(since.elapsed().as_nanos() as f64);
+        written
+    };
+    loop {
+        match events.recv() {
+            Ok(JobEvent::Point(point)) => {
+                if cancel.is_cancelled() {
+                    return write_frame(stream, CANCELLED, "");
+                }
+                write_frame(stream, SERIES, &point.encode())?;
+            }
+            Ok(JobEvent::Finished(result, last_segment)) => {
+                write_frame(stream, FINAL, &result.encode_final())?;
+                return terminal(stream, DONE, "", last_segment);
+            }
+            Ok(JobEvent::Cancelled(seen)) => return terminal(stream, CANCELLED, "", seen),
+            Ok(JobEvent::Panicked(msg, at)) => {
+                return terminal(stream, ERROR, &format!("internal: {msg}"), at)
+            }
+            Err(_) => return write_frame(stream, ERROR, "internal: executor hung up"),
         }
-        write_frame(stream, SERIES, &point.encode())?;
     }
-    write_frame(stream, FINAL, &result.encode_final())?;
-    write_frame(stream, DONE, "")
 }
 
 /// What a blocking client observed for one submitted job.

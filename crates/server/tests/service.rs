@@ -6,14 +6,17 @@
 //! different games, schedules and rules, cancellations in flight — must
 //! stream every completed series **byte-identical** to an offline
 //! [`run_direct`] replay of the same description. That is the service's
-//! whole contract: the farm, the shared pool, the artifact cache and the
-//! queue must leave no fingerprints on results.
+//! whole contract: the segmented runner, the executor's interleaving of
+//! jobs, the shared pool, the artifact cache and the queue must leave no
+//! fingerprints on results.
 
-use logit_core::{CancelToken, PipelineConfig, PipelineConfigError, Simulator};
+use logit_core::{CancelToken, Simulator, SEGMENT_UPDATES};
+use logit_server::protocol::{read_frame, write_frame, ACCEPTED, DONE, FINAL, SERIES, SUBMIT};
 use logit_server::{
     prepare, run_direct, run_prepared, submit_job, submit_raw, AdmissionError, ArtifactCache,
-    ClientOutcome, JobSpec, RunningServer, ServerConfig, StatsSnapshot,
+    ClientOutcome, JobSpec, RunningServer, SeriesPoint, ServerConfig, StatsSnapshot,
 };
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -22,8 +25,51 @@ fn base_job(seed: u64) -> String {
     format!(
         "game=graphical\ntopology=ring\nn=20\ndelta0=2.0\ndelta1=1.0\n\
          rule=logit\nschedule=uniform\nmode=pipelined\nbeta=1.1\nsteps=3000\n\
-         sample_every=300\nobservable=fraction1\nreplicas=6\nseed={seed}\nchunk_ticks=128"
+         sample_every=300\nobservable=fraction1\nreplicas=6\nseed={seed}"
     )
+}
+
+/// A one-replica uniform job on a ring of 1,000 that runs `segments`
+/// segments, with one recorded time at the end of each.
+fn long_job(seed: u64, segments: u64) -> String {
+    format!(
+        "game=graphical\ntopology=ring\nn=1000\ndelta0=2.0\ndelta1=1.0\n\
+         rule=logit\nschedule=uniform\nmode=pipelined\nbeta=0.8\nsteps={}\n\
+         sample_every={SEGMENT_UPDATES}\nobservable=fraction1\nreplicas=1\nseed={seed}",
+        segments * SEGMENT_UPDATES
+    )
+}
+
+/// The SERIES payloads of `points`: `f64`s as bit patterns.
+fn wire(points: &[SeriesPoint]) -> Vec<String> {
+    points.iter().map(SeriesPoint::encode).collect()
+}
+
+/// Submits `text` on a connection of its own and reads its ACCEPTED frame.
+fn open_job(addr: SocketAddr, text: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stream, SUBMIT, text).expect("submit");
+    let (kind, payload) = read_frame(&mut stream)
+        .expect("read")
+        .expect("the server answers");
+    assert_eq!(kind, ACCEPTED, "expected ACCEPTED, got {payload}");
+    stream
+}
+
+/// Reads an open job's frames to the end, returning its points and its
+/// FINAL payload.
+fn finish_job(stream: &mut TcpStream, mut points: Vec<SeriesPoint>) -> (Vec<SeriesPoint>, String) {
+    loop {
+        match read_frame(stream).expect("read").expect("a terminal frame") {
+            (SERIES, payload) => points.push(SeriesPoint::decode(&payload).expect("a point")),
+            (FINAL, payload) => {
+                let (done, _) = read_frame(stream).expect("read").expect("DONE follows");
+                assert_eq!(done, DONE);
+                return (points, payload);
+            }
+            (kind, payload) => panic!("unexpected frame {kind:#04x}: {payload}"),
+        }
+    }
 }
 
 fn offline(text: &str) -> logit_server::StreamedResult {
@@ -93,7 +139,7 @@ fn a_loaded_server_streams_bit_identical_series() {
         thread::spawn(move || submit_job(addr, &text, Some(3)).expect("client io"))
     };
     let malformed = thread::spawn(move || {
-        let text = base_job(93).replace("chunk_ticks=128", "chunk_ticks=0");
+        let text = format!("{}\nchunk_ticks=0", base_job(93));
         submit_job(addr, &text, None).expect("client io")
     });
 
@@ -113,7 +159,7 @@ fn a_loaded_server_streams_bit_identical_series() {
         }
     }
 
-    // Cancels end cleanly — either CANCELLED or, if the farm outran the
+    // Cancels end cleanly — either CANCELLED or, if the job outran the
     // token, a complete (and then reproducible) stream.
     for (label, handle) in [("immediate", cancel_now), ("mid-stream", cancel_mid)] {
         let (outcome, _) = handle.join().expect("cancel client thread");
@@ -127,15 +173,15 @@ fn a_loaded_server_streams_bit_identical_series() {
         }
     }
 
-    // The malformed tenant got a typed pipeline rejection.
+    // The malformed tenant set a farm knob the grammar no longer has.
     let (outcome, _) = malformed.join().expect("malformed client thread");
     match outcome {
         ClientOutcome::Rejected(msg) => {
             assert!(
-                msg.starts_with("pipeline:"),
-                "zero chunk_ticks is a typed pipeline rejection, got `{msg}`"
+                msg.starts_with("unknown-field:"),
+                "chunk_ticks is an unknown field, got `{msg}`"
             );
-            assert!(msg.contains("chunk_ticks must be at least 1"));
+            assert!(msg.contains("chunk_ticks"));
         }
         other => panic!("expected a rejection, got {other:?}"),
     }
@@ -192,14 +238,9 @@ fn admission_rejects_each_malformed_layer_with_its_typed_code() {
     let msg = reject(ladder.into());
     assert!(msg.starts_with("ladder:"), "got `{msg}`");
     assert!(msg.contains("increase"));
-    // Pipeline layer (zero channel capacity, and one far above the limit:
-    // std's bounded channel would allocate every slot up front).
-    for capacity in ["0", "1000000000"] {
-        assert!(reject(
-            format!("{}\nchannel_capacity={capacity}", base_job(1))
-                .replace("chunk_ticks=128\n", "")
-        )
-        .starts_with("pipeline:"));
+    // The farm knobs are gone: a job setting one names an unknown field.
+    for knob in ["channel_capacity=1000000000", "chunk_ticks=0"] {
+        assert!(reject(format!("{}\n{knob}", base_job(1))).starts_with("unknown-field:"));
     }
     // Size layer: sizes whose products wrap past 64 bits (rows·cols to 4,
     // 2k to 0) are rejected, not built as small graphs.
@@ -314,28 +355,175 @@ fn a_tempered_job_stops_soon_after_a_mid_run_cancel() {
 }
 
 #[test]
-fn tight_pipeline_knobs_reach_both_job_modes_and_replay_bit_identically() {
-    // The tightest admissible farm: one in-flight batch, and one-tick
-    // chunks on the pipelined job. Tempered jobs run with their admitted
-    // capacity too, and neither knob may change a streamed byte.
+fn multi_segment_jobs_of_both_modes_replay_bit_identically() {
+    // A coloured profile job and a tempered job that each take at least
+    // three segments per replica (per ensemble), submitted together so
+    // the executor interleaves their segments: neither may change a
+    // streamed byte.
     let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
     let addr = server.addr();
-    let pipelined = base_job(7).replace("chunk_ticks=128", "chunk_ticks=1\nchannel_capacity=1");
-    let tempered = "game=graphical\ntopology=ring\nn=12\ndelta0=3.0\ndelta1=1.0\n\
-                    rule=logit\nschedule=sweep\nmode=tempered\nladder=linear\n\
-                    beta_min=0.1\nbeta_max=1.6\nrungs=4\nrounds=30\nsweep_ticks=24\n\
-                    sample_every=3\nobservable=potential\nreplicas=4\nseed=8\n\
-                    channel_capacity=1";
-    for text in [pipelined.as_str(), tempered] {
-        match submit_job(addr, text, None).expect("client io").0 {
+    // Coloured ticks revise one colour class of the 64-player circulant;
+    // 3 * SEGMENT_UPDATES / 64 rounds of classes is three segments and
+    // more.
+    let rounds = 3 * SEGMENT_UPDATES / 64 + 1;
+    let coloured = format!(
+        "game=ising\ntopology=circulant\nn=64\nk=2\ncoupling=1.1\n\
+         rule=logit\nschedule=coloured\nmode=pipelined\nbeta=0.9\nsteps={}\n\
+         sample_every=40000\nobservable=potential\nreplicas=1\nseed=8",
+        rounds * 5
+    );
+    // 4 rungs x 256 ticks per round: 1024 updates per round, so
+    // 3 * SEGMENT_UPDATES / 1024 rounds are three segments and more.
+    let tempered = format!(
+        "game=graphical\ntopology=ring\nn=32\ndelta0=2.0\ndelta1=1.0\n\
+         rule=logit\nschedule=sweep\nmode=tempered\nladder=linear\n\
+         beta_min=0.1\nbeta_max=1.6\nrungs=4\nrounds={}\nsweep_ticks=256\n\
+         sample_every=200\nobservable=potential\nreplicas=1\nseed=9",
+        3 * SEGMENT_UPDATES / 1024 + 1
+    );
+    let clients: Vec<_> = [coloured, tempered]
+        .into_iter()
+        .map(|text| {
+            thread::spawn(move || {
+                let outcome = submit_job(addr, &text, None).expect("client io").0;
+                (text, outcome)
+            })
+        })
+        .collect();
+    for client in clients {
+        let (text, outcome) = client.join().expect("client thread");
+        match outcome {
             ClientOutcome::Done(streamed) => {
-                assert_eq!(streamed.wire_text(), offline(text).wire_text());
+                assert_eq!(streamed.wire_text(), offline(&text).wire_text());
             }
             other => panic!("expected completion, got {other:?}"),
         }
     }
     let stats = server.shutdown();
     assert_eq!(stats.internal_errors, 0);
+}
+
+#[test]
+fn a_short_job_submitted_behind_a_long_one_finishes_first() {
+    // The long job has run a segment when the short one arrives: the
+    // executor runs the short job's one segment next, between the long
+    // job's, and both streams equal their offline replays.
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
+    let addr = server.addr();
+    let long = long_job(31, 4);
+    let mut stream = open_job(addr, &long);
+    let first = match read_frame(&mut stream).expect("read").expect("a frame") {
+        (SERIES, payload) => SeriesPoint::decode(&payload).expect("a point"),
+        (kind, payload) => panic!("expected a SERIES frame, got {kind:#04x}: {payload}"),
+    };
+    let short = base_job(32);
+    let short_client = {
+        let short = short.clone();
+        thread::spawn(move || {
+            let outcome = submit_job(addr, &short, None).expect("client io").0;
+            (outcome, Instant::now())
+        })
+    };
+    let (points, final_payload) = finish_job(&mut stream, vec![first]);
+    let long_done = Instant::now();
+    let (short_outcome, short_done) = short_client.join().expect("short client");
+    assert!(
+        short_done < long_done,
+        "the short job's DONE must arrive before the long job's"
+    );
+    match short_outcome {
+        ClientOutcome::Done(streamed) => {
+            assert_eq!(streamed.wire_text(), offline(&short).wire_text());
+        }
+        other => panic!("expected completion, got {other:?}"),
+    }
+    let direct = offline(&long);
+    assert_eq!(wire(&points), wire(&direct.points));
+    assert_eq!(final_payload, direct.encode_final());
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.internal_errors, 0);
+}
+
+#[test]
+fn a_multi_segment_job_cancelled_after_its_first_point_keeps_a_prefix() {
+    // Points leave as the segments complete them, so a client that has
+    // seen one point can still cancel: it gets CANCELLED after a prefix
+    // of the job's offline series.
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
+    let addr = server.addr();
+    let text = long_job(41, 6);
+    let (outcome, _) = submit_job(addr, &text, Some(1)).expect("client io");
+    let points = match outcome {
+        ClientOutcome::Cancelled(points) => points,
+        other => panic!("expected a cancelled stream, got {other:?}"),
+    };
+    let direct = offline(&text);
+    assert!(
+        !points.is_empty(),
+        "the first point arrived before the cancel"
+    );
+    assert!(points.len() < direct.points.len());
+    assert_eq!(wire(&points), wire(&direct.points[..points.len()]));
+    let stats = server.shutdown();
+    assert_eq!(stats.cancelled, 1);
+    assert_outcomes_partition_accepted(&stats);
+}
+
+#[test]
+fn a_long_job_completes_while_short_jobs_arrive_back_to_back() {
+    // Two clients keep short jobs arriving while a long job runs: the
+    // long job must still finish (aging), and every stream must equal its
+    // offline replay.
+    let server = RunningServer::start(0, ServerConfig::default()).expect("bind");
+    let addr = server.addr();
+    let long = long_job(51, 3);
+    let long_client = {
+        let long = long.clone();
+        thread::spawn(move || submit_job(addr, &long, None).expect("client io").0)
+    };
+    let long_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let short_clients: Vec<_> = (0..2u64)
+        .map(|client| {
+            let long_done = Arc::clone(&long_done);
+            thread::spawn(move || {
+                let mut done = Vec::new();
+                let mut seed = 100 * (client + 1);
+                loop {
+                    let text = base_job(seed);
+                    let outcome = submit_job(addr, &text, None).expect("client io").0;
+                    done.push((text, outcome));
+                    seed += 1;
+                    if long_done.load(std::sync::atomic::Ordering::Relaxed) || done.len() >= 400 {
+                        return done;
+                    }
+                }
+            })
+        })
+        .collect();
+    let long_outcome = long_client.join().expect("long client");
+    long_done.store(true, std::sync::atomic::Ordering::Relaxed);
+    match long_outcome {
+        ClientOutcome::Done(streamed) => {
+            assert_eq!(streamed.wire_text(), offline(&long).wire_text());
+        }
+        other => panic!("expected the long job to complete, got {other:?}"),
+    }
+    for client in short_clients {
+        let done = client.join().expect("short client");
+        assert!(!done.is_empty());
+        for (text, outcome) in done {
+            match outcome {
+                ClientOutcome::Done(streamed) => {
+                    assert_eq!(streamed.wire_text(), offline(&text).wire_text());
+                }
+                other => panic!("expected completion, got {other:?}"),
+            }
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.internal_errors, 0);
+    assert_outcomes_partition_accepted(&stats);
 }
 
 #[test]
@@ -376,28 +564,24 @@ fn jobs_on_one_description_share_its_csr_and_colouring() {
 }
 
 #[test]
-fn admission_takes_the_channel_capacity_limit_and_rejects_one_more() {
-    // Admission only, nothing runs: the limit itself is a valid job
-    // setting, and one past it is a typed pipeline rejection before the
-    // job is queued (the farm's channel would allocate every slot).
-    let cache = ArtifactCache::new(4);
-    let admit = |capacity: usize| {
-        let text = format!("{}\nchannel_capacity={capacity}", base_job(1));
-        prepare(JobSpec::parse(&text).expect("test job parses"), &cache)
-    };
-    let limit = PipelineConfig::MAX_CHANNEL_CAPACITY;
-    let job = admit(limit).expect("the limit is admitted");
-    assert_eq!(job.config.channel_capacity, limit);
-    let err = admit(limit + 1)
-        .err()
-        .expect("one past the limit is rejected");
-    assert!(
-        matches!(
-            err,
-            AdmissionError::Pipeline(PipelineConfigError::ChannelCapacityTooLarge)
-        ),
-        "got {err:?}"
-    );
+fn admission_rejects_the_retired_farm_keys_as_unknown_fields() {
+    // Admission only, nothing runs: the segment length is derived from the
+    // job, so `chunk_ticks` and `channel_capacity` are not in the grammar,
+    // at any value — the old limit included.
+    for knob in [
+        "chunk_ticks=1",
+        "chunk_ticks=0",
+        "channel_capacity=65536",
+        "channel_capacity=65537",
+    ] {
+        let text = format!("{}\n{knob}", base_job(1));
+        let key = knob.split('=').next().expect("a key");
+        assert_eq!(
+            JobSpec::parse(&text),
+            Err(AdmissionError::UnknownField(key.to_string())),
+            "{knob}"
+        );
+    }
 }
 
 #[test]

@@ -51,10 +51,10 @@ pub mod prelude {
         coloring_for_game, exact_mixing_time, exact_mixing_time_with_rule, gibbs_distribution,
         zeta, AllLogit, BarrierResult, ColouredBlocks, CouplingKind, DynamicsEngine, EmpiricalLaw,
         Fermi, ImitateBetter, Logit, LogitDynamics, MetropolisLogit, MixingMeasurement,
-        NamedObservable, NoisyBestResponse, PipelineConfig, ProfileEnsembleResult,
-        ProfileObservable, RandomBlock, Scratch, SelectionSchedule, SeriesAccumulator, Simulator,
-        StepEvent, SwapStats, SystematicSweep, TemperedEnsembleResult, TemperingEnsemble,
-        TemperingState, UniformSingle, UpdateRule,
+        NamedObservable, NoisyBestResponse, ProfileEnsembleResult, ProfileObservable, RandomBlock,
+        Scratch, SelectionSchedule, SeriesAccumulator, Simulator, StepEvent, SwapStats,
+        SystematicSweep, TemperedEnsembleResult, TemperingEnsemble, TemperingState, UniformSingle,
+        UpdateRule,
     };
     pub use logit_games::{
         interaction_graph, AllZeroDominantGame, CongestionGame, CoordinationGame, Game,
