@@ -13,13 +13,21 @@
 //! cycling through 0.05 / 0.4 / 1.3 / 6.0. The cycle steps once more at
 //! each new game, so every game meets every β on each graph from each
 //! start. At β = 0.05 a large share of revisions move; a tempered job's
-//! ladder runs from `min(0.2, β/2)` to β. Two long jobs close the matrix,
-//! each more than three segments of work per replica (2²⁰ player
-//! updates a segment): a coloured profile job and a tempered job, so the
-//! farmed runner and the server resume both kinds between segments.
+//! ladder runs from `min(0.2, β/2)` to β. Six coloured jobs follow, one
+//! per game on each of two more DSATUR-sized graphs: an irregular grid
+//! 9×14 (degrees 2 to 4) and a torus 9×14. The torus's odd cycles make
+//! its classes depend on the order in which DSATUR colours, and so on its
+//! index tie-break. The grid, like the matrix's 12×20 torus, is
+//! bipartite: every order gives it the same two classes. No admitted
+//! topology is both irregular and non-bipartite, so no job here can pin
+//! DSATUR's degree tie-break; the colouring module's proptest does. Two
+//! long jobs close the matrix, each more than three segments of work per
+//! replica (2²⁰ player updates a segment): a coloured profile job and a
+//! tempered job, so the farmed runner and the server resume both kinds
+//! between segments.
 //!
 //! Run it on two commits of one host to show a change left every stream
-//! alone: equal hashes mean equal wire bytes for all 362 jobs. The hash is
+//! alone: equal hashes mean equal wire bytes for all 368 jobs. The hash is
 //! not a constant to pin across hosts, because `exp` comes from the system
 //! libm and its last ulp may differ between them.
 //!
@@ -44,6 +52,11 @@ const GAMES: [&str; 3] = [
 const GRAPHS: [&str; 2] = [
     "topology=circulant\nn=600\nk=3",
     "topology=torus\nrows=12\ncols=20",
+];
+/// Graphs of the extra coloured jobs, both within DSATUR's caps.
+const DSATUR_GRAPHS: [&str; 2] = [
+    "topology=grid\nrows=9\ncols=14",
+    "topology=torus\nrows=9\ncols=14",
 ];
 const STARTS: [&str; 2] = ["zeros", "ones"];
 const BETAS: [f64; 4] = [0.05, 0.4, 1.3, 6.0];
@@ -104,9 +117,24 @@ fn main() {
             }
         }
     }
+    for (i, graph) in DSATUR_GRAPHS.iter().enumerate() {
+        for (j, game) in GAMES.iter().enumerate() {
+            let index = texts.len();
+            let start = STARTS[(i + j) % STARTS.len()];
+            texts.push(job_text(
+                index,
+                "coloured",
+                RULES[j],
+                "potential",
+                game,
+                graph,
+                start,
+            ));
+        }
+    }
     texts.extend(LONG_JOBS.map(String::from));
 
-    let cache = ArtifactCache::new(GAMES.len() * GRAPHS.len());
+    let cache = ArtifactCache::new(GAMES.len() * (GRAPHS.len() + DSATUR_GRAPHS.len()));
     // One pool for every farmed job, as the server's executor holds.
     let base = Simulator::new(0, 1);
     let mut wire = String::new();

@@ -49,7 +49,11 @@ use crate::rules::UpdateRule;
 use crate::runtime::{RuntimeConfig, WorkerPool};
 use crate::schedules::SelectionSchedule;
 use logit_games::{interaction_graph, LocalGame};
-use logit_graphs::{dsatur_coloring, greedy_coloring, Coloring};
+/// The scale-aware colouring choice on an already materialised graph —
+/// the entry point when the caller holds the interaction graph anyway (the
+/// locality layout does, to avoid bridging a `10⁷`-vertex game twice).
+pub use logit_graphs::coloring_for_graph;
+use logit_graphs::Coloring;
 use logit_linalg::Matrix;
 use logit_markov::MarkovChain;
 use rand::Rng;
@@ -214,38 +218,10 @@ impl SelectionSchedule for ColouredBlocks {
 /// [`LocalGame`] (graphical coordination or Ising on a builder topology, a
 /// congestion game with its implicit resource-sharing graph, …) comes back
 /// as a [`Coloring`] ready for [`ColouredBlocks`] and the parallel engine
-/// path.
-///
-/// Algorithm choice is scale-aware: DSATUR (usually the fewest classes,
-/// exact on bipartite graphs) costs `O(n·(Δ+1))` memory for its exact
-/// saturation bookkeeping plus a quadratic-ish selection scan, so beyond a
-/// size threshold this falls back to first-fit greedy — `O(n + m)` time,
-/// `O(Δ)` extra memory, the same `χ ≤ Δ + 1` guarantee (on the dense
-/// circulant bench instance the two produce the *same* class count). Both
-/// are deterministic, so the choice depends only on the graph, never the
-/// host.
+/// path, coloured by [`coloring_for_graph`]'s scale-aware choice (DSATUR
+/// within its caps, first-fit greedy beyond them).
 pub fn coloring_for_game<G: LocalGame>(game: &G) -> Coloring {
     coloring_for_graph(&interaction_graph(game))
-}
-
-/// The scale-aware colouring choice of [`coloring_for_game`] on an already
-/// materialised graph — the entry point when the caller holds the
-/// interaction graph anyway (the locality layout does, to avoid bridging
-/// a `10⁷`-vertex game twice).
-pub fn coloring_for_graph(graph: &logit_graphs::Graph) -> Coloring {
-    // Two caps gate DSATUR. The cell bound (~4M bookkeeping entries) keeps
-    // its saturation table in cache-adjacent memory; the vertex bound caps
-    // its O(n²) selection scan — a low-degree graph like a 10⁶-vertex ring
-    // passes the cell bound but would spend hours in the scan. 2¹⁴ vertices
-    // (≤ ~270M comparisons, tens of milliseconds) covers every
-    // exact-analysis instance with a wide margin.
-    let n = graph.num_vertices();
-    let dsatur_cells = n.saturating_mul(graph.max_degree() + 1);
-    if dsatur_cells <= 1 << 22 && n <= 1 << 14 {
-        dsatur_coloring(graph)
-    } else {
-        greedy_coloring(graph)
-    }
 }
 
 /// SplitMix64 finaliser: decorrelates the per-player stream seeds.
@@ -538,7 +514,7 @@ mod tests {
     use crate::rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse};
     use crate::schedules::AllLogit;
     use logit_games::{CoordinationGame, GraphicalCoordinationGame, IsingGame};
-    use logit_graphs::GraphBuilder;
+    use logit_graphs::{greedy_coloring, GraphBuilder};
     use logit_markov::{stationary_distribution, total_variation};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

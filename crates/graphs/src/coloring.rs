@@ -11,18 +11,24 @@
 //! `step_coloured_pooled` engine path in `logit-core` build on the
 //! [`Coloring`] type here.
 //!
-//! Two constructions are provided:
+//! Two constructions are provided, and [`coloring_for_graph`] chooses
+//! between them by the graph's size:
 //!
 //! * [`greedy_coloring`] — first-fit in vertex order; never uses more than
 //!   `Δ + 1` colours (each vertex has at most `Δ` coloured neighbours when
-//!   its colour is chosen), the classical bound `χ(G) ≤ Δ + 1`.
+//!   its colour is chosen), the classical bound `χ(G) ≤ Δ + 1`;
+//!   `O(n + m)` time.
 //! * [`dsatur_coloring`] — Brélaz's DSATUR: always colour the vertex with
 //!   the most distinctly-coloured neighbours (saturation), tie-broken by
 //!   degree then index. Also bounded by `Δ + 1`, exact on bipartite graphs,
 //!   and on typical graphs it uses no more classes than first-fit (an
 //!   empirical tendency, not a theorem — only `Δ + 1` is contractual) —
 //!   fewer classes mean larger independent sets, i.e. wider parallel
-//!   blocks.
+//!   blocks. It finds each next vertex in a bucket queue by saturation
+//!   rather than by scanning the uncoloured ones: `O(m + n·Δ/64 + n²/64)`
+//!   time in the worst case, with `O(n·Δ)` bits of bookkeeping; on the
+//!   sparse builder topologies the queue's word scans stay short, and a
+//!   2¹⁴-vertex torus colours in under a millisecond.
 
 use crate::graph::Graph;
 
@@ -192,42 +198,177 @@ pub fn greedy_coloring(graph: &Graph) -> Coloring {
 /// (an empirical tendency, not a theorem: rare tie-break patterns exist
 /// where it loses by a class, so callers may rely only on `Δ + 1` and on
 /// propriety).
+///
+/// The uncoloured vertices wait in a bucket queue by saturation: one
+/// bitset per saturation level over a static rank (degree descending, then
+/// index ascending), so the next vertex is the lowest set rank of the
+/// highest non-empty level, and a vertex whose saturation rises moves up
+/// one level in two bit flips. Each vertex's neighbour colours are one row
+/// of a flat bitset. Time is `O(m + n·Δ/64 + n²/64)` in the worst case
+/// (the last term is the levels' word scans, small next to `m` on dense
+/// graphs and short on sparse ones), memory `O(n·Δ)` bits.
 pub fn dsatur_coloring(graph: &Graph) -> Coloring {
     let n = graph.num_vertices();
     assert!(n > 0, "cannot colour the empty graph");
-    let max_colors = graph.max_degree() + 1;
+    let max_degree = graph.max_degree();
+    let mut queue = SaturationQueue::new(graph, max_degree);
+    // Row v of `neighbour_colors` has bit c set when a neighbour of v holds
+    // colour c; colours run over 0..=Δ.
+    let row_words = (max_degree + 1).div_ceil(64);
+    let mut neighbour_colors = vec![0u64; n * row_words];
     let mut colors = vec![usize::MAX; n];
-    // neighbour_colors[v][c]: does v have a neighbour coloured c?
-    let mut neighbour_colors = vec![vec![false; max_colors]; n];
-    let mut saturation = vec![0usize; n];
-    // Selection scans only the still-uncoloured vertices (swap_remove keeps
-    // the list compact); the `(saturation, degree, lowest index)` key is a
-    // total order, so the winner is independent of the scan order.
-    let mut uncoloured: Vec<usize> = (0..n).collect();
-    while !uncoloured.is_empty() {
-        // Highest saturation, then highest degree, then lowest index.
-        let slot = (0..uncoloured.len())
-            .max_by(|&i, &j| {
-                let (a, b) = (uncoloured[i], uncoloured[j]);
-                saturation[a]
-                    .cmp(&saturation[b])
-                    .then(graph.degree(a).cmp(&graph.degree(b)))
-                    .then(b.cmp(&a))
-            })
-            .expect("an uncoloured vertex remains");
-        let v = uncoloured.swap_remove(slot);
-        let c = (0..max_colors)
-            .find(|&c| !neighbour_colors[v][c])
+    for _ in 0..n {
+        let v = queue.pop();
+        let row = &neighbour_colors[v * row_words..(v + 1) * row_words];
+        let c = row
+            .iter()
+            .position(|&word| word != u64::MAX)
+            .map(|w| w * 64 + row[w].trailing_ones() as usize)
             .expect("Delta + 1 colours always suffice for DSATUR");
         colors[v] = c;
+        let (word, bit) = (c / 64, 1u64 << (c % 64));
         for &u in graph.neighbors(v) {
-            if colors[u] == usize::MAX && !neighbour_colors[u][c] {
-                neighbour_colors[u][c] = true;
-                saturation[u] += 1;
+            let cell = &mut neighbour_colors[u * row_words + word];
+            if colors[u] == usize::MAX && *cell & bit == 0 {
+                *cell |= bit;
+                queue.raise(u);
             }
         }
     }
     normalise(colors)
+}
+
+/// DSATUR's queue of uncoloured vertices, bucketed by saturation.
+///
+/// Every vertex has a static *rank*: vertices sorted by degree descending,
+/// then index ascending. Level `s` is a bitset over ranks holding the
+/// uncoloured vertices of saturation `s`. The scan's total order — highest
+/// saturation, then highest degree, then lowest index — is then "highest
+/// non-empty level, lowest set rank", found without visiting the other
+/// vertices.
+struct SaturationQueue {
+    /// `rank[v]`: v's position in the static order.
+    rank: Vec<usize>,
+    /// `by_rank[r]`: the vertex of rank `r`.
+    by_rank: Vec<usize>,
+    /// Saturation of every uncoloured vertex (its level).
+    saturation: Vec<usize>,
+    /// Level `s` occupies `bits[s * words..(s + 1) * words]`.
+    bits: Vec<u64>,
+    /// Words per level: `⌈n / 64⌉`.
+    words: usize,
+    /// Vertices per level.
+    count: Vec<usize>,
+    /// Every word of level `s` below `first_word[s]` is zero.
+    first_word: Vec<usize>,
+    /// No level above `top` holds a vertex.
+    top: usize,
+}
+
+impl SaturationQueue {
+    /// All `n` vertices at saturation 0. Saturation never exceeds a
+    /// vertex's degree, so levels `0..=max_degree` suffice.
+    fn new(graph: &Graph, max_degree: usize) -> Self {
+        let n = graph.num_vertices();
+        // Counting sort by degree, descending; stable, so index ascending
+        // within each degree.
+        let mut starts = vec![0usize; max_degree + 2];
+        for v in 0..n {
+            starts[max_degree - graph.degree(v) + 1] += 1;
+        }
+        for d in 1..starts.len() {
+            starts[d] += starts[d - 1];
+        }
+        let mut rank = vec![0usize; n];
+        let mut by_rank = vec![0usize; n];
+        for v in 0..n {
+            let slot = &mut starts[max_degree - graph.degree(v)];
+            rank[v] = *slot;
+            by_rank[*slot] = v;
+            *slot += 1;
+        }
+        let words = n.div_ceil(64);
+        let mut bits = vec![0u64; (max_degree + 1) * words];
+        bits[..words].fill(u64::MAX);
+        if !n.is_multiple_of(64) {
+            bits[words - 1] = (1u64 << (n % 64)) - 1;
+        }
+        let mut count = vec![0usize; max_degree + 1];
+        count[0] = n;
+        Self {
+            rank,
+            by_rank,
+            saturation: vec![0; n],
+            bits,
+            words,
+            count,
+            first_word: vec![0; max_degree + 1],
+            top: 0,
+        }
+    }
+
+    /// Removes and returns the uncoloured vertex of highest saturation,
+    /// then highest degree, then lowest index.
+    ///
+    /// # Panics
+    /// Panics when no vertex is left.
+    fn pop(&mut self) -> usize {
+        while self.count[self.top] == 0 {
+            self.top = self.top.checked_sub(1).expect("a vertex is left");
+        }
+        let level = &mut self.bits[self.top * self.words..(self.top + 1) * self.words];
+        let mut w = self.first_word[self.top];
+        while level[w] == 0 {
+            w += 1;
+        }
+        self.first_word[self.top] = w;
+        let bit = level[w].trailing_zeros() as usize;
+        level[w] &= !(1u64 << bit);
+        self.count[self.top] -= 1;
+        self.by_rank[w * 64 + bit]
+    }
+
+    /// Moves uncoloured vertex `v` up one saturation level.
+    fn raise(&mut self, v: usize) {
+        let (r, s) = (self.rank[v], self.saturation[v]);
+        let (w, bit) = (r / 64, 1u64 << (r % 64));
+        self.bits[s * self.words + w] &= !bit;
+        self.bits[(s + 1) * self.words + w] |= bit;
+        self.count[s] -= 1;
+        self.count[s + 1] += 1;
+        self.first_word[s + 1] = self.first_word[s + 1].min(w);
+        self.saturation[v] = s + 1;
+        self.top = self.top.max(s + 1);
+    }
+}
+
+/// The scale-aware colouring every coloured schedule uses: DSATUR (usually
+/// the fewest classes, exact on bipartite graphs) when the graph is within
+/// two caps, first-fit greedy beyond them — the same `χ ≤ Δ + 1`
+/// guarantee, `O(n + m)` time and `O(Δ)` extra memory (on the dense
+/// circulant bench instance the two produce the *same* class count). Both
+/// are deterministic, so the choice depends only on the graph, never the
+/// host.
+pub fn coloring_for_graph(graph: &Graph) -> Coloring {
+    if within_dsatur_caps(graph) {
+        dsatur_coloring(graph)
+    } else {
+        greedy_coloring(graph)
+    }
+}
+
+/// Whether [`coloring_for_graph`] colours `graph` with DSATUR.
+///
+/// The caps only choose the algorithm; both colourings run in about their
+/// output's time. They must not move: they decide which graphs get
+/// DSATUR's classes rather than first-fit's, so moving either would change
+/// the colouring, and with it every coloured stream, of the graphs between
+/// the old and the new cap. The cell cap bounds DSATUR's `O(n·Δ)` bits of
+/// bookkeeping; the vertex cap covers every exact-analysis instance with a
+/// wide margin.
+fn within_dsatur_caps(graph: &Graph) -> bool {
+    let n = graph.num_vertices();
+    n.saturating_mul(graph.max_degree() + 1) <= 1 << 22 && n <= 1 << 14
 }
 
 /// Compacts colour values to `0..k` in first-appearance order (DSATUR can
@@ -253,8 +394,168 @@ fn normalise(colors: Vec<usize>) -> Coloring {
 mod tests {
     use super::*;
     use crate::builders::GraphBuilder;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The reference DSATUR: each next vertex found by scanning every
+    /// uncoloured one, `O(n²)`. The bucket queue must make exactly its
+    /// choices.
+    fn dsatur_by_scan(graph: &Graph) -> Coloring {
+        let n = graph.num_vertices();
+        assert!(n > 0, "cannot colour the empty graph");
+        let max_colors = graph.max_degree() + 1;
+        let mut colors = vec![usize::MAX; n];
+        // neighbour_colors[v][c]: does v have a neighbour coloured c?
+        let mut neighbour_colors = vec![vec![false; max_colors]; n];
+        let mut saturation = vec![0usize; n];
+        // Selection scans only the still-uncoloured vertices (swap_remove
+        // keeps the list compact); the `(saturation, degree, lowest index)`
+        // key is a total order, so the winner is independent of the scan
+        // order.
+        let mut uncoloured: Vec<usize> = (0..n).collect();
+        while !uncoloured.is_empty() {
+            // Highest saturation, then highest degree, then lowest index.
+            let slot = (0..uncoloured.len())
+                .max_by(|&i, &j| {
+                    let (a, b) = (uncoloured[i], uncoloured[j]);
+                    saturation[a]
+                        .cmp(&saturation[b])
+                        .then(graph.degree(a).cmp(&graph.degree(b)))
+                        .then(b.cmp(&a))
+                })
+                .expect("an uncoloured vertex remains");
+            let v = uncoloured.swap_remove(slot);
+            let c = (0..max_colors)
+                .find(|&c| !neighbour_colors[v][c])
+                .expect("Delta + 1 colours always suffice for DSATUR");
+            colors[v] = c;
+            for &u in graph.neighbors(v) {
+                if colors[u] == usize::MAX && !neighbour_colors[u][c] {
+                    neighbour_colors[u][c] = true;
+                    saturation[u] += 1;
+                }
+            }
+        }
+        normalise(colors)
+    }
+
+    /// The integration suite's `small_graph()`: 3–8 vertices, a random
+    /// edge list (loops dropped, repeats ignored).
+    fn small_graph() -> impl Strategy<Value = Graph> {
+        (3usize..9).prop_flat_map(|n| {
+            prop::collection::vec((0..n, 0..n), 0..(n * (n - 1) / 2)).prop_map(move |raw| {
+                let edges: Vec<(usize, usize)> = raw.into_iter().filter(|&(u, v)| u != v).collect();
+                Graph::from_edges(n, &edges)
+            })
+        })
+    }
+
+    /// Denser and larger: `G(n, p)` with n up to 300 and p from 0 to 1 in
+    /// steps of 1/20, followed by up to 7 isolated vertices.
+    fn dense_graph() -> impl Strategy<Value = Graph> {
+        (1usize..301, 0u32..21, 0u64..1 << 32, 0usize..8).prop_map(|(n, p, seed, isolated)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = GraphBuilder::erdos_renyi(n, f64::from(p) / 20.0, &mut rng);
+            Graph::from_edges(n + isolated, &g.edges().collect::<Vec<_>>())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bucket queue picks every vertex the scan picks, so the two
+        /// colourings are equal, on small sparse and on dense graphs.
+        #[test]
+        fn dsatur_buckets_match_the_scan(small in small_graph(), dense in dense_graph()) {
+            prop_assert_eq!(dsatur_coloring(&small), dsatur_by_scan(&small));
+            prop_assert_eq!(dsatur_coloring(&dense), dsatur_by_scan(&dense));
+        }
+    }
+
+    /// Every topology the service admits, on both sides of both caps:
+    /// `coloring_for_graph` takes DSATUR exactly inside them, and there its
+    /// colouring equals the scan's; beyond them it is first-fit's.
+    #[test]
+    fn coloring_for_graph_matches_the_scan_on_every_admitted_topology() {
+        let mut table: Vec<(String, Graph, bool)> = Vec::new();
+        let mut row = |name: String, graph: Graph, dsatur: bool| table.push((name, graph, dsatur));
+        // The vertex cap: n ≤ 2¹⁴.
+        for n in [3, 4, 5, 1000, 1 << 14, (1 << 14) + 1] {
+            row(format!("ring {n}"), GraphBuilder::ring(n), n <= 1 << 14);
+        }
+        for (rows, cols) in [(3, 3), (3, 4), (5, 7), (64, 64), (128, 128), (128, 129)] {
+            let torus = GraphBuilder::torus(rows, cols);
+            row(
+                format!("torus {rows}x{cols}"),
+                torus,
+                rows * cols <= 1 << 14,
+            );
+        }
+        for (rows, cols) in [
+            (1, 1),
+            (1, 2),
+            (1, 9),
+            (9, 1),
+            (2, 2),
+            (9, 14),
+            (128, 128),
+            (1, 1 << 14),
+            (1, (1 << 14) + 1),
+        ] {
+            let grid = GraphBuilder::grid(rows, cols);
+            row(format!("grid {rows}x{cols}"), grid, rows * cols <= 1 << 14);
+        }
+        for dim in 0..=15 {
+            row(
+                format!("hypercube {dim}"),
+                GraphBuilder::hypercube(dim),
+                dim <= 14,
+            );
+        }
+        // The cell cap: n·(Δ + 1) ≤ 2²².
+        for (n, k) in [
+            (3, 1),
+            (5, 2),
+            (7, 3),
+            (255, 127),
+            (600, 3),
+            (10_000, 5),
+            (16_384, 127),
+            (16_384, 128),
+        ] {
+            let dsatur = n * (2 * k + 1) <= 1 << 22;
+            row(
+                format!("circulant {n},{k}"),
+                GraphBuilder::circulant(n, k),
+                dsatur,
+            );
+        }
+        for n in [1, 2, 3, 40, 1000, 2048, 2049] {
+            row(
+                format!("clique {n}"),
+                GraphBuilder::clique(n),
+                n * n <= 1 << 22,
+            );
+        }
+        // The scan takes seconds per 2¹⁴-vertex graph unoptimised, so a
+        // debug build compares the rows up to 2¹² vertices; an optimised
+        // build (CI runs this test with --release too) compares them all.
+        let scanned = if cfg!(debug_assertions) {
+            1 << 12
+        } else {
+            usize::MAX
+        };
+        for (name, graph, dsatur) in &table {
+            assert_eq!(within_dsatur_caps(graph), *dsatur, "{name}: the caps moved");
+            let chosen = coloring_for_graph(graph);
+            if !dsatur {
+                assert_eq!(chosen, greedy_coloring(graph), "{name}");
+            } else if graph.num_vertices() <= scanned {
+                assert_eq!(chosen, dsatur_by_scan(graph), "{name}");
+            }
+        }
+    }
 
     fn check_structure(coloring: &Coloring, graph: &Graph) {
         assert!(coloring.is_proper(graph), "colouring must be proper");

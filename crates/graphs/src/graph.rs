@@ -62,6 +62,23 @@ impl Graph {
         }
     }
 
+    /// Wraps adjacency rows that are already sorted ascending, free of
+    /// duplicates and self-loops, and symmetric (`v` in row `u` exactly
+    /// when `u` is in row `v`): the rows are kept as they are, for builders
+    /// that write each row once in order.
+    pub(crate) fn from_sorted_rows(adj: Vec<Vec<usize>>) -> Self {
+        debug_assert!(adj
+            .iter()
+            .enumerate()
+            .all(|(u, row)| row.windows(2).all(|w| w[0] < w[1]) && !row.contains(&u)));
+        let directed: usize = adj.iter().map(Vec::len).sum();
+        Self {
+            n: adj.len(),
+            adj,
+            num_edges: directed / 2,
+        }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {

@@ -40,7 +40,7 @@ pub mod relabel;
 pub mod traversal;
 
 pub use builders::GraphBuilder;
-pub use coloring::{dsatur_coloring, greedy_coloring, Coloring};
+pub use coloring::{coloring_for_graph, dsatur_coloring, greedy_coloring, Coloring};
 pub use csr::{CsrGraph, CsrIndexError};
 pub use cutwidth::{cutwidth_exact, cutwidth_heuristic, cutwidth_of_ordering, CutwidthResult};
 pub use graph::Graph;

@@ -34,7 +34,9 @@ struct LruInner<K, V> {
 /// A small mutex-guarded LRU map. Throughput is bounded by job admission,
 /// not by this lock: the expensive builder runs *outside* the critical
 /// section, so concurrent admissions never serialise on artifact
-/// construction (at worst two tenants build the same artifact once).
+/// construction. Nor do they share it: every admission that misses builds
+/// the artifact itself, so `k` concurrent misses of one key build it `k`
+/// times, and all but the first value inserted are dropped.
 pub struct LruCache<K: Eq + Hash + Clone, V: Clone> {
     inner: Mutex<LruInner<K, V>>,
     capacity: usize,

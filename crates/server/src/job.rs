@@ -93,7 +93,8 @@ pub enum ScheduleKind {
     /// All players simultaneously.
     All,
     /// Colour classes in round-robin (parallel-revision model); uses the
-    /// cached greedy colouring of the interaction graph.
+    /// cached colouring of the interaction graph: DSATUR within
+    /// `coloring_for_graph`'s caps, first-fit greedy beyond them.
     Coloured,
 }
 

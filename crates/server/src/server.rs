@@ -53,12 +53,15 @@
 //!
 //! ## Time account
 //!
-//! With the `telemetry` feature recording, each job's wall time from
-//! ACCEPTED to its terminal frame (`server.job_wall_ns`) splits into
-//! `server.job_wait_ns` (from ACCEPTED to its first segment, plus every
-//! interval it sat parked between its segments), `server.job_exec_ns`
-//! (the sum of its own segments) and `server.job_stream_ns` (the frames
-//! written after its last segment).
+//! With the `telemetry` feature recording, each admitted job's parse and
+//! `prepare` time is one sample of `server.admission_ns`, labelled
+//! `artifacts="hit"` or `"miss"` by whether its game's artifacts were
+//! cached. Each job's wall time from ACCEPTED to its terminal frame
+//! (`server.job_wall_ns`) splits into `server.job_wait_ns` (from
+//! ACCEPTED to its first segment, plus every interval it sat parked
+//! between its segments), `server.job_exec_ns` (the sum of its own
+//! segments) and `server.job_stream_ns` (the frames written after its
+//! last segment).
 //!
 //! ## Memory
 //!
@@ -166,6 +169,12 @@ struct ServerTelemetry {
     /// `server.job_stream_ns` — the frames written after the job's last
     /// segment.
     job_stream_ns: logit_telemetry::Histogram,
+    /// `server.admission_ns{artifacts="hit"}` — parse + `prepare` of an
+    /// admitted job whose artifacts were cached.
+    admission_hit_ns: logit_telemetry::Histogram,
+    /// `server.admission_ns{artifacts="miss"}` — the same for a job that
+    /// built them.
+    admission_miss_ns: logit_telemetry::Histogram,
 }
 
 fn telemetry() -> &'static ServerTelemetry {
@@ -179,6 +188,10 @@ fn telemetry() -> &'static ServerTelemetry {
             job_wait_ns: registry.histogram("server.job_wait_ns"),
             job_exec_ns: registry.histogram("server.job_exec_ns"),
             job_stream_ns: registry.histogram("server.job_stream_ns"),
+            admission_hit_ns: registry
+                .histogram_labelled("server.admission_ns", ("artifacts", "hit")),
+            admission_miss_ns: registry
+                .histogram_labelled("server.admission_ns", ("artifacts", "miss")),
         }
     })
 }
@@ -617,6 +630,7 @@ fn handle_connection(
 
     // Admission: parse, then build/fetch artifacts through the typed
     // `try_*` boundaries. Rejection is a frame, never a panic.
+    let admitting = Instant::now();
     let job = match JobSpec::parse(&submit).and_then(|spec| prepare(spec, cache)) {
         Ok(job) => job,
         Err(e) => {
@@ -625,6 +639,12 @@ fn handle_connection(
             return stream.shutdown(Shutdown::Both);
         }
     };
+    let admission = if job.cache_hit {
+        &telemetry().admission_hit_ns
+    } else {
+        &telemetry().admission_miss_ns
+    };
+    admission.record(admitting.elapsed().as_nanos() as f64);
 
     // Admission metadata for the ACCEPTED frame, copied out before the
     // job moves into the queue.

@@ -84,6 +84,9 @@ mod tests {
             .inc();
         registry.histogram("server.job_wall_ns").record(5.0);
         registry
+            .histogram_labelled("server.admission_ns", ("artifacts", "miss"))
+            .record(7.0);
+        registry
             .counter_labelled("server.cache.hits", ("cache", "games"))
             .inc();
         let text = render_stats(&snapshot());
@@ -94,6 +97,7 @@ mod tests {
             1.0
         );
         assert!(samples.contains_key("server_job_wall_ns_count"));
+        assert!(samples.contains_key("server_admission_ns_count{artifacts=\"miss\"}"));
         assert_eq!(samples["server_cache_hits{cache=\"games\"}"], 1.0);
     }
 }
