@@ -20,14 +20,16 @@
 //! index tie-break. The grid, like the matrix's 12×20 torus, is
 //! bipartite: every order gives it the same two classes. No admitted
 //! topology is both irregular and non-bipartite, so no job here can pin
-//! DSATUR's degree tie-break; the colouring module's proptest does. Two
-//! long jobs close the matrix, each more than three segments of work per
-//! replica (2²⁰ player updates a segment): a coloured profile job and a
-//! tempered job, so the farmed runner and the server resume both kinds
-//! between segments.
+//! DSATUR's degree tie-break; the colouring module's proptest does. Three
+//! more coloured jobs, one per game, run on a circulant (20,001, 3), past
+//! DSATUR's vertex cap, so they pin the first-fit colouring admission
+//! builds from CSR rows. Two long jobs close the matrix, each more than
+//! three segments of work per replica (2²⁰ player updates a segment): a
+//! coloured profile job and a tempered job, so the farmed runner and the
+//! server resume both kinds between segments.
 //!
 //! Run it on two commits of one host to show a change left every stream
-//! alone: equal hashes mean equal wire bytes for all 368 jobs. The hash is
+//! alone: equal hashes mean equal wire bytes for all 371 jobs. The hash is
 //! not a constant to pin across hosts, because `exp` comes from the system
 //! libm and its last ulp may differ between them.
 //!
@@ -58,6 +60,11 @@ const DSATUR_GRAPHS: [&str; 2] = [
     "topology=grid\nrows=9\ncols=14",
     "topology=torus\nrows=9\ncols=14",
 ];
+/// Graph of the first-fit coloured jobs: 20,001 vertices, past DSATUR's
+/// vertex cap of 2¹⁴. With `n` not a multiple of `k + 1` the wrap needs a
+/// fifth colour, and which vertex takes it depends on the order
+/// first-fit visits them.
+const FIRST_FIT_GRAPH: &str = "topology=circulant\nn=20001\nk=3";
 const STARTS: [&str; 2] = ["zeros", "ones"];
 const BETAS: [f64; 4] = [0.05, 0.4, 1.3, 6.0];
 /// Jobs of more than three segments per replica: a coloured job of 40,000
@@ -132,9 +139,19 @@ fn main() {
             ));
         }
     }
+    for (j, game) in GAMES.iter().enumerate() {
+        let beta = BETAS[(texts.len() + j) % BETAS.len()];
+        let seed = 0x5EED_0000 + texts.len() as u64;
+        texts.push(format!(
+            "{game}\n{FIRST_FIT_GRAPH}\nstart={}\n{}\nschedule=coloured\nmode=pipelined\n\
+             beta={beta}\nsteps=40\nsample_every=5\nreplicas=2\nobservable=potential\nseed={seed}",
+            STARTS[j % STARTS.len()],
+            RULES[j],
+        ));
+    }
     texts.extend(LONG_JOBS.map(String::from));
 
-    let cache = ArtifactCache::new(GAMES.len() * (GRAPHS.len() + DSATUR_GRAPHS.len()));
+    let cache = ArtifactCache::new(GAMES.len() * (GRAPHS.len() + DSATUR_GRAPHS.len() + 1));
     // One pool for every farmed job, as the server's executor holds.
     let base = Simulator::new(0, 1);
     let mut wire = String::new();

@@ -111,6 +111,31 @@ impl Scratch {
         }
     }
 
+    /// [`for_game`](Self::for_game) on the block buffers of an earlier
+    /// replica, cleared, so a parallel schedule's first tick reuses their
+    /// capacity instead of growing new ones.
+    pub(crate) fn with_block_buffers<G: Game>(
+        game: &G,
+        mut players: Vec<usize>,
+        mut staged: Vec<usize>,
+    ) -> Self {
+        players.clear();
+        staged.clear();
+        Self {
+            players,
+            staged,
+            ..Self::for_game(game)
+        }
+    }
+
+    /// Hands the block buffers over for the next replica to reuse.
+    pub(crate) fn take_block_buffers(&mut self) -> (Vec<usize>, Vec<usize>) {
+        (
+            std::mem::take(&mut self.players),
+            std::mem::take(&mut self.staged),
+        )
+    }
+
     /// The update distribution computed by the most recent
     /// [`DynamicsEngine::update_distribution_into`] /
     /// [`DynamicsEngine::step_profile`] call.
@@ -413,10 +438,11 @@ impl<G: Game, U: UpdateRule> DynamicsEngine<G, U> {
     }
 
     /// The neighbour-count words of `profile` (see [`CountTable`]) on a
-    /// game with a [`CountKernel`], or `None` on any other game.
+    /// game with a [`CountKernel`], written over a spare buffer
+    /// ([`crate::spare`]), or `None` on any other game.
     pub(crate) fn count_words(&self, profile: &[usize]) -> Option<Vec<u32>> {
         let (kernel, table) = self.count_table()?;
-        Some(table.words(kernel, profile))
+        Some(table.words(kernel, profile, crate::spare::words(profile.len())))
     }
 
     /// Runs the schedule ticks `ticks` on `profile`. Without `words` this
@@ -782,11 +808,12 @@ impl CountTable {
         &self.entries.as_flattened()[word as usize]
     }
 
-    /// The words of every player on `profile`. Every player starts on the
-    /// more common strategy with her whole row on it, and each player on
-    /// the other one is then flipped. A profile on one strategy reads its
-    /// rows' lengths only, all from one [`CountKernel::row_offsets`] call.
-    fn words(&self, kernel: &dyn CountKernel, profile: &[usize]) -> Vec<u32> {
+    /// The words of every player on `profile`, written over `words`.
+    /// Every player starts on the more common strategy with her whole row
+    /// on it, and each player on the other one is then flipped. A profile
+    /// on one strategy reads its rows' lengths only, all from one
+    /// [`CountKernel::row_offsets`] call.
+    fn words(&self, kernel: &dyn CountKernel, profile: &[usize], mut words: Vec<u32>) -> Vec<u32> {
         let common = usize::from(2 * profile.iter().sum::<usize>() > profile.len());
         let offsets = kernel.row_offsets();
         assert_eq!(
@@ -794,13 +821,11 @@ impl CountTable {
             profile.len() + 1,
             "the count rows cover a different player count"
         );
-        let mut words: Vec<u32> = offsets
-            .windows(2)
-            .map(|row| {
-                let degree = (row[1] - row[0]) as usize;
-                self.word(degree, common * degree, common)
-            })
-            .collect();
+        words.clear();
+        words.extend(offsets.windows(2).map(|row| {
+            let degree = (row[1] - row[0]) as usize;
+            self.word(degree, common * degree, common)
+        }));
         for (player, &strategy) in profile.iter().enumerate() {
             if strategy != common {
                 Self::flip(kernel, player, &mut words);

@@ -49,6 +49,9 @@
 //!   [`simulate::Simulator::run_tempered`], cancellable through a
 //!   [`pipeline::CancelToken`]), bit-identical to the sequential path under
 //!   fixed seeds,
+//! * [`spare`] — the process-wide spare list every replica and tempering
+//!   rung hands its profile, words and block buffers to when it drops, and
+//!   the next one of any run overwrites, bounded by what a run keeps live,
 //! * [`runtime`] — the persistent parallel runtime: a spawn-once
 //!   [`runtime::WorkerPool`] whose idle workers yield, then park,
 //!   epoch-tagged chunk-stealing dispatch and per-tick barriers, plus the
@@ -86,6 +89,7 @@ pub mod rules;
 pub mod runtime;
 pub mod schedules;
 pub mod simulate;
+pub mod spare;
 pub mod sweep;
 pub mod tempering;
 
@@ -112,6 +116,7 @@ pub use simulate::{
     simulate_profile_trajectory, simulate_trajectory, EmpiricalLaw, EmptyLawError, EnsembleResult,
     ProfileEnsembleResult, Simulator, TemperedEnsembleResult,
 };
+pub use spare::{spare_stats, SpareStats};
 pub use sweep::{
     beta_profile_sweep, beta_profile_sweep_with_rule, beta_sweep, beta_sweep_with_rule,
     BetaSweepRow, ProfileSweepRow,

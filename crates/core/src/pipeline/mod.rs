@@ -73,10 +73,11 @@ use crate::observables::{ProfileObservable, SeriesAccumulator};
 use crate::rules::UpdateRule;
 use crate::schedules::SelectionSchedule;
 use crate::simulate::{
-    ensemble_seed, sample_times, validate_start_profile, ProfileEnsembleResult, Replica,
+    copied, ensemble_seed, sample_times, validate_start_profile, ProfileEnsembleResult, Replica,
     ReplicaStart, Simulator, TemperedEnsembleResult,
 };
-use crate::tempering::{SwapStats, TemperingEnsemble, TemperingState};
+use crate::spare;
+use crate::tempering::{RungStart, SwapStats, TemperingEnsemble, TemperingState};
 use logit_games::{Game, PotentialGame};
 use logit_linalg::stats::RunningStats;
 use std::ops::Range;
@@ -147,6 +148,9 @@ struct Waves<L> {
     sim: Simulator,
     /// Replicas per wave.
     width: usize,
+    /// Replica buffer sets a lane holds: one per replica, or one per rung
+    /// of a tempering ensemble.
+    sets_per_lane: usize,
     /// The recorded-times grid, in units; its last entry ends the run.
     times: Vec<u64>,
     /// The live wave, or empty before a wave's first segment.
@@ -171,11 +175,12 @@ struct Waves<L> {
 }
 
 impl<L: Send> Waves<L> {
-    fn new(sim: &Simulator, times: Vec<u64>) -> Self {
+    fn new(sim: &Simulator, times: Vec<u64>, sets_per_lane: usize) -> Self {
         // Spawn the pool before cloning, so the clone shares it.
         let _ = sim.pool();
         Self {
             width: sim.runtime().farm_workers(sim.replicas()),
+            sets_per_lane,
             acc: SeriesAccumulator::new(times.len()),
             sim: sim.clone(),
             times,
@@ -239,6 +244,8 @@ impl<L: Send> Waves<L> {
     ) -> Range<usize> {
         assert!(!self.is_done(), "the run is already complete");
         self.lag.record(0.0);
+        // Whole replicas or a wave, at most `width` lanes are live.
+        spare::keep_live(self.width * self.sets_per_lane);
         let whole = updates(0..self.end()).max(1);
         if self.lanes.is_empty() && whole <= self.budget {
             let fit = usize::try_from(self.budget / whole).unwrap_or(usize::MAX);
@@ -404,6 +411,7 @@ pub struct ProfileRun {
     waves: Waves<Replica>,
     /// The start profile, until the first segment counts its words.
     start: Vec<usize>,
+    /// The start profile, words and tally every replica copies.
     counted: Option<ReplicaStart<'static>>,
     steps: u64,
     sample_every: u64,
@@ -412,9 +420,9 @@ pub struct ProfileRun {
 
 impl ProfileRun {
     /// A run of `sim`'s replicas (its seed, replica count and pool) from
-    /// `start` for `steps` ticks, sampling `observable` every
-    /// `sample_every` ticks and at the last. Builds no replica: the first
-    /// [`segment`](Self::segment) does.
+    /// `start`, which the run keeps, for `steps` ticks, sampling
+    /// `observable` every `sample_every` ticks and at the last. Builds no
+    /// replica: the first [`segment`](Self::segment) does.
     ///
     /// # Panics
     /// On a start profile the game cannot hold, zero steps or a zero
@@ -422,17 +430,17 @@ impl ProfileRun {
     pub fn new<G: Game, U: UpdateRule, O: ProfileObservable>(
         sim: &Simulator,
         dynamics: &DynamicsEngine<G, U>,
-        start: &[usize],
+        start: Vec<usize>,
         steps: u64,
         sample_every: u64,
         observable: &O,
     ) -> Self {
-        validate_start_profile(dynamics.game(), start);
+        validate_start_profile(dynamics.game(), &start);
         assert!(steps >= 1, "need at least one step");
         assert!(sample_every >= 1, "sampling period must be at least 1");
         Self {
-            waves: Waves::new(sim, sample_times(steps, sample_every)),
-            start: start.to_vec(),
+            waves: Waves::new(sim, sample_times(steps, sample_every), 1),
+            start,
             counted: None,
             steps,
             sample_every,
@@ -532,7 +540,10 @@ impl ProfileRun {
 /// every live ensemble by the same whole rounds.
 pub struct TemperedRun {
     waves: Waves<TemperingState>,
+    /// The start profile, until the first segment counts its words.
     start: Vec<usize>,
+    /// What every rung of every ensemble copies.
+    counted: Option<RungStart<'static>>,
     rounds: u64,
     sweep_ticks: u64,
     /// The recorded times in engine ticks (round boundaries).
@@ -543,10 +554,11 @@ pub struct TemperedRun {
 }
 
 impl TemperedRun {
-    /// A run of `sim`'s replicas as tempering ensembles from `start`, for
-    /// `rounds` rounds of `sweep_ticks` ticks, sampling `observable` on the
-    /// cold rung every `sample_every` rounds and at the last. Builds no
-    /// ensemble: the first [`segment`](Self::segment) does.
+    /// A run of `sim`'s replicas as tempering ensembles from `start`,
+    /// which the run keeps, for `rounds` rounds of `sweep_ticks` ticks,
+    /// sampling `observable` on the cold rung every `sample_every` rounds
+    /// and at the last. Builds no ensemble: the first
+    /// [`segment`](Self::segment) does.
     ///
     /// # Panics
     /// On a start profile the game cannot hold, zero rounds, zero ticks per
@@ -554,13 +566,13 @@ impl TemperedRun {
     pub fn new<G: PotentialGame, U: UpdateRule, O: ProfileObservable>(
         sim: &Simulator,
         ensemble: &TemperingEnsemble<G, U>,
-        start: &[usize],
+        start: Vec<usize>,
         rounds: u64,
         sweep_ticks: u64,
         sample_every: u64,
         observable: &O,
     ) -> Self {
-        validate_start_profile(ensemble.game(), start);
+        validate_start_profile(ensemble.game(), &start);
         assert!(rounds >= 1, "need at least one round");
         assert!(sweep_ticks >= 1, "need at least one tick per round");
         assert!(
@@ -571,8 +583,9 @@ impl TemperedRun {
         let rungs = ensemble.num_replicas();
         Self {
             ticks: rounds_grid.iter().map(|&r| r * sweep_ticks).collect(),
-            waves: Waves::new(sim, rounds_grid),
-            start: start.to_vec(),
+            waves: Waves::new(sim, rounds_grid, rungs),
+            start,
+            counted: None,
             rounds,
             sweep_ticks,
             swap_stats: SwapStats::new(rungs.saturating_sub(1)),
@@ -621,12 +634,14 @@ impl TemperedRun {
         O: ProfileObservable + Sync,
     {
         let updates = self.ensemble_updates(schedule, ensemble.game().num_players());
-        let (start, seed, sweep_ticks) =
-            (&self.start, self.waves.sim.master_seed(), self.sweep_ticks);
+        let start = &*self.counted.get_or_insert_with(|| {
+            ensemble.rung_start(std::mem::take(&mut self.start), observable)
+        });
+        let (seed, sweep_ticks) = (self.waves.sim.master_seed(), self.sweep_ticks);
         let swap_stats = &mut self.swap_stats;
         self.waves.segment(
             updates,
-            |e| ensemble.init_observed(start, ensemble_seed(seed, e), observable),
+            |e| ensemble.init_from(start, ensemble_seed(seed, e)),
             |state, round| {
                 while state.tick() < round * sweep_ticks {
                     ensemble.observed_round(schedule, state, sweep_ticks, observable);
@@ -714,7 +729,14 @@ impl Simulator {
         O: ProfileObservable + Sync,
     {
         let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-        let mut run = ProfileRun::new(self, dynamics, start, steps, sample_every, observable);
+        let mut run = ProfileRun::new(
+            self,
+            dynamics,
+            copied(spare::profile_buffer(start.len()), start),
+            steps,
+            sample_every,
+            observable,
+        );
         while !run.is_done() {
             if cancelled() {
                 return None;
@@ -766,7 +788,7 @@ impl Simulator {
         let mut run = TemperedRun::new(
             self,
             ensemble,
-            start,
+            copied(spare::profile_buffer(start.len()), start),
             rounds,
             sweep_ticks,
             sample_every,
@@ -828,8 +850,8 @@ mod tests {
         S: SelectionSchedule,
         O: ProfileObservable + Sync,
     {
-        let mut run =
-            ProfileRun::new(sim, d, start, steps, sample_every, obs).with_segment_updates(budget);
+        let mut run = ProfileRun::new(sim, d, start.to_vec(), steps, sample_every, obs)
+            .with_segment_updates(budget);
         while !run.is_done() {
             run.segment(d, schedule, obs);
         }
@@ -1076,7 +1098,7 @@ mod tests {
             let farmed = segmented(&sim, &d, &UniformSingle, &[0; 4], 40, 10, &counting, 5);
             assert_eq!(evaluations(), replicas * farmed.times.len());
 
-            let mut run = TemperedRun::new(&sim, &ensemble, &[0; 4], 12, 4, 5, &counting)
+            let mut run = TemperedRun::new(&sim, &ensemble, vec![0; 4], 12, 4, 5, &counting)
                 .with_segment_updates(3 * 4 * 2);
             while !run.is_done() {
                 run.segment(&ensemble, &UniformSingle, &counting);
@@ -1093,7 +1115,7 @@ mod tests {
         let d = ring_dynamics(8);
         let obs = StrategyFraction::new(1, "adopters");
         let sim = simulator_with_workers(5, 5, 2);
-        let mut run = ProfileRun::new(&sim, &d, &[0; 8], 90, 10, &obs).with_segment_updates(25);
+        let mut run = ProfileRun::new(&sim, &d, vec![0; 8], 90, 10, &obs).with_segment_updates(25);
         let mut completed = 0;
         let mut segments = 0;
         while !run.is_done() {
@@ -1136,7 +1158,7 @@ mod tests {
         }
         let (live, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let sim = simulator_with_workers(3, 7, 2);
-        let mut waves = Waves::new(&sim, vec![2, 4]);
+        let mut waves = Waves::new(&sim, vec![2, 4], 1);
         waves.budget = 8;
         let mut retired = Vec::new();
         let mut completed = Vec::new();
@@ -1185,7 +1207,8 @@ mod tests {
         let obs = StrategyFraction::new(1, "adopters");
         let sim = simulator_with_workers(8, 3, 3);
         let whole = sim.run_profiles(&d, &UniformSingle, &[0; 10], 200, 15, &obs);
-        let mut run = ProfileRun::new(&sim, &d, &[0; 10], 200, 15, &obs).with_segment_updates(40);
+        let mut run =
+            ProfileRun::new(&sim, &d, vec![0; 10], 200, 15, &obs).with_segment_updates(40);
         let mut streamed = Vec::new();
         while !run.is_done() {
             for k in run.segment(&d, &UniformSingle, &obs) {
@@ -1267,7 +1290,8 @@ mod tests {
             }
             p[0] as f64
         });
-        let mut run = ProfileRun::new(&sim, &d, &[0; 6], 30, 10, &faulty).with_segment_updates(30);
+        let mut run =
+            ProfileRun::new(&sim, &d, vec![0; 6], 30, 10, &faulty).with_segment_updates(30);
         run.segment(&d, &UniformSingle, &faulty);
         run.segment(&d, &UniformSingle, &faulty);
         assert_eq!(run.waves.first, 4, "two dispatches ran whole");
@@ -1297,7 +1321,8 @@ mod tests {
         let pool = base.pool();
         for round in 0..50u64 {
             let job = base.reseeded(round, 4);
-            let mut run = ProfileRun::new(&job, &d, &[0; 6], 60, 20, &obs).with_segment_updates(30);
+            let mut run =
+                ProfileRun::new(&job, &d, vec![0; 6], 60, 20, &obs).with_segment_updates(30);
             while !run.is_done() {
                 run.segment(&d, &UniformSingle, &obs);
             }
@@ -1416,7 +1441,7 @@ mod tests {
         // tempered result either.
         let one = simulator_with_workers(31, 10, 1);
         let mut cut =
-            TemperedRun::new(&one, &ensemble, &[0; 4], 12, 4, 5, &obs).with_segment_updates(1);
+            TemperedRun::new(&one, &ensemble, vec![0; 4], 12, 4, 5, &obs).with_segment_updates(1);
         while !cut.is_done() {
             cut.segment(&ensemble, &UniformSingle, &obs);
         }
@@ -1479,7 +1504,7 @@ mod tests {
         let d = ring_dynamics(8);
         let obs = StrategyFraction::new(1, "adopters");
         let sim = simulator_with_workers(2, 3, 2);
-        let mut run = ProfileRun::new(&sim, &d, &[0; 8], 10, 5, &obs).with_segment_updates(24);
+        let mut run = ProfileRun::new(&sim, &d, vec![0; 8], 10, 5, &obs).with_segment_updates(24);
         let total = run.remaining_updates(&AllLogit, 8);
         assert_eq!(total, 3 * 10 * 8);
         let mut left = total;
@@ -1500,7 +1525,7 @@ mod tests {
         use crate::tempering::TemperingEnsemble;
         let game = WellGame::plateau(4, 2.0);
         let ensemble = TemperingEnsemble::new(game, Logit, &[0.4, 1.2, 2.4]);
-        let run = TemperedRun::new(&sim, &ensemble, &[0; 4], 7, 5, 2, &obs);
+        let run = TemperedRun::new(&sim, &ensemble, vec![0; 4], 7, 5, 2, &obs);
         assert_eq!(run.remaining_updates(&SystematicSweep, 4), 3 * 3 * 7 * 5);
     }
 }

@@ -28,6 +28,7 @@ use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::observables::ProfileObservable;
 use crate::rules::UpdateRule;
 use crate::schedules::SelectionSchedule;
+use crate::spare::{self, ReplicaBuffers};
 use logit_games::{Game, PotentialTally};
 use logit_linalg::stats::RunningStats;
 use logit_linalg::Vector;
@@ -122,6 +123,9 @@ pub(crate) fn replica_seed(seed: u64, replica: usize) -> u64 {
 /// [`Simulator::run_profiles`] and the farmed runner
 /// ([`crate::pipeline`]) both drive their replicas through it, so they
 /// step and sample alike.
+///
+/// Its profile, words and scratch block buffers come from the process-wide
+/// spare list ([`crate::spare`]) and go back to it when the replica drops.
 pub(crate) struct Replica {
     /// Written by moves only; observables read it.
     profile: Vec<usize>,
@@ -141,9 +145,9 @@ pub(crate) struct Replica {
 /// profile is borrowed by a run that ends within the call and owned by a
 /// resumable one.
 pub(crate) struct ReplicaStart<'s> {
-    profile: Cow<'s, [usize]>,
-    words: Option<Vec<u32>>,
-    tally: Option<PotentialTally>,
+    pub(crate) profile: Cow<'s, [usize]>,
+    pub(crate) words: Option<Vec<u32>>,
+    pub(crate) tally: Option<PotentialTally>,
 }
 
 impl<'s> ReplicaStart<'s> {
@@ -170,6 +174,21 @@ impl<'s> ReplicaStart<'s> {
     }
 }
 
+/// An owned start profile and the start's words go back to the spare list.
+impl Drop for ReplicaStart<'_> {
+    fn drop(&mut self) {
+        let profile = match std::mem::take(&mut self.profile) {
+            Cow::Owned(profile) => profile,
+            Cow::Borrowed(_) => Vec::new(),
+        };
+        spare::give(ReplicaBuffers {
+            profile,
+            words: self.words.take().unwrap_or_default(),
+            ..ReplicaBuffers::default()
+        });
+    }
+}
+
 /// Whether `observable` counts its tally on the rows `game`'s dynamics
 /// keep words for, so that a move's `(degree, ones)` retallies it exactly.
 pub(crate) fn counts_the_same_rows<G: Game, O: ProfileObservable + ?Sized>(
@@ -184,18 +203,19 @@ pub(crate) fn counts_the_same_rows<G: Game, O: ProfileObservable + ?Sized>(
 
 impl Replica {
     /// Replica `replica` of a run with master seed `seed`, at tick 0 on a
-    /// copy of `start`.
+    /// copy of `start`, written over a spare buffer set.
     pub(crate) fn new<G: Game, U: UpdateRule>(
         dynamics: &DynamicsEngine<G, U>,
         start: &ReplicaStart,
         seed: u64,
         replica: usize,
     ) -> Self {
+        let set = spare::take(start.profile.len());
         Self {
-            profile: start.profile.to_vec(),
-            words: start.words.clone(),
+            profile: copied(set.profile, &start.profile),
+            words: start.words.as_deref().map(|words| copied(set.words, words)),
             tally: start.tally,
-            scratch: Scratch::for_game(dynamics.game()),
+            scratch: Scratch::with_block_buffers(dynamics.game(), set.players, set.staged),
             rng: ChaCha8Rng::seed_from_u64(replica_seed(seed, replica)),
             t: 0,
         }
@@ -239,6 +259,26 @@ impl Replica {
             None => observable.evaluate_profile(&self.profile),
         }
     }
+}
+
+impl Drop for Replica {
+    fn drop(&mut self) {
+        let (players, staged) = self.scratch.take_block_buffers();
+        spare::give(ReplicaBuffers {
+            profile: std::mem::take(&mut self.profile),
+            words: self.words.take().unwrap_or_default(),
+            players,
+            staged,
+        });
+    }
+}
+
+/// `buffer`, overwritten with `from`: its capacity is kept, so a spare
+/// buffer of a run as large takes the copy without allocating.
+pub(crate) fn copied<T: Copy>(mut buffer: Vec<T>, from: &[T]) -> Vec<T> {
+    buffer.clear();
+    buffer.extend_from_slice(from);
+    buffer
 }
 
 /// The master seed of tempering ensemble `e` in [`Simulator::run_tempered`].
@@ -696,6 +736,8 @@ impl Simulator {
 
         let times = sample_times(steps, sample_every);
         let start = ReplicaStart::new(dynamics, observable, start);
+        // A replica is live from its claim to its last sample.
+        spare::keep_live(self.runtime.farm_workers(self.replicas));
 
         let mut per_replica: Vec<Vec<f64>> = vec![Vec::new(); self.replicas];
         self.for_each_replica(&mut per_replica, |replica, slot| {
@@ -1256,7 +1298,7 @@ mod tests {
                 )
                 .expect("uncancelled runs complete");
             // Every round revises 3 rungs x 3 ticks.
-            let mut cut = TemperedRun::new(&sim, &ensemble, &start, rounds, sweep_ticks, sample_every, &obs)
+            let mut cut = TemperedRun::new(&sim, &ensemble, start.to_vec(), rounds, sweep_ticks, sample_every, &obs)
                 .with_segment_updates(budget_rounds * 9);
             while !cut.is_done() {
                 cut.segment(&ensemble, &UniformSingle, &obs);
@@ -1476,14 +1518,14 @@ mod tests {
                     .run_tempered(&ensemble, &UniformSingle, &start, 40, 6, 1, &tallied, None)
                     .expect("uncancelled runs complete")),
             );
-            let state = ensemble.init_observed(&start, 1, &tallied);
+            let state = ensemble.init_from(&ensemble.rung_start(&start[..], &tallied), 1);
             assert!(state.observed.iter().all(Option::is_none));
         }
         let shared = PotentialObservable::new(ring.clone());
         assert!(ReplicaStart::new(&d, &shared, start.clone())
             .tally
             .is_some());
-        let state = ensemble.init_observed(&start, 1, &shared);
+        let state = ensemble.init_from(&ensemble.rung_start(&start[..], &shared), 1);
         assert!(state.observed.iter().all(Option::is_some));
     }
 

@@ -40,11 +40,14 @@ use crate::dynamics::{DynamicsEngine, Scratch};
 use crate::observables::ProfileObservable;
 use crate::rules::UpdateRule;
 use crate::schedules::SelectionSchedule;
+use crate::simulate::{copied, validate_start_profile, ReplicaStart};
+use crate::spare::{self, ReplicaBuffers};
 use logit_games::{Game, PotentialGame, PotentialTally};
 use logit_linalg::Vector;
 use logit_markov::{compose, product_distribution, swap_chain, tensor_product_chain, MarkovChain};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Swap-rate diagnostics: per adjacent pair, how many swaps were attempted
@@ -157,6 +160,10 @@ impl SwapCounters {
 /// streams, and the swap RNG is a separate stream — so a `K = 1` ladder
 /// consumes randomness identically to the plain single-chain engine (the
 /// bit-identity regression test pins this).
+///
+/// Each rung's profile, words and scratch block buffers come from the
+/// process-wide spare list ([`crate::spare`]) and go back to it when the
+/// state drops.
 #[derive(Debug, Clone)]
 pub struct TemperingState {
     profiles: Vec<Vec<usize>>,
@@ -197,14 +204,42 @@ impl TemperingState {
     }
 
     /// `observable` on the coldest rung: read from its tally when the
-    /// state keeps one ([`TemperingEnsemble::init_observed`]), else
-    /// evaluated on the cold profile.
+    /// state keeps one (see [`RungStart`]), else evaluated on the cold
+    /// profile.
     pub(crate) fn cold_sample<O: ProfileObservable>(&self, observable: &O) -> f64 {
         match self.observed.last() {
             Some(Some(tally)) => observable.evaluate_tally(tally),
             _ => observable.evaluate_profile(self.cold_profile()),
         }
     }
+}
+
+impl Drop for TemperingState {
+    fn drop(&mut self) {
+        let rungs = self.profiles.drain(..).zip(self.words.drain(..));
+        for ((profile, words), scratch) in rungs.zip(self.scratches.iter_mut()) {
+            let (players, staged) = scratch.take_block_buffers();
+            spare::give(ReplicaBuffers {
+                profile,
+                words: words.unwrap_or_default(),
+                players,
+                staged,
+            });
+        }
+    }
+}
+
+/// What every rung of a tempered run starts from, counted once per run
+/// and copied into each ensemble's rungs: the start profile and, on a
+/// count game, its neighbour-count words and potential tally, plus the
+/// tally of the sampled observable when it counts the dynamics' own rows
+/// (every rung then keeps one, retallied at each of its moves and swapped
+/// with its profile, so a cold-rung sample reads it in `O(1)`).
+pub(crate) struct RungStart<'s> {
+    /// The profile, the words and the observable's tally.
+    observed: ReplicaStart<'s>,
+    /// The game's potential tally, kept next to the words.
+    potential: Option<PotentialTally>,
 }
 
 /// The observable of a round that samples nothing: it keeps no tally, so
@@ -307,29 +342,50 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
     /// with per-replica RNG streams and a separate swap stream derived from
     /// `seed` the same way `Simulator` derives replica streams.
     pub fn init_state(&self, start: &[usize], seed: u64) -> TemperingState {
-        let game = self.game();
-        assert_eq!(
-            start.len(),
-            game.num_players(),
-            "start profile length must equal the player count"
-        );
-        for (i, &s) in start.iter().enumerate() {
-            assert!(
-                s < game.num_strategies(i),
-                "start strategy {s} out of range for player {i}"
-            );
-        }
-        let k = self.num_replicas();
+        self.init_from(&self.rung_start(start, &Unobserved), seed)
+    }
+
+    /// Counts what every rung of a run sampling `observable` starts from
+    /// (see [`RungStart`]).
+    ///
+    /// # Panics
+    /// On a start profile the game cannot hold.
+    pub(crate) fn rung_start<'s, O: ProfileObservable>(
+        &self,
+        start: impl Into<Cow<'s, [usize]>>,
+        observable: &O,
+    ) -> RungStart<'s> {
+        let start = start.into();
+        validate_start_profile(self.game(), &start);
         // Every rung's table has the same layout, so one set of words
         // serves them all.
-        let words = self.engines[0].count_words(start);
-        let tally = words.as_ref().and_then(|_| game.tally(start));
-        TemperingState {
-            profiles: vec![start.to_vec(); k],
-            words: vec![words; k],
-            tallies: vec![tally; k],
-            observed: vec![None; k],
-            scratches: (0..k).map(|_| Scratch::for_game(game)).collect(),
+        let observed = ReplicaStart::new(&self.engines[0], observable, start);
+        let potential = observed
+            .words
+            .as_ref()
+            .and_then(|_| self.game().tally(&observed.profile));
+        RungStart {
+            observed,
+            potential,
+        }
+    }
+
+    /// A run's state, every rung a copy of `start` written over a spare
+    /// buffer set, with the streams [`init_state`](Self::init_state)
+    /// derives from `seed`.
+    pub(crate) fn init_from(&self, start: &RungStart, seed: u64) -> TemperingState {
+        let k = self.num_replicas();
+        let ReplicaStart {
+            profile,
+            words,
+            tally: observed,
+        } = &start.observed;
+        let mut state = TemperingState {
+            profiles: Vec::with_capacity(k),
+            words: Vec::with_capacity(k),
+            tallies: vec![start.potential; k],
+            observed: vec![*observed; k],
+            scratches: Vec::with_capacity(k),
             rngs: (0..k)
                 .map(|r| ChaCha8Rng::seed_from_u64(crate::simulate::replica_seed(seed, r)))
                 .collect(),
@@ -337,25 +393,18 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
             tick: 0,
             stats: SwapStats::new(k.saturating_sub(1)),
             counters: (k > 1 && logit_telemetry::enabled()).then(|| SwapCounters::register(k - 1)),
-        }
-    }
-
-    /// [`init_state`](Self::init_state) for a run that samples
-    /// `observable` on its cold rung: when the observable counts the
-    /// dynamics' own rows, every rung also keeps the observable's tally,
-    /// retallied at each of its moves and swapped with its profile, so a
-    /// sample reads it in `O(1)` ([`TemperingState::cold_sample`]).
-    pub(crate) fn init_observed<O: ProfileObservable>(
-        &self,
-        start: &[usize],
-        seed: u64,
-        observable: &O,
-    ) -> TemperingState {
-        let mut state = self.init_state(start, seed);
-        if state.words[0].is_some()
-            && crate::simulate::counts_the_same_rows(self.game(), observable)
-        {
-            state.observed = vec![observable.tally(start); self.num_replicas()];
+        };
+        for _ in 0..k {
+            let set = spare::take(profile.len());
+            state.profiles.push(copied(set.profile, profile));
+            state
+                .words
+                .push(words.as_deref().map(|words| copied(set.words, words)));
+            state.scratches.push(Scratch::with_block_buffers(
+                self.game(),
+                set.players,
+                set.staged,
+            ));
         }
         state
     }
@@ -387,9 +436,8 @@ impl<G: PotentialGame, U: UpdateRule> TemperingEnsemble<G, U> {
         self.observed_round(schedule, state, sweep_ticks, &Unobserved)
     }
 
-    /// [`round`](Self::round) on a state from
-    /// [`init_observed`](Self::init_observed): each move also retallies
-    /// the rung's tally of `observable`.
+    /// [`round`](Self::round) on a state from a [`RungStart`] of
+    /// `observable`: each move also retallies the rung's tally of it.
     pub(crate) fn observed_round<S: SelectionSchedule, O: ProfileObservable>(
         &self,
         schedule: &S,

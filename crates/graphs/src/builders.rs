@@ -4,8 +4,12 @@
 //! (Theorem 5.1, parameterised by cutwidth), on the clique (Theorem 5.5) and on
 //! the ring (Theorems 5.6–5.7). The experiment harness sweeps over these plus a
 //! handful of other classic topologies with known or easily-computed cutwidths.
+//! The six the job service admits (ring, clique, torus, grid, hypercube,
+//! circulant) are defined once, by their rows in [`Topology`]; their
+//! builders here wrap those rows.
 
 use crate::graph::Graph;
+use crate::topology::Topology;
 use rand::Rng;
 
 /// Factory for the standard topologies used in the experiments.
@@ -28,10 +32,7 @@ impl GraphBuilder {
     /// # Panics
     /// Panics for `n < 3` (a cycle needs at least three vertices to be simple).
     pub fn ring(n: usize) -> Graph {
-        assert!(n >= 3, "a ring needs at least 3 vertices, got {n}");
-        let mut g = Self::path(n);
-        g.add_edge(n - 1, 0);
-        g
+        Topology::Ring { n }.graph()
     }
 
     /// Complete graph (clique) on `n` vertices.
@@ -39,7 +40,7 @@ impl GraphBuilder {
     /// Writes each sorted row once, `O(n²)`: inserting the `n²/2` edges one
     /// at a time costs several times that.
     pub fn clique(n: usize) -> Graph {
-        Graph::from_sorted_rows((0..n).map(|u| (0..u).chain(u + 1..n).collect()).collect())
+        Topology::Clique { n }.graph()
     }
 
     /// Star with centre `0` and `n - 1` leaves.
@@ -53,54 +54,19 @@ impl GraphBuilder {
 
     /// `rows × cols` grid graph (4-neighbour lattice).
     pub fn grid(rows: usize, cols: usize) -> Graph {
-        let n = rows * cols;
-        let mut g = Graph::new(n);
-        let idx = |r: usize, c: usize| r * cols + c;
-        for r in 0..rows {
-            for c in 0..cols {
-                if c + 1 < cols {
-                    g.add_edge(idx(r, c), idx(r, c + 1));
-                }
-                if r + 1 < rows {
-                    g.add_edge(idx(r, c), idx(r + 1, c));
-                }
-            }
-        }
-        g
+        Topology::Grid { rows, cols }.graph()
     }
 
     /// `rows × cols` torus (grid with wrap-around), requires `rows, cols ≥ 3`
     /// so that wrap-around edges are neither self-loops nor duplicates.
     pub fn torus(rows: usize, cols: usize) -> Graph {
-        assert!(
-            rows >= 3 && cols >= 3,
-            "torus requires both dimensions >= 3, got {rows}x{cols}"
-        );
-        let mut g = Self::grid(rows, cols);
-        let idx = |r: usize, c: usize| r * cols + c;
-        for r in 0..rows {
-            g.add_edge(idx(r, cols - 1), idx(r, 0));
-        }
-        for c in 0..cols {
-            g.add_edge(idx(rows - 1, c), idx(0, c));
-        }
-        g
+        Topology::Torus { rows, cols }.graph()
     }
 
     /// Hypercube on `2^d` vertices; vertices are adjacent when their indices
     /// differ in exactly one bit.
     pub fn hypercube(d: usize) -> Graph {
-        let n = 1usize << d;
-        let mut g = Graph::new(n);
-        for u in 0..n {
-            for b in 0..d {
-                let v = u ^ (1 << b);
-                if u < v {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
+        Topology::Hypercube { dim: d }.graph()
     }
 
     /// Complete bipartite graph `K_{a,b}`; the first `a` vertices form one side.
@@ -137,18 +103,7 @@ impl GraphBuilder {
     /// Panics for `k < 1` or `n < 2k + 1` (the windows must not cover the
     /// whole ring).
     pub fn circulant(n: usize, k: usize) -> Graph {
-        assert!(k >= 1, "circulant needs at least one neighbour per side");
-        assert!(
-            n > 2 * k,
-            "circulant needs n >= 2k + 1, got n = {n}, k = {k}"
-        );
-        let mut edges = Vec::with_capacity(n * k);
-        for u in 0..n {
-            for d in 1..=k {
-                edges.push((u, (u + d) % n));
-            }
-        }
-        Graph::from_edges(n, &edges)
+        Topology::Circulant { n, k }.graph()
     }
 
     /// Erdős–Rényi random graph `G(n, p)`.

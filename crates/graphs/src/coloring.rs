@@ -29,8 +29,56 @@
 //!   time in the worst case, with `O(n·Δ)` bits of bookkeeping; on the
 //!   sparse builder topologies the queue's word scans stay short, and a
 //!   2¹⁴-vertex torus colours in under a millisecond.
+//!
+//! Both read sorted adjacency rows through [`Adjacency`], which [`Graph`]
+//! and [`CsrGraph`] implement, and colour the same graph alike in either
+//! form: the job service colours the CSR it admits and never builds a
+//! `Graph`.
 
+use crate::csr::CsrGraph;
 use crate::graph::Graph;
+
+/// The sorted adjacency rows a colouring reads.
+pub trait Adjacency {
+    /// Number of vertices.
+    fn num_vertices(&self) -> usize;
+    /// Maximum degree over all vertices (0 for the empty graph).
+    fn max_degree(&self) -> usize;
+    /// Degree of `u`.
+    fn degree(&self, u: usize) -> usize;
+    /// Neighbours of `u`, ascending.
+    fn row(&self, u: usize) -> impl Iterator<Item = usize> + '_;
+}
+
+impl Adjacency for Graph {
+    fn num_vertices(&self) -> usize {
+        Graph::num_vertices(self)
+    }
+    fn max_degree(&self) -> usize {
+        Graph::max_degree(self)
+    }
+    fn degree(&self, u: usize) -> usize {
+        Graph::degree(self, u)
+    }
+    fn row(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        self.neighbors(u).iter().copied()
+    }
+}
+
+impl Adjacency for CsrGraph {
+    fn num_vertices(&self) -> usize {
+        CsrGraph::num_vertices(self)
+    }
+    fn max_degree(&self) -> usize {
+        CsrGraph::max_degree(self)
+    }
+    fn degree(&self, u: usize) -> usize {
+        CsrGraph::degree(self, u)
+    }
+    fn row(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        self.neighbors(u).iter().map(|&v| v as usize)
+    }
+}
 
 /// A proper vertex colouring with its colour classes materialised as
 /// contiguous index slices.
@@ -169,14 +217,14 @@ impl Coloring {
 /// Uses at most `Δ + 1` colours (the classical `χ(G) ≤ Δ + 1` bound, which
 /// [`Coloring`] consumers may rely on to size buffers); the result is
 /// always a proper colouring.
-pub fn greedy_coloring(graph: &Graph) -> Coloring {
+pub fn greedy_coloring<A: Adjacency + ?Sized>(graph: &A) -> Coloring {
     let n = graph.num_vertices();
     assert!(n > 0, "cannot colour the empty graph");
     let mut colors = vec![usize::MAX; n];
     // `forbidden[c] == v` means colour c is used by a neighbour of v.
     let mut forbidden = vec![usize::MAX; graph.max_degree() + 1];
     for v in 0..n {
-        for &u in graph.neighbors(v) {
+        for u in graph.row(v) {
             if colors[u] != usize::MAX {
                 forbidden[colors[u]] = v;
             }
@@ -207,7 +255,7 @@ pub fn greedy_coloring(graph: &Graph) -> Coloring {
 /// of a flat bitset. Time is `O(m + n·Δ/64 + n²/64)` in the worst case
 /// (the last term is the levels' word scans, small next to `m` on dense
 /// graphs and short on sparse ones), memory `O(n·Δ)` bits.
-pub fn dsatur_coloring(graph: &Graph) -> Coloring {
+pub fn dsatur_coloring<A: Adjacency + ?Sized>(graph: &A) -> Coloring {
     let n = graph.num_vertices();
     assert!(n > 0, "cannot colour the empty graph");
     let max_degree = graph.max_degree();
@@ -227,7 +275,7 @@ pub fn dsatur_coloring(graph: &Graph) -> Coloring {
             .expect("Delta + 1 colours always suffice for DSATUR");
         colors[v] = c;
         let (word, bit) = (c / 64, 1u64 << (c % 64));
-        for &u in graph.neighbors(v) {
+        for u in graph.row(v) {
             let cell = &mut neighbour_colors[u * row_words + word];
             if colors[u] == usize::MAX && *cell & bit == 0 {
                 *cell |= bit;
@@ -268,7 +316,7 @@ struct SaturationQueue {
 impl SaturationQueue {
     /// All `n` vertices at saturation 0. Saturation never exceeds a
     /// vertex's degree, so levels `0..=max_degree` suffice.
-    fn new(graph: &Graph, max_degree: usize) -> Self {
+    fn new<A: Adjacency + ?Sized>(graph: &A, max_degree: usize) -> Self {
         let n = graph.num_vertices();
         // Counting sort by degree, descending; stable, so index ascending
         // within each degree.
@@ -348,8 +396,8 @@ impl SaturationQueue {
 /// guarantee, `O(n + m)` time and `O(Δ)` extra memory (on the dense
 /// circulant bench instance the two produce the *same* class count). Both
 /// are deterministic, so the choice depends only on the graph, never the
-/// host.
-pub fn coloring_for_graph(graph: &Graph) -> Coloring {
+/// host, and a [`Graph`] and its [`CsrGraph`] get the same colouring.
+pub fn coloring_for_graph<A: Adjacency + ?Sized>(graph: &A) -> Coloring {
     if within_dsatur_caps(graph) {
         dsatur_coloring(graph)
     } else {
@@ -366,7 +414,7 @@ pub fn coloring_for_graph(graph: &Graph) -> Coloring {
 /// the old and the new cap. The cell cap bounds DSATUR's `O(n·Δ)` bits of
 /// bookkeeping; the vertex cap covers every exact-analysis instance with a
 /// wide margin.
-fn within_dsatur_caps(graph: &Graph) -> bool {
+pub(crate) fn within_dsatur_caps<A: Adjacency + ?Sized>(graph: &A) -> bool {
     let n = graph.num_vertices();
     n.saturating_mul(graph.max_degree() + 1) <= 1 << 22 && n <= 1 << 14
 }
@@ -478,66 +526,6 @@ mod tests {
     /// colouring equals the scan's; beyond them it is first-fit's.
     #[test]
     fn coloring_for_graph_matches_the_scan_on_every_admitted_topology() {
-        let mut table: Vec<(String, Graph, bool)> = Vec::new();
-        let mut row = |name: String, graph: Graph, dsatur: bool| table.push((name, graph, dsatur));
-        // The vertex cap: n ≤ 2¹⁴.
-        for n in [3, 4, 5, 1000, 1 << 14, (1 << 14) + 1] {
-            row(format!("ring {n}"), GraphBuilder::ring(n), n <= 1 << 14);
-        }
-        for (rows, cols) in [(3, 3), (3, 4), (5, 7), (64, 64), (128, 128), (128, 129)] {
-            let torus = GraphBuilder::torus(rows, cols);
-            row(
-                format!("torus {rows}x{cols}"),
-                torus,
-                rows * cols <= 1 << 14,
-            );
-        }
-        for (rows, cols) in [
-            (1, 1),
-            (1, 2),
-            (1, 9),
-            (9, 1),
-            (2, 2),
-            (9, 14),
-            (128, 128),
-            (1, 1 << 14),
-            (1, (1 << 14) + 1),
-        ] {
-            let grid = GraphBuilder::grid(rows, cols);
-            row(format!("grid {rows}x{cols}"), grid, rows * cols <= 1 << 14);
-        }
-        for dim in 0..=15 {
-            row(
-                format!("hypercube {dim}"),
-                GraphBuilder::hypercube(dim),
-                dim <= 14,
-            );
-        }
-        // The cell cap: n·(Δ + 1) ≤ 2²².
-        for (n, k) in [
-            (3, 1),
-            (5, 2),
-            (7, 3),
-            (255, 127),
-            (600, 3),
-            (10_000, 5),
-            (16_384, 127),
-            (16_384, 128),
-        ] {
-            let dsatur = n * (2 * k + 1) <= 1 << 22;
-            row(
-                format!("circulant {n},{k}"),
-                GraphBuilder::circulant(n, k),
-                dsatur,
-            );
-        }
-        for n in [1, 2, 3, 40, 1000, 2048, 2049] {
-            row(
-                format!("clique {n}"),
-                GraphBuilder::clique(n),
-                n * n <= 1 << 22,
-            );
-        }
         // The scan takes seconds per 2¹⁴-vertex graph unoptimised, so a
         // debug build compares the rows up to 2¹² vertices; an optimised
         // build (CI runs this test with --release too) compares them all.
@@ -546,13 +534,18 @@ mod tests {
         } else {
             usize::MAX
         };
-        for (name, graph, dsatur) in &table {
-            assert_eq!(within_dsatur_caps(graph), *dsatur, "{name}: the caps moved");
-            let chosen = coloring_for_graph(graph);
+        for (topology, dsatur) in crate::topology::admitted_topology_table() {
+            let graph = topology.graph();
+            assert_eq!(
+                within_dsatur_caps(&graph),
+                dsatur,
+                "{topology:?}: the caps moved"
+            );
+            let chosen = coloring_for_graph(&graph);
             if !dsatur {
-                assert_eq!(chosen, greedy_coloring(graph), "{name}");
+                assert_eq!(chosen, greedy_coloring(&graph), "{topology:?}");
             } else if graph.num_vertices() <= scanned {
-                assert_eq!(chosen, dsatur_by_scan(graph), "{name}");
+                assert_eq!(chosen, dsatur_by_scan(&graph), "{topology:?}");
             }
         }
     }

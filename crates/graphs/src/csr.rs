@@ -29,8 +29,10 @@ use std::sync::Arc;
 /// neighbours of vertex `u` are `targets[offsets[u]..offsets[u + 1]]`,
 /// sorted ascending, with both arrays contiguous `u32`.
 ///
-/// Built from a [`Graph`] with [`CsrGraph::from_graph`]; immutable by
-/// design (relabel or rebuild the source graph and convert again — see
+/// Built from a [`Graph`] with [`CsrGraph::from_graph`], or written
+/// straight from a standard topology's rows with
+/// [`Topology::try_csr`](crate::Topology::try_csr); immutable by design
+/// (relabel or rebuild the source graph and convert again — see
 /// `Graph::relabelled`).
 #[derive(Clone, PartialEq, Eq)]
 pub struct CsrGraph {
@@ -45,8 +47,9 @@ pub struct CsrGraph {
     degrees: Vec<u32>,
 }
 
-/// Why a [`Graph`] cannot be frozen into u32-indexed CSR form: one of the
-/// two index-width contracts of [`CsrGraph::from_graph`] failed. The typed
+/// Why a graph cannot be frozen into u32-indexed CSR form: one of the
+/// two index-width contracts of [`CsrGraph::from_graph`] (and of
+/// [`Topology::try_csr`](crate::Topology::try_csr)) failed. The typed
 /// form exists for admission-time validation in service contexts — a
 /// malformed job description must come back as a rejection, not kill a
 /// shared worker through the `assert!`.
@@ -123,6 +126,13 @@ impl CsrGraph {
             offsets.push(targets.len() as u32);
         }
         debug_assert_eq!(targets.len(), directed);
+        Ok(Self::from_parts(offsets, targets))
+    }
+
+    /// Wraps row offsets and sorted, symmetric target rows that already
+    /// passed the u32 check, recording the distinct degrees.
+    pub(crate) fn from_parts(offsets: Vec<u32>, targets: Vec<u32>) -> Self {
+        debug_assert_eq!(offsets.last().map(|&end| end as usize), Some(targets.len()));
         let mut seen = Vec::new();
         for row in offsets.windows(2) {
             let degree = (row[1] - row[0]) as usize;
@@ -134,12 +144,12 @@ impl CsrGraph {
         let degrees = (0..seen.len() as u32)
             .filter(|&d| seen[d as usize])
             .collect();
-        Ok(Self {
-            n,
+        Self {
+            n: offsets.len() - 1,
             offsets,
             targets,
             degrees,
-        })
+        }
     }
 
     /// Number of vertices.

@@ -10,7 +10,8 @@
 //! * the topologies the paper reasons about — ring, clique, path — plus the usual
 //!   suspects needed for the cutwidth experiments: star, grid, torus, hypercube,
 //!   complete bipartite graphs, binary trees and Erdős–Rényi random graphs
-//!   ([`builders`]),
+//!   ([`builders`]); the six the job service admits are defined once, as
+//!   row generators that also write CSR directly ([`topology`]),
 //! * traversal utilities: BFS distances, connected components, diameter
 //!   ([`traversal`]),
 //! * a frozen **CSR adjacency** view ([`csr`]): two contiguous `u32`
@@ -37,12 +38,14 @@ pub mod cutwidth;
 pub mod graph;
 pub mod ordering;
 pub mod relabel;
+pub mod topology;
 pub mod traversal;
 
 pub use builders::GraphBuilder;
-pub use coloring::{coloring_for_graph, dsatur_coloring, greedy_coloring, Coloring};
+pub use coloring::{coloring_for_graph, dsatur_coloring, greedy_coloring, Adjacency, Coloring};
 pub use csr::{CsrGraph, CsrIndexError};
 pub use cutwidth::{cutwidth_exact, cutwidth_heuristic, cutwidth_of_ordering, CutwidthResult};
 pub use graph::Graph;
 pub use ordering::VertexOrdering;
 pub use relabel::{bandwidth_of_ordering, rcm_ordering};
+pub use topology::Topology;

@@ -1,15 +1,16 @@
 //! Content-addressed, LRU-bounded cache of derived artifacts.
 //!
 //! Building a job's environment is dominated by work that is a pure
-//! function of the *game description* — the interaction graph, frozen to
-//! CSR, and its colouring (for the parallel-revision schedule). A
-//! multi-tenant server sees the same handful of descriptions over and
-//! over, so these are computed once per content hash
-//! ([`JobSpec::content_key`](crate::JobSpec::content_key)), shared as
-//! `Arc`s across concurrent jobs, and evicted least-recently-used once the
-//! cache is full. Jobs hold the same `Arc`s: their games and schedules
-//! point at the cached CSR and colouring instead of copying them.
-//! β-ladders get the same treatment in a second, smaller cache.
+//! function of its *topology* — the interaction graph's CSR rows and their
+//! colouring (for the parallel-revision schedule); the payoffs play no
+//! part. A multi-tenant server sees the same handful of topologies over
+//! and over, so these are computed once per topology hash
+//! ([`JobSpec::topology_key`](crate::JobSpec::topology_key)), shared as
+//! `Arc`s across concurrent jobs, whatever game they play, and evicted
+//! least-recently-used once the cache is full. Jobs hold the same `Arc`s:
+//! their games and schedules point at the cached CSR and colouring instead
+//! of copying them. β-ladders get the same treatment in a second, smaller
+//! cache.
 
 use logit_graphs::{Coloring, CsrGraph};
 use std::collections::HashMap;
@@ -161,7 +162,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// Everything derived from one game description that jobs can share: the
+/// Everything derived from one topology that jobs can share: the
 /// interaction graph and its colouring, each behind its own `Arc` so a
 /// job's game and schedule share them without a copy.
 #[derive(Debug)]
@@ -173,17 +174,17 @@ pub struct GameArtifacts {
     pub coloring: Arc<Coloring>,
 }
 
-/// The server's artifact store: game artifacts keyed by content hash,
-/// β-ladders keyed by the hash of their spec.
+/// The server's artifact store: game artifacts keyed by the topology's
+/// hash, β-ladders keyed by the hash of their spec.
 pub struct ArtifactCache {
-    /// Game-description artifacts ([`GameArtifacts`]).
+    /// Topology artifacts ([`GameArtifacts`]).
     pub games: LruCache<u64, Arc<GameArtifacts>>,
     /// Realised β-ladders (`betas` vectors) of tempered jobs.
     pub ladders: LruCache<u64, Arc<Vec<f64>>>,
 }
 
 impl ArtifactCache {
-    /// Creates the store with `games_capacity` game entries and a
+    /// Creates the store with `games_capacity` topology entries and a
     /// proportionally small ladder cache.
     pub fn new(games_capacity: usize) -> Self {
         Self {

@@ -2,7 +2,7 @@
 //! *before* it touches the shared worker pool.
 //!
 //! The library crates downstack already grew fallible `try_*` constructors
-//! ([`CsrGraph::try_from_graph`](logit_graphs::CsrGraph::try_from_graph),
+//! ([`Topology::try_csr`](logit_graphs::Topology::try_csr),
 //! [`BetaLadder::try_geometric`](logit_anneal::BetaLadder::try_geometric),
 //! [`CoordinationGame::try_new`](logit_games::CoordinationGame::try_new),
 //! [`IsingGame::try_new`](logit_games::IsingGame::try_new));

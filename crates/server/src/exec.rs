@@ -2,15 +2,16 @@
 //!
 //! [`prepare`] is the second admission stage: it materialises the game
 //! description through the library crates' fallible `try_*` constructors —
-//! [`CsrGraph::try_from_graph`], [`CoordinationGame::try_new`],
-//! [`IsingGame::try_new`], [`BetaLadder::try_geometric`] /
-//! [`BetaLadder::try_linear`] — sharing the expensive derived artifacts
-//! through the content-addressed
-//! [`ArtifactCache`]. Anything that survives `prepare` can run on the shared
-//! pool without tripping a boundary `assert!`. Jobs run on the cached
-//! artifacts by reference: the game holds an `Arc::clone` of the cached CSR
-//! and a coloured schedule one of the cached colouring, so no job copies a
-//! graph.
+//! [`Topology::try_csr`](logit_graphs::Topology::try_csr) (the topology's
+//! CSR rows, written directly: admission never builds a `Graph`),
+//! [`CoordinationGame::try_new`], [`IsingGame::try_new`],
+//! [`BetaLadder::try_geometric`] / [`BetaLadder::try_linear`] — sharing
+//! the expensive derived artifacts through the
+//! [`ArtifactCache`], keyed by the topology alone. Anything that survives
+//! `prepare` can run on the shared pool without tripping a boundary
+//! `assert!`. Jobs run on the cached artifacts by reference: the game holds
+//! an `Arc::clone` of the cached CSR and a coloured schedule one of the
+//! cached colouring, so no job copies a graph.
 //!
 //! A job runs as a resumable [`ProfileRun`] or [`TemperedRun`], one
 //! segment at a time: the server's executor interleaves its jobs that way,
@@ -41,7 +42,6 @@ use logit_games::{
     CoordinationGame, CountKernel, GraphicalCoordinationGame, IsingGame, PotentialGame,
     PotentialTally,
 };
-use logit_graphs::{CsrGraph, GraphBuilder};
 use logit_linalg::stats::RunningStats;
 use std::ops::Range;
 use std::sync::Arc;
@@ -71,13 +71,14 @@ pub fn prepare(spec: JobSpec, cache: &ArtifactCache) -> Result<PreparedJob, Admi
         GameFamily::Ising { coupling, field } => {
             // A three-vertex probe graph exercises the payoff checks
             // without building the real topology.
-            IsingGame::try_new(GraphBuilder::path(3), coupling, field)?;
+            let probe = logit_graphs::Topology::Ring { n: 3 }.try_csr()?;
+            IsingGame::try_new(probe, coupling, field)?;
         }
     }
 
     let (artifacts, cache_hit) = cache
         .games
-        .get_or_try_insert_with(spec.content_key(), || build_artifacts(&spec))?;
+        .get_or_try_insert_with(spec.topology_key(), || build_artifacts(spec.topology))?;
 
     let betas = match spec.mode {
         ModeKind::Pipelined { .. } => None,
@@ -112,22 +113,19 @@ pub fn prepare(spec: JobSpec, cache: &ArtifactCache) -> Result<PreparedJob, Admi
     })
 }
 
-/// Builds the derived artifacts of one game description (cache miss path):
-/// the graph is built, frozen and coloured, then dropped.
-fn build_artifacts(spec: &JobSpec) -> Result<Arc<GameArtifacts>, AdmissionError> {
-    let graph = match spec.topology {
-        Topology::Ring { n } => GraphBuilder::ring(n),
-        Topology::Clique { n } => GraphBuilder::clique(n),
-        Topology::Torus { rows, cols } => GraphBuilder::torus(rows, cols),
-        Topology::Grid { rows, cols } => GraphBuilder::grid(rows, cols),
-        Topology::Hypercube { dim } => GraphBuilder::hypercube(dim),
-        Topology::Circulant { n, k } => GraphBuilder::circulant(n, k),
-    };
-    // The CSR u32-width boundary, as a typed error (unreachable under the
-    // admission limits, but the farm must never see an unchecked graph).
-    let csr = Arc::new(CsrGraph::try_from_graph(&graph)?);
-    let coloring = Arc::new(coloring_for_graph(&graph));
-    Ok(Arc::new(GameArtifacts { csr, coloring }))
+/// Builds the derived artifacts of one topology (cache miss path): its
+/// CSR rows, written directly, and their colouring.
+fn build_artifacts(topology: Topology) -> Result<Arc<GameArtifacts>, AdmissionError> {
+    // The CSR u32-width boundary, as a typed error checked from the
+    // topology's counts before anything is allocated (unreachable under
+    // the admission limits, but the farm must never see an unchecked
+    // graph).
+    let csr = topology.rows().try_csr()?;
+    let coloring = Arc::new(coloring_for_graph(&csr));
+    Ok(Arc::new(GameArtifacts {
+        csr: Arc::new(csr),
+        coloring,
+    }))
 }
 
 /// Observable dispatch: a concrete `ProfileObservable` per
@@ -197,12 +195,14 @@ impl<G: PotentialGame> ProfileObservable for JobObservable<G> {
     }
 }
 
+/// The job's start profile, over a spare buffer of the engine's: the run
+/// it is handed to gives it back when the run drops.
 fn start_profile(spec: &JobSpec) -> Vec<usize> {
-    let n = spec.topology.num_players();
-    match spec.start {
-        StartKind::Zeros => vec![0; n],
-        StartKind::Ones => vec![1; n],
-    }
+    let strategy = match spec.start {
+        StartKind::Zeros => 0,
+        StartKind::Ones => 1,
+    };
+    logit_core::spare::profile(spec.topology.num_players(), strategy)
 }
 
 /// The wire points of recorded times `completed` (shared by the profile
@@ -456,7 +456,7 @@ impl Visit for Start<'_> {
                 let run = ProfileRun::new(
                     self.sim,
                     &dynamics,
-                    &start,
+                    start,
                     steps,
                     spec.sample_every,
                     &observable,
@@ -477,7 +477,7 @@ impl Visit for Start<'_> {
                 let run = TemperedRun::new(
                     self.sim,
                     &ensemble,
-                    &start,
+                    start,
                     rounds,
                     sweep_ticks,
                     spec.sample_every,

@@ -1,6 +1,6 @@
 //! The job description grammar: `key=value` lines → a validated
-//! [`JobSpec`], plus the canonical content hash that keys the derived-
-//! artifact cache.
+//! [`JobSpec`], plus the canonical hashes that name its game and key the
+//! derived-artifact cache by its topology.
 //!
 //! Parsing is the first admission stage: it rejects unknown fields,
 //! duplicates, unparsable numbers and out-of-limit sizes with typed
@@ -60,14 +60,19 @@ impl Topology {
     /// Number of players the topology induces, saturating at `usize::MAX`
     /// so that no oversized description wraps to a small count.
     pub fn num_players(&self) -> usize {
+        self.rows().num_vertices()
+    }
+
+    /// The same topology as the graph crate's row generator, which writes
+    /// its CSR rows.
+    pub fn rows(&self) -> logit_graphs::Topology {
         match *self {
-            Topology::Ring { n } | Topology::Clique { n } | Topology::Circulant { n, .. } => n,
-            Topology::Torus { rows, cols } | Topology::Grid { rows, cols } => {
-                rows.saturating_mul(cols)
-            }
-            Topology::Hypercube { dim } => {
-                1usize.checked_shl(dim.min(64) as u32).unwrap_or(usize::MAX)
-            }
+            Topology::Ring { n } => logit_graphs::Topology::Ring { n },
+            Topology::Clique { n } => logit_graphs::Topology::Clique { n },
+            Topology::Torus { rows, cols } => logit_graphs::Topology::Torus { rows, cols },
+            Topology::Grid { rows, cols } => logit_graphs::Topology::Grid { rows, cols },
+            Topology::Hypercube { dim } => logit_graphs::Topology::Hypercube { dim },
+            Topology::Circulant { n, k } => logit_graphs::Topology::Circulant { n, k },
         }
     }
 }
@@ -278,19 +283,12 @@ impl JobSpec {
             }
             _ => {}
         }
-        let p = players as u64;
-        let edges: u64 = match topology {
-            Topology::Ring { .. } => p,
-            Topology::Clique { .. } => p * p.saturating_sub(1) / 2,
-            Topology::Torus { .. } | Topology::Grid { .. } => 2 * p,
-            Topology::Hypercube { dim } => (dim as u64).saturating_mul(p) / 2,
-            Topology::Circulant { k, .. } => p.saturating_mul(k as u64),
-        };
+        let edges = (topology.rows().num_directed_edges() / 2) as u64;
         if edges > limits::MAX_EDGES {
             return Err(bad(
                 "topology",
                 format!(
-                    "induces about {edges} edges, above the limit of {}",
+                    "induces {edges} edges, above the limit of {}",
                     limits::MAX_EDGES
                 ),
             ));
@@ -456,9 +454,8 @@ impl JobSpec {
     }
 
     /// Canonical text of the *game description* — family, payoffs and
-    /// topology, the inputs every cached derived artifact (the CSR
-    /// interaction graph and its colouring) is a pure function of. Floats
-    /// are rendered as bit patterns so the key is injective.
+    /// topology: two jobs with equal texts play the same game. Floats are
+    /// rendered as bit patterns so the text is injective.
     pub fn canonical_game_text(&self) -> String {
         use crate::protocol::encode_f64;
         let game = match self.game {
@@ -473,21 +470,34 @@ impl JobSpec {
                 encode_f64(field)
             ),
         };
-        let topology = match self.topology {
+        format!("{game} | {}", self.canonical_topology_text())
+    }
+
+    /// Canonical text of the topology alone, the one input every cached
+    /// derived artifact (the CSR interaction graph and its colouring) is a
+    /// pure function of.
+    pub fn canonical_topology_text(&self) -> String {
+        match self.topology {
             Topology::Ring { n } => format!("ring n={n}"),
             Topology::Clique { n } => format!("clique n={n}"),
             Topology::Torus { rows, cols } => format!("torus rows={rows} cols={cols}"),
             Topology::Grid { rows, cols } => format!("grid rows={rows} cols={cols}"),
             Topology::Hypercube { dim } => format!("hypercube dim={dim}"),
             Topology::Circulant { n, k } => format!("circulant n={n} k={k}"),
-        };
-        format!("{game} | {topology}")
+        }
     }
 
     /// FNV-1a 64-bit content hash of [`canonical_game_text`](Self::canonical_game_text):
-    /// the artifact-cache key.
+    /// the game's name.
     pub fn content_key(&self) -> u64 {
         fnv1a(self.canonical_game_text().as_bytes())
+    }
+
+    /// FNV-1a 64-bit hash of
+    /// [`canonical_topology_text`](Self::canonical_topology_text): the
+    /// artifact-cache key, shared by every game on one topology.
+    pub fn topology_key(&self) -> u64 {
+        fnv1a(self.canonical_topology_text().as_bytes())
     }
 }
 
@@ -606,15 +616,32 @@ mod tests {
     #[test]
     fn the_content_key_tracks_the_game_not_the_run() {
         let a = JobSpec::parse(&base_job()).unwrap();
-        // Same game, different run parameters → same artifacts.
+        // Same game, different run parameters → same game.
         let b = JobSpec::parse(&base_job().replace("seed=7", "seed=99")).unwrap();
         assert_eq!(a.content_key(), b.content_key());
-        // Different payoffs → different artifacts.
+        // Different payoffs → a different game.
         let c = JobSpec::parse(&base_job().replace("delta0=2.0", "delta0=3.0")).unwrap();
         assert_ne!(a.content_key(), c.content_key());
-        // Different topology → different artifacts.
+        // Different topology → a different game.
         let d = JobSpec::parse(&base_job().replace("n=16", "n=18")).unwrap();
         assert_ne!(a.content_key(), d.content_key());
+    }
+
+    #[test]
+    fn the_topology_key_tracks_the_topology_alone() {
+        let a = JobSpec::parse(&base_job()).unwrap();
+        // Other payoffs, or another family, on the same ring: same artifacts.
+        let b = JobSpec::parse(&base_job().replace("delta0=2.0", "delta0=2.0000001")).unwrap();
+        assert_eq!(a.topology_key(), b.topology_key());
+        let ising = base_job().replace(
+            "game=graphical\ntopology=ring\nn=16\ndelta0=2.0\ndelta1=1.0",
+            "game=ising\ntopology=ring\nn=16\ncoupling=0.7",
+        );
+        let c = JobSpec::parse(&ising).unwrap();
+        assert_eq!(a.topology_key(), c.topology_key());
+        // Another topology: other artifacts.
+        let d = JobSpec::parse(&base_job().replace("n=16", "n=18")).unwrap();
+        assert_ne!(a.topology_key(), d.topology_key());
     }
 
     #[test]

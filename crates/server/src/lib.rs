@@ -11,8 +11,8 @@
 //! queued for one executor that interleaves them a segment at a time on
 //! the single shared [`WorkerPool`](logit_core::WorkerPool) ([`server`]),
 //! streaming each sample point as it completes, with derived artifacts
-//! (CSR interaction graphs, colourings, β-ladders) shared across tenants
-//! through a content-hash-keyed LRU cache ([`cache`]).
+//! (CSR interaction graphs and colourings, keyed by topology; β-ladders)
+//! shared across tenants through a hash-keyed LRU cache ([`cache`]).
 //!
 //! The contract that makes the service more than a remote-procedure
 //! wrapper: every streamed series is **bit-reproducible offline**. The

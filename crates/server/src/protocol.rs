@@ -19,8 +19,8 @@ use std::io::{self, Read, Write};
 pub const SUBMIT: u8 = b'S';
 /// Client → server: cancel the in-flight job on this connection.
 pub const CANCEL: u8 = b'C';
-/// Server → client: job admitted; payload carries id, content key and
-/// artifact-cache provenance.
+/// Server → client: job admitted; payload carries id, the artifact-cache
+/// key (the topology's hash) and artifact-cache provenance.
 pub const ACCEPTED: u8 = b'A';
 /// Server → client: job rejected at admission; payload is
 /// `<code>: <message>` from a typed [`AdmissionError`](crate::AdmissionError).

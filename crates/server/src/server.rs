@@ -108,7 +108,7 @@ const AGING_PASSES: u32 = 8;
 pub struct ServerConfig {
     /// Pending-job queue depth; a full queue rejects with `queue-full`.
     pub queue_capacity: usize,
-    /// Artifact-cache capacity (game descriptions).
+    /// Artifact-cache capacity (topologies).
     pub cache_capacity: usize,
     /// Seed of the server's base simulator (forked per job, so this only
     /// matters for pool identity, never for results).
@@ -651,7 +651,7 @@ fn handle_connection(
     let id = job_ids.fetch_add(1, Ordering::Relaxed);
     let accepted_meta = format!(
         "job={id} key={:016x} artifacts={} colors={}",
-        job.spec.content_key(),
+        job.spec.topology_key(),
         if job.cache_hit { "hit" } else { "miss" },
         job.artifacts.coloring.num_classes(),
     );

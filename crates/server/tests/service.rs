@@ -564,6 +564,47 @@ fn jobs_on_one_description_share_its_csr_and_colouring() {
 }
 
 #[test]
+fn payoff_variants_of_one_topology_share_one_artifact() {
+    // The CSR and colouring depend on the topology alone, so another
+    // payoff on the same torus, however close, and another game family on
+    // it hit the entry the first job built.
+    let torus = |game: &str| {
+        format!(
+            "{game}\ntopology=torus\nrows=128\ncols=128\nrule=logit\nschedule=coloured\n\
+             mode=pipelined\nbeta=1.0\nsteps=4\nsample_every=1\nobservable=potential\n\
+             replicas=1\nseed=1"
+        )
+    };
+    let cache = ArtifactCache::new(4);
+    let prepared = |game: &str| prepare(JobSpec::parse(&torus(game)).unwrap(), &cache).unwrap();
+    let first = prepared("game=graphical\ndelta0=2.0\ndelta1=1.0");
+    let second = prepared("game=graphical\ndelta0=2.0000001\ndelta1=1.0");
+    assert_ne!(first.spec.content_key(), second.spec.content_key());
+    assert!(!first.cache_hit && second.cache_hit);
+    assert!(Arc::ptr_eq(&first.artifacts, &second.artifacts));
+    let stats = cache.games.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
+    let ising = prepared("game=ising\ncoupling=0.7");
+    assert!(ising.cache_hit && Arc::ptr_eq(&first.artifacts, &ising.artifacts));
+    assert_eq!(cache.games.len(), 1);
+}
+
+#[test]
+fn a_topology_past_the_u32_limit_is_rejected_with_a_typed_error() {
+    // The grammar's limits keep every parsed job far below u32, so the
+    // boundary behind them is driven with a hand-built spec: it must come
+    // back as the typed CSR error, from the topology's counts, without
+    // allocating its rows.
+    let mut spec = JobSpec::parse(&base_job(1)).unwrap();
+    spec.topology = logit_server::Topology::Circulant { n: 1 << 31, k: 2 };
+    match prepare(spec, &ArtifactCache::new(1)) {
+        Err(e @ AdmissionError::Csr(_)) => assert_eq!(e.code(), "csr"),
+        Err(other) => panic!("expected the CSR error, got {other}"),
+        Ok(_) => panic!("a 2^33-edge circulant was admitted"),
+    }
+}
+
+#[test]
 fn admission_rejects_the_retired_farm_keys_as_unknown_fields() {
     // Admission only, nothing runs: the segment length is derived from the
     // job, so `chunk_ticks` and `channel_capacity` are not in the grammar,
