@@ -243,16 +243,17 @@ fn median(mut values: Vec<f64>) -> f64 {
 ///   player per update) through the same ChaCha stream stack the ensembles
 ///   use: the per-player baseline the coloured paths are judged against,
 ///   median over the interleaved gate rounds;
-/// * `coloured_seq` — the sequential colour-class sweep (`step_coloured`,
-///   per-player counter-derived draws, in-place updates), median over the
-///   interleaved gate rounds;
-/// * `coloured_pooled` — the persistent-pool path (`step_coloured_pooled`),
-///   median over the interleaved gate rounds.
+/// * `coloured_seq` — the sequential byte class sweep
+///   (`step_coloured_bytes`, per-player counter-derived draws, in-place
+///   updates), median over the interleaved gate rounds;
+/// * `coloured_pooled` — the persistent-pool byte sweep
+///   (`step_coloured_pooled_bytes`), median over the interleaved gate
+///   rounds.
 ///
 /// Two **in-process gates** run before any number is emitted:
 ///
 /// 1. *Bit-identity* — one full colour round through the pooled path must
-///    reproduce the sequential class sweep exactly.
+///    reproduce the sequential reference sweep `step_coloured` exactly.
 /// 2. *Throughput* — over five interleaved (uniform, sequential, pooled)
 ///    rounds the best pooled/sequential ratio must reach 1.0 (the pool must
 ///    not tax the sweep: with one effective worker the pooled path *is* the
@@ -278,25 +279,23 @@ fn coloured_row<U: UpdateRule>(
     // throughput number is emitted.
     {
         let mut seq = vec![0usize; n];
-        let mut pooled = vec![0usize; n];
+        let mut pooled = vec![0u8; n];
         let mut scratch = Scratch::for_game(game);
         let mut pooled_scratch = Scratch::for_game(game);
-        let mut pooled_staged = Vec::new();
         for t in 0..classes as u64 {
             d.step_coloured(coloring, t, 0x0C01_C4ED, &mut seq, &mut scratch);
-            d.step_coloured_pooled(
+            d.step_coloured_pooled_bytes(
                 coloring,
                 t,
                 0x0C01_C4ED,
+                None,
                 &mut pooled,
                 &mut pooled_scratch,
-                &mut pooled_staged,
                 pool,
                 config,
             );
-            assert_eq!(
-                seq,
-                pooled,
+            assert!(
+                seq.iter().zip(&pooled).all(|(&s, &b)| s == b as usize),
                 "pooled coloured path diverged ({} at tick {t})",
                 rule.name()
             );
@@ -327,10 +326,9 @@ fn coloured_row<U: UpdateRule>(
         let mut uniform_scratch = Scratch::for_game(game);
         let mut scratch = Scratch::for_game(game);
         let mut pooled_scratch = Scratch::for_game(game);
-        let mut staged = Vec::new();
         let mut uniform_profile = vec![0usize; n];
-        let mut seq_profile = vec![0usize; n];
-        let mut pooled_profile = vec![0usize; n];
+        let mut seq_profile = vec![0u8; n];
+        let mut pooled_profile = vec![0u8; n];
         for _ in 0..gate_rounds {
             let clock = std::time::Instant::now();
             for _ in 0..sub_rounds * n as u64 {
@@ -341,20 +339,20 @@ fn coloured_row<U: UpdateRule>(
 
             let clock = std::time::Instant::now();
             for t in 0..sub_ticks {
-                d.step_coloured(coloring, t, 2, &mut seq_profile, &mut scratch);
+                d.step_coloured_bytes(coloring, t, 2, None, &mut seq_profile, &mut scratch);
             }
             std::hint::black_box(&seq_profile);
             let seq_rate = sub_updates / clock.elapsed().as_secs_f64();
 
             let clock = std::time::Instant::now();
             for t in 0..sub_ticks {
-                d.step_coloured_pooled(
+                d.step_coloured_pooled_bytes(
                     coloring,
                     t,
                     2,
+                    None,
                     &mut pooled_profile,
                     &mut pooled_scratch,
-                    &mut staged,
                     pool,
                     config,
                 );
@@ -441,13 +439,13 @@ fn coloured_rows() -> String {
     ];
     let scaling = worker_scaling_rows(&game, &coloring, rounds, 2 * k);
     format!(
-        "  \"coloured\": {{\n    \"what\": \"coloured independent-set revision on a dense-degree circulant (n = {n}, degree {}, first-fit classes via the scale-aware coloring_for_game) vs per-player sequential stepping through the same engine; two in-process gates must pass before rows are emitted: bit-identity (one full colour round, pooled == sequential class sweep) and throughput (best pooled/seq over 5 interleaved rounds >= 1.0 — the persistent pool must not tax the sweep — and median pooled/uniform > 1.5). Committed invariants: the gates plus the ratios — pooled_over_uniform pins the coloured path beating per-player sequential stepping (the ascending class sweep streams the DRAM-resident adjacency where random-player stepping cache-misses, and counter-derived per-player draws replace stream draws; band to hold: > 1.5), pooled_over_seq pins the persistent-pool orchestration overhead; coloured_pooled additionally scales with cores (the emitting host resolved workers = {workers}; per-player sequential stepping cannot use more than one)\",\n    \"rows\": [\n{}\n    ]\n  }},\n{scaling}",
+        "  \"coloured\": {{\n    \"what\": \"coloured independent-set revision on a dense-degree circulant (n = {n}, degree {}, first-fit classes via the scale-aware coloring_for_game) vs per-player sequential stepping through the same engine; coloured_seq is the sequential byte class sweep (step_coloured_bytes) and coloured_pooled the pooled byte sweep (step_coloured_pooled_bytes), both on a u8 profile with counter-keyed draws; two in-process gates must pass before rows are emitted: bit-identity (one full colour round, pooled == the sequential reference sweep step_coloured) and throughput (best pooled/seq over 5 interleaved rounds >= 1.0 — the persistent pool must not tax the byte sweep — and median pooled/uniform > 1.5). Committed invariants: the gates plus the ratios — pooled_over_uniform pins the coloured path beating per-player sequential stepping (the ascending class sweep streams the DRAM-resident adjacency where random-player stepping cache-misses, and counter-derived per-player draws replace stream draws; band to hold: > 1.5), pooled_over_seq pins the persistent-pool orchestration overhead; coloured_pooled additionally scales with cores (the emitting host resolved workers = {workers}; per-player sequential stepping cannot use more than one)\",\n    \"rows\": [\n{}\n    ]\n  }},\n{scaling}",
         2 * k,
         rows.join(",\n")
     )
 }
 
-/// The worker-scaling row-set: the pooled and sequential coloured paths at
+/// The worker-scaling row-set: the pooled and sequential byte sweeps at
 /// explicit worker counts on the same circulant instance. Recorded,
 /// not gated — on hosts with fewer cores than the row's worker count the
 /// extra workers oversubscribe and the ratios document that, which is
@@ -467,10 +465,10 @@ fn worker_scaling_rows(
 
     let seq_rate = {
         let mut scratch = Scratch::for_game(game);
-        let mut profile = vec![0usize; n];
+        let mut profile = vec![0u8; n];
         let clock = std::time::Instant::now();
         for t in 0..ticks {
-            d.step_coloured(coloring, t, 2, &mut profile, &mut scratch);
+            d.step_coloured_bytes(coloring, t, 2, None, &mut profile, &mut scratch);
         }
         std::hint::black_box(&profile);
         updates / clock.elapsed().as_secs_f64()
@@ -486,17 +484,16 @@ fn worker_scaling_rows(
 
         let pooled_rate = {
             let mut scratch = Scratch::for_game(game);
-            let mut staged = Vec::new();
-            let mut profile = vec![0usize; n];
+            let mut profile = vec![0u8; n];
             let clock = std::time::Instant::now();
             for t in 0..ticks {
-                d.step_coloured_pooled(
+                d.step_coloured_pooled_bytes(
                     coloring,
                     t,
                     2,
+                    None,
                     &mut profile,
                     &mut scratch,
-                    &mut staged,
                     &pool,
                     &config,
                 );
@@ -517,7 +514,7 @@ fn worker_scaling_rows(
         .map(|p| p.get())
         .unwrap_or(1);
     format!(
-        "  \"coloured_worker_scaling\": {{\n    \"what\": \"the pooled vs sequential coloured paths (Logit) at explicit worker counts on the same circulant (n = {n}, degree {degree}); recorded, not gated — worker counts above the emitting host's cores ({host_cores} here) oversubscribe, and the committed ratios document how gracefully the pool degrades (near-linear scaling is the expectation only up to the core count)\",\n    \"rows\": [\n{}\n    ]\n  }}",
+        "  \"coloured_worker_scaling\": {{\n    \"what\": \"the pooled vs sequential byte sweeps (step_coloured_pooled_bytes vs step_coloured_bytes, Logit) at explicit worker counts on the same circulant (n = {n}, degree {degree}); recorded, not gated — worker counts above the emitting host's cores ({host_cores} here) oversubscribe, and the committed ratios document how gracefully the pool degrades (near-linear scaling is the expectation only up to the core count)\",\n    \"rows\": [\n{}\n    ]\n  }}",
         rows.join(",\n")
     )
 }
@@ -680,16 +677,16 @@ fn csr_leg<U: UpdateRule>(
 
 /// One committed `large_n` row: the memory-locality engine (RCM-relabelled
 /// game, CSR adjacency, byte SoA profile, cache-blocked pooled sweeps,
-/// draws keyed by original player ids) against the pooled usize engine on
-/// the same label-shuffled circulant. Two in-process gates run before any
-/// number is emitted:
+/// draws keyed by original player ids) against the same pooled byte sweep
+/// on the unrelabelled, label-shuffled circulant. Two in-process gates run
+/// before any number is emitted:
 ///
 /// 1. *Bit-identity* — one full colour round of the relabelled byte pooled
 ///    path, unpacked through the inverse permutation, must reproduce the
 ///    unrelabelled sequential class sweep exactly (moved counts included).
 /// 2. *Throughput* — at `n ≥ 10⁵` (adjacency past L2) the best
 ///    csr_relabelled/pooled ratio over the interleaved rounds must reach
-///    1.0: the locality layer must never tax the engine where it matters.
+///    1.0: the relabelling must never tax the engine where it matters.
 ///
 /// `rate_vs_n1e4` (the tentpole's ≥ 0.70-at-`10⁶` win condition) is
 /// measured as a **paired** ratio: csr-only legs on this instance alternate
@@ -766,22 +763,20 @@ fn large_n_row<U: UpdateRule>(
     let mut csr_rates = Vec::new();
     let mut ratios = Vec::new();
     {
-        let mut pooled_profile = vec![0usize; n];
+        let mut pooled_profile = vec![0u8; n];
         let mut pooled_scratch = Scratch::for_game(d.game());
-        let mut pooled_staged = Vec::new();
-        let mut bytes = Vec::new();
-        layout.pack_profile(&pooled_profile, &mut bytes);
+        let mut bytes = vec![0u8; n];
         let mut byte_scratch = Scratch::for_game(dl.game());
         for _ in 0..gate_rounds {
             let clock = std::time::Instant::now();
             for t in 0..sub_ticks {
-                d.step_coloured_pooled(
+                d.step_coloured_pooled_bytes(
                     &coloring,
                     t,
                     2,
+                    None,
                     &mut pooled_profile,
                     &mut pooled_scratch,
-                    &mut pooled_staged,
                     pool,
                     config,
                 );
@@ -820,10 +815,9 @@ fn large_n_row<U: UpdateRule>(
     //
     // * The interleaved rounds above are the fair csr-vs-pooled head-to-head
     //   (both paths eat the same scheduler drift), but they also make each
-    //   csr leg restart with a cache full of the pooled leg's
-    //   `Vec<Vec<usize>>` adjacency — a real ~25% tax at n = 10⁶ that no
-    //   sustained simulation pays. The committed steady rate is therefore
-    //   the median of csr-only legs.
+    //   csr leg restart with a cache full of the pooled leg's shuffled
+    //   adjacency — a tax no sustained simulation pays. The committed
+    //   steady rate is therefore the median of csr-only legs.
     // * Dividing this instance's rate by an `n = 10⁴` rate measured minutes
     //   earlier bakes host throughput drift into the quotient (the emitting
     //   1-core VM wanders ±15% over minutes). So each csr leg is *paired*
@@ -876,7 +870,7 @@ fn large_n_row<U: UpdateRule>(
     if n >= 100_000 {
         assert!(
             best_csr_over_pooled >= 1.0,
-            "relabelled CSR path taxes the pooled engine ({}: best csr/pooled = {best_csr_over_pooled:.3} at n = {n})",
+            "relabelled CSR path taxes the unrelabelled pooled byte sweep ({}: best csr/pooled = {best_csr_over_pooled:.3} at n = {n})",
             rule.name()
         );
     }
@@ -946,7 +940,7 @@ fn large_n_rows(steps: u64, full: bool) -> String {
         }
     }
     format!(
-        "  \"large_n\": {{\n    \"what\": \"memory-locality engine (reverse-Cuthill-McKee relabelled game, CSR adjacency, byte SoA strategy profile, cache-blocked pooled sweeps of at most block_players players, draws keyed by original ids) vs the pooled usize engine on the same label-shuffled circulant (degree {}); two in-process gates before emission: bit-identity (one full colour round of the relabelled byte path, unpacked through the inverse permutation, == the unrelabelled sequential class sweep, moved counts included) and throughput (best csr_relabelled/pooled over 3 interleaved rounds >= 1.0 at n >= 1e5). Committed invariants: the gates, bandwidth_shuffled >> bandwidth_rcm (the relabelling recovers the hidden band), and rate_vs_n1e4 — each size's csr rate against the same rule's n = 1e4 reference, measured as the median of paired ratios (each csr-only steady leg runs seconds after an equal-update leg on a same-rule n = 1e4 reference instance, so host throughput drift cancels in the quotient instead of being committed); the tentpole win condition is >= 0.70 at n = 1e6 (the locality layer holds most of the in-cache rate at 100x the size). csr_steady_updates_per_sec is the median of the csr-only legs — the rate a sustained run sees, without the interleaved rounds' cache-repollution tax\",\n    \"rows\": [\n{}\n    ]\n  }}",
+        "  \"large_n\": {{\n    \"what\": \"memory-locality engine (reverse-Cuthill-McKee relabelled game, CSR adjacency, byte SoA strategy profile, cache-blocked pooled sweeps of at most block_players players, draws keyed by original ids) vs the same pooled byte sweep (step_coloured_pooled_bytes) on the unrelabelled label-shuffled circulant (degree {}); pooled_updates_per_sec is that unrelabelled leg; two in-process gates before emission: bit-identity (one full colour round of the relabelled byte path, unpacked through the inverse permutation, == the unrelabelled sequential class sweep, moved counts included) and throughput (best csr_relabelled/pooled over 3 interleaved rounds >= 1.0 at n >= 1e5). Committed invariants: the gates, bandwidth_shuffled >> bandwidth_rcm (the relabelling recovers the hidden band), and rate_vs_n1e4 — each size's csr rate against the same rule's n = 1e4 reference, measured as the median of paired ratios (each csr-only steady leg runs seconds after an equal-update leg on a same-rule n = 1e4 reference instance, so host throughput drift cancels in the quotient instead of being committed); the tentpole win condition is >= 0.70 at n = 1e6 (the locality layer holds most of the in-cache rate at 100x the size). csr_steady_updates_per_sec is the median of the csr-only legs — the rate a sustained run sees, without the interleaved rounds' cache-repollution tax\",\n    \"rows\": [\n{}\n    ]\n  }}",
         2 * k,
         rows.join(",\n")
     )
@@ -1313,7 +1307,7 @@ fn main() {
     let coloured = coloured_rows();
 
     // Memory-locality rows: the RCM-relabelled CSR byte engine against the
-    // pooled usize engine on label-shuffled circulants up to n = 10⁷,
+    // unrelabelled pooled byte sweep on label-shuffled circulants up to n = 10⁷,
     // gated on relabelled bit-identity. `--fast` stops at n = 10⁵ (the
     // larger instances exist to measure DRAM behaviour, not to smoke-test).
     let large_n = large_n_rows(steps, !fast);

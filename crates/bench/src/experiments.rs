@@ -868,10 +868,10 @@ pub fn e13_tempering(fast: bool) -> String {
 /// schedules — one uniform/sweep tick is 1 update, a `RandomBlock(k)` tick
 /// is `k`, an all-logit tick is `n`, and a coloured round is `n` spread
 /// over `num_classes` ticks. The coloured rows are produced by the
-/// genuinely parallel `step_coloured_pooled` engine path (the simulator's
-/// persistent worker pool, honouring the `LOGIT_*` env overrides), with
-/// bit-identity against the sequential class sweep asserted in-process
-/// before the row is emitted.
+/// genuinely parallel `step_coloured_pooled_bytes` engine path (the
+/// simulator's persistent worker pool, honouring the `LOGIT_*` env
+/// overrides), with bit-identity against the sequential class sweep
+/// asserted in-process before the row is emitted.
 pub fn e14_coloured_schedules(fast: bool) -> String {
     use logit_core::parallel::{coloring_for_game, ColouredBlocks, RandomBlock};
     use logit_core::schedules::{AllLogit, SystematicSweep, UniformSingle};
@@ -1046,32 +1046,35 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
         // like-for-like), with bit-identity against the sequential class
         // sweep asserted on every tick of the first replica before the row
         // is emitted.
-        let mut pooled_staged = Vec::new();
         let mut scratch = Scratch::for_game(&game);
         let mut pooled_scratch = Scratch::for_game(&game);
         let mut moved = 0usize;
         let mut adopted_sum = 0.0f64;
         let pool = sim.pool();
+        let start_bytes: Vec<u8> = start.iter().map(|&s| s as u8).collect();
         for replica in 0..replicas {
             let seed = 0xE14C ^ (replica as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut pooled = start.clone();
+            let mut pooled = start_bytes.clone();
             let mut check = (replica == 0).then(|| start.clone());
             for t in 0..ticks {
-                moved += d.step_coloured_pooled(
+                moved += d.step_coloured_pooled_bytes(
                     &coloring,
                     t,
                     seed,
+                    None,
                     &mut pooled,
                     &mut pooled_scratch,
-                    &mut pooled_staged,
                     pool,
                     sim.runtime(),
                 );
                 if let Some(seq) = check.as_mut() {
                     d.step_coloured(&coloring, t, seed, seq, &mut scratch);
-                    assert_eq!(
-                        &pooled, seq,
-                        "step_coloured_pooled diverged from the class sweep"
+                    assert!(
+                        pooled
+                            .iter()
+                            .zip(seq.iter())
+                            .all(|(&b, &s)| b as usize == s),
+                        "step_coloured_pooled_bytes diverged from the class sweep"
                     );
                 }
             }
@@ -1097,7 +1100,7 @@ pub fn e14_coloured_schedules(fast: bool) -> String {
          worst coloured-round TV from Gibbs = {worst_round_tv:.2e}; smallest all-logit TV = {best_block_tv:.2e}\n\n\
          Simulation panel (beta = {beta}, {replicas} replicas, {rounds} rounds of n updates each, started\n\
          from the wrong consensus): adoption of the risk-dominant strategy at a matched update budget.\n\
-         The parallel-engine rows run step_coloured_pooled (per-player RNG streams, frozen-profile\n\
+         The parallel-engine rows run step_coloured_pooled_bytes (per-player RNG streams, frozen-profile\n\
          blocks, persistent worker pool) over the same replica count as the other rows — the column\n\
          is an ensemble mean everywhere — with bit-identity against the sequential class sweep\n\
          asserted per tick.\n\n{}\n\

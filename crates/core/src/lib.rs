@@ -26,15 +26,18 @@
 //!   [`dynamics::LogitDynamics`] kept as the paper's logit instance,
 //! * [`parallel`] — the coloured parallel-revision subsystem: the
 //!   [`parallel::RandomBlock`] and [`parallel::ColouredBlocks`] schedules,
-//!   the genuinely parallel independent-set engine path
-//!   (`step_coloured_pooled`, per-player RNG streams, bit-identical to the
-//!   sequential class sweep) and the exact coloured block/round chains,
-//! * [`locality`] — the memory-locality layer for `n = 10⁶`–`10⁷`:
-//!   reverse-Cuthill–McKee player relabelling ([`locality::LocalityLayout`],
-//!   a pure view — draws stay keyed by original ids, so trajectories are
-//!   bit-identical after the inverse permutation), byte (SoA) strategy
-//!   profiles over CSR adjacency, and cache-blocked pooled class sweeps
-//!   sized by [`runtime::RuntimeConfig`]`::block_players`,
+//!   per-player counter-keyed draws ([`parallel::player_tick_uniform`]),
+//!   the sequential class sweep the coloured engine is pinned to
+//!   (`step_coloured`) and the exact coloured block/round chains,
+//! * [`locality`] — the one counter-keyed coloured engine and its
+//!   memory-locality layer for `n = 10⁶`–`10⁷`: byte (SoA) strategy
+//!   profiles over CSR adjacency swept inline (`step_coloured_bytes`) or as
+//!   cache-blocked pooled class sweeps (`step_coloured_pooled_bytes`, sized
+//!   by [`runtime::RuntimeConfig`]`::block_players`), both bit-identical to
+//!   the sequential class sweep, and reverse-Cuthill–McKee player
+//!   relabelling ([`locality::LocalityLayout`], a pure view — draws stay
+//!   keyed by original ids, so trajectories are bit-identical after the
+//!   inverse permutation),
 //! * [`gibbs`] — numerically stable Gibbs measures and partition functions,
 //! * [`simulate`] — trajectory simulation, parallel replica ensembles (one
 //!   [`runtime::WorkerPool`] claim per replica) and empirical-distribution

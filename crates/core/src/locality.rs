@@ -1,6 +1,13 @@
 //! Memory-locality layer for large-`n` simulation: bandwidth-minimising
 //! player relabelling plus byte-profile (SoA) coloured sweeps.
 //!
+//! The byte sweeps — [`DynamicsEngine::step_coloured_bytes`] inline and
+//! [`DynamicsEngine::step_coloured_pooled_bytes`] on the worker pool, on a
+//! relabelled game or not — are the workspace's one counter-keyed coloured
+//! engine: every draw is [`player_tick_uniform`]`(seed, player, t)`, and
+//! both are pinned bit for bit to the sequential reference sweep
+//! [`DynamicsEngine::step_coloured`].
+//!
 //! At `n = 10⁶`–`10⁷` players the coloured engine is memory-bound, not
 //! compute-bound: each revision streams the player's neighbour row and
 //! gathers the neighbours' current strategies, so the working set per
@@ -30,7 +37,7 @@
 //! rules, topologies, worker counts and block sizes.
 
 use crate::dynamics::{sample_index_from_uniform, CountTable, DynamicsEngine, Scratch};
-use crate::parallel::{coloring_for_graph, player_tick_uniform, STAGE_BUFFERS};
+use crate::parallel::{coloring_for_graph, player_tick_uniform};
 use crate::rules::UpdateRule;
 use crate::runtime::{RuntimeConfig, WorkerPool};
 use logit_games::{interaction_graph, CountKernel, LocalGame};
@@ -45,6 +52,14 @@ use logit_graphs::{bandwidth_of_ordering, rcm_ordering, Coloring, Graph, VertexO
 /// line-fill-buffer budget. Purely a hint: draws and utilities are
 /// untouched, so bit-identity is unaffected.
 const PREFETCH_AHEAD: usize = 8;
+
+std::thread_local! {
+    /// Per-thread staging buffers (utilities, probabilities) for the pooled
+    /// byte sweep: pool workers persist across ticks, so these warm up once
+    /// per thread instead of allocating per dispatch.
+    static STAGE_BUFFERS: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
+        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+}
 
 /// A bandwidth-minimising relabelling of a game's players, with everything
 /// the engine needs to run on the relabelled instance and map results back.
@@ -264,12 +279,24 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
 
 impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
     /// One coloured tick on a byte profile through the persistent
-    /// [`WorkerPool`]: the byte counterpart of
-    /// [`Self::step_coloured_pooled`], with the same narrow-class inline
-    /// fallback, the same cache-blocked chunking
-    /// ([`RuntimeConfig::sweep_chunk`]) and the same draw keys — so it is
-    /// bit-identical to [`Self::step_coloured_bytes`] from the same
-    /// `(seed, t, labels)` regardless of worker count or block size.
+    /// [`WorkerPool`]: the colour class of tick `t` is chunked across the
+    /// caller plus pool workers, each staging its players' new strategies
+    /// against the **frozen** pre-tick profile; the block is then applied
+    /// at once.
+    ///
+    /// Classes narrower than [`RuntimeConfig::min_class_size`] — and any
+    /// configuration resolving to a single stepping thread — run
+    /// [`Self::step_coloured_bytes`] inline on the caller with zero
+    /// dispatches (the pool's dispatch counter does not move). Wider
+    /// classes are cut into chunks of at most
+    /// [`RuntimeConfig::block_players`] players
+    /// ([`RuntimeConfig::sweep_chunk`]), so each chunk's working set stays
+    /// L2-resident while the pool's claim counter load-balances them.
+    ///
+    /// Draws are keyed by `(seed, t, labels)` alone, so the result is
+    /// bit-identical to [`Self::step_coloured_bytes`] — and, after
+    /// unpacking, to the reference sweep [`Self::step_coloured`] — whatever
+    /// the worker count, block size or chunk→thread assignment.
     ///
     /// Returns the number of players that moved.
     ///

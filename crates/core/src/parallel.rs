@@ -21,18 +21,21 @@
 //! downstream unchanged — `step_scheduled`, `run_profiles`, the farmed
 //! runner, `run_tempered`, sweeps, annealing.
 //!
-//! On top of the schedule seam sits the genuinely parallel engine path,
-//! [`DynamicsEngine::step_coloured_pooled`]: a whole colour class is updated
-//! by the workers of the persistent [`WorkerPool`], every player drawing
-//! from her **own deterministic RNG stream** (derived from
-//! `(seed, player, tick)`), each worker reading the frozen pre-tick profile
-//! through the read-only [`LocalGame::utilities_for_frozen`] hook (or, on a
-//! game with a count kernel, counting neighbours on 1 for the engine's
-//! count table). Because
-//! the class is an independent set, the result is bit-identical to the
-//! sequential class sweep [`DynamicsEngine::step_coloured`] *by
-//! construction* — the commutation argument, pinned by a proptest across
-//! rules × topologies — whatever the worker count or chunking.
+//! On top of the schedule seam sits the counter-keyed coloured engine, the
+//! byte sweeps of [`crate::locality`]:
+//! [`DynamicsEngine::step_coloured_pooled_bytes`] updates a whole colour
+//! class on the workers of the persistent
+//! [`WorkerPool`](crate::runtime::WorkerPool), every player
+//! drawing from her **own deterministic RNG stream** (derived from
+//! `(seed, player, tick)` by [`player_tick_uniform`]), each worker reading
+//! the frozen pre-tick byte profile. Because the class is an independent
+//! set, the result is bit-identical to the sequential class sweep
+//! [`DynamicsEngine::step_coloured`] *by construction* — the commutation
+//! argument, pinned by a proptest across rules × topologies — whatever the
+//! worker count or chunking. `step_coloured` is the reference that engine
+//! is pinned to: it reads each distribution through
+//! [`DynamicsEngine::update_distribution_into`], the function the exact
+//! coloured block matrices below are built from.
 //!
 //! The exact-chain counterparts,
 //! [`DynamicsEngine::transition_matrix_coloured_block`] and
@@ -46,7 +49,6 @@
 
 use crate::dynamics::{sample_index_from_uniform, DynamicsEngine, Scratch};
 use crate::rules::UpdateRule;
-use crate::runtime::{RuntimeConfig, WorkerPool};
 use crate::schedules::SelectionSchedule;
 use logit_games::{interaction_graph, LocalGame};
 /// The scale-aware colouring choice on an already materialised graph —
@@ -141,7 +143,8 @@ impl SelectionSchedule for RandomBlock {
 /// For a [`LocalGame`] each class is an independent set, so the parallel
 /// block update is exactly equivalent to revising the class sequentially —
 /// the correct parallelisation of the dynamics, and the schedule the
-/// genuinely parallel [`DynamicsEngine::step_coloured_pooled`] path executes.
+/// genuinely parallel [`DynamicsEngine::step_coloured_pooled_bytes`] path
+/// executes.
 /// Selection consumes no randomness. The colouring is shared by reference,
 /// so cloning the schedule copies a pointer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,9 +257,9 @@ pub fn player_tick_seed(seed: u64, player: usize, t: u64) -> u64 {
 /// One inverse-CDF draw is all a revision consumes (the update rule packs
 /// every other source of randomness into the probability vector), so a
 /// counter-derived variate — a few integer mixes, no generator state — is a
-/// complete per-player stream. Both coloured step paths sample from this,
-/// which keeps the per-update cost at sequential-stepping parity on one
-/// core while making the update order unobservable on many.
+/// complete per-player stream. Every counter-keyed coloured sweep samples
+/// from this, which keeps the per-update cost at sequential-stepping parity
+/// on one core while making the update order unobservable on many.
 pub fn player_tick_uniform(seed: u64, player: usize, t: u64) -> f64 {
     (player_tick_seed(seed, player, t) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
@@ -270,8 +273,13 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
     ///
     /// Because the class is an independent set of a [`LocalGame`]'s
     /// interaction graph, no player in it can observe another's same-tick
-    /// update — which is exactly why [`Self::step_coloured_pooled`] (frozen
-    /// profile, any worker count) is bit-identical to this sweep.
+    /// update — which is exactly why the byte engine
+    /// ([`Self::step_coloured_bytes`], and
+    /// [`Self::step_coloured_pooled_bytes`] on a frozen profile with any
+    /// worker count) is bit-identical to this sweep. Each distribution is
+    /// read through [`Self::update_distribution_into`], as in
+    /// [`Self::transition_matrix_coloured_block`], so the sweep ties the
+    /// byte engine to the exact round chain.
     ///
     /// # Panics
     /// Panics when the colouring's vertex count differs from the player
@@ -304,131 +312,6 @@ impl<G: LocalGame, U: UpdateRule> DynamicsEngine<G, U> {
         }
         moved
     }
-}
-
-impl<G: LocalGame + Sync, U: UpdateRule> DynamicsEngine<G, U> {
-    /// Samples the new strategies of `players` against the frozen `profile`
-    /// into `staged`, one `(seed, player, t)` stream per player — the
-    /// per-chunk kernel of [`Self::step_coloured_pooled`]. The
-    /// utility/probability buffers are the caller's, so pool workers reuse
-    /// thread-local storage instead of allocating per dispatch.
-    #[allow(clippy::too_many_arguments)]
-    fn stage_class_with(
-        &self,
-        players: &[usize],
-        t: u64,
-        seed: u64,
-        profile: &[usize],
-        staged: &mut [usize],
-        utils: &mut Vec<f64>,
-        probs: &mut Vec<f64>,
-    ) {
-        let beta = self.beta();
-        let table = self.count_table();
-        for (&player, slot) in players.iter().zip(staged.iter_mut()) {
-            if let Some((kernel, table)) = table {
-                table.fill(kernel, player, profile, probs);
-            } else {
-                let m = self.game().num_strategies(player);
-                utils.clear();
-                utils.resize(m, 0.0);
-                self.game().utilities_for_frozen(player, profile, utils);
-                self.rule().fill_probs(beta, profile[player], utils, probs);
-            }
-            *slot = sample_index_from_uniform(probs, player_tick_uniform(seed, player, t));
-        }
-    }
-
-    /// One coloured tick, genuinely parallel: the colour class of tick `t`
-    /// is chunked across the caller plus workers of the persistent
-    /// [`WorkerPool`] (spawned once, waiting between ticks), each computing
-    /// its players' new strategies against the **frozen** pre-tick profile
-    /// (through the read-only [`LocalGame::utilities_for_frozen`] hook, or
-    /// the count table) into
-    /// the staged buffer; the block is then applied at once. Returns the
-    /// number of players that moved.
-    ///
-    /// Worker-count resolution goes through [`RuntimeConfig`]: classes
-    /// narrower than `min_class_size` — and any configuration resolving to
-    /// a single stepping thread — run the sequential in-place class sweep
-    /// ([`Self::step_coloured`]) inline on the caller with **zero dispatch
-    /// overhead** (the pool's dispatch counter does not move), which is
-    /// the narrow-class amortisation guard. Wider classes are chunked
-    /// across the caller plus pool workers, each staging into its slice of
-    /// `staged` with thread-local utility buffers.
-    ///
-    /// Per-player counter-derived draws ([`player_tick_seed`]) make the
-    /// result independent of worker count, chunking, wait policy and
-    /// chunk→thread assignment, and — because a colour class is an
-    /// independent set, so non-neighbours commute — bit-identical to the
-    /// sequential in-place sweep [`Self::step_coloured`] from the same
-    /// `(seed, t)`. The proptest harness pins this across rules ×
-    /// topologies.
-    ///
-    /// # Panics
-    /// Panics when the colouring's vertex count differs from the player
-    /// count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn step_coloured_pooled(
-        &self,
-        coloring: &Coloring,
-        t: u64,
-        seed: u64,
-        profile: &mut [usize],
-        scratch: &mut Scratch,
-        staged: &mut Vec<usize>,
-        pool: &WorkerPool,
-        config: &RuntimeConfig,
-    ) -> usize {
-        let n = self.game().num_players();
-        assert_eq!(
-            coloring.num_vertices(),
-            n,
-            "colouring covers a different player count"
-        );
-        debug_assert_eq!(profile.len(), n);
-        let players = coloring.class(coloring.class_of_tick(t));
-        let workers = config.class_workers(players.len()).min(pool.workers() + 1);
-        if workers <= 1 {
-            return self.step_coloured(coloring, t, seed, profile, scratch);
-        }
-
-        staged.clear();
-        staged.resize(players.len(), 0);
-        // Cache-blocked sweep: the even split is capped at
-        // `RuntimeConfig::block_players` so every chunk's working set
-        // (strategy bytes + staged slots + the neighbour rows it touches)
-        // stays L2-resident; the pool's dynamic claim counter load-balances
-        // the surplus chunks. Chunking never changes results — every draw is
-        // keyed by `(seed, player, t)` alone.
-        let chunk = config.sweep_chunk(players.len(), workers);
-        let frozen: &[usize] = profile;
-        pool.for_each_chunk(staged, chunk, workers, &|index, out| {
-            let start = index * chunk;
-            let player_chunk = &players[start..start + out.len()];
-            STAGE_BUFFERS.with(|buffers| {
-                let (utils, probs) = &mut *buffers.borrow_mut();
-                self.stage_class_with(player_chunk, t, seed, frozen, out, utils, probs);
-            });
-        });
-
-        let mut moved = 0;
-        for (&player, &strategy) in players.iter().zip(staged.iter()) {
-            if profile[player] != strategy {
-                moved += 1;
-            }
-            profile[player] = strategy;
-        }
-        moved
-    }
-}
-
-std::thread_local! {
-    /// Per-thread staging buffers (utilities, probabilities) for the pooled
-    /// coloured path: pool workers persist across ticks, so these warm up
-    /// once per thread instead of allocating per dispatch.
-    pub(crate) static STAGE_BUFFERS: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl<G: logit_games::Game, U: UpdateRule> DynamicsEngine<G, U> {
@@ -512,6 +395,7 @@ mod tests {
     use super::*;
     use crate::dynamics::LogitDynamics;
     use crate::rules::{Fermi, ImitateBetter, Logit, MetropolisLogit, NoisyBestResponse};
+    use crate::runtime::{RuntimeConfig, WorkerPool};
     use crate::schedules::AllLogit;
     use logit_games::{CoordinationGame, GraphicalCoordinationGame, IsingGame};
     use logit_graphs::{greedy_coloring, GraphBuilder};
@@ -527,6 +411,10 @@ mod tests {
             ),
             beta,
         )
+    }
+
+    fn widened(bytes: &[u8]) -> Vec<usize> {
+        bytes.iter().map(|&s| s as usize).collect()
     }
 
     #[test]
@@ -591,7 +479,6 @@ mod tests {
         let coloring = coloring_for_game(d.game());
         let mut scratch = Scratch::for_game(d.game());
         let mut pooled_scratch = Scratch::for_game(d.game());
-        let mut staged = Vec::new();
         let seed = 0xC0DE;
         for workers in [0usize, 1, 2, 3, 5] {
             let config = RuntimeConfig {
@@ -601,55 +488,26 @@ mod tests {
             };
             let pool = WorkerPool::new(&config);
             let mut seq = vec![0usize; 12];
-            let mut par = vec![0usize; 12];
+            let mut par = vec![0u8; 12];
             for t in 0..40u64 {
                 let moved_seq = d.step_coloured(&coloring, t, seed, &mut seq, &mut scratch);
-                let moved_par = d.step_coloured_pooled(
+                let moved_par = d.step_coloured_pooled_bytes(
                     &coloring,
                     t,
                     seed,
+                    None,
                     &mut par,
                     &mut pooled_scratch,
-                    &mut staged,
                     &pool,
                     &config,
                 );
-                assert_eq!(seq, par, "diverged at t = {t} with {workers} workers");
+                assert_eq!(
+                    seq,
+                    widened(&par),
+                    "diverged at t = {t} with {workers} workers"
+                );
                 assert_eq!(moved_seq, moved_par);
             }
-        }
-    }
-
-    #[test]
-    fn pooled_coloured_steps_match_both_existing_paths() {
-        let d = ring_dynamics(12, 1.3);
-        let coloring = coloring_for_game(d.game());
-        let seed = 0xC0DE;
-        let config = RuntimeConfig {
-            workers: 3,
-            min_class_size: 0,
-            ..RuntimeConfig::default()
-        };
-        let pool = WorkerPool::new(&config);
-        let mut scratch = Scratch::for_game(d.game());
-        let mut staged = Vec::new();
-        let mut seq = vec![0usize; 12];
-        let mut pooled = vec![0usize; 12];
-        let mut seq_scratch = Scratch::for_game(d.game());
-        for t in 0..40u64 {
-            let moved_seq = d.step_coloured(&coloring, t, seed, &mut seq, &mut seq_scratch);
-            let moved_pooled = d.step_coloured_pooled(
-                &coloring,
-                t,
-                seed,
-                &mut pooled,
-                &mut scratch,
-                &mut staged,
-                &pool,
-                &config,
-            );
-            assert_eq!(seq, pooled, "pooled diverged at t = {t}");
-            assert_eq!(moved_seq, moved_pooled);
         }
     }
 
@@ -671,16 +529,15 @@ mod tests {
         };
         let pool = WorkerPool::new(&narrow);
         let mut scratch = Scratch::for_game(d.game());
-        let mut staged = Vec::new();
-        let mut inline_profile = vec![0usize; 12];
+        let mut inline_profile = vec![0u8; 12];
         for t in 0..2 * coloring.num_classes() as u64 {
-            d.step_coloured_pooled(
+            d.step_coloured_pooled_bytes(
                 &coloring,
                 t,
                 7,
+                None,
                 &mut inline_profile,
                 &mut scratch,
-                &mut staged,
                 &pool,
                 &narrow,
             );
@@ -698,15 +555,15 @@ mod tests {
             min_class_size: 0,
             ..RuntimeConfig::default()
         };
-        let mut pooled_profile = vec![0usize; 12];
+        let mut pooled_profile = vec![0u8; 12];
         for t in 0..2 * coloring.num_classes() as u64 {
-            d.step_coloured_pooled(
+            d.step_coloured_pooled_bytes(
                 &coloring,
                 t,
                 7,
+                None,
                 &mut pooled_profile,
                 &mut scratch,
-                &mut staged,
                 &pool,
                 &wide,
             );
@@ -791,22 +648,21 @@ mod tests {
             let d = DynamicsEngine::with_rule(game.clone(), rule, 1.2);
             let mut scratch = Scratch::for_game(game);
             let mut pooled_scratch = Scratch::for_game(game);
-            let mut staged = Vec::new();
             let mut seq = vec![0usize; 12];
-            let mut par = vec![0usize; 12];
+            let mut par = vec![0u8; 12];
             for t in 0..3 * coloring.num_classes() as u64 {
                 d.step_coloured(coloring, t, 7, &mut seq, &mut scratch);
-                d.step_coloured_pooled(
+                d.step_coloured_pooled_bytes(
                     coloring,
                     t,
                     7,
+                    None,
                     &mut par,
                     &mut pooled_scratch,
-                    &mut staged,
                     &pool,
                     &config,
                 );
-                assert_eq!(seq, par, "rule diverged at t = {t}");
+                assert_eq!(seq, widened(&par), "rule diverged at t = {t}");
             }
         }
         check(&game, &coloring, Logit);
@@ -814,6 +670,107 @@ mod tests {
         check(&game, &coloring, NoisyBestResponse::new(0.2));
         check(&game, &coloring, Fermi);
         check(&game, &coloring, ImitateBetter::new(0.1));
+    }
+
+    /// The law gate of the counter-keyed draws: `RUNS` sweeps of the pooled
+    /// byte engine from all-zeros, run `r` keyed by seed `r`, end one round
+    /// (and three rounds) later on each profile with the probability the
+    /// exact round chain gives it, up to a TV margin fixed from the exact
+    /// row before sampling. The margin bounds `E[TV]` by Jensen,
+    /// `½ Σᵢ √(pᵢ(1 − pᵢ)/R)`, and adds McDiarmid's deviation
+    /// `√(ln(1/α)/(2R))` (one run moves the TV by at most `1/R`), so a
+    /// correct engine fails with probability at most `α`. The same samples
+    /// must be rejected against the round law at β = 0.
+    #[test]
+    fn counter_keyed_rounds_sample_the_exact_round_law() {
+        const RUNS: usize = 40_000;
+        const ALPHA: f64 = 1e-9;
+        fn margin(row: &[f64]) -> f64 {
+            let r = RUNS as f64;
+            0.5 * row.iter().map(|&p| (p * (1.0 - p) / r).sqrt()).sum::<f64>()
+                + ((1.0 / ALPHA).ln() / (2.0 * r)).sqrt()
+        }
+        fn tv(counts: &[usize], row: &[f64]) -> f64 {
+            let r = RUNS as f64;
+            0.5 * counts
+                .iter()
+                .zip(row)
+                .map(|(&c, &p)| (c as f64 / r - p).abs())
+                .sum::<f64>()
+        }
+        fn check<G: LocalGame + Clone + Sync, U: UpdateRule + Clone>(game: &G, rule: U, beta: f64) {
+            let coloring = coloring_for_game(game);
+            let d = DynamicsEngine::with_rule(game.clone(), rule.clone(), beta);
+            let space = d.space();
+            let n = game.num_players();
+            let zeros = space.index_of(&vec![0; n]);
+            // The rows of the exact one- and three-round laws from all-zeros.
+            let rows = |beta: f64| {
+                let round = DynamicsEngine::with_rule(game.clone(), rule.clone(), beta)
+                    .transition_matrix_coloured_round(&coloring);
+                let three = round.matmul(&round).matmul(&round);
+                [round.row(zeros).to_vec(), three.row(zeros).to_vec()]
+            };
+            let (laws, null_laws) = (rows(beta), rows(0.0));
+            let margins = laws.each_ref().map(|row| margin(row));
+            let null_margins = null_laws.each_ref().map(|row| margin(row));
+
+            let config = RuntimeConfig {
+                workers: 2,
+                min_class_size: 1,
+                block_players: 1,
+            };
+            let pool = WorkerPool::new(&config);
+            let mut scratch = Scratch::for_game(game);
+            let classes = coloring.num_classes() as u64;
+            let mut counts = [vec![0usize; space.size()], vec![0usize; space.size()]];
+            let mut bytes = vec![0u8; n];
+            for run in 0..RUNS as u64 {
+                bytes.fill(0);
+                for t in 0..3 * classes {
+                    d.step_coloured_pooled_bytes(
+                        &coloring,
+                        t,
+                        run,
+                        None,
+                        &mut bytes,
+                        &mut scratch,
+                        &pool,
+                        &config,
+                    );
+                    if t + 1 == classes {
+                        counts[0][space.index_of(&widened(&bytes))] += 1;
+                    }
+                }
+                counts[1][space.index_of(&widened(&bytes))] += 1;
+            }
+            for (k, rounds) in [1, 3].into_iter().enumerate() {
+                let distance = tv(&counts[k], &laws[k]);
+                assert!(
+                    distance <= margins[k],
+                    "{} after {rounds} round(s): TV {distance:.4} above the margin {:.4}",
+                    rule.name(),
+                    margins[k]
+                );
+                let null_distance = tv(&counts[k], &null_laws[k]);
+                assert!(
+                    null_distance > null_margins[k],
+                    "{} after {rounds} round(s): the beta = 0 law was not rejected (TV {null_distance:.4}, margin {:.4})",
+                    rule.name(),
+                    null_margins[k]
+                );
+            }
+        }
+        let ring = GraphicalCoordinationGame::new(
+            GraphBuilder::ring(6),
+            CoordinationGame::from_deltas(2.0, 1.0),
+        );
+        check(&ring, Logit, 1.0);
+        check(&ring, MetropolisLogit, 1.0);
+        // Odd, so three classes.
+        let ising = IsingGame::new(GraphBuilder::ring(7), 0.8, 0.25);
+        assert_eq!(coloring_for_game(&ising).num_classes(), 3);
+        check(&ising, Logit, 1.0);
     }
 
     #[test]

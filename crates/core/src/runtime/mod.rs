@@ -3,8 +3,9 @@
 //!
 //! This is the workspace's one parallel runtime, in the skeleton-library
 //! shape (spawn once, wait between dispatches, drive per-tick work through
-//! a claim counter and a completion barrier). Colour-class sweeps, the
-//! farmed runner's segments
+//! a claim counter and a completion barrier). Colour-class sweeps
+//! ([`DynamicsEngine::step_coloured_pooled_bytes`](crate::DynamicsEngine::step_coloured_pooled_bytes)),
+//! the farmed runner's segments
 //! ([`Simulator::run_profiles_pipelined`](crate::Simulator::run_profiles_pipelined)),
 //! tempered runs ([`Simulator::run_tempered`](crate::Simulator::run_tempered)),
 //! the replica ensembles ([`Simulator::run`](crate::Simulator::run),

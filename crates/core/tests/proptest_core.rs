@@ -561,105 +561,17 @@ proptest! {
         prop_assert!(hits.iter().all(|&h| h == 1), "one update per player per round");
     }
 
-    /// Coloured-engine bit-identity, the tentpole pin (satellite proptest):
-    /// `step_coloured_pooled` (persistent worker pool) — frozen-profile
-    /// staged block, per-player RNG streams, any worker count, any
-    /// narrow-class threshold — walks exactly the trajectory of the
-    /// sequential in-place class sweep `step_coloured`, for every update
-    /// rule on random graph topologies. This is the non-neighbours-commute
-    /// argument made executable.
-    #[test]
-    fn coloured_par_is_bit_identical_to_the_sequential_class_sweep(
-        seed in 0u64..10_000,
-        n in 4usize..12,
-        p in 0.2f64..0.9,
-        beta in 0.0f64..4.0,
-        workers in 1usize..5,
-        min_class_size in 0usize..8,
-    ) {
-        use logit_core::{RuntimeConfig, WorkerPool};
-
-        let mut graph_rng = StdRng::seed_from_u64(seed);
-        let graph = GraphBuilder::connected_erdos_renyi(n, p, &mut graph_rng, 20);
-        let game = GraphicalCoordinationGame::new(
-            graph,
-            logit_games::CoordinationGame::from_deltas(2.0, 1.0),
-        );
-        let coloring = coloring_for_game(&game);
-        // Random chunking: the threshold decides which classes stay inline,
-        // the worker count decides the chunk granularity of the rest.
-        let config = RuntimeConfig {
-            workers,
-            min_class_size,
-            ..RuntimeConfig::default()
-        };
-        let pool = WorkerPool::new(&config);
-
-        #[allow(clippy::too_many_arguments)]
-        fn check<U: UpdateRule>(
-            game: &GraphicalCoordinationGame,
-            coloring: &logit_graphs::Coloring,
-            rule: U,
-            beta: f64,
-            seed: u64,
-            workers: usize,
-            pool: &WorkerPool,
-            config: &RuntimeConfig,
-        ) -> Result<(), TestCaseError> {
-            let d = DynamicsEngine::with_rule(game.clone(), rule, beta);
-            let n = game.num_players();
-            let mut scratch = Scratch::for_game(game);
-            let mut pooled_scratch = Scratch::for_game(game);
-            let mut pooled_staged = Vec::new();
-            let mut seq = vec![0usize; n];
-            let mut pooled = vec![0usize; n];
-            for t in 0..2 * coloring.num_classes() as u64 + 3 {
-                let moved_seq = d.step_coloured(coloring, t, seed, &mut seq, &mut scratch);
-                let moved_pooled = d.step_coloured_pooled(
-                    coloring,
-                    t,
-                    seed,
-                    &mut pooled,
-                    &mut pooled_scratch,
-                    &mut pooled_staged,
-                    pool,
-                    config,
-                );
-                prop_assert_eq!(
-                    &seq, &pooled,
-                    "pooled diverged at t = {} ({} workers, threshold {})",
-                    t, workers, config.min_class_size
-                );
-                prop_assert_eq!(moved_seq, moved_pooled);
-            }
-            Ok(())
-        }
-
-        check(&game, &coloring, Logit, beta, seed, workers, &pool, &config)?;
-        check(&game, &coloring, MetropolisLogit, beta, seed, workers, &pool, &config)?;
-        check(
-            &game,
-            &coloring,
-            logit_core::NoisyBestResponse::new(0.15),
-            beta,
-            seed,
-            workers,
-            &pool,
-            &config,
-        )?;
-        check(&game, &coloring, Fermi, beta, seed, workers, &pool, &config)?;
-        check(&game, &coloring, ImitateBetter::new(0.1), beta, seed, workers, &pool, &config)?;
-    }
-
-    /// Relabelled-engine bit-identity (memory-locality layer): the byte
-    /// engine on the RCM-relabelled game — sequential
-    /// (`step_coloured_bytes`) and pooled (`step_coloured_pooled_bytes`),
-    /// any worker count, any narrow-class threshold, any cache-block size —
-    /// replays the unrelabelled sequential class sweep `step_coloured`
-    /// exactly after the inverse permutation, for every update rule on
-    /// random connected topologies. This pins the whole locality stack at
-    /// once: colour-class transport through the permutation, byte (SoA)
-    /// utility kernels, original-id draw keys, and blocked chunking.
+    /// Coloured-engine bit-identity: the byte engine — sequential
+    /// (`step_coloured_bytes`) and pooled (`step_coloured_pooled_bytes`) on
+    /// the RCM-relabelled game, and pooled on the unrelabelled game
+    /// (`labels = None`), any worker count, any narrow-class threshold, any
+    /// cache-block size — replays the unrelabelled sequential class sweep
+    /// `step_coloured` exactly (after the inverse permutation where
+    /// relabelled), for every update rule on random connected topologies.
+    /// This is the non-neighbours-commute argument made executable, and it
+    /// pins the whole locality stack at once: colour-class transport
+    /// through the permutation, byte (SoA) utility kernels, original-id
+    /// draw keys, and blocked chunking.
     #[test]
     fn relabelled_csr_engine_is_bit_identical_to_the_unrelabelled_sweep(
         seed in 0u64..10_000,
@@ -704,9 +616,11 @@ proptest! {
             let engine = DynamicsEngine::with_rule(relabelled.clone(), rule, beta);
             let n = game.num_players();
             let mut ref_scratch = Scratch::for_game(game);
+            let mut unrelabelled_scratch = Scratch::for_game(game);
             let mut seq_scratch = Scratch::for_game(relabelled);
             let mut pooled_scratch = Scratch::for_game(relabelled);
             let mut reference_profile = vec![0usize; n];
+            let mut unrelabelled = vec![0u8; n];
             let mut seq = Vec::new();
             layout.pack_profile(&reference_profile, &mut seq);
             let mut pooled = seq.clone();
@@ -714,6 +628,16 @@ proptest! {
             for t in 0..2 * coloring.num_classes() as u64 + 3 {
                 let moved_ref = reference.step_coloured(
                     coloring, t, seed, &mut reference_profile, &mut ref_scratch,
+                );
+                let moved_unrelabelled = reference.step_coloured_pooled_bytes(
+                    coloring,
+                    t,
+                    seed,
+                    None,
+                    &mut unrelabelled,
+                    &mut unrelabelled_scratch,
+                    pool,
+                    config,
                 );
                 let moved_seq = engine.step_coloured_bytes(
                     layout.coloring(), t, seed, Some(layout.labels()), &mut seq, &mut seq_scratch,
@@ -728,6 +652,12 @@ proptest! {
                     pool,
                     config,
                 );
+                let widened: Vec<usize> = unrelabelled.iter().map(|&s| s as usize).collect();
+                prop_assert_eq!(
+                    &widened, &reference_profile,
+                    "unrelabelled pooled byte sweep diverged at t = {} ({} workers, threshold {}, block {})",
+                    t, config.workers, config.min_class_size, config.block_players
+                );
                 layout.unpack_profile(&seq, &mut unpacked);
                 prop_assert_eq!(
                     &unpacked, &reference_profile,
@@ -739,6 +669,7 @@ proptest! {
                     "pooled byte sweep diverged at t = {} ({} workers, block {})",
                     t, config.workers, config.block_players
                 );
+                prop_assert_eq!(moved_ref, moved_unrelabelled);
                 prop_assert_eq!(moved_ref, moved_seq);
                 prop_assert_eq!(moved_ref, moved_pooled);
             }
@@ -1080,9 +1011,6 @@ impl<G: LocalGame> LocalGame for TableFree<G> {
     fn neighbors_of(&self, player: usize) -> &[u32] {
         self.0.neighbors_of(player)
     }
-    fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
-        self.0.utilities_for_frozen(player, profile, out)
-    }
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         self.0.utilities_for_frozen_bytes(player, profile, out)
     }
@@ -1090,8 +1018,8 @@ impl<G: LocalGame> LocalGame for TableFree<G> {
 
 /// Every profile each engine kernel walks through from `start`, labelled
 /// by kernel and tick: uniform, sweep and all-logit ticks on one stream,
-/// then the sequential and pooled coloured sweeps on `usize` and on byte
-/// profiles.
+/// then the sequential `usize` class sweep and the sequential and pooled
+/// byte sweeps.
 fn walk_every_kernel<G: LocalGame + Sync, U: UpdateRule>(
     d: &DynamicsEngine<G, U>,
     coloring: &logit_graphs::Coloring,
@@ -1118,23 +1046,12 @@ fn walk_every_kernel<G: LocalGame + Sync, U: UpdateRule>(
         walked.push(("all-logit", t, x.clone()));
     }
     let ticks = 2 * coloring.num_classes() as u64 + 3;
-    let (mut seq, mut pooled, mut staged) = (start.to_vec(), start.to_vec(), Vec::new());
+    let mut seq = start.to_vec();
     let mut bytes: Vec<u8> = start.iter().map(|&s| s as u8).collect();
     let mut pooled_bytes = bytes.clone();
     for t in 0..ticks {
         d.step_coloured(coloring, t, seed, &mut seq, &mut scratch);
         walked.push(("coloured", t, seq.clone()));
-        d.step_coloured_pooled(
-            coloring,
-            t,
-            seed,
-            &mut pooled,
-            &mut scratch,
-            &mut staged,
-            pool,
-            config,
-        );
-        walked.push(("pooled", t, pooled.clone()));
         d.step_coloured_bytes(coloring, t, seed, None, &mut bytes, &mut scratch);
         walked.push(("bytes", t, bytes.iter().map(|&s| s as usize).collect()));
         d.step_coloured_pooled_bytes(

@@ -89,9 +89,9 @@ fn pipelined_runs_stay_bit_identical_with_the_env_switch_set() {
     assert_eq!(logit_telemetry::global().instrument_count(), 0);
 }
 
-/// Fixed-seed bit-identity, coloured-pooled against the sequential class
-/// sweep — the same contract the proptests sweep, pinned here under the
-/// no-op build with the env switch set.
+/// Fixed-seed bit-identity, the pooled byte sweep against the sequential
+/// class sweep — the same contract the proptests sweep, pinned here under
+/// the no-op build with the env switch set.
 #[test]
 fn coloured_pooled_runs_stay_bit_identical_with_the_env_switch_set() {
     std::env::set_var("LOGIT_TELEMETRY", "1");
@@ -110,22 +110,22 @@ fn coloured_pooled_runs_stay_bit_identical_with_the_env_switch_set() {
     let n = game.num_players();
     let mut scratch = Scratch::for_game(&game);
     let mut pooled_scratch = Scratch::for_game(&game);
-    let mut pooled_staged = Vec::new();
     let mut seq = vec![0usize; n];
-    let mut pooled = vec![0usize; n];
+    let mut pooled = vec![0u8; n];
     for t in 0..2 * coloring.num_classes() as u64 + 3 {
         let moved_seq = d.step_coloured(&coloring, t, 4242, &mut seq, &mut scratch);
-        let moved_pooled = d.step_coloured_pooled(
+        let moved_pooled = d.step_coloured_pooled_bytes(
             &coloring,
             t,
             4242,
+            None,
             &mut pooled,
             &mut pooled_scratch,
-            &mut pooled_staged,
             &pool,
             &config,
         );
-        assert_eq!(seq, pooled, "pooled diverged at t = {t}");
+        let widened: Vec<usize> = pooled.iter().map(|&s| s as usize).collect();
+        assert_eq!(seq, widened, "pooled diverged at t = {t}");
         assert_eq!(moved_seq, moved_pooled);
     }
     assert_eq!(logit_telemetry::global().instrument_count(), 0);

@@ -46,8 +46,8 @@ fn live_recording_observes_without_steering() {
     assert_eq!(sequential.final_values, pipelined.final_values);
     assert_eq!(sequential.law().ks_distance(&pipelined.law()), 0.0);
 
-    // Coloured-pooled stepping stays bit-identical to the sequential
-    // class sweep while the pool records dispatch spans and steal counts.
+    // The pooled byte sweep stays bit-identical to the sequential class
+    // sweep while the pool records dispatch spans and steal counts.
     let mut graph_rng = StdRng::seed_from_u64(4242);
     let graph = GraphBuilder::connected_erdos_renyi(9, 0.5, &mut graph_rng, 20);
     let coord =
@@ -63,23 +63,23 @@ fn live_recording_observes_without_steering() {
     let n = coord.num_players();
     let mut scratch = Scratch::for_game(&coord);
     let mut pooled_scratch = Scratch::for_game(&coord);
-    let mut pooled_staged = Vec::new();
     let mut seq = vec![0usize; n];
-    let mut pooled = vec![0usize; n];
+    let mut pooled = vec![0u8; n];
     for t in 0..2 * coloring.num_classes() as u64 + 3 {
         let moved_seq = engine.step_coloured(&coloring, t, 4242, &mut seq, &mut scratch);
-        let moved_pooled = engine.step_coloured_pooled(
+        let moved_pooled = engine.step_coloured_pooled_bytes(
             &coloring,
             t,
             4242,
+            None,
             &mut pooled,
             &mut pooled_scratch,
-            &mut pooled_staged,
             &pool,
             &pool_config,
         );
+        let widened: Vec<usize> = pooled.iter().map(|&s| s as usize).collect();
         assert_eq!(
-            seq, pooled,
+            seq, widened,
             "pooled diverged at t = {t} under live telemetry"
         );
         assert_eq!(moved_seq, moved_pooled);

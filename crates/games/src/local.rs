@@ -16,11 +16,12 @@
 //! Locality is also what makes **parallel revision** correct: two
 //! non-neighbouring players' single-tick updates commute, so a whole
 //! independent set of the interaction graph can revise simultaneously. Two
-//! hooks serve that path: [`LocalGame::utilities_for_frozen`] (a read-only
-//! batch evaluation, so parallel workers can share the frozen pre-tick
-//! profile immutably) and [`interaction_graph`] (the bridge that turns any
-//! `LocalGame`'s neighbourhood structure into a `logit_graphs::Graph`, ready
-//! for the colouring algorithms in `logit-graphs`).
+//! hooks serve that path: [`LocalGame::utilities_for_frozen_bytes`] (a
+//! read-only batch evaluation against a byte profile, so parallel workers
+//! can share the frozen pre-tick profile immutably) and [`interaction_graph`]
+//! (the bridge that turns any `LocalGame`'s neighbourhood structure into a
+//! `logit_graphs::Graph`, ready for the colouring algorithms in
+//! `logit-graphs`).
 //!
 //! Neighbourhoods are `u32` player ids: the graph-backed games hand out the
 //! rows of the one shared CSR adjacency they hold, with no second copy.
@@ -37,37 +38,23 @@ pub trait LocalGame: Game {
     /// `player`'s utility, as `u32` player ids.
     fn neighbors_of(&self, player: usize) -> &[u32];
 
-    /// Read-only batch utilities: like [`Game::utilities_for`], but the
-    /// profile is borrowed *immutably* — the hook of the parallel
-    /// independent-set engine path, where many workers evaluate different
-    /// players against one shared frozen profile at the same time.
-    ///
-    /// The default clones the profile and delegates, which is correct for
-    /// every game but allocates `O(n)` per call; every concrete `LocalGame`
-    /// here overrides it with its one-pass read-only evaluation. The
-    /// contract is exact agreement with `utilities_for` on the same profile
-    /// (the proptest harness pins this through the coloured-step
-    /// bit-identity checks).
-    fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
-        let mut work = profile.to_vec();
-        self.utilities_for(player, &mut work, out);
-    }
-
     /// Read-only batch utilities against a **byte-packed** strategy profile
-    /// — the SoA buffer of the cache-blocked CSR sweeps in `logit-core`,
-    /// where a binary game's profile is 1 byte per player (an `n = 10⁶`
-    /// profile fits a 2 MiB L2) instead of 8. Entries are strategy indices;
-    /// the engine only routes games with `max_strategies() ≤ 256` here.
+    /// — the hook of the coloured byte engine in `logit-core`, where many
+    /// workers evaluate different players against one shared frozen
+    /// profile at the same time, and a binary game's profile is 1 byte per
+    /// player (an `n = 10⁶` profile fits a 2 MiB L2) instead of 8. Entries
+    /// are strategy indices; the engine only routes games with
+    /// `max_strategies() ≤ 256` here.
     ///
-    /// The contract is *bitwise* agreement with
-    /// [`utilities_for_frozen`](Self::utilities_for_frozen) on the widened
-    /// profile. The default widens into a temporary and delegates — correct
-    /// for every game but `O(n)` per call; the graph-backed games override
-    /// it with one-pass CSR kernels (congestion games keep the default:
-    /// their resource loads are inherently a full-profile scan).
+    /// The contract is *bitwise* agreement with [`Game::utilities_for`] on
+    /// the widened profile. The default widens into a temporary and
+    /// delegates — correct for every game but `O(n)` per call; the
+    /// graph-backed games override it with one-pass CSR kernels (congestion
+    /// games keep the default: their resource loads are inherently a
+    /// full-profile scan).
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
-        let wide: Vec<usize> = profile.iter().map(|&s| s as usize).collect();
-        self.utilities_for_frozen(player, &wide, out);
+        let mut wide: Vec<usize> = profile.iter().map(|&s| s as usize).collect();
+        self.utilities_for(player, &mut wide, out);
     }
 
     /// Hints the cache that the data
@@ -108,9 +95,6 @@ impl<G: LocalGame + ?Sized> LocalGame for &G {
     fn neighbors_of(&self, player: usize) -> &[u32] {
         (**self).neighbors_of(player)
     }
-    fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
-        (**self).utilities_for_frozen(player, profile, out)
-    }
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         (**self).utilities_for_frozen_bytes(player, profile, out)
     }
@@ -128,9 +112,6 @@ impl<G: LocalGame + ?Sized> LocalGame for std::sync::Arc<G> {
     fn neighbors_of(&self, player: usize) -> &[u32] {
         (**self).neighbors_of(player)
     }
-    fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
-        (**self).utilities_for_frozen(player, profile, out)
-    }
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         (**self).utilities_for_frozen_bytes(player, profile, out)
     }
@@ -142,9 +123,6 @@ impl<G: LocalGame + ?Sized> LocalGame for std::sync::Arc<G> {
 impl LocalGame for GraphicalCoordinationGame {
     fn neighbors_of(&self, player: usize) -> &[u32] {
         self.csr().neighbors(player)
-    }
-    fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
-        self.utilities_readonly(player, profile, out);
     }
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         self.utilities_readonly(player, profile, out);
@@ -158,9 +136,6 @@ impl LocalGame for IsingGame {
     fn neighbors_of(&self, player: usize) -> &[u32] {
         self.csr().neighbors(player)
     }
-    fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
-        self.utilities_readonly(player, profile, out);
-    }
     fn utilities_for_frozen_bytes(&self, player: usize, profile: &[u8], out: &mut [f64]) {
         self.utilities_readonly(player, profile, out);
     }
@@ -172,9 +147,6 @@ impl LocalGame for IsingGame {
 impl LocalGame for CongestionGame {
     fn neighbors_of(&self, player: usize) -> &[u32] {
         self.interaction_neighbors(player)
-    }
-    fn utilities_for_frozen(&self, player: usize, profile: &[usize], out: &mut [f64]) {
-        self.utilities_readonly(player, profile, out);
     }
 }
 
@@ -308,70 +280,49 @@ mod tests {
         assert_eq!(r.max_degree(), 2);
     }
 
-    /// The frozen batch hook must agree exactly with the mutable one on
-    /// every concrete `LocalGame` (and through `&G` / `Arc<G>` forwarding).
-    #[test]
-    fn frozen_utilities_match_the_mutable_hook() {
-        fn check<G: LocalGame>(game: &G, profile: &[usize]) {
-            let mut work = profile.to_vec();
-            for player in 0..game.num_players() {
-                let m = game.num_strategies(player);
-                let mut mutable = vec![0.0; m];
-                let mut frozen = vec![0.0; m];
-                game.utilities_for(player, &mut work, &mut mutable);
-                game.utilities_for_frozen(player, profile, &mut frozen);
-                assert_eq!(mutable, frozen, "hooks disagree for player {player}");
-                assert_eq!(work, profile, "mutable hook must restore the profile");
-            }
-        }
-        let coord = GraphicalCoordinationGame::new(
-            GraphBuilder::torus(3, 3),
-            CoordinationGame::new(5.0, 4.0, 1.0, 2.0),
-        );
-        check(&coord, &[0, 1, 0, 1, 1, 0, 0, 1, 1]);
-        let ising = IsingGame::new(GraphBuilder::hypercube(3), 0.7, 0.2);
-        check(&ising, &[1, 0, 0, 1, 0, 1, 1, 0]);
-        let congestion = CongestionGame::load_balancing(4, 2, 1.5);
-        check(&congestion, &[0, 1, 1, 0]);
-        // Forwarding layers: &G and Arc<G> reach the same overrides.
-        check(&&coord, &[0, 1, 0, 1, 1, 0, 0, 1, 1]);
-        check(&std::sync::Arc::new(ising), &[1, 0, 0, 1, 0, 1, 1, 0]);
-    }
-
-    /// The byte-profile hook must agree bitwise with the widened frozen
-    /// hook on every concrete `LocalGame` — including the congestion
-    /// default, which widens internally — and through the forwarding
-    /// layers.
+    /// The byte-profile hook must agree bitwise with the mutable
+    /// [`Game::utilities_for`] on the widened profile, and leave that
+    /// profile as it found it, on every concrete `LocalGame` — including
+    /// the congestion default, which widens internally — and through the
+    /// `&G` / `Arc<G>` forwarding layers.
     #[test]
     fn byte_profile_utilities_match_the_frozen_hook_bitwise() {
-        fn check<G: LocalGame>(game: &G, profile: &[usize]) {
-            let bytes: Vec<u8> = profile.iter().map(|&s| s as u8).collect();
-            for player in 0..game.num_players() {
-                let m = game.num_strategies(player);
-                let mut frozen = vec![0.0; m];
-                let mut packed = vec![0.0; m];
-                game.utilities_for_frozen(player, profile, &mut frozen);
-                game.utilities_for_frozen_bytes(player, &bytes, &mut packed);
-                assert!(
-                    frozen
-                        .iter()
-                        .zip(&packed)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "byte hook diverged for player {player}: {frozen:?} vs {packed:?}"
-                );
+        fn check<G: LocalGame>(game: &G, profiles: &[&[usize]]) {
+            for &profile in profiles {
+                let bytes: Vec<u8> = profile.iter().map(|&s| s as u8).collect();
+                let mut work = profile.to_vec();
+                for player in 0..game.num_players() {
+                    let m = game.num_strategies(player);
+                    let mut mutable = vec![0.0; m];
+                    let mut packed = vec![0.0; m];
+                    game.utilities_for(player, &mut work, &mut mutable);
+                    game.utilities_for_frozen_bytes(player, &bytes, &mut packed);
+                    assert!(
+                        mutable
+                            .iter()
+                            .zip(&packed)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "byte hook diverged for player {player}: {mutable:?} vs {packed:?}"
+                    );
+                    assert_eq!(work, profile, "mutable hook must restore the profile");
+                }
             }
         }
         let coord = GraphicalCoordinationGame::new(
             GraphBuilder::torus(3, 3),
             CoordinationGame::new(5.0, 4.0, 1.0, 2.0),
         );
-        check(&coord, &[0, 1, 0, 1, 1, 0, 0, 1, 1]);
+        let coord_profiles: [&[usize]; 2] =
+            [&[0, 1, 0, 1, 1, 0, 0, 1, 1], &[1, 1, 0, 0, 1, 0, 1, 0, 1]];
+        check(&coord, &coord_profiles);
         let ising = IsingGame::new(GraphBuilder::hypercube(3), 0.7, 0.2);
-        check(&ising, &[1, 0, 0, 1, 0, 1, 1, 0]);
+        let ising_profiles: [&[usize]; 2] = [&[1, 0, 0, 1, 0, 1, 1, 0], &[0, 1, 1, 0, 1, 0, 0, 1]];
+        check(&ising, &ising_profiles);
         let congestion = CongestionGame::load_balancing(4, 2, 1.5);
-        check(&congestion, &[0, 1, 1, 0]);
-        check(&&coord, &[1, 1, 0, 0, 1, 0, 1, 0, 1]);
-        check(&std::sync::Arc::new(ising), &[0, 1, 1, 0, 1, 0, 0, 1]);
+        check(&congestion, &[&[0, 1, 1, 0]]);
+        // Forwarding layers: &G and Arc<G> reach the same overrides.
+        check(&&coord, &coord_profiles);
+        check(&std::sync::Arc::new(ising), &ising_profiles);
     }
 
     /// The bridge reproduces the social graph for graph-backed games and

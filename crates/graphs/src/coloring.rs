@@ -7,8 +7,8 @@
 //! class are pairwise non-adjacent, so their single-tick updates commute —
 //! a whole class can revise simultaneously against the frozen pre-tick
 //! profile and the result is identical to any sequential ordering of the
-//! same updates. The `ColouredBlocks` schedule and the
-//! `step_coloured_pooled` engine path in `logit-core` build on the
+//! same updates. The `ColouredBlocks` schedule and the coloured byte
+//! engine (`step_coloured_pooled_bytes`) in `logit-core` build on the
 //! [`Coloring`] type here.
 //!
 //! Two constructions are provided, and [`coloring_for_graph`] chooses
